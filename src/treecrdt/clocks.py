@@ -145,12 +145,18 @@ class DeliveryBuffer:
         self.pending.append(env)
 
     def drain(self, delivered: VectorClock) -> Iterator[Envelope]:
-        """Yield envelopes as they become deliverable; caller must accept each."""
+        """Yield envelopes as they become deliverable; caller must accept each.
+
+        An envelope whose seq its origin has already had delivered is a
+        duplicate or a replay, so it is dropped instead of waiting forever.
+        """
         progress = True
         while progress:
             progress = False
             for env in list(self.pending):
-                if deliverable(env, delivered):
+                if env.seq <= delivered.get(env.origin):
+                    self.pending.remove(env)
+                elif deliverable(env, delivered):
                     self.pending.remove(env)
                     progress = True
                     yield env

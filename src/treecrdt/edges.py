@@ -8,11 +8,11 @@ edge targets.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Set
+from typing import Any, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
-from .lookup import LookupTree
+from .lookup import LookupTree, MemoizedLookup
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -21,15 +21,23 @@ from .policies import (
     connect,
     map_to_tree,
 )
-from .graph import ROOT, GraphTree, TreeOp, check_weight_combo, edge_infos
+from .graph import (
+    ROOT,
+    GraphTree,
+    TreeOp,
+    check_merge_peer,
+    check_weight_combo,
+    edge_infos,
+)
 from .render import render, sorted_elements
 from .sets import ADD, RMV, make_set
 
 
-class EdgeTree:
+class EdgeTree(MemoizedLookup):
     """Replicated tree represented purely by its set of edges."""
 
     repr_name = "edge"
+    pi_mode: Optional[str] = None
 
     def __init__(
         self,
@@ -64,7 +72,19 @@ class EdgeTree:
     def _edge_infos(self) -> list:
         return edge_infos(self.edges, self.kind, self.map_policy)
 
+    def _payload_version(self) -> Tuple[int, int]:
+        return (self.edges.version, self.history.version)
+
     def lookup(self) -> LookupTree:
+        """The visible tree of the current payload.
+
+        The result is a shared, read-only snapshot: it is built once per
+        payload state and handed to every caller until the payload changes,
+        so callers must not mutate it.
+        """
+        return self._memoized_lookup(EdgeTree)
+
+    def _build_lookup(self) -> LookupTree:
         live = self.edges.lookup()
         nodes = {self._edge_child(e) for e in live}
         g = connect(
@@ -126,6 +146,7 @@ class EdgeTree:
             self._note_add(op.node, op.parent)
 
     def merge(self, other: "EdgeTree", clock: Optional[ReplicaClock] = None) -> None:
+        check_merge_peer(self, other)
         self.edges.merge(other.edges)
         self.history.merge(other.history)
         if clock is not None:

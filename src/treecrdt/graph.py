@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
-from .errors import IllegalCombo, PreconditionViolation
-from .lookup import LookupTree
+from .errors import IllegalCombo, KindMismatch, PreconditionViolation
+from .lookup import LookupTree, MemoizedLookup
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -57,6 +57,16 @@ def edge_weights(edge_set, kind: str, map_policy: str, live: list) -> Dict[Any, 
     return {}
 
 
+def check_merge_peer(tree: Any, other: Any) -> None:
+    """Refuse to merge a replica of another combo, before anything changes."""
+    for name in ("repr_name", "kind", "flavor", "pi_mode", "connect_policy", "map_policy"):
+        mine, theirs = getattr(tree, name, None), getattr(other, name, None)
+        if mine != theirs:
+            raise KindMismatch(
+                f"cannot merge a replica with {name}={theirs} into one with {name}={mine}"
+            )
+
+
 def edge_infos(edge_set, kind: str, map_policy: str) -> list:
     live = sorted_elements(edge_set.lookup())
     weights = edge_weights(edge_set, kind, map_policy, live)
@@ -91,10 +101,11 @@ class TreeOp:
         return " ; ".join([head] + subs)
 
 
-class GraphTree:
+class GraphTree(MemoizedLookup):
     """Replicated tree over a node set and an edge set of the same kind."""
 
     repr_name = "graph"
+    pi_mode: Optional[str] = None
 
     def __init__(
         self,
@@ -139,8 +150,20 @@ class GraphTree:
             self.root,
         )
 
-    def lookup(self) -> LookupTree:
+    def _payload_version(self) -> Tuple[int, int, int]:
+        return (self.nodes.version, self.edges.version, self.history.version)
+
+    def _build_lookup(self) -> LookupTree:
         return map_to_tree(self.rooted_graph(), self.map_policy, self.several_cap)
+
+    def lookup(self) -> LookupTree:
+        """The visible tree of the current payload.
+
+        The result is a shared, read-only snapshot: it is built once per
+        payload state and handed to every caller until the payload changes,
+        so callers must not mutate it.
+        """
+        return self._memoized_lookup(GraphTree)
 
     # --- generation ---
 
@@ -189,12 +212,13 @@ class GraphTree:
     @staticmethod
     def subtree_nodes(lt: LookupTree, n: Any) -> Set[Any]:
         """Nodes of every instance-subtree of n; removing one copy removes all."""
+        kids = lt.children_by_parent()
         nodes: Set[Any] = set()
         stack = [inst.key for inst in lt.instances_of(n)]
         while stack:
             key = stack.pop()
             nodes.add(lt.instances[key].node)
-            stack.extend(child.key for child in lt.children(key))
+            stack.extend(child.key for child in kids.get(key, ()))
         return nodes
 
     def _note_add(self, n: Any, m: Any) -> None:
@@ -212,6 +236,7 @@ class GraphTree:
             self._note_add(op.node, op.parent)
 
     def merge(self, other: "GraphTree", clock: Optional[ReplicaClock] = None) -> None:
+        check_merge_peer(self, other)
         self.nodes.merge(other.nodes)
         self.edges.merge(other.edges)
         self.history.merge(other.history)
@@ -279,6 +304,7 @@ class IncrementalTwoPhaseGraph:
         return n == self.root or (n,) in self.cached.instances
 
     def lookup(self) -> LookupTree:
+        """The maintained tree; it changes in place as the payload does."""
         return self.cached
 
     def batch_lookup(self) -> LookupTree:

@@ -593,8 +593,11 @@ def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[st
     for name, history in _set_histories(combo, ops).items():
         payload = getattr(tree, name)
         shown = payload.lookup()
-        for e in {op.element for op in history}:
-            expect = oracle_membership(combo.kind, history, e)
+        by_element: Dict[Any, List[SetOp]] = {}
+        for op in history:
+            by_element.setdefault(op.element, []).append(op)
+        for e, mine in by_element.items():
+            expect = oracle_membership(combo.kind, mine, e)
             if (e in shown) != expect:
                 problems.append(
                     f"{name} set disagrees on {render(e)}:"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -9,8 +10,20 @@ from .render import render, sort_key
 
 InstanceKey = Tuple  # () is the root; other keys are tuples identifying instances
 
+_VERSIONS = itertools.count(1)
 
-@dataclass
+
+def next_version() -> int:
+    """A payload version never handed out before in this process.
+
+    Every replicated payload (set CRDT, history graph) takes a new version
+    when it is built and on each mutation, so equal versions mean the same
+    object in the same state, and a lookup cached under them is current.
+    """
+    return next(_VERSIONS)
+
+
+@dataclass(slots=True)
 class Instance:
     key: InstanceKey
     node: Any
@@ -59,17 +72,18 @@ class LookupTree:
         kids = [inst for inst in self.instances.values() if inst.parent == key]
         return sorted(kids, key=Instance.order_key)
 
-    def parent_map(self) -> Dict[InstanceKey, InstanceKey]:
-        return {key: inst.parent for key, inst in self.instances.items()}
+    def children_by_parent(self) -> Dict[InstanceKey, List[Instance]]:
+        """Every instance grouped under its parent key, in one pass, unsorted."""
+        kids: Dict[InstanceKey, List[Instance]] = {}
+        for inst in self.instances.values():
+            kids.setdefault(inst.parent, []).append(inst)
+        return kids
 
     def nodes_present(self) -> set:
         return {inst.node for inst in self.instances.values()}
 
     def instances_of(self, node: Any) -> List[Instance]:
         return [inst for inst in self.instances.values() if inst.node == node]
-
-    def contains_node(self, node: Any) -> bool:
-        return any(inst.node == node for inst in self.instances.values())
 
     def validate(self) -> None:
         """Check the parent map is total, acyclic, and root-connected."""
@@ -86,22 +100,51 @@ class LookupTree:
                 cur = self.instances[cur].parent
 
     def dump(self) -> str:
+        kids = self.children_by_parent()
+
+        def last_first(key: InstanceKey) -> List[Instance]:
+            return sorted(kids.get(key, ()), key=Instance.order_key)[::-1]
+
         lines = [self.root_label]
-
-        def walk(key: InstanceKey, depth: int) -> None:
-            for inst in self.children(key):
-                label = inst.label
-                if inst.pos is not None:
-                    label += f" @{render(inst.pos)}"
-                if inst.ghost:
-                    label += " ~"
-                lines.append("  " * depth + label)
-                walk(inst.key, depth + 1)
-
-        walk((), 1)
+        # depth-first with an explicit stack, so siblings are pushed last-first
+        stack = [(inst, 1) for inst in last_first(())]
+        while stack:
+            inst, depth = stack.pop()
+            label = inst.label
+            if inst.pos is not None:
+                label += f" @{render(inst.pos)}"
+            if inst.ghost:
+                label += " ~"
+            lines.append("  " * depth + label)
+            stack.extend((kid, depth + 1) for kid in last_first(inst.key))
         return "\n".join(lines)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, LookupTree):
             return NotImplemented
         return self.dump() == other.dump()
+
+
+class MemoizedLookup:
+    """One lookup tree per payload state, shared by every reader of that state.
+
+    A tree class supplies ``_payload_version()``, which changes whenever any
+    part of its payload does, and ``_build_lookup()``, the uncached builder;
+    its ``lookup()`` returns ``self._memoized_lookup(<that class>)``.  The
+    tree is built, post-processing included, before it is stored, and a
+    replica keeps at most one.
+    """
+
+    _memo_key: Any = None
+    _memo_tree: Optional[LookupTree] = None
+
+    def _memoized_lookup(self, owner: type) -> LookupTree:
+        if type(self).lookup is not owner.lookup:
+            # an override that post-processes super().lookup() mutates what
+            # it gets, so it gets a tree of its own
+            return self._build_lookup()
+        key = self._payload_version()
+        if key != self._memo_key:
+            self._memo_tree = self._build_lookup()
+            self._memo_key = key
+        return self._memo_tree

@@ -20,7 +20,7 @@ from .lookup import Instance, LookupTree
 from .paths import EPSILON, WordTree, check_atom
 from .policies import DEFAULT_SEVERAL_CAP, EdgeInfo
 from .positions import Upi, upi_at
-from .render import Path, render, sort_key, sorted_elements
+from .render import Path, cached_on_self, render, sort_key, sorted_elements
 from .sets import ADD
 from .wootr import BEGIN, END, WOOTR_KINDS, WootrElement, WootrTriple, wootr_order
 
@@ -32,9 +32,11 @@ class PositionedNode:
     element: Any
     upi: Upi
 
+    @cached_on_self
     def render(self) -> str:
         return f"{render(self.element)}@{self.upi.render()}"
 
+    @cached_on_self
     def canon_key(self):
         return (self.upi.canon_key(), sort_key(self.element))
 
@@ -46,9 +48,11 @@ class PathStep:
     upi: Upi
     atom: Any
 
+    @cached_on_self
     def render(self) -> str:
         return f"{render(self.atom)}@{self.upi.render()}"
 
+    @cached_on_self
     def canon_key(self):
         return (self.upi.canon_key(), sort_key(self.atom))
 
@@ -63,14 +67,13 @@ class SeqPos:
     def render(self) -> str:
         return self.element.render()
 
+    @cached_on_self
     def canon_key(self):
         return (self.rank, self.element.render())
 
 
 class _PiMarked:
     """Mixin recording the positioning mode in the canonical header."""
-
-    pi_mode = ""
 
     def canonical(self) -> str:
         lines = super().canonical().splitlines()
@@ -134,8 +137,8 @@ class NodePositionedTree(_PiMarked, GraphTree):
     ):
         super().__init__("2p", flavor, connect_policy, map_policy, root, several_cap)
 
-    def lookup(self) -> LookupTree:
-        lt = super().lookup()
+    def _build_lookup(self) -> LookupTree:
+        lt = super()._build_lookup()
         for inst in lt.instances.values():
             node = inst.node
             if isinstance(node, PositionedNode):
@@ -299,8 +302,8 @@ class EdgePositionedWordTree(_PiMarked, WordTree):
     def __init__(self, flavor: str, connect_policy: str = "skip"):
         super().__init__("2p", flavor, connect_policy)
 
-    def lookup(self) -> LookupTree:
-        lt = WordTree.lookup(self)
+    def _build_lookup(self) -> LookupTree:
+        lt = super()._build_lookup()
         for inst in lt.instances.values():
             step = inst.key[-1]
             inst.label = render(step.atom)
@@ -363,8 +366,8 @@ class WootrGraphTree(_PiMarked, GraphTree):
     def _edge_infos(self) -> list:
         return _wootr_edge_infos(self.edges, self.kind, self.map_policy)
 
-    def lookup(self) -> LookupTree:
-        lt = super().lookup()
+    def _build_lookup(self) -> LookupTree:
+        lt = super()._build_lookup()
         _rank_wootr_children(lt)
         return lt
 
@@ -452,8 +455,8 @@ class WootrEdgeTree(_PiMarked, EdgeTree):
     def _edge_infos(self) -> list:
         return _wootr_edge_infos(self.edges, self.kind, self.map_policy)
 
-    def lookup(self) -> LookupTree:
-        lt = super().lookup()
+    def _build_lookup(self) -> LookupTree:
+        lt = super()._build_lookup()
         _rank_wootr_children(lt)
         return lt
 
@@ -520,8 +523,8 @@ class WootrWordTree(_PiMarked, WordTree):
             )
         super().__init__(kind, flavor, connect_policy)
 
-    def lookup(self) -> LookupTree:
-        lt = WordTree.lookup(self)
+    def _build_lookup(self) -> LookupTree:
+        lt = super()._build_lookup()
         groups: Dict[Tuple, List[Instance]] = {}
         for inst in lt.instances.values():
             groups.setdefault(inst.key[:-1], []).append(inst)

@@ -14,8 +14,8 @@ from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
-from .graph import TreeOp
-from .lookup import LookupTree
+from .graph import TreeOp, check_merge_peer
+from .lookup import LookupTree, MemoizedLookup
 from .policies import CONNECT_POLICIES
 from .render import Path, render
 from .sets import ADD, RMV, make_set
@@ -31,6 +31,11 @@ def parse_path(text: str) -> Path:
     for atom in atoms:
         check_atom(atom)
     return Path(atoms)
+
+
+def as_path(p: Iterable) -> Path:
+    """p itself when it already is a Path, so the keys cached on it are kept."""
+    return p if type(p) is Path else Path(p)
 
 
 def check_atom(atom: Any) -> None:
@@ -66,7 +71,7 @@ def path_images(
     """
     if policy not in CONNECT_POLICIES:
         raise IllegalCombo(f"unknown connection policy {policy!r}")
-    live = {Path(p) for p in paths} | {EPSILON}
+    live = {as_path(p) for p in paths} | {EPSILON}
     counter = probes if probes is not None else ProbeCounter()
 
     def is_live(p: Path) -> bool:
@@ -106,10 +111,11 @@ def connect_paths(
     return out
 
 
-class WordTree:
+class WordTree(MemoizedLookup):
     """Replicated tree over a single set CRDT of root paths."""
 
     repr_name = "word"
+    pi_mode: Optional[str] = None
 
     def __init__(self, kind: str, flavor: str, connect_policy: str = "skip"):
         if connect_policy not in CONNECT_POLICIES:
@@ -122,9 +128,21 @@ class WordTree:
     # --- lookup pipeline ---
 
     def live_paths(self) -> Set[Path]:
-        return {Path(p) for p in self.paths.lookup()}
+        return {as_path(p) for p in self.paths.lookup()}
+
+    def _payload_version(self) -> int:
+        return self.paths.version
 
     def lookup(self) -> LookupTree:
+        """The visible tree of the current payload.
+
+        The result is a shared, read-only snapshot: it is built once per
+        payload state and handed to every caller until the payload changes,
+        so callers must not mutate it.
+        """
+        return self._memoized_lookup(WordTree)
+
+    def _build_lookup(self) -> LookupTree:
         live = self.live_paths()
         images = path_images(live, self.connect_policy)
         lt = LookupTree(root_label="/")
@@ -194,6 +212,7 @@ class WordTree:
             self.paths.apply(sub)
 
     def merge(self, other: "WordTree", clock: Optional[ReplicaClock] = None) -> None:
+        check_merge_peer(self, other)
         self.paths.merge(other.paths)
         if clock is not None:
             stamp = other.max_stamp()
@@ -255,11 +274,12 @@ class IncrementalWordTree(WordTree):
         self.live_ext: Dict[Tuple, Set[Path]] = {}
 
     def lookup(self) -> LookupTree:
+        """The maintained tree; it changes in place as the payload does."""
         return self.cached
 
     def batch_lookup(self) -> LookupTree:
         """Recompute the tree from the raw payload, bypassing the cache."""
-        return WordTree.lookup(self)
+        return self._build_lookup()
 
     # --- synchronization ---
 

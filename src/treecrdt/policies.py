@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import SeveralBlowup
-from .lookup import LookupTree
-from .render import render, sort_key
+from .lookup import LookupTree, next_version
+from .render import cached_on_self, render, sort_key
 
 CONNECT_POLICIES = ("skip", "reappear", "root", "compact")
 MAP_POLICIES = ("several", "newest", "highest", "shortest", "zero")
@@ -31,6 +31,7 @@ class EdgeInfo:
     weight: int = 0
     pos: Any = None
 
+    @cached_on_self
     def identity(self):
         return (sort_key(self.dst), sort_key(self.src), sort_key(self.pos))
 
@@ -41,16 +42,21 @@ class HistoryGraph:
 
     nodes: Set[Any] = field(default_factory=set)
     edges: Set[Tuple] = field(default_factory=set)  # (src, dst, pos)
+    # renewed on every change, like a set CRDT's version
+    version: int = field(default_factory=next_version, compare=False, repr=False)
 
     def record_edge(self, src: Any, dst: Any, pos: Any = None) -> None:
+        self.version = next_version()
         self.nodes.add(src)
         self.nodes.add(dst)
         self.edges.add((src, dst, pos))
 
     def record_node(self, node: Any) -> None:
+        self.version = next_version()
         self.nodes.add(node)
 
     def merge(self, other: "HistoryGraph") -> None:
+        self.version = next_version()
         self.nodes |= other.nodes
         self.edges |= other.edges
 
@@ -108,7 +114,7 @@ def _reachable(root: Any, nodes: Set[Any], edges: Iterable[EdgeInfo]) -> Set[Any
 def _dedupe(edges: Iterable[EdgeInfo]) -> List[EdgeInfo]:
     best: Dict[Tuple, EdgeInfo] = {}
     for e in edges:
-        key = (sort_key(e.src), sort_key(e.dst), sort_key(e.pos))
+        key = e.identity()
         cur = best.get(key)
         if cur is None or e.weight > cur.weight:
             best[key] = e

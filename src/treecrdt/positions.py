@@ -14,6 +14,7 @@ from typing import List, Sequence, Tuple
 
 from .clocks import ReplicaClock
 from .errors import InvalidInterval, PreconditionViolation
+from .render import cached_on_self
 
 DIGIT_BASE = 1 << 16
 
@@ -26,6 +27,7 @@ class Upi:
 
     triples: Tuple[Triple, ...] = ()
 
+    @cached_on_self
     def render(self) -> str:
         if not self.triples:
             return "-"

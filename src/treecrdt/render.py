@@ -2,12 +2,36 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple
+import functools
+from typing import Any, Callable, Iterable, Tuple
+
+
+def cached_on_self(method: Callable) -> Callable:
+    """Compute a no-argument method of an immutable object once per object.
+
+    The value is stored as an instance attribute (set with
+    ``object.__setattr__``, so frozen dataclasses accept it) and lives
+    exactly as long as the object; it takes no part in equality, hashing
+    or repr.
+    """
+    slot = f"_cached_{method.__name__}"
+
+    @functools.wraps(method)
+    def cached(self):
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            value = method(self)
+            object.__setattr__(self, slot, value)
+            return value
+
+    return cached
 
 
 class Path(tuple):
     """A tree path as a tuple of atoms; the empty path is the root."""
 
+    @cached_on_self
     def render(self) -> str:
         if not self:
             return "/"
@@ -29,6 +53,10 @@ class Path(tuple):
     def starts_with(self, prefix: tuple) -> bool:
         return self[: len(prefix)] == tuple(prefix)
 
+    @cached_on_self
+    def sort_key(self) -> Tuple:
+        return ("p",) + tuple(sort_key(a) for a in self)
+
     def order_key(self) -> Tuple:
         """Length first, then atom order; ties the processing order down."""
         return (len(self), sort_key(self))
@@ -36,6 +64,8 @@ class Path(tuple):
 
 def render(e: Any) -> str:
     """Render an element canonically; equal elements always render identically."""
+    if type(e) is str:
+        return e
     if isinstance(e, Path):
         return e.render()
     if isinstance(e, str):
@@ -55,10 +85,15 @@ def render(e: Any) -> str:
 
 def sort_key(e: Any) -> Tuple:
     """Type-tagged recursive key making heterogeneous elements totally ordered."""
+    kind = type(e)
+    if kind is str:
+        return ("s", e)
+    if kind is tuple:
+        return ("t",) + tuple(sort_key(x) for x in e)
     if e is None:
         return ("",)
     if isinstance(e, Path):
-        return ("p",) + tuple(sort_key(a) for a in e)
+        return e.sort_key()
     if isinstance(e, bool):
         return ("b", e)
     if isinstance(e, str):
@@ -66,10 +101,10 @@ def sort_key(e: Any) -> Tuple:
     if isinstance(e, int):
         return ("i", e)
     if hasattr(e, "canon_key"):
-        return ("o", type(e).__name__, e.canon_key())
+        return ("o", kind.__name__, e.canon_key())
     if isinstance(e, (tuple, list)):
         return ("t",) + tuple(sort_key(x) for x in e)
-    raise TypeError(f"cannot order {type(e).__name__}")
+    raise TypeError(f"cannot order {kind.__name__}")
 
 
 def sorted_elements(elems: Iterable[Any]) -> list:

@@ -12,6 +12,7 @@ from typing import Any, Dict, FrozenSet, Optional, Set
 
 from .clocks import LamportStamp, ReplicaClock, Tag
 from .errors import KindMismatch, PreconditionViolation
+from .lookup import next_version
 from .render import render, sorted_elements
 
 KINDS = ("g", "2p", "lww", "c", "or")
@@ -54,6 +55,7 @@ class SetCrdt:
         if flavor not in FLAVORS:
             raise KindMismatch(f"unknown flavor {flavor!r}")
         self.flavor = flavor
+        self.version = next_version()
 
     def lookup(self) -> Set[Any]:
         raise NotImplementedError
@@ -105,6 +107,10 @@ class SetCrdt:
     def _canonical_lines(self) -> list:
         raise NotImplementedError
 
+    def _touch(self) -> None:
+        """Give the payload a new version; every mutation calls this before it changes anything."""
+        self.version = next_version()
+
     def _check_peer(self, other: "SetCrdt") -> None:
         if self.kind != other.kind or self.flavor != other.flavor:
             raise KindMismatch(
@@ -129,6 +135,7 @@ class GSet(SetCrdt):
         return set(self.elements)
 
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         self.elements.add(e)
         return SetOp(ADD, e)
 
@@ -139,11 +146,13 @@ class GSet(SetCrdt):
         self._require_flavor("op", "apply")
         if op.verb != ADD:
             raise PreconditionViolation("grow-only sets do not support removal")
+        self._touch()
         self.elements.add(op.element)
 
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")
         self._check_peer(other)
+        self._touch()
         self.elements |= other.elements
 
     def copy(self) -> "GSet":
@@ -176,15 +185,18 @@ class TwoPhaseSet(SetCrdt):
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
         if e in self.added or e in self.removed:
             raise PreconditionViolation(f"{render(e)} was already added once")
+        self._touch()
         self.added.add(e)
         return SetOp(ADD, e)
 
     def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         self.removed.add(e)
         return SetOp(RMV, e)
 
     def apply(self, op: SetOp) -> None:
         self._require_flavor("op", "apply")
+        self._touch()
         if op.verb == ADD:
             self.added.add(op.element)
         else:
@@ -193,6 +205,7 @@ class TwoPhaseSet(SetCrdt):
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")
         self._check_peer(other)
+        self._touch()
         self.added |= other.added
         self.removed |= other.removed
 
@@ -223,17 +236,20 @@ class LwwSet(SetCrdt):
         return {e for e, (_, visible) in self.entries.items() if visible}
 
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         stamp = clock.next_stamp()
         self.entries[e] = (stamp, True)
         return SetOp(ADD, e, stamp=stamp)
 
     def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         stamp = clock.next_stamp()
         self.entries[e] = (stamp, False)
         return SetOp(RMV, e, stamp=stamp)
 
     def apply(self, op: SetOp) -> None:
         self._require_flavor("op", "apply")
+        self._touch()
         current = self.entries.get(op.element)
         if current is None or current[0] < op.stamp:
             self.entries[op.element] = (op.stamp, op.verb == ADD)
@@ -241,6 +257,7 @@ class LwwSet(SetCrdt):
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")
         self._check_peer(other)
+        self._touch()
         for e, pair in other.entries.items():
             if e not in self.entries or self.entries[e][0] < pair[0]:
                 self.entries[e] = pair
@@ -308,12 +325,14 @@ class CounterSet(SetCrdt):
             bucket.add(clock.fresh_tag())
 
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         delta = 1 - self.count(e)
         if delta:
             self._shift(e, delta, clock)
         return SetOp(ADD, e, delta=delta)
 
     def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         delta = -self.count(e)
         if delta:
             self._shift(e, delta, clock)
@@ -321,11 +340,13 @@ class CounterSet(SetCrdt):
 
     def apply(self, op: SetOp) -> None:
         self._require_flavor("op", "apply")
+        self._touch()
         self.counts[op.element] = self.counts.get(op.element, 0) + op.delta
 
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")
         self._check_peer(other)
+        self._touch()
         for e, tags in other.pos.items():
             self.pos.setdefault(e, set()).update(tags)
         for e, tags in other.neg.items():
@@ -386,6 +407,7 @@ class ObservedRemoveSet(SetCrdt):
         return {e for e in self.tags if self.live_tags(e)}
 
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         tag = clock.fresh_tag()
         stamp = clock.next_stamp()
         self.tags.setdefault(e, set()).add(tag)
@@ -393,6 +415,7 @@ class ObservedRemoveSet(SetCrdt):
         return SetOp(ADD, e, stamp=stamp, tag=tag)
 
     def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
+        self._touch()
         observed = frozenset(self.live_tags(e))
         if self.flavor == "state":
             self.removed.setdefault(e, set()).update(observed)
@@ -406,6 +429,7 @@ class ObservedRemoveSet(SetCrdt):
 
     def apply(self, op: SetOp) -> None:
         self._require_flavor("op", "apply")
+        self._touch()
         if op.verb == ADD:
             self.tags.setdefault(op.element, set()).add(op.tag)
             if op.stamp is not None:
@@ -420,6 +444,7 @@ class ObservedRemoveSet(SetCrdt):
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")
         self._check_peer(other)
+        self._touch()
         for e, tags in other.tags.items():
             self.tags.setdefault(e, set()).update(tags)
         for e, tags in other.removed.items():

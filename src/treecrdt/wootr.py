@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from .clocks import ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
-from .render import render, sort_key
+from .render import cached_on_self, render, sort_key
 from .sets import SetCrdt, SetOp, make_set
 
 WOOTR_KINDS = ("lww", "c", "or")
@@ -50,6 +50,7 @@ class WootrTriple(WootrElement):
     prev: WootrElement
     next: WootrElement
 
+    @cached_on_self
     def render(self) -> str:
         return f"<{render(self.atom)}.{render(self.prev)}.{render(self.next)}>"
 

@@ -1,0 +1,235 @@
+"""Replica reads: the memoized lookup, the one-pass dump, cached canonical keys."""
+
+import random
+
+import pytest
+
+from treecrdt.clocks import ReplicaClock
+from treecrdt.graph import GraphTree
+from treecrdt.harness import Simulation, legal_combos, random_scenario
+from treecrdt.lookup import LookupTree
+from treecrdt.ordered import PathStep, PositionedNode, SeqPos
+from treecrdt.paths import IncrementalWordTree, WordTree, parse_path
+from treecrdt.policies import EdgeInfo
+from treecrdt.positions import Upi
+from treecrdt.render import Path, render, sort_key
+from treecrdt.sets import ADD
+from treecrdt.wootr import BEGIN, END, WootrTriple
+
+
+def reference_dump(lt: LookupTree) -> str:
+    """The dump as a recursive walk over children(), one scan per node."""
+    lines = [lt.root_label]
+
+    def walk(key, depth):
+        for inst in lt.children(key):
+            label = inst.label
+            if inst.pos is not None:
+                label += f" @{render(inst.pos)}"
+            if inst.ghost:
+                label += " ~"
+            lines.append("  " * depth + label)
+            walk(inst.key, depth + 1)
+
+    walk((), 1)
+    return "\n".join(lines)
+
+
+def memo_sample():
+    """Two combos of every representation and positioning mode."""
+    groups = {}
+    for combo in legal_combos():
+        groups.setdefault((combo.repr_name, combo.pi_mode), []).append(combo)
+    rng = random.Random(2024)
+    return [c for key in sorted(groups, key=str) for c in rng.sample(groups[key], 2)]
+
+
+SAMPLE = memo_sample()
+
+
+def test_sample_covers_every_repr_and_pi_mode():
+    assert {(c.repr_name, c.pi_mode) for c in SAMPLE} == {
+        (c.repr_name, c.pi_mode) for c in legal_combos()
+    }
+
+
+@pytest.mark.parametrize("combo", SAMPLE, ids=lambda c: c.label())
+def test_memoized_lookup_matches_a_fresh_copy_after_every_step(combo):
+    scn = random_scenario(combo, seed=3, n_ops=8)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    for action in scn.script:
+        sim.execute(action)
+        for rep in sim.replicas.values():
+            tree = rep.tree
+            first = tree.lookup()
+            assert tree.lookup() is first
+            assert first.dump() == tree.copy().lookup().dump()
+            assert first.dump() == tree.lookup().dump()
+            assert first.dump() == reference_dump(first)
+
+
+def test_copy_starts_with_an_empty_memo():
+    tree = GraphTree("or", "op")
+    tree.gen_add("a", "root", ReplicaClock("r1"))
+    shown = tree.lookup()
+    dup = tree.copy()
+    assert dup.lookup() is not shown
+    assert dup.lookup().dump() == shown.dump()
+
+
+def test_every_payload_change_renews_the_lookup():
+    clock = ReplicaClock("r1")
+    tree = GraphTree("or", "state", "compact")
+    tree.gen_add("a", "root", clock)
+    before = tree.lookup()
+    tree.history.record_node("ghost")
+    assert tree.lookup() is not before
+    before = tree.lookup()
+    peer = tree.copy()
+    peer.gen_add("b", "a", ReplicaClock("r2"))
+    tree.merge(peer)
+    assert tree.lookup() is not before
+    assert "b" in tree.lookup().nodes_present()
+
+
+def test_incremental_word_tree_batch_lookup_bypasses_the_memo():
+    clock = ReplicaClock("r1")
+    tree = IncrementalWordTree("2p", "op", "skip")
+    tree.gen_add("a", parse_path("/"), clock)
+    tree.gen_add("b", parse_path("/a"), clock)
+    first = tree.batch_lookup()
+    assert tree.batch_lookup() is not first
+    # prefix removal mutates the payload through the set directly
+    tree.gen_rmv(parse_path("/a"), clock)
+    assert tree.batch_lookup().dump() == "/"
+    assert tree.lookup() == tree.batch_lookup()
+
+
+class LabelledTree(GraphTree):
+    """A subclass that post-processes the tree its base class returns."""
+
+    def __init__(self):
+        super().__init__("or", "op", "skip", "shortest")
+        self.arrivals = []
+
+    def apply_remote(self, op):
+        if op.verb == ADD and op.node not in self.arrivals:
+            self.arrivals.append(op.node)
+        super().apply_remote(op)
+
+    def lookup(self):
+        lt = super().lookup()
+        for inst in lt.instances.values():
+            if inst.node in self.arrivals:
+                inst.label += f"#{self.arrivals.index(inst.node)}"
+        return lt
+
+
+def test_post_processing_subclass_never_sees_its_own_edits():
+    source = GraphTree("or", "op")
+    clock = ReplicaClock("r1")
+    ops = [source.gen_add("a", "root", clock), source.gen_add("b", "a", clock)]
+    tree = LabelledTree()
+    for op in ops:
+        tree.apply_remote(op)
+    assert tree.lookup().dump() == tree.lookup().dump() == "root\n  a#0\n    b#1"
+
+
+def test_dump_does_not_scan_per_node(monkeypatch):
+    lt = LookupTree()
+    for i in range(50):
+        lt.add_instance((f"n{i}",), f"n{i}", () if i < 5 else (f"n{i % 5}",))
+    expected = reference_dump(lt)
+
+    def refuse(self, key):
+        raise AssertionError("dump called children()")
+
+    monkeypatch.setattr(LookupTree, "children", refuse)
+    assert lt.dump() == expected
+    assert GraphTree.subtree_nodes(lt, "n1") == {"n1"} | {
+        f"n{i}" for i in range(5, 50) if i % 5 == 1
+    }
+
+
+def test_dump_handles_trees_deeper_than_the_recursion_limit():
+    lt = LookupTree()
+    parent = ()
+    for i in range(3000):
+        lt.add_instance((i,), i, parent)
+        parent = (i,)
+    lines = lt.dump().splitlines()
+    assert len(lines) == 3001
+    assert lines[-1] == "  " * 3000 + "2999"
+
+
+def test_instance_order_is_unchanged_by_the_one_pass_grouping():
+    rng = random.Random(5)
+    lt = LookupTree()
+    names = []
+    for i in range(200):
+        parent = () if not names or rng.random() < 0.3 else (rng.choice(names),)
+        name = rng.choice("abcdefgh") + str(i)
+        pos = Upi(((rng.randrange(5), "r1", i),)) if rng.random() < 0.5 else None
+        lt.add_instance((name,), name, parent, pos=pos)
+        names.append(name)
+    assert lt.dump() == reference_dump(lt)
+
+
+def cached_elements():
+    upi = Upi(((7, "r1", 1), (3, "r2", 4)))
+    w = WootrTriple("x", WootrTriple("a", BEGIN, END), END)
+    return [
+        upi,
+        w,
+        PositionedNode("n", upi),
+        PathStep(upi, "s"),
+        SeqPos(2, w),
+        Path(("a", PathStep(upi, "b"), w)),
+    ]
+
+
+@pytest.mark.parametrize("make", range(6))
+def test_cached_canonical_keys_do_not_change_identity(make):
+    cached, fresh = cached_elements()[make], cached_elements()[make]
+    text, key = render(cached), sort_key(cached)
+    assert render(cached) is text and sort_key(cached) == key
+    assert fresh == cached and hash(fresh) == hash(cached)
+    assert repr(fresh) == repr(cached)
+    assert render(fresh) == text and sort_key(fresh) == key
+
+
+def test_edge_identity_is_cached_per_edge():
+    e = EdgeInfo("a", "b", 3, Upi(((1, "r1", 1),)))
+    assert e.identity() is e.identity()
+    assert e == EdgeInfo("a", "b", 3, Upi(((1, "r1", 1),)))
+
+
+class Name(str):
+    pass
+
+
+class Pair(tuple):
+    pass
+
+
+def test_sort_key_fast_paths_keep_the_tagged_order():
+    assert sort_key("b") == ("s", "b") == sort_key(Name("b"))
+    assert sort_key(("a", 1)) == ("t", ("s", "a"), ("i", 1)) == sort_key(Pair(("a", 1)))
+    assert sort_key(Path(("a",))) == ("p", ("s", "a"))
+    assert sort_key(True) == ("b", True)
+    assert render(Name("n")) == "n"
+    mixed = [("b",), "a", 2, Path(("a",)), None, False]
+    assert sorted(mixed, key=sort_key) == [None, False, 2, Path(("a",)), "a", ("b",)]
+
+
+def test_word_instances_sort_the_same_with_cached_path_keys():
+    tree = WordTree("or", "op", "skip")
+    clock = ReplicaClock("r1")
+    for atom, parent in (("b", "/"), ("a", "/"), ("c", "/a"), ("a", "/a")):
+        tree.gen_add(atom, parse_path(parent), clock)
+    assert tree.lookup().dump() == "/\n  a\n    a\n    c\n  b"
+    assert reference_dump(tree.lookup()) == tree.lookup().dump()
+    # instances are keyed by the payload's own paths, so their cached keys
+    # outlive any one lookup
+    payload = {p: p for p in tree.paths.lookup()}
+    assert all(key is payload[key] for key in tree.lookup().instances)

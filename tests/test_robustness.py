@@ -1,0 +1,107 @@
+"""Inputs the convergence checker does not produce: replays and mismatched merges."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from treecrdt.clocks import DeliveryBuffer, ReplicaClock
+from treecrdt.edges import EdgeTree
+from treecrdt.errors import KindMismatch
+from treecrdt.graph import GraphTree
+from treecrdt.harness import Simulation, parse_combo
+from treecrdt.ordered import EdgePositionedGraphTree, WootrWordTree
+from treecrdt.paths import IncrementalWordTree, WordTree, parse_path
+from treecrdt.positions import Upi
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_buffer_drops_an_envelope_delivered_twice():
+    sender = ReplicaClock("r1")
+    envs = [sender.wrap(i) for i in range(2)]
+    receiver = ReplicaClock("r2")
+    buf = DeliveryBuffer()
+    seen = []
+    for env in (envs[0], envs[0], envs[1], envs[0]):
+        buf.add(env)
+        for ready in buf.drain(receiver.delivered):
+            receiver.accept(ready)
+            seen.append(ready.payload)
+    assert seen == [0, 1]
+    assert buf.pending == []
+    assert receiver.delivered.get("r1") == 2
+
+
+def test_replayed_envelope_does_not_stall_sync():
+    sim = Simulation(parse_combo("graph c op skip shortest plain".split()), 2, 0)
+    sim.execute(("r1", "add", "a", "root"))
+    sim.execute(("r2", "deliver", "r1"))
+    # the same envelope arrives again, before and after a fresh one
+    replica = sim.replicas["r2"]
+    replica.buffer.add(sim.envelopes[0])
+    sim.execute(("r1", "add", "b", "a"))
+    replica.buffer.add(sim.envelopes[0])
+    record = sim.execute(("sync",))
+    assert record.violation is None
+    assert replica.buffer.pending == []
+    dumps = sim.final_dumps()
+    assert dumps["r1"] == dumps["r2"] == "root\n  a\n    b"
+    # the counter set would read 2 had the add been applied twice
+    assert replica.tree.nodes.count("a") == 1
+
+
+def grown(tree, clock_id="r1"):
+    clock = ReplicaClock(clock_id)
+    if isinstance(tree, WordTree):
+        tree.gen_add("a", parse_path("/"), clock)
+    elif isinstance(tree, EdgePositionedGraphTree):
+        tree.gen_add("a", "root", Upi(((5, clock_id, 1),)), clock)
+    else:
+        tree.gen_add("a", "root", clock)
+    return tree
+
+
+@pytest.mark.parametrize(
+    "mine, theirs",
+    [
+        (lambda: GraphTree("or", "state", "skip"), lambda: GraphTree("or", "state", "root")),
+        (
+            lambda: GraphTree("or", "state", map_policy="shortest"),
+            lambda: GraphTree("or", "state", map_policy="zero"),
+        ),
+        (lambda: GraphTree("or", "state"), lambda: EdgeTree("or", "state")),
+        (lambda: GraphTree("or", "state"), lambda: EdgePositionedGraphTree("or", "state")),
+        (lambda: EdgeTree("or", "state", "skip"), lambda: EdgeTree("or", "state", "compact")),
+        (lambda: WordTree("lww", "state"), lambda: WootrWordTree("lww", "state")),
+        (lambda: WordTree("lww", "state", "skip"), lambda: WordTree("lww", "state", "root")),
+    ],
+)
+def test_merge_refuses_a_peer_of_another_combo(mine, theirs):
+    tree, peer = grown(mine()), grown(theirs(), "r2")
+    before = tree.canonical()
+    with pytest.raises(KindMismatch):
+        tree.merge(peer, ReplicaClock("r1"))
+    assert tree.canonical() == before
+
+
+def test_merge_accepts_the_incremental_twin_of_a_word_tree():
+    tree = IncrementalWordTree("or", "state", "skip")
+    peer = grown(WordTree("or", "state", "skip"), "r2")
+    tree.merge(peer)
+    assert tree.lookup() == peer.lookup()
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "treecrdt", "check", "--repr", "graph", "--set", "or",
+         "--flavor", "op", "--connect", "skip", "--map", "shortest", "--pi", "plain"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("checking 1 combos seed=42 ops=5\n")
+    assert proc.stdout.endswith("checked 1 combos: all pass\n")
