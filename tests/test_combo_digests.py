@@ -1,0 +1,43 @@
+"""Every legal combo's transcript and payload encoding, pinned by digest.
+
+One seeded scenario per combo is run twice: once for its transcript, and
+once more so each final replica's ``canonical()`` payload text can be read.
+Both are folded into one SHA-256 per (representation, positioning mode),
+so a change to any tree class that alters a dump, a violation message or
+the set encoding of any combo shows up here.
+"""
+
+import hashlib
+
+from treecrdt.harness import Simulation, legal_combos, random_scenario, run_scenario
+
+EXPECTED = {
+    ("edge", "edge"): "2501f6dad3db1edfef2899bb1576470587453e74460b7a8930fde4c6f49753ea",
+    ("edge", "plain"): "f5bc6f4f9e90f857dcffc609ec1507934de024e5cec0a91c3e9d5d156e0c073f",
+    ("edge", "wootr"): "ebdfeee7246769de5e19bcbb5e8851a8ae3c93e4576846f0f86744ec1d51238f",
+    ("graph", "edge"): "eb772f058673a46dcf2a4d19b2bcdd5a250d34f153413ad0fede8c5ed63f635f",
+    ("graph", "node"): "044a4771cf3bbda8e685294c08355acf92d2a5ae8904df9f1cf378446258b8ed",
+    ("graph", "plain"): "478220d51f7ce392bb163359f3d7f3f20088adb722a650fa9fa1f465d3ab96f1",
+    ("graph", "wootr"): "a403835039eb30d9c30b916749909d6f0f4750c2abba4b87e6bd48100f6dd203",
+    ("word", "edge"): "4072b52ae2d7cbdf542aa13418bb1a9672e2d9c361393fcfcfe006210670d107",
+    ("word", "plain"): "a130340ed80cf664bc694fe90ac33424b3e3847986ef058bae61e5414e727854",
+    ("word", "wootr"): "58f966182d4119d545ac3768d813eba27895dbc0db7989afada016e00e511687",
+}
+
+
+def combo_digests():
+    groups = {}
+    for combo in legal_combos():
+        scn = random_scenario(combo, seed=5, n_ops=8)
+        sim = Simulation(combo, scn.replicas, scn.seed)
+        sim.run(scn.script)
+        key = (combo.repr_name, combo.pi_mode or "plain")
+        digest = groups.setdefault(key, hashlib.sha256())
+        digest.update(run_scenario(combo, scn).encode())
+        for rid in sim.rids:
+            digest.update(sim.replicas[rid].tree.canonical().encode())
+    return {key: digest.hexdigest() for key, digest in groups.items()}
+
+
+def test_every_combo_transcript_and_payload_is_unchanged():
+    assert combo_digests() == EXPECTED
