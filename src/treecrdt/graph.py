@@ -1,9 +1,12 @@
-"""Tree CRDTs built from a node set and an edge set with a two-stage lookup.
+"""The graph engine: tree CRDTs over an edge set, with or without a node set.
 
-A replica holds one set CRDT of node ids and one of (parent, child) pairs,
-plus an append-only history of everything ever added.  The visible tree is
-computed on demand: set lookup, then a connection policy that resolves
-orphans, then a mapping policy that resolves multiple parents.
+A replica of ``GraphTree`` holds one set CRDT of edges, one of node ids
+unless it is an edge tree, and an append-only history of everything ever
+added.  An edge codec (``edges``) decides how an edge is stored for the
+tree's positioning mode.  The visible tree is computed on demand: set
+lookup, then a connection policy that resolves orphans, then a mapping
+policy that resolves multiple parents.  ``IncrementalTwoPhaseGraph`` is
+the add-once special case that maintains its tree in place.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
+from .edges import EDGE_CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
 from .lookup import LookupTree, MemoizedLookup
 from .policies import (
@@ -67,12 +71,13 @@ def check_merge_peer(tree: Any, other: Any) -> None:
             )
 
 
-def edge_infos(edge_set, kind: str, map_policy: str) -> list:
+def edge_infos(edge_set, kind: str, map_policy: str, codec) -> list:
+    """The live edges, decoded by the codec, with their mapping-policy rank."""
     live = sorted_elements(edge_set.lookup())
     weights = edge_weights(edge_set, kind, map_policy, live)
     return [
-        EdgeInfo(src=src, dst=dst, weight=weights.get((src, dst), 0))
-        for src, dst in live
+        EdgeInfo(src=src, dst=dst, weight=weights.get(e, 0), pos=pos)
+        for e, (src, dst, pos) in zip(live, map(codec.decode, live))
     ]
 
 
@@ -102,10 +107,15 @@ class TreeOp:
 
 
 class GraphTree(MemoizedLookup):
-    """Replicated tree over a node set and an edge set of the same kind."""
+    """Replicated tree over an edge set, plus a node set unless an edge tree.
 
-    repr_name = "graph"
-    pi_mode: Optional[str] = None
+    Two choices configure it, and a combo fixes both.  ``repr_name``
+    "graph" keeps a node set of the same kind as the edge set; "edge"
+    derives the nodes from edge targets, so a node is in the tree exactly
+    when some edge points at it.  ``pi_mode`` picks the edge codec
+    (``edges.EDGE_CODECS``) that turns a set element into (parent, child,
+    position) and back, and answers every position-dependent question.
+    """
 
     def __init__(
         self,
@@ -115,46 +125,56 @@ class GraphTree(MemoizedLookup):
         map_policy: str = "shortest",
         root: Any = ROOT,
         several_cap: int = DEFAULT_SEVERAL_CAP,
+        repr_name: str = "graph",
+        pi_mode: Optional[str] = None,
     ):
+        if repr_name not in ("graph", "edge"):
+            raise IllegalCombo(f"unknown representation {repr_name!r}")
+        if pi_mode not in EDGE_CODECS:
+            raise IllegalCombo(f"unknown positioning mode {pi_mode!r}")
+        self.codec = EDGE_CODECS[pi_mode]
+        self.codec.check_kind(kind)
         if connect_policy not in CONNECT_POLICIES:
             raise IllegalCombo(f"unknown connection policy {connect_policy!r}")
         if map_policy not in MAP_POLICIES:
             raise IllegalCombo(f"unknown mapping policy {map_policy!r}")
         check_weight_combo(kind, map_policy)
+        self.repr_name = repr_name
+        self.pi_mode = pi_mode
         self.kind = kind
         self.flavor = flavor
         self.connect_policy = connect_policy
         self.map_policy = map_policy
         self.root = root
         self.several_cap = several_cap
-        self.nodes = make_set(kind, flavor)
+        self.nodes = make_set(kind, flavor) if repr_name == "graph" else None
         self.edges = make_set(kind, flavor)
         self.history = HistoryGraph()
         self.history.record_node(root)
+        # an edge tree has no node set to hold the root
+        self._root_rule = (
+            "the root is always present"
+            if self.nodes is not None
+            else "the root never gains an incoming edge"
+        )
 
     # --- lookup pipeline ---
 
-    def _edge_child(self, e: Any) -> Any:
-        """The tree node an edge element points at."""
-        return e[1]
-
-    def _edge_infos(self) -> list:
-        return edge_infos(self.edges, self.kind, self.map_policy)
-
-    def rooted_graph(self):
-        return connect(
-            self.nodes.lookup(),
-            self._edge_infos(),
-            self.history,
-            self.connect_policy,
-            self.root,
-        )
-
-    def _payload_version(self) -> Tuple[int, int, int]:
+    def _payload_version(self) -> Tuple[int, ...]:
+        if self.nodes is None:
+            return (self.edges.version, self.history.version)
         return (self.nodes.version, self.edges.version, self.history.version)
 
     def _build_lookup(self) -> LookupTree:
-        return map_to_tree(self.rooted_graph(), self.map_policy, self.several_cap)
+        infos = edge_infos(self.edges, self.kind, self.map_policy, self.codec)
+        if self.nodes is not None:
+            nodes = self.nodes.lookup()
+        else:
+            nodes = {info.dst for info in infos}
+        g = connect(nodes, infos, self.history, self.connect_policy, self.root)
+        lt = map_to_tree(g, self.map_policy, self.several_cap)
+        self.codec.finish(lt)
+        return lt
 
     def lookup(self) -> LookupTree:
         """The visible tree of the current payload.
@@ -165,47 +185,78 @@ class GraphTree(MemoizedLookup):
         """
         return self._memoized_lookup(GraphTree)
 
+    def sibling_positions(self, m: Any) -> list:
+        """The positions of m's children, one per child, in no order."""
+        return self.codec.sibling_positions(self, m)
+
+    def _has_edge_into(self, m: Any) -> bool:
+        return any(self.codec.decode(e)[1] == m for e in self.edges.lookup())
+
     # --- generation ---
 
-    def gen_add(self, n: Any, m: Any, clock: ReplicaClock) -> TreeOp:
-        if n == self.root:
-            raise PreconditionViolation("the root is always present")
-        present = self.lookup().nodes_present()
-        if n in present:
-            raise PreconditionViolation(f"{render(n)} is already in the tree")
-        if m != self.root and m not in present:
-            raise PreconditionViolation(f"parent {render(m)} is not in the tree")
+    def gen_add(self, n: Any, m: Any, clock: ReplicaClock, pos: Any = None) -> TreeOp:
+        """Add n under m.  A positioned tree places n at pos among m's
+        children: a fresh ``Upi``, or for sequence elements the (prev, next)
+        pair to insert between (both ends when omitted)."""
+        node = self.codec.node(n, pos)
+        if node == self.root:
+            raise PreconditionViolation(self._root_rule)
+        if self.nodes is None:
+            if m != self.root and not self._has_edge_into(m):
+                raise PreconditionViolation(f"no edge into {render(m)}")
+        else:
+            present = self.lookup().nodes_present()
+            if node in present:
+                raise PreconditionViolation(f"{render(node)} is already in the tree")
+            if m != self.root and m not in present:
+                raise PreconditionViolation(f"parent {render(m)} is not in the tree")
+        self.codec.check_position(self, m, pos)
+        edge = self.codec.encode(m, node, pos)
         if self.kind == "2p":
             # both set adds must succeed together, so check before mutating
-            if n in self.nodes.added or n in self.nodes.removed:
-                raise PreconditionViolation(f"{render(n)} was already added once")
-            edge = (m, n)
+            if self.nodes is not None and (
+                node in self.nodes.added or node in self.nodes.removed
+            ):
+                raise PreconditionViolation(f"{render(node)} was already added once")
             if edge in self.edges.added or edge in self.edges.removed:
                 raise PreconditionViolation(
                     f"edge {render(edge)} was already added once"
                 )
-        node_op = self.nodes.local_add(n, clock)
-        edge_op = self.edges.local_add((m, n), clock)
-        self._note_add(n, m)
-        return TreeOp(ADD, n, m, (node_op,), (edge_op,))
+        node_ops = () if self.nodes is None else (self.nodes.local_add(node, clock),)
+        edge_op = self.edges.local_add(edge, clock)
+        self._note_add(edge)
+        return TreeOp(ADD, node, m, node_ops, (edge_op,))
+
+    def gen_insert(self, n: Any, m: Any, index: int, clock: ReplicaClock) -> TreeOp:
+        """Add n so it lands at index among m's children."""
+        pos = self.codec.position_at(self.sibling_positions(m), index, clock)
+        return self.gen_add(n, m, clock, pos)
 
     def gen_rmv(self, n: Any, clock: ReplicaClock) -> TreeOp:
         if self.kind == "g":
             raise PreconditionViolation("grow-only trees cannot remove")
         if n == self.root:
-            raise PreconditionViolation("the root is always present")
-        lt = self.lookup()
-        if n not in lt.nodes_present():
-            raise PreconditionViolation(f"{render(n)} is not in the tree")
-        removed_nodes = self.subtree_nodes(lt, n)
+            raise PreconditionViolation(self._root_rule)
+        if self.nodes is None:
+            if not self._has_edge_into(n):
+                raise PreconditionViolation(f"no edge into {render(n)}")
+            # a hidden target still loses the edges into it
+            removed_nodes = {n} | self.subtree_nodes(self.lookup(), n)
+        else:
+            lt = self.lookup()
+            if n not in lt.nodes_present():
+                raise PreconditionViolation(f"{render(n)} is not in the tree")
+            removed_nodes = self.subtree_nodes(lt, n)
         removed_edges = [
             e
             for e in sorted_elements(self.edges.lookup())
-            if self._edge_child(e) in removed_nodes
+            if self.codec.decode(e)[1] in removed_nodes
         ]
-        node_ops = tuple(
-            self.nodes.local_rmv(u, clock) for u in sorted_elements(removed_nodes)
-        )
+        node_ops = ()
+        if self.nodes is not None:
+            node_ops = tuple(
+                self.nodes.local_rmv(u, clock) for u in sorted_elements(removed_nodes)
+            )
         edge_ops = tuple(self.edges.local_rmv(e, clock) for e in removed_edges)
         return TreeOp(RMV, n, None, node_ops, edge_ops)
 
@@ -221,23 +272,26 @@ class GraphTree(MemoizedLookup):
             stack.extend(child.key for child in kids.get(key, ()))
         return nodes
 
-    def _note_add(self, n: Any, m: Any) -> None:
-        self.history.record_node(n)
-        self.history.record_edge(m, n)
+    def _note_add(self, edge: Any) -> None:
+        src, dst, pos = self.codec.decode(edge)
+        self.history.record_node(dst)
+        self.history.record_edge(src, dst, pos)
 
     # --- synchronization ---
 
     def apply_remote(self, op: TreeOp) -> None:
-        for sub in op.node_ops:
-            self.nodes.apply(sub)
+        if self.nodes is not None:
+            for sub in op.node_ops:
+                self.nodes.apply(sub)
         for sub in op.edge_ops:
             self.edges.apply(sub)
         if op.verb == ADD:
-            self._note_add(op.node, op.parent)
+            self._note_add(op.edge_ops[0].element)
 
     def merge(self, other: "GraphTree", clock: Optional[ReplicaClock] = None) -> None:
         check_merge_peer(self, other)
-        self.nodes.merge(other.nodes)
+        if self.nodes is not None:
+            self.nodes.merge(other.nodes)
         self.edges.merge(other.edges)
         self.history.merge(other.history)
         if clock is not None:
@@ -246,9 +300,9 @@ class GraphTree(MemoizedLookup):
                 clock.observe(stamp)
 
     def max_stamp(self) -> Optional[LamportStamp]:
-        stamps = [
-            s for s in (self.nodes.max_stamp(), self.edges.max_stamp()) if s is not None
-        ]
+        sets = (self.edges,) if self.nodes is None else (self.nodes, self.edges)
+        stamps = [s.max_stamp() for s in sets]
+        stamps = [s for s in stamps if s is not None]
         return max(stamps) if stamps else None
 
     def copy(self) -> "GraphTree":
@@ -259,18 +313,25 @@ class GraphTree(MemoizedLookup):
             self.map_policy,
             self.root,
             self.several_cap,
+            self.repr_name,
+            self.pi_mode,
         )
-        dup.nodes = self.nodes.copy()
+        if self.nodes is not None:
+            dup.nodes = self.nodes.copy()
         dup.edges = self.edges.copy()
         dup.history = self.history.copy()
         return dup
 
     def canonical(self) -> str:
-        lines = [
+        head = (
             f"tree repr={self.repr_name} kind={self.kind} flavor={self.flavor}"
             f" connect={self.connect_policy} map={self.map_policy}"
-        ]
-        lines += ["nodes " + ln for ln in self.nodes.canonical().splitlines()]
+        )
+        if self.pi_mode is not None:
+            head += f" pi={self.pi_mode}"
+        lines = [head]
+        if self.nodes is not None:
+            lines += ["nodes " + ln for ln in self.nodes.canonical().splitlines()]
         lines += ["edges " + ln for ln in self.edges.canonical().splitlines()]
         return "\n".join(lines)
 
@@ -359,10 +420,11 @@ class IncrementalTwoPhaseGraph:
         self.removed.add(n)
         if not self._visible(n):
             return
+        kids = self.cached.children_by_parent()
         stack = [(n,)]
         while stack:
             key = stack.pop()
             self.last_touched += 1
             self.removed.add(self.cached.instances[key].node)
-            stack.extend(child.key for child in self.cached.children(key))
+            stack.extend(child.key for child in kids.get(key, ()))
             self.cached.remove_instance(key)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .clocks import DeliveryBuffer, Envelope, ReplicaClock
-from .edges import EdgeTree
 from .errors import (
     IllegalCombo,
     PreconditionViolation,
@@ -17,16 +16,7 @@ from .errors import (
 )
 from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
-from .ordered import (
-    EdgePositionedEdgeTree,
-    EdgePositionedGraphTree,
-    EdgePositionedWordTree,
-    NodePositionedTree,
-    PositionedNode,
-    WootrEdgeTree,
-    WootrGraphTree,
-    WootrWordTree,
-)
+from .ordered import PositionedNode
 from .paths import EPSILON, WordTree
 from .policies import CONNECT_POLICIES, MAP_POLICIES
 from .render import Path, render, sort_key
@@ -34,6 +24,13 @@ from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
 
 REPRS = ("graph", "edge", "word")
 PI_MODES = (None, "node", "edge", "wootr")
+
+# positioned elements whose set kind must be 2p, because each is added once
+ADD_ONCE = {
+    ("graph", "node"): "positioned nodes are add-once, so 2p",
+    ("edge", "edge"): "positioned edges are add-once, so 2p",
+    ("word", "edge"): "positioned path steps are add-once, so 2p",
+}
 
 MONOTONE_CONNECT = ("skip", "reappear")
 MONOTONE_MAP = ("several", "zero")
@@ -105,34 +102,15 @@ def make_tree(combo: ComboSpec) -> Any:
     if r == "word":
         if mp is not None:
             raise IllegalCombo("word trees have no mapping stage")
-        if pi is None:
-            return WordTree(k, f, cp)
-        if pi == "edge":
-            if k != "2p":
-                raise IllegalCombo("positioned path steps are add-once, so 2p")
-            return EdgePositionedWordTree(f, cp)
-        if pi == "wootr":
-            return WootrWordTree(k, f, cp)
-        raise IllegalCombo("word trees take positions on steps, not nodes")
-    if mp is None:
+    elif mp is None:
         raise IllegalCombo(f"{r} trees need a mapping policy")
-    if pi is None:
-        cls = GraphTree if r == "graph" else EdgeTree
-        return cls(k, f, cp, mp)
-    if pi == "node":
-        if r != "graph":
-            raise IllegalCombo("node positions pair with the graph representation")
-        if k != "2p":
-            raise IllegalCombo("positioned nodes are add-once, so 2p")
-        return NodePositionedTree(f, cp, mp)
-    if pi == "edge":
-        if r == "graph":
-            return EdgePositionedGraphTree(k, f, cp, mp)
-        if k != "2p":
-            raise IllegalCombo("positioned edges are add-once, so 2p")
-        return EdgePositionedEdgeTree(f, cp, mp)
-    cls = WootrGraphTree if r == "graph" else WootrEdgeTree
-    return cls(k, f, cp, mp)
+    elif pi == "node" and r != "graph":
+        raise IllegalCombo("node positions pair with the graph representation")
+    if k != "2p" and (r, pi) in ADD_ONCE:
+        raise IllegalCombo(ADD_ONCE[(r, pi)])
+    if r == "word":
+        return WordTree(k, f, cp, pi)
+    return GraphTree(k, f, cp, mp, repr_name=r, pi_mode=pi)
 
 
 def legal_combos() -> List[ComboSpec]:
@@ -287,11 +265,7 @@ class Simulation:
         return Path(key)
 
     def _tail_index(self, tree: Any, parent: Any) -> int:
-        if self.combo.repr_name == "word":
-            return len([q for q in tree.live_paths() if q[:-1] == parent])
-        if self.combo.pi_mode == "node":
-            return len(tree._child_upis(parent))
-        return len([e for e in tree.edges.lookup() if e[0] == parent])
+        return len(tree.sibling_positions(parent))
 
     # --- actions ---
 

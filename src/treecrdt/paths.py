@@ -1,10 +1,12 @@
-"""Tree CRDTs stored as one replicated set of root paths.
+"""The word engine: tree CRDTs stored as one replicated set of root paths.
 
 A node's identity is its full path from the root, so the same atom may
-label children of different parents.  The visible tree is the live path
-set repaired into a prefix-closed set by a connection policy; for the two
-monotonic policies the repair can also be maintained in place from
-membership deltas instead of recomputed from scratch.
+label children of different parents.  ``WordTree`` takes a step codec
+(``ordered``) that decides what one path step is for the tree's
+positioning mode.  The visible tree is the live path set repaired into a
+prefix-closed set by a connection policy; for the two monotonic policies
+``IncrementalWordTree`` maintains the repair in place from membership
+deltas instead of recomputing it from scratch.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .clocks import LamportStamp, ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
 from .graph import TreeOp, check_merge_peer
 from .lookup import LookupTree, MemoizedLookup
+from .ordered import STEP_CODECS
 from .policies import CONNECT_POLICIES
 from .render import Path, render
 from .sets import ADD, RMV, make_set
@@ -112,14 +115,28 @@ def connect_paths(
 
 
 class WordTree(MemoizedLookup):
-    """Replicated tree over a single set CRDT of root paths."""
+    """Replicated tree over a single set CRDT of root paths.
+
+    ``pi_mode`` picks the step codec (``ordered.STEP_CODECS``): a path
+    step is a bare atom, a positioned ``PathStep``, or a ``WootrTriple``.
+    """
 
     repr_name = "word"
-    pi_mode: Optional[str] = None
 
-    def __init__(self, kind: str, flavor: str, connect_policy: str = "skip"):
+    def __init__(
+        self,
+        kind: str,
+        flavor: str,
+        connect_policy: str = "skip",
+        pi_mode: Optional[str] = None,
+    ):
+        if pi_mode not in STEP_CODECS:
+            raise IllegalCombo("word trees take positions on steps, not nodes")
+        self.codec = STEP_CODECS[pi_mode]
+        self.codec.check_kind(kind)
         if connect_policy not in CONNECT_POLICIES:
             raise IllegalCombo(f"unknown connection policy {connect_policy!r}")
+        self.pi_mode = pi_mode
         self.kind = kind
         self.flavor = flavor
         self.connect_policy = connect_policy
@@ -151,33 +168,53 @@ class WordTree(MemoizedLookup):
             shown = {img for img in images.values() if img} | ghosts
             for p in sorted(shown, key=Path.order_key):
                 lt.add_instance(p, p, Path(p[:-1]), label=render(p[-1]), ghost=p in ghosts)
-            return lt
-        # each instance remembers the first live path it shows, so moves of
-        # a relocated subtree stay observable across lookups
-        sources: Dict[Path, Path] = {}
-        for src in sorted(images, key=Path.order_key):
-            img = images[src]
-            if img:
-                sources.setdefault(img, src)
-        for img in sorted(sources, key=Path.order_key):
-            lt.add_instance(img, sources[img], Path(img[:-1]), label=render(img[-1]))
+        else:
+            # each instance remembers the first live path it shows, so moves
+            # of a relocated subtree stay observable across lookups
+            sources: Dict[Path, Path] = {}
+            for src in sorted(images, key=Path.order_key):
+                img = images[src]
+                if img:
+                    sources.setdefault(img, src)
+            for img in sorted(sources, key=Path.order_key):
+                lt.add_instance(img, sources[img], Path(img[:-1]), label=render(img[-1]))
+        self.codec.finish(lt)
         return lt
+
+    def sibling_positions(self, parent: Any) -> list:
+        """The positions of the steps below parent, one per live path."""
+        return self.codec.sibling_positions(self, Path(parent))
 
     # --- generation ---
 
-    def gen_add(self, atom: str, parent: Any, clock: ReplicaClock) -> TreeOp:
+    def gen_add(
+        self, atom: str, parent: Any, clock: ReplicaClock, pos: Any = None
+    ) -> TreeOp:
+        """Add the step atom below parent.  A positioned tree places it at
+        pos among the parent's steps: a fresh ``Upi``, or for sequence
+        elements the (prev, next) pair to insert between (both ends when
+        omitted)."""
         check_atom(atom)
         p = Path(parent)
         lt = self.lookup()
         if p != EPSILON and p not in lt.instances:
             raise PreconditionViolation(f"{p.render()} is not in the tree")
-        pn = p.child(atom)
+        self.codec.check_position(self, p, pos)
+        pn = p.child(self.codec.step(atom, pos))
         inst = lt.instances.get(pn)
         # a ghost only displays a dead path, so adding there regrows it
         if inst is not None and not inst.ghost:
             raise PreconditionViolation(f"{pn.render()} is already in the tree")
         op = self.paths.local_add(pn, clock)
         return TreeOp(ADD, pn, p, (op,))
+
+    def gen_insert(
+        self, atom: str, parent: Any, index: int, clock: ReplicaClock
+    ) -> TreeOp:
+        """Add the step atom so it lands at index among parent's steps."""
+        p = Path(parent)
+        pos = self.codec.position_at(self.sibling_positions(p), index, clock)
+        return self.gen_add(atom, p, clock, pos)
 
     def gen_rmv(self, target: Any, clock: ReplicaClock) -> TreeOp:
         if self.kind == "g":
@@ -223,15 +260,18 @@ class WordTree(MemoizedLookup):
         return self.paths.max_stamp()
 
     def copy(self) -> "WordTree":
-        dup = WordTree(self.kind, self.flavor, self.connect_policy)
+        dup = WordTree(self.kind, self.flavor, self.connect_policy, self.pi_mode)
         dup.paths = self.paths.copy()
         return dup
 
     def canonical(self) -> str:
-        lines = [
+        head = (
             f"tree repr={self.repr_name} kind={self.kind} flavor={self.flavor}"
             f" connect={self.connect_policy}"
-        ]
+        )
+        if self.pi_mode is not None:
+            head += f" pi={self.pi_mode}"
+        lines = [head]
         lines += ["paths " + ln for ln in self.paths.canonical().splitlines()]
         return "\n".join(lines)
 
@@ -347,24 +387,27 @@ class IncrementalWordTree(WordTree):
                     del self.live_ext[p[:-1]]
         for p in came:
             self.live_ext.setdefault(p[:-1], set()).add(p)
+        # grouped once per repair: the removals below only take instances
+        # away, so a listed child is either still cached or gone for good
+        kids = self.cached.children_by_parent() if gone else {}
         if self.connect_policy == "skip":
             for p in gone:
-                self._skip_dead(p)
+                self._skip_dead(p, kids)
             for p in came:
                 self._skip_live(p)
         else:
             for p in gone:
-                self._reappear_dead(p)
+                self._reappear_dead(p, kids)
             for p in came:
                 self._reappear_live(p)
 
-    def _skip_dead(self, p: Path) -> None:
+    def _skip_dead(self, p: Path, kids: Dict[Tuple, list]) -> None:
         if p not in self.cached.instances:
             return
         stack = [tuple(p)]
         while stack:
             key = stack.pop()
-            stack.extend(child.key for child in self.cached.children(key))
+            stack.extend(child.key for child in kids.get(key, ()))
             self.cached.remove_instance(key)
 
     def _skip_live(self, p: Path) -> None:
@@ -392,27 +435,29 @@ class IncrementalWordTree(WordTree):
                 )
         self.cached.add_instance(p, p, Path(p[:-1]), label=render(p[-1]))
 
-    def _reappear_dead(self, p: Path) -> None:
-        if self._live_below(tuple(p)):
+    def _reappear_dead(self, p: Path, kids: Dict[Tuple, list]) -> None:
+        if self._live_below(tuple(p), kids):
             self.cached.instances[p].ghost = True
             return
         self.cached.remove_instance(p)
-        self._prune_ghosts(tuple(p[:-1]))
+        self._prune_ghosts(tuple(p[:-1]), kids)
 
-    def _live_below(self, key: Tuple) -> bool:
-        stack = [child.key for child in self.cached.children(key)]
+    def _live_below(self, key: Tuple, kids: Dict[Tuple, list]) -> bool:
+        stack = [child.key for child in kids.get(key, ())]
         while stack:
-            k = stack.pop()
-            if not self.cached.instances[k].ghost:
+            inst = self.cached.instances.get(stack.pop())
+            if inst is None:
+                continue  # removed earlier in this repair, with no children
+            if not inst.ghost:
                 return True
-            stack.extend(child.key for child in self.cached.children(k))
+            stack.extend(child.key for child in kids.get(inst.key, ()))
         return False
 
-    def _prune_ghosts(self, key: Tuple) -> None:
+    def _prune_ghosts(self, key: Tuple, kids: Dict[Tuple, list]) -> None:
         # a ghost with no live descendant left has no reason to stay
         while key != ():
             inst = self.cached.instances.get(key)
-            if inst is None or not inst.ghost or self._live_below(key):
+            if inst is None or not inst.ghost or self._live_below(key, kids):
                 return
             self.cached.remove_instance(key)
             key = key[:-1]

@@ -226,20 +226,25 @@ def connect(
     return _restrict(root, live | revived_nodes, combined)
 
 
-def _instances_from_choice(g: RootedGraph, choice: Dict[Any, EdgeInfo]) -> LookupTree:
+def _instances_from_choice(
+    g: RootedGraph, choice: Dict[Any, EdgeInfo], path_keys: bool = False
+) -> LookupTree:
+    """One instance per chosen edge, keyed by node, or by the edge path from
+    the root the way the several policy keys them."""
     tree = LookupTree(root_label=render(g.root))
     ordered = sorted(choice, key=sort_key)
-    placed = {g.root}
+    keys: Dict[Any, Tuple] = {g.root: ()}
     # place parents before children so validation-by-construction holds
     pending = deque(ordered)
     spins = 0
     while pending:
         node = pending.popleft()
         edge = choice[node]
-        if edge.src in placed:
-            parent_key = () if edge.src == g.root else (edge.src,)
-            tree.add_instance((node,), node, parent_key, pos=edge.pos)
-            placed.add(node)
+        if edge.src in keys:
+            parent_key = keys[edge.src]
+            key = parent_key + ((node, edge.pos),) if path_keys else (node,)
+            tree.add_instance(key, node, parent_key, pos=edge.pos)
+            keys[node] = key
             spins = 0
         else:
             pending.append(node)
@@ -435,7 +440,9 @@ def map_to_tree(
         raise ValueError(f"unknown mapping policy {policy!r}")
     direct = _already_tree(g)
     if direct is not None:
-        return _instances_from_choice(g, direct)
+        # several keeps its path keys here too, so an instance keeps its
+        # identity when the graph turns from a DAG into a tree
+        return _instances_from_choice(g, direct, path_keys=policy == "several")
     if policy == "several":
         return _map_several(g, cap)
     if policy == "shortest":

@@ -126,15 +126,25 @@ def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
     return [e for e in seq[1:-1] if e in live]
 
 
+def check_wootr_kind(kind: str) -> None:
+    """Refuse a set kind that cannot hold sequence elements."""
+    if kind not in WOOTR_KINDS:
+        raise IllegalCombo(
+            f"sequence elements need concurrent add/remove resolution,"
+            f" which set kind {kind!r} does not provide"
+        )
+
+
+def wootr_line(elements: Iterable[WootrElement]) -> List[WootrElement]:
+    """The live triples in sequence order between the two ends."""
+    return [BEGIN, *wootr_order(elements), END]
+
+
 class WootrSequence:
     """A collaborative sequence: a set CRDT of elements plus their order."""
 
     def __init__(self, kind: str, flavor: str):
-        if kind not in WOOTR_KINDS:
-            raise IllegalCombo(
-                f"sequence elements need concurrent add/remove resolution,"
-                f" which set kind {kind!r} does not provide"
-            )
+        check_wootr_kind(kind)
         self.kind = kind
         self.flavor = flavor
         self.elements: SetCrdt = make_set(kind, flavor)
@@ -144,7 +154,7 @@ class WootrSequence:
 
     def line(self) -> List[WootrElement]:
         """The current sequence with its two ends, for picking neighbours."""
-        return [BEGIN, *self.order(), END]
+        return wootr_line(self.elements.lookup())
 
     def text(self) -> str:
         return "".join(render(e.atom) for e in self.order())

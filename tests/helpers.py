@@ -105,17 +105,17 @@ class TreeGroup:
         self.log: List[Tuple[str, Any]] = []
         self.applied = {r: 0 for r in replicas}
 
-    def add(self, replica: str, *args):
-        return self._gen(replica, ADD, args)
+    def add(self, replica: str, *args, **kw):
+        return self._gen(replica, ADD, args, kw)
 
     def rmv(self, replica: str, *args):
-        return self._gen(replica, RMV, args)
+        return self._gen(replica, RMV, args, {})
 
-    def _gen(self, replica: str, verb: str, args):
+    def _gen(self, replica: str, verb: str, args, kw):
         tree = self.trees[replica]
         try:
             if verb == ADD:
-                op = tree.gen_add(*args, self.clocks[replica])
+                op = tree.gen_add(*args, self.clocks[replica], **kw)
             else:
                 op = tree.gen_rmv(*args, self.clocks[replica])
         except PreconditionViolation:

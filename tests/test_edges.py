@@ -3,14 +3,13 @@
 import pytest
 from helpers import REPLICAS, TreeGroup
 from treecrdt.clocks import ReplicaClock
-from treecrdt.edges import EdgeTree
 from treecrdt.errors import PreconditionViolation
 from treecrdt.graph import GraphTree
 from treecrdt.sets import FLAVORS
 
 
 def fresh(kind="or", flavor="op", **kw):
-    return EdgeTree(kind, flavor, **kw)
+    return GraphTree(kind, flavor, repr_name="edge", **kw)
 
 
 def clock(r="r1"):
@@ -106,7 +105,7 @@ def test_orphan_survivor_per_connection_policy(flavor, connect_policy, expected)
 
 def run_pair(kind, flavor, steps):
     """Run the same script through an edge tree and a graph tree group."""
-    edge_group = TreeGroup(lambda: EdgeTree(kind, flavor))
+    edge_group = TreeGroup(lambda: GraphTree(kind, flavor, repr_name="edge"))
     graph_group = TreeGroup(lambda: GraphTree(kind, flavor))
     for group in (edge_group, graph_group):
         for step in steps:
@@ -206,5 +205,5 @@ def double_remove_rehoming(factory):
 
 
 def test_counting_edge_tree_keeps_rehomed_node():
-    assert double_remove_rehoming(lambda: EdgeTree("c", "op")) == "root\n  y\n  z\n    x"
+    assert double_remove_rehoming(lambda: GraphTree("c", "op", repr_name="edge")) == "root\n  y\n  z\n    x"
     assert double_remove_rehoming(lambda: GraphTree("c", "op")) == "root\n  y\n  z"

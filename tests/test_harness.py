@@ -7,6 +7,7 @@ import pytest
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, ScenarioError
 from treecrdt.graph import GraphTree
+from treecrdt.paths import WordTree
 from treecrdt.harness import (
     ComboSpec,
     Scenario,
@@ -31,6 +32,17 @@ from treecrdt.sets import ADD, RMV, SetOp
 
 
 # --- combos ---
+
+
+def test_every_legal_combo_builds_one_of_two_engines():
+    assert {type(make_tree(c)) for c in legal_combos()} == {GraphTree, WordTree}
+
+
+def test_several_instances_keep_their_identity_when_the_graph_becomes_a_tree():
+    combo = parse_combo("edge or op skip several plain".split())
+    report = check_convergence(combo, seed=34)
+    assert report.monotonic_violations == []
+    assert report.passed
 
 
 def test_legal_combo_count():

@@ -5,19 +5,9 @@ import pytest
 from helpers import TreeGroup
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
-from treecrdt.ordered import (
-    EdgePositionedEdgeTree,
-    EdgePositionedGraphTree,
-    EdgePositionedWordTree,
-    NodePositionedTree,
-    PathStep,
-    PositionedNode,
-    SeqPos,
-    WootrEdgeTree,
-    WootrGraphTree,
-    WootrWordTree,
-)
-from treecrdt.paths import EPSILON
+from treecrdt.graph import GraphTree
+from treecrdt.ordered import PathStep, PositionedNode, SeqPos
+from treecrdt.paths import EPSILON, WordTree
 from treecrdt.positions import UPI_MAX, UPI_MIN, upi_between
 from treecrdt.wootr import BEGIN, END, WootrTriple
 
@@ -30,11 +20,11 @@ def fresh_upi(clock):
 
 
 def test_node_pi_concurrent_same_element_keeps_both():
-    g = TreeGroup(lambda: NodePositionedTree("op"))
+    g = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"))
     u1 = fresh_upi(g.clocks["r1"])
     u2 = fresh_upi(g.clocks["r2"])
-    g.add("r1", "x", u1, g.trees["r1"].root)
-    g.add("r2", "x", u2, g.trees["r2"].root)
+    g.add("r1", "x", g.trees["r1"].root, pos=u1)
+    g.add("r2", "x", g.trees["r2"].root, pos=u2)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -45,27 +35,27 @@ def test_node_pi_concurrent_same_element_keeps_both():
 
 def test_node_pi_kind_is_add_once():
     c = ReplicaClock("r1")
-    t = NodePositionedTree("op")
+    t = GraphTree("2p", "op", pi_mode="node")
     assert t.kind == "2p"
     u = fresh_upi(c)
-    op = t.gen_add("x", u, t.root, c)
+    op = t.gen_add("x", t.root, c, u)
     t.gen_rmv(op.node, c)
     with pytest.raises(PreconditionViolation):
-        t.gen_add("x", u, t.root, c)
+        t.gen_add("x", t.root, c, u)
 
 
 def test_node_pi_rejects_reused_position():
     c = ReplicaClock("r1")
-    t = NodePositionedTree("op")
+    t = GraphTree("2p", "op", pi_mode="node")
     u = fresh_upi(c)
-    t.gen_add("x", u, t.root, c)
+    t.gen_add("x", t.root, c, u)
     with pytest.raises(PreconditionViolation):
-        t.gen_add("y", u, t.root, c)
+        t.gen_add("y", t.root, c, u)
 
 
 def test_node_pi_insert_orders_siblings():
     c = ReplicaClock("r1")
-    t = NodePositionedTree("op")
+    t = GraphTree("2p", "op", pi_mode="node")
     t.gen_insert("b", t.root, 0, c)
     t.gen_insert("a", t.root, 0, c)
     t.gen_insert("d", t.root, 2, c)
@@ -76,7 +66,7 @@ def test_node_pi_insert_orders_siblings():
 
 def test_node_pi_insert_below_a_child():
     c = ReplicaClock("r1")
-    t = NodePositionedTree("op")
+    t = GraphTree("2p", "op", pi_mode="node")
     op = t.gen_insert("p", t.root, 0, c)
     t.gen_insert("q", op.node, 0, c)
     t.gen_insert("r", op.node, 0, c)
@@ -87,11 +77,11 @@ def test_node_pi_insert_below_a_child():
 
 def test_node_pi_add_vs_remove_skip_and_reappear():
     for policy, expect_parent in (("skip", None), ("reappear", "p")):
-        g = TreeGroup(lambda: NodePositionedTree("op", connect_policy=policy))
-        op_p = g.add("r1", "p", fresh_upi(g.clocks["r1"]), g.trees["r1"].root)
+        g = TreeGroup(lambda: GraphTree("2p", "op", connect_policy=policy, pi_mode="node"))
+        op_p = g.add("r1", "p", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
         g.sync()
         g.rmv("r1", op_p.node)
-        g.add("r2", "q", fresh_upi(g.clocks["r2"]), op_p.node)
+        g.add("r2", "q", op_p.node, pos=fresh_upi(g.clocks["r2"]))
         g.sync()
         dumps = g.dumps()
         assert len(set(dumps.values())) == 1
@@ -109,9 +99,9 @@ def test_node_pi_add_vs_remove_skip_and_reappear():
 
 
 def test_edge_pi_graph_concurrent_positions_one_node_two_edges():
-    g = TreeGroup(lambda: EdgePositionedGraphTree("or", "op", map_policy="several"))
-    g.add("r1", "n", g.trees["r1"].root, fresh_upi(g.clocks["r1"]))
-    g.add("r2", "n", g.trees["r2"].root, fresh_upi(g.clocks["r2"]))
+    g = TreeGroup(lambda: GraphTree("or", "op", map_policy="several", pi_mode="edge"))
+    g.add("r1", "n", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r2", "n", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -121,9 +111,9 @@ def test_edge_pi_graph_concurrent_positions_one_node_two_edges():
 
 
 def test_edge_pi_graph_mapping_policy_picks_one():
-    g = TreeGroup(lambda: EdgePositionedGraphTree("or", "op", map_policy="shortest"))
-    g.add("r1", "n", g.trees["r1"].root, fresh_upi(g.clocks["r1"]))
-    g.add("r2", "n", g.trees["r2"].root, fresh_upi(g.clocks["r2"]))
+    g = TreeGroup(lambda: GraphTree("or", "op", map_policy="shortest", pi_mode="edge"))
+    g.add("r1", "n", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r2", "n", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -132,7 +122,7 @@ def test_edge_pi_graph_mapping_policy_picks_one():
 
 def test_edge_pi_graph_insert_index_and_order():
     c = ReplicaClock("r1")
-    t = EdgePositionedGraphTree("lww", "op")
+    t = GraphTree("lww", "op", pi_mode="edge")
     t.gen_insert("b", t.root, 0, c)
     t.gen_insert("a", t.root, 0, c)
     t.gen_insert("c", t.root, 2, c)
@@ -142,22 +132,22 @@ def test_edge_pi_graph_insert_index_and_order():
 
 def test_edge_pi_graph_rejects_reused_position():
     c = ReplicaClock("r1")
-    t = EdgePositionedGraphTree("or", "op")
+    t = GraphTree("or", "op", pi_mode="edge")
     u = fresh_upi(c)
-    t.gen_add("x", t.root, u, c)
+    t.gen_add("x", t.root, c, u)
     with pytest.raises(PreconditionViolation):
-        t.gen_add("y", t.root, u, c)
+        t.gen_add("y", t.root, c, u)
 
 
 def test_edge_pi_graph_reappear_preserves_positions():
     g = TreeGroup(
-        lambda: EdgePositionedGraphTree("or", "op", connect_policy="reappear")
+        lambda: GraphTree("or", "op", connect_policy="reappear", pi_mode="edge")
     )
-    g.add("r1", "a", g.trees["r1"].root, fresh_upi(g.clocks["r1"]))
-    g.add("r1", "b", "a", fresh_upi(g.clocks["r1"]))
+    g.add("r1", "a", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r1", "b", "a", pos=fresh_upi(g.clocks["r1"]))
     g.sync()
     g.rmv("r1", "a")
-    g.add("r2", "c", "b", fresh_upi(g.clocks["r2"]))
+    g.add("r2", "c", "b", pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -169,11 +159,11 @@ def test_edge_pi_graph_reappear_preserves_positions():
 
 
 def test_edge_pi_graph_compact_keeps_child_position():
-    g = TreeGroup(lambda: EdgePositionedGraphTree("or", "op", connect_policy="compact"))
-    g.add("r1", "a", g.trees["r1"].root, fresh_upi(g.clocks["r1"]))
+    g = TreeGroup(lambda: GraphTree("or", "op", connect_policy="compact", pi_mode="edge"))
+    g.add("r1", "a", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
     g.sync()
     g.rmv("r1", "a")
-    op_c = g.add("r2", "c", "a", fresh_upi(g.clocks["r2"]))
+    op_c = g.add("r2", "c", "a", pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -188,10 +178,12 @@ def test_edge_pi_graph_compact_keeps_child_position():
 
 
 def test_edge_pi_edge_tree_is_add_once_and_converges():
-    g = TreeGroup(lambda: EdgePositionedEdgeTree("op", map_policy="several"))
+    g = TreeGroup(
+        lambda: GraphTree("2p", "op", map_policy="several", repr_name="edge", pi_mode="edge")
+    )
     assert g.trees["r1"].kind == "2p"
-    g.add("r1", "n", g.trees["r1"].root, fresh_upi(g.clocks["r1"]))
-    g.add("r2", "n", g.trees["r2"].root, fresh_upi(g.clocks["r2"]))
+    g.add("r1", "n", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r2", "n", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -200,20 +192,20 @@ def test_edge_pi_edge_tree_is_add_once_and_converges():
 
 def test_edge_pi_edge_tree_needs_live_parent_edge():
     c = ReplicaClock("r1")
-    t = EdgePositionedEdgeTree("op")
+    t = GraphTree("2p", "op", repr_name="edge", pi_mode="edge")
     with pytest.raises(PreconditionViolation):
-        t.gen_add("q", "missing", fresh_upi(c), c)
-    t.gen_add("p", t.root, fresh_upi(c), c)
-    t.gen_add("q", "p", fresh_upi(c), c)
+        t.gen_add("q", "missing", c, fresh_upi(c))
+    t.gen_add("p", t.root, c, fresh_upi(c))
+    t.gen_add("q", "p", c, fresh_upi(c))
     assert t.lookup().nodes_present() == {"p", "q"}
 
 
 def test_edge_pi_word_orders_and_converges():
-    g = TreeGroup(lambda: EdgePositionedWordTree("op"))
-    op_a = g.add("r1", "a", fresh_upi(g.clocks["r1"]), EPSILON)
+    g = TreeGroup(lambda: WordTree("2p", "op", pi_mode="edge"))
+    op_a = g.add("r1", "a", EPSILON, pos=fresh_upi(g.clocks["r1"]))
     g.sync()
-    g.add("r1", "b", fresh_upi(g.clocks["r1"]), op_a.node)
-    g.add("r2", "c", fresh_upi(g.clocks["r2"]), op_a.node)
+    g.add("r1", "b", op_a.node, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r2", "c", op_a.node, pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -227,7 +219,7 @@ def test_edge_pi_word_orders_and_converges():
 
 def test_edge_pi_word_insert_index():
     c = ReplicaClock("r1")
-    t = EdgePositionedWordTree("op")
+    t = WordTree("2p", "op", pi_mode="edge")
     t.gen_insert("b", EPSILON, 0, c)
     t.gen_insert("a", EPSILON, 0, c)
     t.gen_insert("c", EPSILON, 2, c)
@@ -237,19 +229,19 @@ def test_edge_pi_word_insert_index():
 
 def test_edge_pi_word_rejects_reused_position():
     c = ReplicaClock("r1")
-    t = EdgePositionedWordTree("op")
+    t = WordTree("2p", "op", pi_mode="edge")
     u = fresh_upi(c)
-    t.gen_add("a", u, EPSILON, c)
+    t.gen_add("a", EPSILON, c, u)
     with pytest.raises(PreconditionViolation):
-        t.gen_add("b", u, EPSILON, c)
+        t.gen_add("b", EPSILON, c, u)
 
 
 def test_edge_pi_word_prefix_removal_still_applies():
-    g = TreeGroup(lambda: EdgePositionedWordTree("op"))
-    op_a = g.add("r1", "a", fresh_upi(g.clocks["r1"]), EPSILON)
+    g = TreeGroup(lambda: WordTree("2p", "op", pi_mode="edge"))
+    op_a = g.add("r1", "a", EPSILON, pos=fresh_upi(g.clocks["r1"]))
     g.sync()
     g.rmv("r1", op_a.node)
-    g.add("r2", "b", fresh_upi(g.clocks["r2"]), op_a.node)
+    g.add("r2", "b", op_a.node, pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -260,7 +252,7 @@ def test_edge_pi_word_prefix_removal_still_applies():
 
 
 def test_wootr_graph_concurrent_same_add_is_one_child():
-    g = TreeGroup(lambda: WootrGraphTree("or", "op"))
+    g = TreeGroup(lambda: GraphTree("or", "op", pi_mode="wootr"))
     g.add("r1", "z", g.trees["r1"].root)
     g.add("r2", "z", g.trees["r2"].root)
     g.sync()
@@ -272,13 +264,13 @@ def test_wootr_graph_concurrent_same_add_is_one_child():
 
 
 def test_wootr_vs_node_pi_duplicate_contrast():
-    woot = TreeGroup(lambda: WootrGraphTree("or", "op"))
+    woot = TreeGroup(lambda: GraphTree("or", "op", pi_mode="wootr"))
     woot.add("r1", "z", woot.trees["r1"].root)
     woot.add("r2", "z", woot.trees["r2"].root)
     woot.sync()
-    pair = TreeGroup(lambda: NodePositionedTree("op"))
-    pair.add("r1", "z", fresh_upi(pair.clocks["r1"]), pair.trees["r1"].root)
-    pair.add("r2", "z", fresh_upi(pair.clocks["r2"]), pair.trees["r2"].root)
+    pair = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"))
+    pair.add("r1", "z", pair.trees["r1"].root, pos=fresh_upi(pair.clocks["r1"]))
+    pair.add("r2", "z", pair.trees["r2"].root, pos=fresh_upi(pair.clocks["r2"]))
     pair.sync()
     assert len(woot.trees["r1"].lookup().instances) == 1
     assert len(pair.trees["r1"].lookup().instances) == 2
@@ -286,7 +278,7 @@ def test_wootr_vs_node_pi_duplicate_contrast():
 
 def test_wootr_graph_insert_ranks_siblings():
     c = ReplicaClock("r1")
-    t = WootrGraphTree("or", "op")
+    t = GraphTree("or", "op", pi_mode="wootr")
     t.gen_add("p", t.root, c)
     t.gen_add("q", t.root, c)
     t.gen_insert("r", t.root, 1, c)
@@ -298,7 +290,7 @@ def test_wootr_graph_insert_ranks_siblings():
 
 def test_wootr_graph_remove_subtree():
     c = ReplicaClock("r1")
-    t = WootrGraphTree("or", "op")
+    t = GraphTree("or", "op", pi_mode="wootr")
     t.gen_add("p", t.root, c)
     t.gen_add("q", "p", c)
     t.gen_rmv("p", c)
@@ -306,7 +298,7 @@ def test_wootr_graph_remove_subtree():
 
 
 def test_wootr_graph_reappear_converges():
-    g = TreeGroup(lambda: WootrGraphTree("or", "op", connect_policy="reappear"))
+    g = TreeGroup(lambda: GraphTree("or", "op", connect_policy="reappear", pi_mode="wootr"))
     g.add("r1", "a", g.trees["r1"].root)
     g.add("r1", "b", "a")
     g.sync()
@@ -323,7 +315,7 @@ def test_wootr_graph_reappear_converges():
 
 def test_wootr_graph_duplicate_node_rejected_locally():
     c = ReplicaClock("r1")
-    t = WootrGraphTree("or", "op")
+    t = GraphTree("or", "op", pi_mode="wootr")
     t.gen_add("p", t.root, c)
     with pytest.raises(PreconditionViolation):
         t.gen_add("p", t.root, c)
@@ -332,7 +324,7 @@ def test_wootr_graph_duplicate_node_rejected_locally():
 
 
 def test_wootr_edge_tree_one_child_and_rmv():
-    g = TreeGroup(lambda: WootrEdgeTree("or", "op"))
+    g = TreeGroup(lambda: GraphTree("or", "op", repr_name="edge", pi_mode="wootr"))
     g.add("r1", "z", g.trees["r1"].root)
     g.add("r2", "z", g.trees["r2"].root)
     g.sync()
@@ -345,13 +337,13 @@ def test_wootr_edge_tree_one_child_and_rmv():
 
 
 def test_wootr_word_sibling_order_and_convergence():
-    g = TreeGroup(lambda: WootrWordTree("or", "op"))
+    g = TreeGroup(lambda: WordTree("or", "op", pi_mode="wootr"))
     g.add("r1", "a", EPSILON)
     g.add("r2", "c", EPSILON)
     g.sync()
     t1 = g.trees["r1"]
     line = [BEGIN, *(k.pos.element for k in t1.lookup().children(())), END]
-    op = t1.gen_add("b", EPSILON, g.clocks["r1"], line[1], line[2])
+    op = t1.gen_add("b", EPSILON, g.clocks["r1"], (line[1], line[2]))
     g.log.append(("r1", op))
     g.sync()
     dumps = g.dumps()
@@ -361,7 +353,7 @@ def test_wootr_word_sibling_order_and_convergence():
 
 
 def test_wootr_word_concurrent_same_step_is_one_path():
-    g = TreeGroup(lambda: WootrWordTree("or", "op"))
+    g = TreeGroup(lambda: WordTree("or", "op", pi_mode="wootr"))
     g.add("r1", "x", EPSILON)
     g.add("r2", "x", EPSILON)
     g.sync()
@@ -372,7 +364,7 @@ def test_wootr_word_concurrent_same_step_is_one_path():
 
 def test_wootr_word_insert_below_child():
     c = ReplicaClock("r1")
-    t = WootrWordTree("lww", "op")
+    t = WordTree("lww", "op", pi_mode="wootr")
     op = t.gen_add("a", EPSILON, c)
     t.gen_insert("c", op.node, 0, c)
     t.gen_insert("b", op.node, 0, c)
@@ -383,7 +375,7 @@ def test_wootr_word_insert_below_child():
 
 def test_wootr_word_readd_revives_same_step():
     c = ReplicaClock("r1")
-    t = WootrWordTree("or", "op")
+    t = WordTree("or", "op", pi_mode="wootr")
     op = t.gen_add("x", EPSILON, c)
     t.gen_rmv(op.node, c)
     assert t.lookup().instances == {}
@@ -393,36 +385,36 @@ def test_wootr_word_readd_revives_same_step():
 
 @pytest.mark.parametrize("kind", ["g", "2p"])
 def test_wootr_trees_reject_add_only_kinds(kind):
-    for cls in (WootrGraphTree, WootrEdgeTree):
+    for repr_name in ("graph", "edge"):
         with pytest.raises(IllegalCombo):
-            cls(kind, "op")
+            GraphTree(kind, "op", repr_name=repr_name, pi_mode="wootr")
     with pytest.raises(IllegalCombo):
-        WootrWordTree(kind, "op")
+        WordTree(kind, "op", pi_mode="wootr")
 
 
 # --- shared mechanics ---
 
 
 def test_canonical_headers_mark_positioning():
-    assert "pi=node" in NodePositionedTree("op").canonical().splitlines()[0]
-    assert "pi=edge" in EdgePositionedGraphTree("or", "op").canonical().splitlines()[0]
-    assert "pi=edge" in EdgePositionedEdgeTree("op").canonical().splitlines()[0]
-    assert "pi=edge" in EdgePositionedWordTree("op").canonical().splitlines()[0]
-    assert "pi=wootr" in WootrGraphTree("or", "op").canonical().splitlines()[0]
-    assert "pi=wootr" in WootrEdgeTree("or", "op").canonical().splitlines()[0]
-    assert "pi=wootr" in WootrWordTree("or", "op").canonical().splitlines()[0]
+    assert "pi=node" in GraphTree("2p", "op", pi_mode="node").canonical().splitlines()[0]
+    assert "pi=edge" in GraphTree("or", "op", pi_mode="edge").canonical().splitlines()[0]
+    assert "pi=edge" in GraphTree("2p", "op", repr_name="edge", pi_mode="edge").canonical().splitlines()[0]
+    assert "pi=edge" in WordTree("2p", "op", pi_mode="edge").canonical().splitlines()[0]
+    assert "pi=wootr" in GraphTree("or", "op", pi_mode="wootr").canonical().splitlines()[0]
+    assert "pi=wootr" in GraphTree("or", "op", repr_name="edge", pi_mode="wootr").canonical().splitlines()[0]
+    assert "pi=wootr" in WordTree("or", "op", pi_mode="wootr").canonical().splitlines()[0]
 
 
 def test_copies_are_independent():
     c = ReplicaClock("r1")
-    t = WootrGraphTree("or", "op")
+    t = GraphTree("or", "op", pi_mode="wootr")
     t.gen_add("p", t.root, c)
     dup = t.copy()
     dup.gen_add("q", "p", c)
     assert len(t.lookup().instances) == 1
     assert len(dup.lookup().instances) == 2
-    w = EdgePositionedWordTree("op")
-    w.gen_add("a", fresh_upi(c), EPSILON, c)
+    w = WordTree("2p", "op", pi_mode="edge")
+    w.gen_add("a", EPSILON, c, fresh_upi(c))
     dup_w = w.copy()
     dup_w.gen_rmv(next(iter(dup_w.live_paths())), c)
     assert len(w.live_paths()) == 1
@@ -430,33 +422,45 @@ def test_copies_are_independent():
 
 
 def test_state_flavor_merge_converges():
-    g = TreeGroup(lambda: WootrGraphTree("or", "state"))
+    g = TreeGroup(lambda: GraphTree("or", "state", pi_mode="wootr"))
     g.add("r1", "p", g.trees["r1"].root)
     g.add("r2", "q", g.trees["r2"].root)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
-    h = TreeGroup(lambda: NodePositionedTree("state"))
-    h.add("r1", "p", fresh_upi(h.clocks["r1"]), h.trees["r1"].root)
-    h.add("r2", "q", fresh_upi(h.clocks["r2"]), h.trees["r2"].root)
+    h = TreeGroup(lambda: GraphTree("2p", "state", pi_mode="node"))
+    h.add("r1", "p", h.trees["r1"].root, pos=fresh_upi(h.clocks["r1"]))
+    h.add("r2", "q", h.trees["r2"].root, pos=fresh_upi(h.clocks["r2"]))
     h.sync()
     assert len(set(h.dumps().values())) == 1
 
 
 def test_frozen_dump_node_pi():
-    g = TreeGroup(lambda: NodePositionedTree("op"), seed=4)
-    g.add("r1", "x", fresh_upi(g.clocks["r1"]), g.trees["r1"].root)
-    g.add("r2", "x", fresh_upi(g.clocks["r2"]), g.trees["r2"].root)
+    g = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"), seed=4)
+    g.add("r1", "x", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r2", "x", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
     g.sync()
     assert g.dumps()["r1"] == "root\n  x @16109.r1.1\n  x @58016.r2.1"
 
 
 def test_frozen_dump_wootr_word():
     c = ReplicaClock("r1", seed=4)
-    t = WootrWordTree("or", "op")
+    t = WordTree("or", "op", pi_mode="wootr")
     t.gen_add("a", EPSILON, c)
     t.gen_add("c", EPSILON, c)
     t.gen_insert("b", EPSILON, 1, c)
     assert t.lookup().dump() == (
         "/\n  a @<a.^.$>\n  b @<b.<a.^.$>.<c.^.$>>\n  c @<c.^.$>"
     )
+
+
+def test_positions_must_match_the_positioning_mode():
+    c = ReplicaClock("r1")
+    with pytest.raises(PreconditionViolation, match="insert needs a positioned tree"):
+        GraphTree("or", "op").gen_insert("x", "root", 0, c)
+    with pytest.raises(PreconditionViolation, match="does not order siblings"):
+        WordTree("or", "op").gen_add("x", EPSILON, c, fresh_upi(c))
+    for tree in (GraphTree("2p", "op", pi_mode="node"), GraphTree("or", "op", pi_mode="edge")):
+        with pytest.raises(PreconditionViolation, match="needs a position identifier"):
+            tree.gen_add("x", "root", c)
+    assert GraphTree("or", "op").lookup().dump() == "root"

@@ -182,6 +182,18 @@ def test_zero_drops_subtree_below_multi_parent_node():
     assert tree.dump() == "root\n  a\n  b"
 
 
+def test_several_keys_a_tree_shaped_graph_by_edge_path():
+    # the same instance keys whether or not the graph is already a tree, so
+    # c keeps its identity when a second parent edge comes and goes
+    tree_edges = [E(ROOT, "a"), E("a", "c", pos=1)]
+    dag = RootedGraph(ROOT, {ROOT, "a", "c"}, tree_edges + [E(ROOT, "c")])
+    tree = RootedGraph(ROOT, {ROOT, "a", "c"}, tree_edges)
+    shown = map_to_tree(tree, "several")
+    assert set(shown.instances) == set(map_to_tree(dag, "several").instances) - {(("c", None),)}
+    assert shown.instances[(("a", None), ("c", 1))].parent == (("a", None),)
+    assert shown.dump() == "root\n  a\n    c @1"
+
+
 def test_several_cap_raises_instead_of_hanging():
     names = [f"n{i}" for i in range(7)]
     edges = [E(ROOT, n) for n in names]

@@ -8,11 +8,9 @@ from pathlib import Path
 import pytest
 
 from treecrdt.clocks import DeliveryBuffer, ReplicaClock
-from treecrdt.edges import EdgeTree
 from treecrdt.errors import KindMismatch
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, parse_combo
-from treecrdt.ordered import EdgePositionedGraphTree, WootrWordTree
 from treecrdt.paths import IncrementalWordTree, WordTree, parse_path
 from treecrdt.positions import Upi
 
@@ -57,8 +55,8 @@ def grown(tree, clock_id="r1"):
     clock = ReplicaClock(clock_id)
     if isinstance(tree, WordTree):
         tree.gen_add("a", parse_path("/"), clock)
-    elif isinstance(tree, EdgePositionedGraphTree):
-        tree.gen_add("a", "root", Upi(((5, clock_id, 1),)), clock)
+    elif tree.pi_mode == "edge":
+        tree.gen_add("a", "root", clock, Upi(((5, clock_id, 1),)))
     else:
         tree.gen_add("a", "root", clock)
     return tree
@@ -72,10 +70,13 @@ def grown(tree, clock_id="r1"):
             lambda: GraphTree("or", "state", map_policy="shortest"),
             lambda: GraphTree("or", "state", map_policy="zero"),
         ),
-        (lambda: GraphTree("or", "state"), lambda: EdgeTree("or", "state")),
-        (lambda: GraphTree("or", "state"), lambda: EdgePositionedGraphTree("or", "state")),
-        (lambda: EdgeTree("or", "state", "skip"), lambda: EdgeTree("or", "state", "compact")),
-        (lambda: WordTree("lww", "state"), lambda: WootrWordTree("lww", "state")),
+        (lambda: GraphTree("or", "state"), lambda: GraphTree("or", "state", repr_name="edge")),
+        (lambda: GraphTree("or", "state"), lambda: GraphTree("or", "state", pi_mode="edge")),
+        (
+            lambda: GraphTree("or", "state", "skip", repr_name="edge"),
+            lambda: GraphTree("or", "state", "compact", repr_name="edge"),
+        ),
+        (lambda: WordTree("lww", "state"), lambda: WordTree("lww", "state", pi_mode="wootr")),
         (lambda: WordTree("lww", "state", "skip"), lambda: WordTree("lww", "state", "root")),
     ],
 )
