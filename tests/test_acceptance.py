@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from typing import Callable, List, Set
@@ -182,6 +183,21 @@ def test_criterion_07_monotone_policies_never_move_survivors(matrix):
         moves[report.combo.connect_policy] += report.parent_moves
     assert moves["root"] > 0
     assert moves["compact"] > 0
+
+
+# the summary line of every matrix report, joined by newlines, at check seed 42
+MATRIX_SUMMARY_DIGEST = "86600c59daa2c9df77fc462812b65cefb63d307b92e02d8046ec9270cad6d053"
+
+
+def test_matrix_report_summary_digest(matrix):
+    """Pin what the checker says about every legal combo, counts included.
+
+    The criteria above only assert that the failure lists are empty; this
+    digest also pins the scenario, schedule and move counts of each report,
+    so a change to how the checker drives replicas cannot alter them.
+    """
+    text = "\n".join(report.summary() for report in matrix)
+    assert hashlib.sha256(text.encode()).hexdigest() == MATRIX_SUMMARY_DIGEST
 
 
 # --- criterion 5: both delivery flavors read the same trees ---
