@@ -1,23 +1,29 @@
-"""The graph engine: tree CRDTs over an edge set, with or without a node set.
+"""The shared tree surface and the graph engine.
 
-A replica of ``GraphTree`` holds one set CRDT of edges, one of node ids
-unless it is an edge tree, and an append-only history of everything ever
-added.  An edge codec (``edges``) decides how an edge is stored for the
-tree's positioning mode.  The visible tree is computed on demand: set
-lookup, then a connection policy that resolves orphans, then a mapping
-policy that resolves multiple parents.  ``IncrementalTwoPhaseGraph`` is
-the add-once special case that maintains its tree in place.
+``ReplicatedTree`` is what every tree CRDT here has in common: one or more
+replicated payload parts (set CRDTs, and for graphs a history), a lookup
+memoized per payload state, merge, copy, the canonical payload text, and
+insertion at a sibling index.  An engine supplies only its payload, how
+the visible tree is built from it, and how ops are generated and applied.
+
+``GraphTree`` is the engine over an edge set, plus a node set unless it is
+an edge tree.  An edge codec (``edges``) decides how an edge is stored for
+the tree's positioning mode.  Its visible tree is set lookup, then a
+connection policy that resolves orphans, then a mapping policy that
+resolves multiple parents.  ``IncrementalTwoPhaseGraph`` is the add-once
+special case that maintains its tree in place.
 """
 
 from __future__ import annotations
 
+from copy import copy as shallow_copy
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
 from .edges import EDGE_CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
-from .lookup import LookupTree, MemoizedLookup
+from .lookup import LookupTree
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -61,16 +67,6 @@ def edge_weights(edge_set, kind: str, map_policy: str, live: list) -> Dict[Any, 
     return {}
 
 
-def check_merge_peer(tree: Any, other: Any) -> None:
-    """Refuse to merge a replica of another combo, before anything changes."""
-    for name in ("repr_name", "kind", "flavor", "pi_mode", "connect_policy", "map_policy"):
-        mine, theirs = getattr(tree, name, None), getattr(other, name, None)
-        if mine != theirs:
-            raise KindMismatch(
-                f"cannot merge a replica with {name}={theirs} into one with {name}={mine}"
-            )
-
-
 def edge_infos(edge_set, kind: str, map_policy: str, codec) -> list:
     """The live edges, decoded by the codec, with their mapping-policy rank."""
     live = sorted_elements(edge_set.lookup())
@@ -106,7 +102,109 @@ class TreeOp:
         return " ; ".join([head] + subs)
 
 
-class GraphTree(MemoizedLookup):
+class ReplicatedTree:
+    """One tree CRDT: replicated payload parts, a lookup, and their sync.
+
+    An engine names its payload parts in ``PAYLOADS`` (merged and copied)
+    and the set CRDTs among them in ``SETS`` (stamped and printed), takes
+    its codec for a positioning mode from ``CODECS``, and supplies
+    ``_payload_version()``, which changes whenever any part does, and
+    ``_build_lookup()``, the uncached builder of its visible tree.
+    """
+
+    CODECS: Dict[Optional[str], Any] = {}
+    PAYLOADS: Tuple[str, ...] = ()
+    SETS: Tuple[str, ...] = ()
+    map_policy: Optional[str] = None
+    _memo_key: Any = None
+    _memo_tree: Optional[LookupTree] = None
+
+    def __init__(self, kind: str, flavor: str, connect_policy: str, pi_mode: Optional[str]):
+        if pi_mode not in self.CODECS:
+            raise IllegalCombo(f"unknown positioning mode {pi_mode!r}")
+        self.codec = self.CODECS[pi_mode]
+        self.codec.check_kind(kind)
+        if connect_policy not in CONNECT_POLICIES:
+            raise IllegalCombo(f"unknown connection policy {connect_policy!r}")
+        self.pi_mode = pi_mode
+        self.kind = kind
+        self.flavor = flavor
+        self.connect_policy = connect_policy
+
+    def _parts(self, names: Tuple[str, ...]) -> list:
+        """(name, part) for each of the named parts this replica holds."""
+        return [(n, part) for n in names if (part := getattr(self, n)) is not None]
+
+    def lookup(self) -> LookupTree:
+        """The visible tree of the current payload.
+
+        The result is a shared, read-only snapshot: it is built once per
+        payload state, post-processing included, and handed to every caller
+        until the payload changes, so callers must not mutate it.
+        """
+        if type(self).lookup is not ReplicatedTree.lookup:
+            # an override that post-processes super().lookup() mutates what
+            # it gets, so it gets a tree of its own
+            return self._build_lookup()
+        key = self._payload_version()
+        if key != self._memo_key:
+            self._memo_tree = self._build_lookup()
+            self._memo_key = key
+        return self._memo_tree
+
+    def sibling_positions(self, m: Any) -> list:
+        """The positions of m's children, one per child, in no order."""
+        return self.codec.sibling_positions(self, m)
+
+    def gen_insert(self, n: Any, m: Any, index: int, clock: ReplicaClock) -> TreeOp:
+        """Add n so it lands at index among m's children."""
+        pos = self.codec.position_at(self.sibling_positions(m), index, clock)
+        return self.gen_add(n, m, clock, pos)
+
+    def merge(self, other: "ReplicatedTree", clock: Optional[ReplicaClock] = None) -> None:
+        # refuse a replica of another combo before anything changes
+        for name in ("repr_name", "kind", "flavor", "pi_mode", "connect_policy", "map_policy"):
+            mine, theirs = getattr(self, name, None), getattr(other, name, None)
+            if mine != theirs:
+                raise KindMismatch(
+                    f"cannot merge a replica with {name}={theirs} into one with {name}={mine}"
+                )
+        for name, mine in self._parts(self.PAYLOADS):
+            mine.merge(getattr(other, name))
+        if clock is not None:
+            stamp = other.max_stamp()
+            if stamp is not None:
+                clock.observe(stamp)
+
+    def max_stamp(self) -> Optional[LamportStamp]:
+        stamps = [part.max_stamp() for _, part in self._parts(self.SETS)]
+        stamps = [s for s in stamps if s is not None]
+        return max(stamps) if stamps else None
+
+    def copy(self) -> "ReplicatedTree":
+        """An independent replica with the same payload and an empty memo."""
+        dup = shallow_copy(self)
+        for name, part in self._parts(self.PAYLOADS):
+            setattr(dup, name, part.copy())
+        dup._memo_key = dup._memo_tree = None
+        return dup
+
+    def canonical(self) -> str:
+        head = (
+            f"tree repr={self.repr_name} kind={self.kind} flavor={self.flavor}"
+            f" connect={self.connect_policy}"
+        )
+        if self.map_policy is not None:
+            head += f" map={self.map_policy}"
+        if self.pi_mode is not None:
+            head += f" pi={self.pi_mode}"
+        lines = [head]
+        for name, part in self._parts(self.SETS):
+            lines += [f"{name} " + ln for ln in part.canonical().splitlines()]
+        return "\n".join(lines)
+
+
+class GraphTree(ReplicatedTree):
     """Replicated tree over an edge set, plus a node set unless an edge tree.
 
     Two choices configure it, and a combo fixes both.  ``repr_name``
@@ -117,40 +215,34 @@ class GraphTree(MemoizedLookup):
     position) and back, and answers every position-dependent question.
     """
 
+    CODECS = EDGE_CODECS
+    PAYLOADS = ("nodes", "edges", "history")
+    SETS = ("nodes", "edges")
+    root = ROOT
+
     def __init__(
         self,
         kind: str,
         flavor: str,
         connect_policy: str = "skip",
         map_policy: str = "shortest",
-        root: Any = ROOT,
         several_cap: int = DEFAULT_SEVERAL_CAP,
         repr_name: str = "graph",
         pi_mode: Optional[str] = None,
     ):
         if repr_name not in ("graph", "edge"):
             raise IllegalCombo(f"unknown representation {repr_name!r}")
-        if pi_mode not in EDGE_CODECS:
-            raise IllegalCombo(f"unknown positioning mode {pi_mode!r}")
-        self.codec = EDGE_CODECS[pi_mode]
-        self.codec.check_kind(kind)
-        if connect_policy not in CONNECT_POLICIES:
-            raise IllegalCombo(f"unknown connection policy {connect_policy!r}")
+        super().__init__(kind, flavor, connect_policy, pi_mode)
         if map_policy not in MAP_POLICIES:
             raise IllegalCombo(f"unknown mapping policy {map_policy!r}")
         check_weight_combo(kind, map_policy)
         self.repr_name = repr_name
-        self.pi_mode = pi_mode
-        self.kind = kind
-        self.flavor = flavor
-        self.connect_policy = connect_policy
         self.map_policy = map_policy
-        self.root = root
         self.several_cap = several_cap
         self.nodes = make_set(kind, flavor) if repr_name == "graph" else None
         self.edges = make_set(kind, flavor)
         self.history = HistoryGraph()
-        self.history.record_node(root)
+        self.history.record_node(self.root)
         # an edge tree has no node set to hold the root
         self._root_rule = (
             "the root is always present"
@@ -175,19 +267,6 @@ class GraphTree(MemoizedLookup):
         lt = map_to_tree(g, self.map_policy, self.several_cap)
         self.codec.finish(lt)
         return lt
-
-    def lookup(self) -> LookupTree:
-        """The visible tree of the current payload.
-
-        The result is a shared, read-only snapshot: it is built once per
-        payload state and handed to every caller until the payload changes,
-        so callers must not mutate it.
-        """
-        return self._memoized_lookup(GraphTree)
-
-    def sibling_positions(self, m: Any) -> list:
-        """The positions of m's children, one per child, in no order."""
-        return self.codec.sibling_positions(self, m)
 
     def _has_edge_into(self, m: Any) -> bool:
         return any(self.codec.decode(e)[1] == m for e in self.edges.lookup())
@@ -226,11 +305,6 @@ class GraphTree(MemoizedLookup):
         edge_op = self.edges.local_add(edge, clock)
         self._note_add(edge)
         return TreeOp(ADD, node, m, node_ops, (edge_op,))
-
-    def gen_insert(self, n: Any, m: Any, index: int, clock: ReplicaClock) -> TreeOp:
-        """Add n so it lands at index among m's children."""
-        pos = self.codec.position_at(self.sibling_positions(m), index, clock)
-        return self.gen_add(n, m, clock, pos)
 
     def gen_rmv(self, n: Any, clock: ReplicaClock) -> TreeOp:
         if self.kind == "g":
@@ -288,53 +362,6 @@ class GraphTree(MemoizedLookup):
         if op.verb == ADD:
             self._note_add(op.edge_ops[0].element)
 
-    def merge(self, other: "GraphTree", clock: Optional[ReplicaClock] = None) -> None:
-        check_merge_peer(self, other)
-        if self.nodes is not None:
-            self.nodes.merge(other.nodes)
-        self.edges.merge(other.edges)
-        self.history.merge(other.history)
-        if clock is not None:
-            stamp = other.max_stamp()
-            if stamp is not None:
-                clock.observe(stamp)
-
-    def max_stamp(self) -> Optional[LamportStamp]:
-        sets = (self.edges,) if self.nodes is None else (self.nodes, self.edges)
-        stamps = [s.max_stamp() for s in sets]
-        stamps = [s for s in stamps if s is not None]
-        return max(stamps) if stamps else None
-
-    def copy(self) -> "GraphTree":
-        dup = GraphTree(
-            self.kind,
-            self.flavor,
-            self.connect_policy,
-            self.map_policy,
-            self.root,
-            self.several_cap,
-            self.repr_name,
-            self.pi_mode,
-        )
-        if self.nodes is not None:
-            dup.nodes = self.nodes.copy()
-        dup.edges = self.edges.copy()
-        dup.history = self.history.copy()
-        return dup
-
-    def canonical(self) -> str:
-        head = (
-            f"tree repr={self.repr_name} kind={self.kind} flavor={self.flavor}"
-            f" connect={self.connect_policy} map={self.map_policy}"
-        )
-        if self.pi_mode is not None:
-            head += f" pi={self.pi_mode}"
-        lines = [head]
-        if self.nodes is not None:
-            lines += ["nodes " + ln for ln in self.nodes.canonical().splitlines()]
-        lines += ["edges " + ln for ln in self.edges.canonical().splitlines()]
-        return "\n".join(lines)
-
 
 class IncrementalTwoPhaseGraph:
     """Add-once tree that maintains its lookup in place under the skip policy.
@@ -350,15 +377,15 @@ class IncrementalTwoPhaseGraph:
     flavor = "op"
     connect_policy = "skip"
     map_policy = "shortest"
+    root = ROOT
 
-    def __init__(self, root: Any = ROOT):
-        self.root = root
+    def __init__(self):
         self.added: Set[Any] = set()
         self.removed: Set[Any] = set()
         self.parent: Dict[Any, Any] = {}
         self.history = HistoryGraph()
-        self.history.record_node(root)
-        self.cached = LookupTree(root_label=render(root))
+        self.history.record_node(self.root)
+        self.cached = LookupTree(root_label=render(self.root))
         self.last_touched = 0
 
     def _visible(self, n: Any) -> bool:

@@ -17,7 +17,7 @@ from .errors import (
 from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
 from .ordered import PositionedNode
-from .paths import EPSILON, WordTree
+from .paths import WordTree
 from .policies import CONNECT_POLICIES, MAP_POLICIES
 from .render import Path, render, sort_key
 from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
@@ -147,6 +147,10 @@ class Scenario:
     script: List[Tuple[str, ...]] = field(default_factory=list)
 
 
+# the arguments each replica verb takes after "<replica> <verb>"
+ARITY = {"add": 2, "rmv": 1, "insert": 3, "deliver": 1, "merge": 1}
+
+
 def parse_scenario(text: str) -> Scenario:
     combo: Optional[ComboSpec] = None
     replicas = 3
@@ -171,7 +175,13 @@ def parse_scenario(text: str) -> Scenario:
                 verb = tokens[1] if len(tokens) > 1 else ""
                 if verb == "sync":
                     script.append(("sync",))
-                elif verb in ("add", "rmv", "insert", "deliver", "merge"):
+                elif verb in ARITY:
+                    if len(tokens) != 2 + ARITY[verb]:
+                        raise ScenarioError(
+                            f"{verb} takes {ARITY[verb]} argument(s): {line!r}"
+                        )
+                    if verb == "insert":
+                        int(tokens[4])  # the sibling index
                     script.append(tuple(tokens))
                 else:
                     raise ScenarioError(f"unknown action {line!r}")
@@ -192,6 +202,15 @@ def serialize_scenario(s: Scenario) -> str:
 
 
 # --- simulation ---
+
+
+def shown(tree: Any, payload: bool = False) -> str:
+    """The tree's dump, after its payload text when asked, or its blowup."""
+    try:
+        dump = tree.lookup().dump()
+    except SeveralBlowup as exc:
+        return f"blowup: {exc}"
+    return tree.canonical() + "\n" + dump if payload else dump
 
 
 @dataclass
@@ -264,124 +283,117 @@ class Simulation:
             key = match.key
         return Path(key)
 
-    def _tail_index(self, tree: Any, parent: Any) -> int:
-        return len(tree.sibling_positions(parent))
-
     # --- actions ---
 
-    def local(self, rid: str, verb: str, args: Tuple[str, ...]):
+    def local(self, rid: str, verb: str, args: Tuple[str, ...]) -> None:
         rep = self.replicas[rid]
         op = self._gen(rep, verb, args)
         self.local_ops.append((rid, op))
         if self.combo.flavor == "op":
             self.envelopes.append(rep.clock.wrap(op))
-        return op
+        else:
+            rep.clock.delivered.increment(rid)
 
     def _gen(self, rep: SimReplica, verb: str, args: Tuple[str, ...]) -> TreeOp:
         tree, clock = rep.tree, rep.clock
         pi = self.combo.pi_mode
         if self.combo.repr_name == "word":
-            if verb == "add":
-                atom, parent = args
-                p = self._resolve_path(tree, parent)
-                if pi == "edge":
-                    return tree.gen_insert(atom, p, self._tail_index(tree, p), clock)
-                return tree.gen_add(atom, p, clock)
-            if verb == "insert":
-                atom, parent, idx = args
-                if pi is None:
-                    raise PreconditionViolation("insert needs a positioned tree")
-                p = self._resolve_path(tree, parent)
-                return tree.gen_insert(atom, p, int(idx), clock)
-            if verb == "rmv":
-                (target,) = args
-                return tree.gen_rmv(self._resolve_path(tree, target), clock)
-            raise ScenarioError(f"unknown action {verb!r}")
+            resolve = self._resolve_path
+        else:
+            resolve = self._resolve_node
         if verb == "add":
             n, m = args
-            parent = self._resolve_node(tree, m)
+            parent = resolve(tree, m)
+            # a UPI-positioned child needs a fresh position: add at the tail
             if pi in ("node", "edge"):
-                return tree.gen_insert(n, parent, self._tail_index(tree, parent), clock)
+                tail = len(tree.sibling_positions(parent))
+                return tree.gen_insert(n, parent, tail, clock)
             return tree.gen_add(n, parent, clock)
         if verb == "insert":
             n, m, idx = args
             if pi is None:
                 raise PreconditionViolation("insert needs a positioned tree")
-            return tree.gen_insert(n, self._resolve_node(tree, m), int(idx), clock)
+            return tree.gen_insert(n, resolve(tree, m), int(idx), clock)
         if verb == "rmv":
             (n,) = args
-            return tree.gen_rmv(self._resolve_node(tree, n), clock)
+            return tree.gen_rmv(resolve(tree, n), clock)
         raise ScenarioError(f"unknown action {verb!r}")
 
-    def deliver_from(self, rid: str, src: str) -> int:
+    def deliver_from(self, rid: str, src: str) -> None:
         if self.combo.flavor != "op":
             raise PreconditionViolation("deliver needs the op flavor")
         if src == rid:
-            return 0
+            return
         rep = self.replicas[rid]
         start = self.handed.get((rid, src), 0)
         outgoing = [e for e in self.envelopes if e.origin == src]
         for env in outgoing[start:]:
             rep.buffer.add(env)
         self.handed[(rid, src)] = len(outgoing)
-        applied = 0
         for env in rep.buffer.drain(rep.clock.delivered):
             rep.tree.apply_remote(env.payload)
             rep.clock.accept(env)
-            applied += 1
-        return applied
 
     def merge_with(self, rid: str, src: str) -> None:
         if self.combo.flavor != "state":
             raise PreconditionViolation("merge needs the state flavor")
-        rep = self.replicas[rid]
-        rep.tree.merge(self.replicas[src].tree, rep.clock)
+        rep, peer = self.replicas[rid], self.replicas[src]
+        rep.tree.merge(peer.tree, rep.clock)
+        rep.clock.delivered.merge(peer.clock.delivered)
+
+    def known_ops(self, rid: str) -> List[TreeOp]:
+        """The local ops rid's state reflects, in the order they were made.
+
+        In both flavors a replica's knowledge is its version vector
+        ``clock.delivered``: delivery and local ops advance it, and a state
+        merge joins the peer's into it.
+        """
+        known = self.replicas[rid].clock.delivered
+        made: Dict[str, int] = {}
+        out = []
+        for origin, op in self.local_ops:
+            made[origin] = made.get(origin, 0) + 1
+            if made[origin] <= known.get(origin):
+                out.append(op)
+        return out
 
     def sync_all(self) -> None:
-        if self.combo.flavor == "op":
-            for _ in range(len(self.rids)):
-                for rid in self.rids:
-                    for src in self.rids:
-                        if src != rid:
-                            self.deliver_from(rid, src)
+        # a state merge carries everything its source knows, so two rounds
+        # spread every op; a delivery may wait on another origin's ops
+        op = self.combo.flavor == "op"
+        exchange = self.deliver_from if op else self.merge_with
+        for _ in range(len(self.rids) if op else 2):
             for rid in self.rids:
-                if self.replicas[rid].buffer.pending:
-                    raise AssertionError("undeliverable envelopes after sync")
-        else:
-            for _ in range(2):
-                for rid in self.rids:
-                    for src in self.rids:
-                        if src != rid:
-                            self.merge_with(rid, src)
+                for src in self.rids:
+                    if src != rid:
+                        exchange(rid, src)
+        if any(rep.buffer.pending for rep in self.replicas.values()):
+            raise AssertionError("undeliverable envelopes after sync")
 
     def execute(self, action: Tuple[str, ...]) -> StepRecord:
         self.steps += 1
         record = StepRecord(index=self.steps, action=action)
-        touched: List[str] = []
+        touched = self.rids if action[0] == "sync" else [action[0]]
         try:
             if action[0] == "sync":
                 self.sync_all()
-                touched = list(self.rids)
             else:
                 rid, verb = action[0], action[1]
                 if rid not in self.replicas:
                     raise ScenarioError(f"unknown replica {rid!r}")
+                if verb in ("deliver", "merge") and action[2] not in self.replicas:
+                    raise ScenarioError(f"unknown replica {action[2]!r}")
                 if verb == "deliver":
                     self.deliver_from(rid, action[2])
                 elif verb == "merge":
                     self.merge_with(rid, action[2])
                 else:
                     self.local(rid, verb, tuple(action[2:]))
-                touched = [rid]
         except PreconditionViolation as exc:
             record.violation = str(exc)
             return record
         for rid in touched:
-            try:
-                dump = self.replicas[rid].tree.lookup().dump()
-            except SeveralBlowup as exc:
-                dump = f"blowup: {exc}"
-            record.dumps.append((rid, dump))
+            record.dumps.append((rid, shown(self.replicas[rid].tree)))
         return record
 
     def run(self, script: Iterable[Tuple[str, ...]]) -> List[StepRecord]:
@@ -415,11 +427,7 @@ def run_scenario(combo: ComboSpec, s: Scenario) -> str:
     lines.append("final")
     for rid in sim.rids:
         lines.append(f"  replica {rid}")
-        try:
-            dump = sim.replicas[rid].tree.lookup().dump()
-        except SeveralBlowup as exc:
-            dump = f"blowup: {exc}"
-        lines.extend("    " + ln for ln in dump.splitlines())
+        lines.extend("    " + ln for ln in shown(sim.replicas[rid].tree).splitlines())
     return "\n".join(lines) + "\n"
 
 
@@ -477,27 +485,24 @@ def _random_action(
     except SeveralBlowup:
         return None
     if combo.repr_name == "word":
-        here = [inst for inst in lt.instances.values() if not inst.ghost]
-        roll = rng.random()
-        if here and roll < 0.25:
-            return (rid, "rmv", _atom_path(lt, rng.choice(here)))
-        parent = "/" if not here or rng.random() < 0.5 else _atom_path(lt, rng.choice(here))
-        atom = rng.choice("abcde")
-        if combo.pi_mode is not None and rng.random() < 0.4:
-            return (rid, "insert", atom, parent, str(rng.randrange(3)))
-        return (rid, "add", atom, parent)
-    names = sorted(
-        {
-            v.element if isinstance(v, PositionedNode) else v
-            for v in lt.nodes_present()
-        },
-        key=sort_key,
-    )
+        root = "/"
+        names = [_atom_path(lt, i) for i in lt.instances.values() if not i.ghost]
+    else:
+        root = "root"
+        names = sorted(
+            {
+                v.element if isinstance(v, PositionedNode) else v
+                for v in lt.nodes_present()
+            },
+            key=sort_key,
+        )
     roll = rng.random()
     if names and roll < 0.25:
         return (rid, "rmv", rng.choice(names))
-    parent = "root" if not names or rng.random() < 0.5 else rng.choice(names)
-    if names and not fresh_only and rng.random() < 0.25:
+    parent = root if not names or rng.random() < 0.5 else rng.choice(names)
+    if combo.repr_name == "word":
+        node = rng.choice("abcde")
+    elif names and not fresh_only and rng.random() < 0.25:
         node = rng.choice(names)
     else:
         node = next(fresh, None)
@@ -549,16 +554,14 @@ def oracle_membership(kind: str, history: List[SetOp], e: Any) -> bool:
 
 def _set_histories(combo: ComboSpec, ops: Iterable[TreeOp]) -> Dict[str, List[SetOp]]:
     """SetOps delivered so far, grouped by the payload set they touch."""
-    out: Dict[str, List[SetOp]] = {}
-    for op in ops:
-        if combo.repr_name == "word":
-            out.setdefault("paths", []).extend(op.node_ops)
-        else:
-            out.setdefault("nodes", []).extend(op.node_ops)
-            out.setdefault("edges", []).extend(op.edge_ops)
-    if combo.repr_name == "edge":
-        out.pop("nodes", None)
-    return out
+    out = {
+        "paths" if combo.repr_name == "word" else "nodes": [
+            sub for op in ops for sub in op.node_ops
+        ],
+        "edges": [sub for op in ops for sub in op.edge_ops],
+    }
+    # an edge tree sends no node ops, a word tree no edge ops
+    return {name: history for name, history in out.items() if history}
 
 
 def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[str]:
@@ -761,101 +764,62 @@ def _check_one(
 ) -> None:
     sim = Simulation(combo, scn.replicas, scn.seed, factory)
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
-    # which local-op indices each replica's state reflects (state flavor joins)
-    know: Dict[str, Set[int]] = {rid: set() for rid in sim.rids}
     for step, action in enumerate(scn.script, start=1):
-        record = sim.execute(action)
-        if record.violation is not None:
+        if sim.execute(action).violation is not None:
             continue
-        if action[0] == "sync":
-            union = set().union(*know.values())
-            for rid in know:
-                know[rid] = set(union)
-            touched = sim.rids
-        else:
-            rid, verb = action[0], action[1]
-            if verb == "merge":
-                know[rid] |= know[action[2]]
-            elif verb != "deliver":
-                know[rid].add(len(sim.local_ops) - 1)
-            touched = [rid]
-        for rid in touched:
-            if combo.flavor == "op":
-                known = sim.replicas[rid].clock.delivered
-                seen = [
-                    e.payload
-                    for e in sim.envelopes
-                    if known.get(e.origin) >= e.seq
-                ]
-            else:
-                seen = [sim.local_ops[i][1] for i in sorted(know[rid])]
+        for rid in sim.rids if action[0] == "sync" else [action[0]]:
             witnesses[rid] = _observe_step(
                 combo,
                 sim.replicas[rid].tree,
-                seen,
+                sim.known_ops(rid),
                 witnesses[rid],
                 report,
                 f"{combo.label()} seed={scn.seed} step={step} replica={rid}",
             )
     if combo.flavor == "op":
-        _check_op_schedules(combo, scn, sim, n_schedules, report, factory)
+        _check_op_schedules(scn, sim, n_schedules, report)
     else:
-        _check_state_schedules(combo, scn, sim, report)
+        _check_state_schedules(scn, sim, report)
 
 
 def _check_op_schedules(
-    combo: ComboSpec,
     scn: Scenario,
     sim: Simulation,
     n_schedules: Optional[int],
     report: ConvergenceReport,
-    factory: Optional[Callable[[ComboSpec], Any]],
 ) -> None:
     envelopes = sim.envelopes
     deps = causal_deps(envelopes)
     if len(envelopes) <= 7 and n_schedules is None:
         orders = linear_extensions(deps)
     else:
-        rng = random.Random(f"schedules/{combo.label()}/{scn.seed}")
+        rng = random.Random(f"schedules/{sim.combo.label()}/{scn.seed}")
         orders = sampled_extensions(deps, n_schedules or 32, rng)
-    build = factory or make_tree
     finals: Dict[str, Tuple[int, ...]] = {}
     for order in orders:
-        observer = build(combo)
+        observer = sim.factory(sim.combo)
         witness: Optional[Dict] = None
         delivered: List[TreeOp] = []
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
             delivered.append(envelopes[i].payload)
             witness = _observe_step(
-                combo,
+                sim.combo,
                 observer,
                 delivered,
                 witness,
                 report,
-                f"{combo.label()} seed={scn.seed} order={order} delivery={pos}",
+                f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}",
             )
-        try:
-            final = observer.canonical() + "\n" + observer.lookup().dump()
-        except SeveralBlowup as exc:
-            final = f"blowup: {exc}"
-        finals.setdefault(final, order)
+        finals.setdefault(shown(observer, payload=True), order)
         report.schedules += 1
     if len(finals) > 1:
-        shapes = sorted(finals)
-        report.divergences.append(
-            f"seed={scn.seed}: schedules {finals[shapes[0]]} and"
-            f" {finals[shapes[1]]} disagree:\n--- {finals[shapes[0]]}\n"
-            f"{shapes[0]}\n--- {finals[shapes[1]]}\n{shapes[1]}"
-        )
+        report.divergences.append(_disagreement(scn, "schedules", finals))
         return
     if finals:
         shape = next(iter(finals))
         for rid, rep in sim.replicas.items():
-            try:
-                here = rep.tree.canonical() + "\n" + rep.tree.lookup().dump()
-            except SeveralBlowup as exc:
-                here = f"blowup: {exc}"
+            here = shown(rep.tree, payload=True)
             if here != shape:
                 report.divergences.append(
                     f"seed={scn.seed}: replica {rid} disagrees with schedules:"
@@ -865,35 +829,33 @@ def _check_op_schedules(
 
 
 def _check_state_schedules(
-    combo: ComboSpec,
     scn: Scenario,
     sim: Simulation,
     report: ConvergenceReport,
 ) -> None:
-    rids = sim.rids
     ops = [op for _, op in sim.local_ops]
     finals: Dict[str, Tuple[str, ...]] = {}
-    for perm in itertools.permutations(rids):
+    for perm in itertools.permutations(sim.rids):
         acc = sim.replicas[perm[0]].tree.copy()
         clock = ReplicaClock(f"fold-{'-'.join(perm)}", scn.seed)
         for rid in perm[1:]:
             acc.merge(sim.replicas[rid].tree, clock)
         acc.merge(sim.replicas[perm[0]].tree, clock)
-        try:
-            final = acc.canonical() + "\n" + acc.lookup().dump()
-        except SeveralBlowup as exc:
-            final = f"blowup: {exc}"
-        finals.setdefault(final, perm)
+        finals.setdefault(shown(acc, payload=True), perm)
         report.schedules += 1
-        where = f"{combo.label()} seed={scn.seed} fold={'-'.join(perm)}"
-        _observe_step(combo, acc, ops, None, report, where)
+        where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"
+        _observe_step(sim.combo, acc, ops, None, report, where)
     if len(finals) > 1:
-        shapes = sorted(finals)
-        report.divergences.append(
-            f"seed={scn.seed}: folds {finals[shapes[0]]} and {finals[shapes[1]]}"
-            f" disagree:\n--- {finals[shapes[0]]}\n{shapes[0]}"
-            f"\n--- {finals[shapes[1]]}\n{shapes[1]}"
-        )
+        report.divergences.append(_disagreement(scn, "folds", finals))
+
+
+def _disagreement(scn: Scenario, what: str, finals: Dict[str, Tuple]) -> str:
+    """The first two distinct final trees and the orders that produced them."""
+    a, b = sorted(finals)[:2]
+    return (
+        f"seed={scn.seed}: {what} {finals[a]} and {finals[b]} disagree:"
+        f"\n--- {finals[a]}\n{a}\n--- {finals[b]}\n{b}"
+    )
 
 
 def _shrink(

@@ -1,4 +1,9 @@
-"""The client-visible tree: instances, deterministic dumps, and validation."""
+"""The client-visible tree: instances, deterministic dumps, and validation.
+
+``LookupTree`` is what a replica shows its client.  ``next_version`` hands
+out the payload versions under which ``graph.ReplicatedTree`` memoizes one
+lookup tree per payload state.
+"""
 
 from __future__ import annotations
 
@@ -123,28 +128,3 @@ class LookupTree:
         if not isinstance(other, LookupTree):
             return NotImplemented
         return self.dump() == other.dump()
-
-
-class MemoizedLookup:
-    """One lookup tree per payload state, shared by every reader of that state.
-
-    A tree class supplies ``_payload_version()``, which changes whenever any
-    part of its payload does, and ``_build_lookup()``, the uncached builder;
-    its ``lookup()`` returns ``self._memoized_lookup(<that class>)``.  The
-    tree is built, post-processing included, before it is stored, and a
-    replica keeps at most one.
-    """
-
-    _memo_key: Any = None
-    _memo_tree: Optional[LookupTree] = None
-
-    def _memoized_lookup(self, owner: type) -> LookupTree:
-        if type(self).lookup is not owner.lookup:
-            # an override that post-processes super().lookup() mutates what
-            # it gets, so it gets a tree of its own
-            return self._build_lookup()
-        key = self._payload_version()
-        if key != self._memo_key:
-            self._memo_tree = self._build_lookup()
-            self._memo_key = key
-        return self._memo_tree

@@ -1,8 +1,9 @@
 """The word engine: tree CRDTs stored as one replicated set of root paths.
 
 A node's identity is its full path from the root, so the same atom may
-label children of different parents.  ``WordTree`` takes a step codec
-(``ordered``) that decides what one path step is for the tree's
+label children of different parents.  ``WordTree`` is a
+``graph.ReplicatedTree`` whose one payload part is the path set; a step
+codec (``ordered``) decides what one path step is for the tree's
 positioning mode.  The visible tree is the live path set repaired into a
 prefix-closed set by a connection policy; for the two monotonic policies
 ``IncrementalWordTree`` maintains the repair in place from membership
@@ -14,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from .clocks import LamportStamp, ReplicaClock
+from .clocks import ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
-from .graph import TreeOp, check_merge_peer
-from .lookup import LookupTree, MemoizedLookup
+from .graph import ReplicatedTree, TreeOp
+from .lookup import LookupTree
 from .ordered import STEP_CODECS
 from .policies import CONNECT_POLICIES
 from .render import Path, render
@@ -114,13 +115,15 @@ def connect_paths(
     return out
 
 
-class WordTree(MemoizedLookup):
+class WordTree(ReplicatedTree):
     """Replicated tree over a single set CRDT of root paths.
 
     ``pi_mode`` picks the step codec (``ordered.STEP_CODECS``): a path
     step is a bare atom, a positioned ``PathStep``, or a ``WootrTriple``.
     """
 
+    CODECS = STEP_CODECS
+    PAYLOADS = SETS = ("paths",)
     repr_name = "word"
 
     def __init__(
@@ -132,14 +135,7 @@ class WordTree(MemoizedLookup):
     ):
         if pi_mode not in STEP_CODECS:
             raise IllegalCombo("word trees take positions on steps, not nodes")
-        self.codec = STEP_CODECS[pi_mode]
-        self.codec.check_kind(kind)
-        if connect_policy not in CONNECT_POLICIES:
-            raise IllegalCombo(f"unknown connection policy {connect_policy!r}")
-        self.pi_mode = pi_mode
-        self.kind = kind
-        self.flavor = flavor
-        self.connect_policy = connect_policy
+        super().__init__(kind, flavor, connect_policy, pi_mode)
         self.paths = make_set(kind, flavor)
 
     # --- lookup pipeline ---
@@ -149,15 +145,6 @@ class WordTree(MemoizedLookup):
 
     def _payload_version(self) -> int:
         return self.paths.version
-
-    def lookup(self) -> LookupTree:
-        """The visible tree of the current payload.
-
-        The result is a shared, read-only snapshot: it is built once per
-        payload state and handed to every caller until the payload changes,
-        so callers must not mutate it.
-        """
-        return self._memoized_lookup(WordTree)
 
     def _build_lookup(self) -> LookupTree:
         live = self.live_paths()
@@ -181,10 +168,6 @@ class WordTree(MemoizedLookup):
         self.codec.finish(lt)
         return lt
 
-    def sibling_positions(self, parent: Any) -> list:
-        """The positions of the steps below parent, one per live path."""
-        return self.codec.sibling_positions(self, Path(parent))
-
     # --- generation ---
 
     def gen_add(
@@ -207,14 +190,6 @@ class WordTree(MemoizedLookup):
             raise PreconditionViolation(f"{pn.render()} is already in the tree")
         op = self.paths.local_add(pn, clock)
         return TreeOp(ADD, pn, p, (op,))
-
-    def gen_insert(
-        self, atom: str, parent: Any, index: int, clock: ReplicaClock
-    ) -> TreeOp:
-        """Add the step atom so it lands at index among parent's steps."""
-        p = Path(parent)
-        pos = self.codec.position_at(self.sibling_positions(p), index, clock)
-        return self.gen_add(atom, p, clock, pos)
 
     def gen_rmv(self, target: Any, clock: ReplicaClock) -> TreeOp:
         if self.kind == "g":
@@ -248,33 +223,6 @@ class WordTree(MemoizedLookup):
         for sub in op.node_ops:
             self.paths.apply(sub)
 
-    def merge(self, other: "WordTree", clock: Optional[ReplicaClock] = None) -> None:
-        check_merge_peer(self, other)
-        self.paths.merge(other.paths)
-        if clock is not None:
-            stamp = other.max_stamp()
-            if stamp is not None:
-                clock.observe(stamp)
-
-    def max_stamp(self) -> Optional[LamportStamp]:
-        return self.paths.max_stamp()
-
-    def copy(self) -> "WordTree":
-        dup = WordTree(self.kind, self.flavor, self.connect_policy, self.pi_mode)
-        dup.paths = self.paths.copy()
-        return dup
-
-    def canonical(self) -> str:
-        head = (
-            f"tree repr={self.repr_name} kind={self.kind} flavor={self.flavor}"
-            f" connect={self.connect_policy}"
-        )
-        if self.pi_mode is not None:
-            head += f" pi={self.pi_mode}"
-        lines = [head]
-        lines += ["paths " + ln for ln in self.paths.canonical().splitlines()]
-        return "\n".join(lines)
-
 
 class IncrementalWordTree(WordTree):
     """Word tree that repairs its cached lookup from membership deltas.
@@ -292,7 +240,6 @@ class IncrementalWordTree(WordTree):
         kind: str,
         flavor: str,
         connect_policy: str = "skip",
-        prefix_rmv: Optional[bool] = None,
     ):
         if connect_policy not in INCREMENTAL_PATH_POLICIES:
             raise IllegalCombo(
@@ -300,15 +247,9 @@ class IncrementalWordTree(WordTree):
                 " and cannot be maintained in place"
             )
         super().__init__(kind, flavor, connect_policy)
-        add_once_skip = kind == "2p" and flavor == "op" and connect_policy == "skip"
-        if prefix_rmv is None:
-            prefix_rmv = add_once_skip
-        elif prefix_rmv and not add_once_skip:
-            raise IllegalCombo(
-                "prefix-only removal needs add-once payloads, op delivery,"
-                " and the skip policy"
-            )
-        self.prefix_rmv = prefix_rmv
+        # add-once payloads under op delivery and skip can send a removal as
+        # its prefix alone, for each receiver to expand
+        self.prefix_rmv = kind == "2p" and flavor == "op" and connect_policy == "skip"
         self.cached = LookupTree(root_label="/")
         # live extensions of each prefix, kept for orphan reattachment
         self.live_ext: Dict[Tuple, Set[Path]] = {}
@@ -348,9 +289,7 @@ class IncrementalWordTree(WordTree):
         self._mutate(lambda: WordTree.merge(self, other, clock))
 
     def copy(self) -> "IncrementalWordTree":
-        dup = IncrementalWordTree(
-            self.kind, self.flavor, self.connect_policy, self.prefix_rmv
-        )
+        dup = IncrementalWordTree(self.kind, self.flavor, self.connect_policy)
         dup.paths = self.paths.copy()
         for inst in self.cached.instances.values():
             dup.cached.add_instance(

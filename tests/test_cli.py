@@ -59,6 +59,24 @@ def test_run_malformed_scenario_exits_2(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "combo, line, message",
+    [
+        ("graph or state skip shortest plain", "r1 merge r9", "unknown replica 'r9'"),
+        ("graph or op skip shortest plain", "r1 deliver r9", "unknown replica 'r9'"),
+        ("graph or op skip shortest plain", "r1 add a", "line 2"),
+        ("word or op skip - edge", "r1 insert a / x", "line 2"),
+    ],
+)
+def test_run_malformed_action_exits_2(capsys, tmp_path, combo, line, message):
+    path = tmp_path / "bad.scn"
+    path.write_text(f"combo {combo}\n{line}\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_run_illegal_combo_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.scn"
     path.write_text("combo word g op skip several plain\nr1 add a /\n")

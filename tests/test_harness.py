@@ -145,6 +145,33 @@ def test_scenario_parse_reports_line_numbers():
         parse_scenario("combo graph g op\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("r1 add a", "add takes 2 argument"),
+        ("r1 add a root extra", "add takes 2 argument"),
+        ("r1 rmv", "rmv takes 1 argument"),
+        ("r1 insert a root", "insert takes 3 argument"),
+        ("r1 insert a root x", "invalid literal"),
+        ("r1 deliver", "deliver takes 1 argument"),
+        ("r1 merge r2 r3", "merge takes 1 argument"),
+    ],
+)
+def test_scenario_parse_checks_each_verbs_arguments(line, message):
+    text = f"combo graph or op skip shortest plain\nr1 add a root\n{line}\n"
+    with pytest.raises(ScenarioError, match=f"line 3: .*{message}"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "flavor, verb", [("op", "deliver"), ("state", "merge")]
+)
+def test_execute_rejects_an_unknown_source_replica(flavor, verb):
+    sim = Simulation(ComboSpec("graph", "or", flavor, "skip", "shortest", None), 2)
+    with pytest.raises(ScenarioError, match="unknown replica 'r9'"):
+        sim.execute(("r1", verb, "r9"))
+
+
 # --- transcripts ---
 
 

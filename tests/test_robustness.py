@@ -10,8 +10,8 @@ import pytest
 from treecrdt.clocks import DeliveryBuffer, ReplicaClock
 from treecrdt.errors import KindMismatch
 from treecrdt.graph import GraphTree
-from treecrdt.harness import Simulation, parse_combo
-from treecrdt.paths import IncrementalWordTree, WordTree, parse_path
+from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario, shown
+from treecrdt.paths import EPSILON, IncrementalWordTree, WordTree, parse_path
 from treecrdt.positions import Upi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,6 +93,37 @@ def test_merge_accepts_the_incremental_twin_of_a_word_tree():
     peer = grown(WordTree("or", "state", "skip"), "r2")
     tree.merge(peer)
     assert tree.lookup() == peer.lookup()
+
+
+def add_and_remove(tree, clock_id):
+    """Add two fresh children of the root, then remove one unless grow-only."""
+    clock = ReplicaClock(clock_id)
+    root = EPSILON if tree.repr_name == "word" else tree.root
+    for name in ("zz", "zy"):
+        if tree.pi_mode is None:
+            op = tree.gen_add(name, root, clock)
+        else:
+            op = tree.gen_insert(name, root, 0, clock)
+    if tree.kind != "g":
+        tree.gen_rmv(op.node, clock)
+
+
+@pytest.mark.parametrize("combo", legal_combos(), ids=lambda c: c.label())
+def test_copy_is_independent_in_both_directions(combo):
+    scn = random_scenario(combo, seed=3, n_ops=6)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    sim.run(scn.script)
+    tree = sim.replicas["r1"].tree
+    before = shown(tree, payload=True)
+    dup = tree.copy()
+    assert shown(dup, payload=True) == before
+    add_and_remove(dup, "copy")
+    assert shown(dup, payload=True) != before
+    assert shown(tree, payload=True) == before
+    dup = tree.copy()
+    add_and_remove(tree, "original")
+    assert shown(tree, payload=True) != before
+    assert shown(dup, payload=True) == before
 
 
 def test_python_dash_m_runs_the_cli():

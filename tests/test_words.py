@@ -349,8 +349,6 @@ def test_incremental_rejects_moving_policies():
     for policy in ("root", "compact"):
         with pytest.raises(IllegalCombo):
             IncrementalWordTree("or", "op", policy)
-    with pytest.raises(IllegalCombo):
-        IncrementalWordTree("lww", "op", "skip", prefix_rmv=True)
 
 
 def test_skip_cache_drops_orphan_and_revives_it():
