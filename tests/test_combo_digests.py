@@ -15,10 +15,12 @@ from treecrdt.harness import (
     Simulation,
     check_convergence,
     legal_combos,
+    make_tree,
     parse_combo,
     random_scenario,
     run_scenario,
 )
+from treecrdt.sets import ObservedRemoveSet
 
 EXPECTED = {
     ("edge", "edge"): "2501f6dad3db1edfef2899bb1576470587453e74460b7a8930fde4c6f49753ea",
@@ -80,3 +82,37 @@ def test_known_zero_policy_reports_digest():
             assert not report.passed
             digest.update(repr(dataclasses.astuple(report)).encode())
     assert digest.hexdigest() == KNOWN_ZERO_DIGEST
+
+
+class HiddenNodeSet(ObservedRemoveSet):
+    """Planted bug: the node set's lookup never shows node a."""
+
+    def lookup(self):
+        return super().lookup() - {"a"}
+
+
+def hiding_tree(combo):
+    tree = make_tree(combo)
+    tree.nodes = HiddenNodeSet(combo.flavor)
+    return tree
+
+
+PLANTED_HIDDEN_DIGEST = "db3d1e3ceaa2b218445413410eaf4f9fa9096302ae215334df163b1a072829bb"
+
+
+def test_planted_hidden_node_reports_digest():
+    """Pin every field of the reports on a node set that hides one element.
+
+    Node a is the first fresh name, so the oracle disagrees at every
+    delivery prefix after its add, and many delivery orders share those
+    prefixes.  The reports are pinned once with every delivery order and
+    once on the sampled path, so the oracle and validity text of both
+    schedule walks is covered.
+    """
+    combo = parse_combo("graph or op skip shortest plain".split())
+    digest = hashlib.sha256()
+    for n_schedules in (None, 8):
+        report = check_convergence(combo, n_schedules=n_schedules, factory=hiding_tree)
+        assert report.oracle_mismatches and not report.divergences
+        digest.update(repr(dataclasses.astuple(report)).encode())
+    assert digest.hexdigest() == PLANTED_HIDDEN_DIGEST
