@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .clocks import DeliveryBuffer, Envelope, ReplicaClock
 from .errors import (
@@ -165,10 +165,15 @@ def parse_scenario(text: str) -> Scenario:
         try:
             if head == "combo":
                 combo = parse_combo(tokens[1:])
-            elif head == "replicas":
-                replicas = int(tokens[1])
-            elif head == "seed":
-                seed = int(tokens[1])
+            elif head in ("replicas", "seed"):
+                if len(tokens) != 2:
+                    raise ScenarioError(f"{head} takes 1 argument: {line!r}")
+                if head == "seed":
+                    seed = int(tokens[1])
+                else:
+                    replicas = int(tokens[1])
+                    if replicas < 1:
+                        raise ScenarioError(f"a scenario needs at least 1 replica: {line!r}")
             elif head == "sync" and len(tokens) == 1:
                 script.append(("sync",))
             else:
@@ -370,10 +375,12 @@ class Simulation:
         if any(rep.buffer.pending for rep in self.replicas.values()):
             raise AssertionError("undeliverable envelopes after sync")
 
-    def execute(self, action: Tuple[str, ...]) -> StepRecord:
-        self.steps += 1
-        record = StepRecord(index=self.steps, action=action)
-        touched = self.rids if action[0] == "sync" else [action[0]]
+    def apply(self, action: Tuple[str, ...]) -> Optional[str]:
+        """Perform one action without reading any tree.
+
+        Returns the violation text when a precondition refuses the action,
+        and None when it took effect.
+        """
         try:
             if action[0] == "sync":
                 self.sync_all()
@@ -390,10 +397,16 @@ class Simulation:
                 else:
                     self.local(rid, verb, tuple(action[2:]))
         except PreconditionViolation as exc:
-            record.violation = str(exc)
-            return record
-        for rid in touched:
-            record.dumps.append((rid, shown(self.replicas[rid].tree)))
+            return str(exc)
+        return None
+
+    def execute(self, action: Tuple[str, ...]) -> StepRecord:
+        """Apply one action and record the dump of every replica it touched."""
+        self.steps += 1
+        record = StepRecord(index=self.steps, action=action, violation=self.apply(action))
+        if record.violation is None:
+            touched = self.rids if action[0] == "sync" else [action[0]]
+            record.dumps = [(rid, shown(self.replicas[rid].tree)) for rid in touched]
         return record
 
     def run(self, script: Iterable[Tuple[str, ...]]) -> List[StepRecord]:
@@ -463,14 +476,11 @@ def random_scenario(
         action = _random_action(sim, rid, rng, fresh, fresh_only)
         if action is None:
             continue
-        record = sim.execute(action)
-        if record.violation is None:
+        if sim.apply(action) is None:
             script.append(action)
             done += 1
-        else:
-            sim.steps -= 1
     if final_sync and script and script[-1] != ("sync",):
-        sim.execute(("sync",))
+        sim.apply(("sync",))
         script.append(("sync",))
     return Scenario(combo=combo, replicas=replicas, seed=seed, script=script)
 
@@ -671,6 +681,12 @@ class ConvergenceReport:
     monotonic_violations: List[str] = field(default_factory=list)
     parent_moves: int = 0
 
+    def record(self, where: str, seen: "Observation") -> None:
+        """Add one observation's moves and findings, each located by where."""
+        self.parent_moves += seen.moves
+        for name, msg in seen.findings:
+            getattr(self, name).append(f"{where}: {msg}")
+
     @property
     def passed(self) -> bool:
         return not (
@@ -693,33 +709,36 @@ class ConvergenceReport:
         )
 
 
+class Observation(NamedTuple):
+    """What the checks found in one replica state."""
+
+    findings: List[Tuple[str, str]]  # (report field, text)
+    moves: int  # surviving identities that moved since the previous state
+    witness: Optional[Dict]
+
+
 def _observe_step(
     combo: ComboSpec,
     tree: Any,
     delivered: List[TreeOp],
     prev_witness: Optional[Dict],
-    report: ConvergenceReport,
-    where: str,
-) -> Optional[Dict]:
-    """Validity, oracle, and move checks after one delivery; returns witness."""
+) -> Observation:
+    """Validity, oracle, and move checks after one delivery."""
     try:
         lt = tree.lookup()
     except SeveralBlowup as exc:
-        report.validity_violations.append(f"{where}: {exc}")
-        return prev_witness
+        return Observation([("validity_violations", str(exc))], 0, prev_witness)
+    findings = []
     problem = tree_validity(lt)
     if problem is not None:
-        report.validity_violations.append(f"{where}: {problem}")
+        findings.append(("validity_violations", problem))
     for msg in oracle_mismatches(combo, tree, delivered):
-        report.oracle_mismatches.append(f"{where}: {msg}")
+        findings.append(("oracle_mismatches", msg))
     witness = witness_map(combo, lt)
-    if prev_witness is not None:
-        moves = witness_moves(prev_witness, witness)
-        report.parent_moves += len(moves)
-        if combo.is_monotone():
-            for msg in moves:
-                report.monotonic_violations.append(f"{where}: {msg}")
-    return witness
+    moves = [] if prev_witness is None else witness_moves(prev_witness, witness)
+    if combo.is_monotone():
+        findings += [("monotonic_violations", msg) for msg in moves]
+    return Observation(findings, len(moves), witness)
 
 
 def check_convergence(
@@ -765,17 +784,14 @@ def _check_one(
     sim = Simulation(combo, scn.replicas, scn.seed, factory)
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
     for step, action in enumerate(scn.script, start=1):
-        if sim.execute(action).violation is not None:
+        if sim.apply(action) is not None:
             continue
         for rid in sim.rids if action[0] == "sync" else [action[0]]:
-            witnesses[rid] = _observe_step(
-                combo,
-                sim.replicas[rid].tree,
-                sim.known_ops(rid),
-                witnesses[rid],
-                report,
-                f"{combo.label()} seed={scn.seed} step={step} replica={rid}",
+            seen = _observe_step(
+                combo, sim.replicas[rid].tree, sim.known_ops(rid), witnesses[rid]
             )
+            report.record(f"{combo.label()} seed={scn.seed} step={step} replica={rid}", seen)
+            witnesses[rid] = seen.witness
     if combo.flavor == "op":
         _check_op_schedules(scn, sim, n_schedules, report)
     else:
@@ -788,6 +804,16 @@ def _check_op_schedules(
     n_schedules: Optional[int],
     report: ConvergenceReport,
 ) -> None:
+    """Replay every delivery order, or a sample, on a fresh observer each.
+
+    What the checks find after a delivery depends only on the order's
+    prefix up to it: the observer is a fresh replica that has applied
+    exactly those ops.  Orders come in lexicographic order, so an order
+    shares its longest common prefix with the one before it, and only the
+    deliveries beyond that prefix are observed; the shared ones reuse the
+    stored observations under this order's own location.  Each order is
+    still replayed in full, so the check never relies on ``copy()``.
+    """
     envelopes = sim.envelopes
     deps = causal_deps(envelopes)
     if len(envelopes) <= 7 and n_schedules is None:
@@ -796,21 +822,22 @@ def _check_op_schedules(
         rng = random.Random(f"schedules/{sim.combo.label()}/{scn.seed}")
         orders = sampled_extensions(deps, n_schedules or 32, rng)
     finals: Dict[str, Tuple[int, ...]] = {}
+    # the observation after each delivery of the previous order
+    seen: List[Observation] = []
+    previous: Tuple[int, ...] = ()
     for order in orders:
+        del seen[_common_prefix(previous, order) :]
+        previous = order
         observer = sim.factory(sim.combo)
-        witness: Optional[Dict] = None
         delivered: List[TreeOp] = []
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
             delivered.append(envelopes[i].payload)
-            witness = _observe_step(
-                sim.combo,
-                observer,
-                delivered,
-                witness,
-                report,
-                f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}",
-            )
+            if pos > len(seen):
+                witness = seen[-1].witness if seen else None
+                seen.append(_observe_step(sim.combo, observer, delivered, witness))
+            where = f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}"
+            report.record(where, seen[pos - 1])
         finals.setdefault(shown(observer, payload=True), order)
         report.schedules += 1
     if len(finals) > 1:
@@ -826,6 +853,16 @@ def _check_op_schedules(
                     f"\n--- replica\n{here}\n--- schedules\n{shape}"
                 )
                 return
+
+
+def _common_prefix(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """The length of the longest common prefix of a and b."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def _check_state_schedules(
@@ -844,7 +881,7 @@ def _check_state_schedules(
         finals.setdefault(shown(acc, payload=True), perm)
         report.schedules += 1
         where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"
-        _observe_step(sim.combo, acc, ops, None, report, where)
+        report.record(where, _observe_step(sim.combo, acc, ops, None))
     if len(finals) > 1:
         report.divergences.append(_disagreement(scn, "folds", finals))
 

@@ -176,14 +176,15 @@ def connect(
     all_edges = list(edges)
     graph_edges = [e for e in all_edges if e.src in live and e.dst in live]
     reach = _reachable(root, live, graph_edges)
+    if policy == "skip":
+        kept = [e for e in graph_edges if e.src in reach and e.dst in reach]
+        return RootedGraph(root=root, nodes=reach, edges=_dedupe(kept))
+
     orphans = live - reach
     orphan_edges = sorted(
         (e for e in all_edges if e.dst in orphans and e.src not in live),
         key=EdgeInfo.identity,
     )
-
-    if policy == "skip":
-        return _restrict(root, live, graph_edges)
 
     if policy == "root":
         rewired = [

@@ -77,6 +77,16 @@ def test_run_malformed_action_exits_2(capsys, tmp_path, combo, line, message):
     assert message in err
 
 
+@pytest.mark.parametrize("line", ["replicas -2", "seed 1 2"])
+def test_run_bad_replicas_or_seed_line_exits_2(capsys, tmp_path, line):
+    path = tmp_path / "bad.scn"
+    path.write_text(f"combo graph or op skip shortest plain\n{line}\nsync\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err
+
+
 def test_run_illegal_combo_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.scn"
     path.write_text("combo word g op skip several plain\nr1 add a /\n")

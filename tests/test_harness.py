@@ -7,11 +7,15 @@ import pytest
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, ScenarioError
 from treecrdt.graph import GraphTree
+from treecrdt.lookup import LookupTree
 from treecrdt.paths import WordTree
 from treecrdt.harness import (
     ComboSpec,
+    ConvergenceReport,
     Scenario,
     Simulation,
+    _check_one,
+    _check_op_schedules,
     causal_deps,
     check_convergence,
     legal_combos,
@@ -160,6 +164,22 @@ def test_scenario_parse_reports_line_numbers():
 def test_scenario_parse_checks_each_verbs_arguments(line, message):
     text = f"combo graph or op skip shortest plain\nr1 add a root\n{line}\n"
     with pytest.raises(ScenarioError, match=f"line 3: .*{message}"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("replicas 0", "at least 1 replica"),
+        ("replicas -2", "at least 1 replica"),
+        ("replicas", "replicas takes 1 argument"),
+        ("replicas 2 3", "replicas takes 1 argument"),
+        ("seed 1 2", "seed takes 1 argument"),
+    ],
+)
+def test_scenario_parse_checks_the_replicas_and_seed_lines(line, message):
+    text = f"combo graph or op skip shortest plain\n{line}\nsync\n"
+    with pytest.raises(ScenarioError, match=f"line 2: .*{message}"):
         parse_scenario(text)
 
 
@@ -437,6 +457,50 @@ class ArrivalOrderTree(GraphTree):
             if inst.node in self.arrivals:
                 inst.label += f"#{self.arrivals.index(inst.node)}"
         return lt
+
+
+def test_schedule_observers_build_each_delivery_prefix_once(monkeypatch):
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    scn = random_scenario(combo, seed=42)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    sim.run(scn.script)
+    replicas = {id(rep.tree) for rep in sim.replicas.values()}
+    builds = []
+    build = GraphTree._build_lookup
+
+    def counted(tree):
+        if id(tree) not in replicas:
+            builds.append(tree)
+        return build(tree)
+
+    monkeypatch.setattr(GraphTree, "_build_lookup", counted)
+    orders = linear_extensions(causal_deps(sim.envelopes))
+    prefixes = {order[:k] for order in orders for k in range(1, len(order) + 1)}
+    report = ConvergenceReport(combo=combo)
+    _check_op_schedules(scn, sim, None, report)
+    assert report.schedules == len(orders)
+    # the orders share prefixes, so observing every delivery would build more
+    assert len(prefixes) < len(orders) * len(sim.envelopes)
+    assert len(builds) == len(prefixes)
+
+
+def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):
+    dumps = []
+    dump = LookupTree.dump
+
+    def counted(lt):
+        dumps.append(lt)
+        return dump(lt)
+
+    monkeypatch.setattr(LookupTree, "dump", counted)
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    scn = random_scenario(combo, seed=42)
+    assert scn.script and dumps == []
+    report = ConvergenceReport(combo=combo)
+    _check_one(combo, scn, None, report, None)
+    assert report.passed
+    # only the final trees are compared: one per delivery order and replica
+    assert len(dumps) == report.schedules + scn.replicas
 
 
 def test_planted_order_dependence_is_caught_and_minimized():
