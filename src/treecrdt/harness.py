@@ -823,21 +823,21 @@ def _check_op_schedules(
         orders = sampled_extensions(deps, n_schedules or 32, rng)
     finals: Dict[str, Tuple[int, ...]] = {}
     # the observation after each delivery of the previous order
-    seen: List[Observation] = []
+    observed: List[Observation] = []
     previous: Tuple[int, ...] = ()
     for order in orders:
-        del seen[_common_prefix(previous, order) :]
+        del observed[_common_prefix(previous, order) :]
         previous = order
         observer = sim.factory(sim.combo)
         delivered: List[TreeOp] = []
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
             delivered.append(envelopes[i].payload)
-            if pos > len(seen):
-                witness = seen[-1].witness if seen else None
-                seen.append(_observe_step(sim.combo, observer, delivered, witness))
+            if pos > len(observed):
+                witness = observed[-1].witness if observed else None
+                observed.append(_observe_step(sim.combo, observer, delivered, witness))
             where = f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}"
-            report.record(where, seen[pos - 1])
+            report.record(where, observed[pos - 1])
         finals.setdefault(shown(observer, payload=True), order)
         report.schedules += 1
     if len(finals) > 1:
