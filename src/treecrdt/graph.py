@@ -10,8 +10,7 @@ the visible tree is built from it, and how ops are generated and applied.
 an edge tree.  An edge codec (``edges``) decides how an edge is stored for
 the tree's positioning mode.  Its visible tree is set lookup, then a
 connection policy that resolves orphans, then a mapping policy that
-resolves multiple parents.  ``IncrementalTwoPhaseGraph`` is the add-once
-special case that maintains its tree in place.
+resolves multiple parents.
 """
 
 from __future__ import annotations
@@ -362,96 +361,3 @@ class GraphTree(ReplicatedTree):
         if op.verb == ADD:
             self._note_add(op.edge_ops[0].element)
 
-
-class IncrementalTwoPhaseGraph:
-    """Add-once tree that maintains its lookup in place under the skip policy.
-
-    Every node is added at most once, so the live graph is always a forest and
-    the mapping stage is the identity.  Removal messages carry just the node
-    id; each receiver expands the subtree against its own cached tree.  An add
-    touches a constant number of nodes regardless of tree size.
-    """
-
-    repr_name = "graph"
-    kind = "2p"
-    flavor = "op"
-    connect_policy = "skip"
-    map_policy = "shortest"
-    root = ROOT
-
-    def __init__(self):
-        self.added: Set[Any] = set()
-        self.removed: Set[Any] = set()
-        self.parent: Dict[Any, Any] = {}
-        self.history = HistoryGraph()
-        self.history.record_node(self.root)
-        self.cached = LookupTree(root_label=render(self.root))
-        self.last_touched = 0
-
-    def _visible(self, n: Any) -> bool:
-        return n == self.root or (n,) in self.cached.instances
-
-    def lookup(self) -> LookupTree:
-        """The maintained tree; it changes in place as the payload does."""
-        return self.cached
-
-    def batch_lookup(self) -> LookupTree:
-        """Recompute the tree from the raw payload, bypassing the cache."""
-        live = self.added - self.removed
-        infos = [
-            EdgeInfo(src=self.parent[n], dst=n) for n in sorted_elements(live)
-        ]
-        g = connect(live, infos, self.history, "skip", self.root)
-        return map_to_tree(g, "shortest")
-
-    def gen_add(self, n: Any, m: Any, clock: Optional[ReplicaClock] = None) -> TreeOp:
-        if n == self.root:
-            raise PreconditionViolation("the root is always present")
-        if self._visible(n):
-            raise PreconditionViolation(f"{render(n)} is already in the tree")
-        if not self._visible(m):
-            raise PreconditionViolation(f"parent {render(m)} is not in the tree")
-        if n in self.added or n in self.removed:
-            raise PreconditionViolation(f"{render(n)} was already added once")
-        self._apply_add(n, m)
-        return TreeOp(ADD, n, m)
-
-    def gen_rmv(self, n: Any, clock: Optional[ReplicaClock] = None) -> TreeOp:
-        if n == self.root:
-            raise PreconditionViolation("the root is always present")
-        if not self._visible(n):
-            raise PreconditionViolation(f"{render(n)} is not in the tree")
-        self._apply_rmv(n)
-        return TreeOp(RMV, n)
-
-    def apply_remote(self, op: TreeOp) -> None:
-        if op.verb == ADD:
-            self._apply_add(op.node, op.parent)
-        else:
-            self._apply_rmv(op.node)
-
-    def _apply_add(self, n: Any, m: Any) -> None:
-        self.last_touched = 2  # the new node and its parent
-        self.added.add(n)
-        self.parent[n] = m
-        self.history.record_node(n)
-        self.history.record_edge(m, n)
-        if self._visible(m):
-            parent_key = () if m == self.root else (m,)
-            self.cached.add_instance((n,), n, parent_key)
-        # an invisible parent can never come back under add-once + skip, so
-        # the node is recorded and permanently dropped with no further work
-
-    def _apply_rmv(self, n: Any) -> None:
-        self.last_touched = 1
-        self.removed.add(n)
-        if not self._visible(n):
-            return
-        kids = self.cached.children_by_parent()
-        stack = [(n,)]
-        while stack:
-            key = stack.pop()
-            self.last_touched += 1
-            self.removed.add(self.cached.instances[key].node)
-            stack.extend(child.key for child in kids.get(key, ()))
-            self.cached.remove_instance(key)

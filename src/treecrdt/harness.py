@@ -18,7 +18,7 @@ from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
 from .ordered import PositionedNode
 from .paths import WordTree
-from .policies import CONNECT_POLICIES, MAP_POLICIES
+from .policies import CONNECT_POLICIES, MAP_POLICIES, MONOTONE_CONNECT, MONOTONE_MAP
 from .render import Path, render, sort_key
 from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
 
@@ -31,9 +31,6 @@ ADD_ONCE = {
     ("edge", "edge"): "positioned edges are add-once, so 2p",
     ("word", "edge"): "positioned path steps are add-once, so 2p",
 }
-
-MONOTONE_CONNECT = ("skip", "reappear")
-MONOTONE_MAP = ("several", "zero")
 
 
 # --- combos ---
@@ -457,11 +454,10 @@ def random_scenario(
     replicas: int = 3,
     final_sync: bool = True,
     fresh_only: bool = False,
-    factory=None,
 ) -> Scenario:
     """A deterministic mostly-legal script built against a live simulation."""
     rng = random.Random(f"scenario/{combo.label()}/{seed}")
-    sim = Simulation(combo, replicas, seed, factory=factory)
+    sim = Simulation(combo, replicas, seed)
     script: List[Tuple[str, ...]] = []
     fresh = iter(NAME_POOL)
     done = 0

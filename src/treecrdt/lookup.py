@@ -70,9 +70,6 @@ class LookupTree:
             pos=pos,
         )
 
-    def remove_instance(self, key: InstanceKey) -> None:
-        del self.instances[key]
-
     def children(self, key: InstanceKey) -> List[Instance]:
         kids = [inst for inst in self.instances.values() if inst.parent == key]
         return sorted(kids, key=Instance.order_key)

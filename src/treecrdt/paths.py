@@ -5,28 +5,24 @@ label children of different parents.  ``WordTree`` is a
 ``graph.ReplicatedTree`` whose one payload part is the path set; a step
 codec (``ordered``) decides what one path step is for the tree's
 positioning mode.  The visible tree is the live path set repaired into a
-prefix-closed set by a connection policy; for the two monotonic policies
-``IncrementalWordTree`` maintains the repair in place from membership
-deltas instead of recomputing it from scratch.
+prefix-closed set by a connection policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from .clocks import ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
 from .graph import ReplicatedTree, TreeOp
 from .lookup import LookupTree
 from .ordered import STEP_CODECS
-from .policies import CONNECT_POLICIES
+from .policies import CONNECT_POLICIES, MONOTONE_CONNECT
 from .render import Path, render
 from .sets import ADD, RMV, make_set
 
 EPSILON = Path()
-
-INCREMENTAL_PATH_POLICIES = ("skip", "reappear")
 
 
 def parse_path(text: str) -> Path:
@@ -97,21 +93,6 @@ def path_images(
             j = max(dead)
             m = max(k for k in range(j) if k not in dead)
             out[p] = Path(out[Path(p[:m])] + p[j:])
-    return out
-
-
-def connect_paths(
-    paths: Iterable[Path],
-    policy: str,
-    probes: Optional[ProbeCounter] = None,
-) -> Set[Path]:
-    """Repair a live path set into a prefix-closed set under one policy."""
-    images = path_images(paths, policy, probes)
-    out = {img for img in images.values() if img is not None}
-    if policy == "reappear":
-        for p in images:
-            out.update(p.prefixes())
-    out.add(EPSILON)
     return out
 
 
@@ -206,7 +187,7 @@ class WordTree(ReplicatedTree):
 
     def _doomed_paths(self, lt: LookupTree, p: Path) -> List[Path]:
         """The set elements behind every shown path extending p."""
-        if self.connect_policy in INCREMENTAL_PATH_POLICIES:
+        if self.connect_policy in MONOTONE_CONNECT:
             doomed = {Path(key) for key in lt.instances if Path(key).starts_with(p)}
         else:
             images = path_images(self.live_paths(), self.connect_policy)
@@ -223,180 +204,3 @@ class WordTree(ReplicatedTree):
         for sub in op.node_ops:
             self.paths.apply(sub)
 
-
-class IncrementalWordTree(WordTree):
-    """Word tree that repairs its cached lookup from membership deltas.
-
-    Only the monotonic policies can be maintained in place.  Skip drops an
-    orphan until a prefix revives it; reappear keeps recreated ancestors as
-    ghost instances, unmarked when their path is re-added and pruned when
-    their last live descendant goes.  Membership deltas are read off the
-    payload around each change; the cached tree is repaired from just those
-    flipped paths.
-    """
-
-    def __init__(
-        self,
-        kind: str,
-        flavor: str,
-        connect_policy: str = "skip",
-    ):
-        if connect_policy not in INCREMENTAL_PATH_POLICIES:
-            raise IllegalCombo(
-                f"policy {connect_policy!r} moves orphans when ancestors return"
-                " and cannot be maintained in place"
-            )
-        super().__init__(kind, flavor, connect_policy)
-        # add-once payloads under op delivery and skip can send a removal as
-        # its prefix alone, for each receiver to expand
-        self.prefix_rmv = kind == "2p" and flavor == "op" and connect_policy == "skip"
-        self.cached = LookupTree(root_label="/")
-        # live extensions of each prefix, kept for orphan reattachment
-        self.live_ext: Dict[Tuple, Set[Path]] = {}
-
-    def lookup(self) -> LookupTree:
-        """The maintained tree; it changes in place as the payload does."""
-        return self.cached
-
-    def batch_lookup(self) -> LookupTree:
-        """Recompute the tree from the raw payload, bypassing the cache."""
-        return self._build_lookup()
-
-    # --- synchronization ---
-
-    def gen_add(self, atom: str, parent: Any, clock: ReplicaClock) -> TreeOp:
-        return self._mutate(lambda: WordTree.gen_add(self, atom, parent, clock))
-
-    def gen_rmv(self, target: Any, clock: ReplicaClock) -> TreeOp:
-        if not self.prefix_rmv:
-            return self._mutate(lambda: WordTree.gen_rmv(self, target, clock))
-        p = Path(target)
-        if p == EPSILON:
-            raise PreconditionViolation("the root path is always present")
-        if p not in self.cached.instances:
-            raise PreconditionViolation(f"{p.render()} is not in the tree")
-        self._expand_rmv(p, clock)
-        # constant-size payload: each receiver expands the subtree itself
-        return TreeOp(RMV, p)
-
-    def apply_remote(self, op: TreeOp) -> None:
-        if op.verb == RMV and not op.node_ops:
-            self._expand_rmv(Path(op.node), None)
-            return
-        self._mutate(lambda: WordTree.apply_remote(self, op))
-
-    def merge(self, other: "WordTree", clock: Optional[ReplicaClock] = None) -> None:
-        self._mutate(lambda: WordTree.merge(self, other, clock))
-
-    def copy(self) -> "IncrementalWordTree":
-        dup = IncrementalWordTree(self.kind, self.flavor, self.connect_policy)
-        dup.paths = self.paths.copy()
-        for inst in self.cached.instances.values():
-            dup.cached.add_instance(
-                inst.key, inst.node, inst.parent, label=inst.label, ghost=inst.ghost
-            )
-        dup.live_ext = {k: set(v) for k, v in self.live_ext.items()}
-        return dup
-
-    def _expand_rmv(self, p: Path, clock: Optional[ReplicaClock]) -> None:
-        def act():
-            doomed = [q for q in self.live_paths() if q.starts_with(p)]
-            for q in sorted(doomed, key=Path.order_key):
-                self.paths.local_rmv(q, clock)
-
-        self._mutate(act)
-
-    # --- cache repair ---
-
-    def _mutate(self, action):
-        before = self.live_paths()
-        result = action()
-        after = self.live_paths()
-        self._repair(before, after)
-        return result
-
-    def _repair(self, before: Set[Path], after: Set[Path]) -> None:
-        gone = sorted(before - after, key=Path.order_key)
-        came = sorted(after - before, key=Path.order_key)
-        for p in gone:
-            bucket = self.live_ext.get(p[:-1])
-            if bucket:
-                bucket.discard(p)
-                if not bucket:
-                    del self.live_ext[p[:-1]]
-        for p in came:
-            self.live_ext.setdefault(p[:-1], set()).add(p)
-        # grouped once per repair: the removals below only take instances
-        # away, so a listed child is either still cached or gone for good
-        kids = self.cached.children_by_parent() if gone else {}
-        if self.connect_policy == "skip":
-            for p in gone:
-                self._skip_dead(p, kids)
-            for p in came:
-                self._skip_live(p)
-        else:
-            for p in gone:
-                self._reappear_dead(p, kids)
-            for p in came:
-                self._reappear_live(p)
-
-    def _skip_dead(self, p: Path, kids: Dict[Tuple, list]) -> None:
-        if p not in self.cached.instances:
-            return
-        stack = [tuple(p)]
-        while stack:
-            key = stack.pop()
-            stack.extend(child.key for child in kids.get(key, ()))
-            self.cached.remove_instance(key)
-
-    def _skip_live(self, p: Path) -> None:
-        if p in self.cached.instances:
-            return
-        if p[:-1] != () and p[:-1] not in self.cached.instances:
-            return  # orphan: stays dropped until a prefix revives
-        stack = [p]
-        while stack:
-            q = stack.pop()
-            if q in self.cached.instances:
-                continue
-            self.cached.add_instance(q, q, Path(q[:-1]), label=render(q[-1]))
-            stack.extend(self.live_ext.get(tuple(q), ()))
-
-    def _reappear_live(self, p: Path) -> None:
-        inst = self.cached.instances.get(p)
-        if inst is not None:
-            inst.ghost = False
-            return
-        for q in p.prefixes():
-            if q and q not in self.cached.instances:
-                self.cached.add_instance(
-                    q, q, Path(q[:-1]), label=render(q[-1]), ghost=True
-                )
-        self.cached.add_instance(p, p, Path(p[:-1]), label=render(p[-1]))
-
-    def _reappear_dead(self, p: Path, kids: Dict[Tuple, list]) -> None:
-        if self._live_below(tuple(p), kids):
-            self.cached.instances[p].ghost = True
-            return
-        self.cached.remove_instance(p)
-        self._prune_ghosts(tuple(p[:-1]), kids)
-
-    def _live_below(self, key: Tuple, kids: Dict[Tuple, list]) -> bool:
-        stack = [child.key for child in kids.get(key, ())]
-        while stack:
-            inst = self.cached.instances.get(stack.pop())
-            if inst is None:
-                continue  # removed earlier in this repair, with no children
-            if not inst.ghost:
-                return True
-            stack.extend(child.key for child in kids.get(inst.key, ()))
-        return False
-
-    def _prune_ghosts(self, key: Tuple, kids: Dict[Tuple, list]) -> None:
-        # a ghost with no live descendant left has no reason to stay
-        while key != ():
-            inst = self.cached.instances.get(key)
-            if inst is None or not inst.ghost or self._live_below(key, kids):
-                return
-            self.cached.remove_instance(key)
-            key = key[:-1]

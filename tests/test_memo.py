@@ -5,11 +5,11 @@ import random
 import pytest
 
 from treecrdt.clocks import ReplicaClock
-from treecrdt.graph import GraphTree, IncrementalTwoPhaseGraph
+from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, random_scenario
 from treecrdt.lookup import LookupTree
 from treecrdt.ordered import PathStep, PositionedNode, SeqPos
-from treecrdt.paths import IncrementalWordTree, WordTree, parse_path
+from treecrdt.paths import WordTree, parse_path
 from treecrdt.policies import EdgeInfo
 from treecrdt.positions import Upi
 from treecrdt.render import Path, render, sort_key
@@ -92,19 +92,6 @@ def test_every_payload_change_renews_the_lookup():
     assert "b" in tree.lookup().nodes_present()
 
 
-def test_incremental_word_tree_batch_lookup_bypasses_the_memo():
-    clock = ReplicaClock("r1")
-    tree = IncrementalWordTree("2p", "op", "skip")
-    tree.gen_add("a", parse_path("/"), clock)
-    tree.gen_add("b", parse_path("/a"), clock)
-    first = tree.batch_lookup()
-    assert tree.batch_lookup() is not first
-    # prefix removal mutates the payload through the set directly
-    tree.gen_rmv(parse_path("/a"), clock)
-    assert tree.batch_lookup().dump() == "/"
-    assert tree.lookup() == tree.batch_lookup()
-
-
 class LabelledTree(GraphTree):
     """A subclass that post-processes the tree its base class returns."""
 
@@ -149,34 +136,6 @@ def test_dump_does_not_scan_per_node(monkeypatch):
     assert GraphTree.subtree_nodes(lt, "n1") == {"n1"} | {
         f"n{i}" for i in range(5, 50) if i % 5 == 1
     }
-
-
-def test_incremental_subtree_removal_does_not_scan_per_node(monkeypatch):
-    clock = ReplicaClock("r1")
-    graph = IncrementalTwoPhaseGraph()
-    for i in range(1, 64):
-        graph.gen_add(f"n{i}", "root" if i == 1 else f"n{i // 2}", clock)
-    words = [
-        IncrementalWordTree("2p", "op", "skip"),
-        IncrementalWordTree("or", "op", "skip"),
-        IncrementalWordTree("or", "op", "reappear"),
-    ]
-    for tree in words:
-        for parent in ("/", "/a", "/b", "/a/a", "/a/b", "/b/a", "/a/b/a"):
-            for atom in "ab":
-                tree.gen_add(atom, parse_path(parent), clock)
-
-    def refuse(self, key):
-        raise AssertionError("a repair called children()")
-
-    monkeypatch.setattr(LookupTree, "children", refuse)
-    graph.gen_rmv("n2", clock)
-    assert graph.lookup() == graph.batch_lookup()
-    assert len(graph.lookup().instances) == 32
-    for tree in words:
-        tree.gen_rmv(parse_path("/a"), clock)
-        assert tree.lookup() == tree.batch_lookup()
-        assert tree.lookup().dump() == "/\n  b\n    a\n      a\n      b\n    b"
 
 
 def test_dump_handles_trees_deeper_than_the_recursion_limit():

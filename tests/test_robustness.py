@@ -11,7 +11,7 @@ from treecrdt.clocks import DeliveryBuffer, ReplicaClock
 from treecrdt.errors import KindMismatch
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario, shown
-from treecrdt.paths import EPSILON, IncrementalWordTree, WordTree, parse_path
+from treecrdt.paths import EPSILON, WordTree, parse_path
 from treecrdt.positions import Upi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -88,13 +88,6 @@ def test_merge_refuses_a_peer_of_another_combo(mine, theirs):
     assert tree.canonical() == before
 
 
-def test_merge_accepts_the_incremental_twin_of_a_word_tree():
-    tree = IncrementalWordTree("or", "state", "skip")
-    peer = grown(WordTree("or", "state", "skip"), "r2")
-    tree.merge(peer)
-    assert tree.lookup() == peer.lookup()
-
-
 def add_and_remove(tree, clock_id):
     """Add two fresh children of the root, then remove one unless grow-only."""
     clock = ReplicaClock(clock_id)
@@ -137,3 +130,13 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("checking 1 combos seed=42 ops=5\n")
     assert proc.stdout.endswith("checked 1 combos: all pass\n")
+
+
+def test_every_exported_name_resolves():
+    import treecrdt
+
+    assert [n for n in treecrdt.__all__ if not hasattr(treecrdt, n)] == []
+    assert len(set(treecrdt.__all__)) == len(treecrdt.__all__)
+    namespace: dict = {}
+    exec("from treecrdt import *", namespace)
+    assert set(treecrdt.__all__) <= set(namespace)

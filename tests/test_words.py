@@ -1,4 +1,4 @@
-"""Word trees: connection policies on path sets, preconditions, cache repair."""
+"""Word trees: connection policies on path sets, preconditions, the memoized lookup."""
 
 from __future__ import annotations
 
@@ -14,12 +14,11 @@ from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
 from treecrdt.paths import (
     EPSILON,
-    IncrementalWordTree,
     ProbeCounter,
     WordTree,
-    connect_paths,
     is_prefix_closed,
     parse_path,
+    path_images,
 )
 from treecrdt.policies import CONNECT_POLICIES
 from treecrdt.render import Path
@@ -34,6 +33,20 @@ EXAMPLE_LS = {P(""), P("a"), P("ab"), P("ac"), P("abcd"), P("abcde"), P("abcdefg
 
 def fresh_clock(name: str = "r1") -> ReplicaClock:
     return ReplicaClock(name, seed=1)
+
+
+def shown_paths(live, policy):
+    """The prefix-closed path set a word tree holding exactly live shows."""
+    tree = WordTree("g", "state", policy)
+    clock = fresh_clock()
+    for p in sorted(set(live) - {EPSILON}, key=Path.order_key):
+        tree.paths.local_add(p, clock)
+    return set(tree.lookup().instances) | {EPSILON}
+
+
+def assert_memo_fresh(tree):
+    """The memoized lookup equals a build from the current payload."""
+    assert tree.lookup() == tree._build_lookup()
 
 
 # --- connection policies on raw path sets ---
@@ -52,23 +65,23 @@ def fresh_clock(name: str = "r1") -> ReplicaClock:
     ],
 )
 def test_connection_policy_examples(policy, expected):
-    assert connect_paths(EXAMPLE_LS, policy) == expected
+    assert shown_paths(EXAMPLE_LS, policy) == expected
 
 
 @pytest.mark.parametrize("policy", CONNECT_POLICIES)
 def test_empty_set_keeps_only_the_root(policy):
-    assert connect_paths(set(), policy) == {EPSILON}
+    assert shown_paths(set(), policy) == {EPSILON}
 
 
 def test_unknown_policy_rejected():
     with pytest.raises(IllegalCombo):
-        connect_paths({P("a")}, "umbrella")
+        path_images({P("a")}, "umbrella")
 
 
 def test_interleaved_gaps():
     live = {P("a"), P("abc"), P("abcd"), P("abcdef")}
-    assert connect_paths(live, "root") == {P(""), P("a"), P("c"), P("cd"), P("f")}
-    assert connect_paths(live, "compact") == {
+    assert shown_paths(live, "root") == {P(""), P("a"), P("c"), P("cd"), P("f")}
+    assert shown_paths(live, "compact") == {
         P(""),
         P("a"),
         P("ac"),
@@ -79,8 +92,8 @@ def test_interleaved_gaps():
 
 def test_colliding_images_fold_into_one_path():
     live = {P("a"), P("ba")}
-    assert connect_paths(live, "root") == {P(""), P("a")}
-    assert connect_paths(live, "compact") == {P(""), P("a")}
+    assert shown_paths(live, "root") == {P(""), P("a")}
+    assert shown_paths(live, "compact") == {P(""), P("a")}
 
 
 def test_probe_count_is_total_path_length():
@@ -90,7 +103,7 @@ def test_probe_count_is_total_path_length():
     for live, total in ((chain, 78), (bushy, 10)):
         for policy in CONNECT_POLICIES:
             counter = ProbeCounter()
-            connect_paths(live, policy, probes=counter)
+            path_images(live, policy, probes=counter)
             assert counter.probes == total
 
 
@@ -107,10 +120,10 @@ def test_policy_properties(live):
         p for p in base if all(Path(p[:k]) in base for k in range(len(p)))
     }
     closure = {Path(p[:k]) for p in base for k in range(len(p) + 1)}
-    assert connect_paths(live, "skip") == skip_oracle
-    assert connect_paths(live, "reappear") == closure
+    assert shown_paths(live, "skip") == skip_oracle
+    assert shown_paths(live, "reappear") == closure
     for policy in CONNECT_POLICIES:
-        out = connect_paths(live, policy)
+        out = shown_paths(live, policy)
         assert is_prefix_closed(out)
         assert skip_oracle <= out
 
@@ -342,36 +355,30 @@ def test_two_phase_word_tracks_graph_on_isomorphic_script():
     assert len(set(words.dumps().values())) == 1
 
 
-# --- incremental maintenance ---
-
-
-def test_incremental_rejects_moving_policies():
-    for policy in ("root", "compact"):
-        with pytest.raises(IllegalCombo):
-            IncrementalWordTree("or", "op", policy)
+# --- the memoized lookup under the monotone policies ---
 
 
 def test_skip_cache_drops_orphan_and_revives_it():
-    r1 = IncrementalWordTree("or", "op")
-    r2 = IncrementalWordTree("or", "op")
+    r1 = WordTree("or", "op")
+    r2 = WordTree("or", "op")
     c1, c2 = fresh_clock("r1"), fresh_clock("r2")
     op_a = r1.gen_add("a", EPSILON, c1)
     op_ab = r1.gen_add("b", P("a"), c1)
     r2.apply_remote(op_a)
     rmv_a = r2.gen_rmv(P("a"), c2)  # concurrent with the add of /a/b
     r2.apply_remote(op_ab)
-    assert r2.lookup().dump() == "/"  # orphan add leaves the cache alone
-    assert r2.lookup() == r2.batch_lookup()
+    assert r2.lookup().dump() == "/"  # the orphan add shows nothing
+    assert_memo_fresh(r2)
     r1.apply_remote(rmv_a)
     op_back = r1.gen_add("a", EPSILON, c1)  # fresh tag revives the prefix
     r2.apply_remote(op_back)
     assert r2.lookup().dump() == "/\n  a\n    b"
-    assert r2.lookup() == r2.batch_lookup()
+    assert_memo_fresh(r2)
 
 
 def test_reappear_cache_marks_unmarks_and_prunes_ghosts():
-    r1 = IncrementalWordTree("or", "op", "reappear")
-    r2 = IncrementalWordTree("or", "op", "reappear")
+    r1 = WordTree("or", "op", "reappear")
+    r2 = WordTree("or", "op", "reappear")
     c1, c2 = fresh_clock("r1"), fresh_clock("r2")
     ops = [
         r1.gen_add("a", EPSILON, c1),
@@ -386,40 +393,16 @@ def test_reappear_cache_marks_unmarks_and_prunes_ghosts():
     r1.apply_remote(add_abcd)
     for tree in (r1, r2):
         assert tree.lookup().dump() == "/\n  a\n    b ~\n      c ~\n        d"
-        assert tree.lookup() == tree.batch_lookup()
+        assert_memo_fresh(tree)
     back = r1.gen_add("b", P("a"), c1)  # /a/b is only a ghost, so it may regrow
     r2.apply_remote(back)
     assert r2.lookup().dump() == "/\n  a\n    b\n      c ~\n        d"
-    assert r2.lookup() == r2.batch_lookup()
+    assert_memo_fresh(r2)
     gone = r2.gen_rmv(P("ab"), c2)
     r1.apply_remote(gone)
     for tree in (r1, r2):
-        assert tree.lookup().dump() == "/\n  a"  # ghost chain garbage-collected
-        assert tree.lookup() == tree.batch_lookup()
-
-
-def test_prefix_only_removal_diverges_in_payload_not_in_lookup():
-    trees = {r: IncrementalWordTree("2p", "op") for r in REPLICAS}
-    clocks = {r: fresh_clock(r) for r in REPLICAS}
-    op_a = trees["r1"].gen_add("a", EPSILON, clocks["r1"])
-    op_ab = trees["r1"].gen_add("b", P("a"), clocks["r1"])
-    for r in ("r2", "r3"):
-        trees[r].apply_remote(op_a)
-        trees[r].apply_remote(op_ab)
-    rmv_a = trees["r1"].gen_rmv(P("a"), clocks["r1"])
-    assert rmv_a.node_ops == ()  # constant-size payload
-    add_abc = trees["r2"].gen_add("c", P("ab"), clocks["r2"])
-    trees["r2"].apply_remote(rmv_a)
-    trees["r3"].apply_remote(rmv_a)
-    trees["r1"].apply_remote(add_abc)
-    trees["r3"].apply_remote(add_abc)
-    dumps = {t.lookup().dump() for t in trees.values()}
-    assert dumps == {"/"}
-    for tree in trees.values():
-        assert tree.lookup() == tree.batch_lookup()
-    # r2 expanded the removal over the concurrent add, the others did not
-    assert trees["r1"].canonical() == trees["r3"].canonical()
-    assert trees["r1"].canonical() != trees["r2"].canonical()
+        assert tree.lookup().dump() == "/\n  a"  # no ghost outlives its live descendants
+        assert_memo_fresh(tree)
 
 
 @pytest.mark.parametrize("policy", ("skip", "reappear"))
@@ -427,13 +410,13 @@ def test_prefix_only_removal_diverges_in_payload_not_in_lookup():
 def test_incremental_matches_batch_stepwise(kind, policy):
     for flavor in FLAVORS:
         rng = random.Random(f"incr-{kind}-{policy}-{flavor}")
-        trees = {r: IncrementalWordTree(kind, flavor, policy) for r in REPLICAS}
+        trees = {r: WordTree(kind, flavor, policy) for r in REPLICAS}
         clocks = {r: ReplicaClock(r, seed=5) for r in REPLICAS}
         log = []
         applied = {r: 0 for r in REPLICAS}
 
         def check(r):
-            assert trees[r].lookup() == trees[r].batch_lookup()
+            assert_memo_fresh(trees[r])
 
         def drain(r):
             for origin, op in log[applied[r]:]:
