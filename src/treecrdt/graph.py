@@ -141,7 +141,7 @@ class ReplicatedTree:
         payload state, post-processing included, and handed to every caller
         until the payload changes, so callers must not mutate it.
         """
-        if type(self).lookup is not ReplicatedTree.lookup:
+        if not lookup_follows_state(self):
             # an override that post-processes super().lookup() mutates what
             # it gets, so it gets a tree of its own
             return self._build_lookup()
@@ -180,6 +180,10 @@ class ReplicatedTree:
         stamps = [s for s in stamps if s is not None]
         return max(stamps) if stamps else None
 
+    def state(self) -> Tuple[Any, ...]:
+        """A hashable, exact copy of every payload part, in ``PAYLOADS`` order."""
+        return tuple(part.state() for _, part in self._parts(self.PAYLOADS))
+
     def copy(self) -> "ReplicatedTree":
         """An independent replica with the same payload and an empty memo."""
         dup = shallow_copy(self)
@@ -201,6 +205,16 @@ class ReplicatedTree:
         for name, part in self._parts(self.SETS):
             lines += [f"{name} " + ln for ln in part.canonical().splitlines()]
         return "\n".join(lines)
+
+
+def lookup_follows_state(tree: ReplicatedTree) -> bool:
+    """True when the tree's visible tree is a function of ``tree.state()``.
+
+    The base lookup builds it from the payload parts alone.  An override
+    may post-process it with anything else the tree keeps, so its trees
+    are neither memoized nor compared by state.
+    """
+    return type(tree).lookup is ReplicatedTree.lookup
 
 
 class GraphTree(ReplicatedTree):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from .clocks import DeliveryBuffer, Envelope, ReplicaClock
@@ -14,12 +16,12 @@ from .errors import (
     ScenarioError,
     SeveralBlowup,
 )
-from .graph import GraphTree, TreeOp
+from .graph import GraphTree, TreeOp, lookup_follows_state
 from .lookup import LookupTree
 from .ordered import PositionedNode
 from .paths import WordTree
 from .policies import CONNECT_POLICIES, MAP_POLICIES, MONOTONE_CONNECT, MONOTONE_MAP
-from .render import Path, render, sort_key
+from .render import Path, render, sort_key, sorted_elements
 from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
 
 REPRS = ("graph", "edge", "word")
@@ -571,7 +573,11 @@ def _set_histories(combo: ComboSpec, ops: Iterable[TreeOp]) -> Dict[str, List[Se
 
 
 def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[str]:
-    """Compare each payload set's lookup with the independent membership rule."""
+    """Compare each payload set's lookup with the independent membership rule.
+
+    Elements are reported in element order, so the result depends on which
+    ops were delivered, not on the order they were delivered in.
+    """
     problems = []
     for name, history in _set_histories(combo, ops).items():
         payload = getattr(tree, name)
@@ -579,8 +585,8 @@ def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[st
         by_element: Dict[Any, List[SetOp]] = {}
         for op in history:
             by_element.setdefault(op.element, []).append(op)
-        for e, mine in by_element.items():
-            expect = oracle_membership(combo.kind, mine, e)
+        for e in sorted_elements(by_element):
+            expect = oracle_membership(combo.kind, by_element[e], e)
             if (e in shown) != expect:
                 problems.append(
                     f"{name} set disagrees on {render(e)}:"
@@ -713,28 +719,76 @@ class Observation(NamedTuple):
     witness: Optional[Dict]
 
 
-def _observe_step(
-    combo: ComboSpec,
-    tree: Any,
-    delivered: List[TreeOp],
-    prev_witness: Optional[Dict],
-) -> Observation:
-    """Validity, oracle, and move checks after one delivery."""
+# what the checks find in one state, whatever came before it: the validity
+# and oracle findings, and the witness (None when the lookup blew up)
+StateFindings = Tuple[List[Tuple[str, str]], Optional[Dict]]
+
+# per scenario: (tree.state(), delivered vector) -> StateFindings
+ObservationCache = Dict[Tuple[Any, Tuple[int, ...]], StateFindings]
+
+
+def _check_state(combo: ComboSpec, tree: Any, delivered: List[TreeOp]) -> StateFindings:
+    """Validity and oracle findings of the tree's state, and its witness."""
     try:
         lt = tree.lookup()
     except SeveralBlowup as exc:
-        return Observation([("validity_violations", str(exc))], 0, prev_witness)
+        return [("validity_violations", str(exc))], None
     findings = []
     problem = tree_validity(lt)
     if problem is not None:
         findings.append(("validity_violations", problem))
     for msg in oracle_mismatches(combo, tree, delivered):
         findings.append(("oracle_mismatches", msg))
-    witness = witness_map(combo, lt)
+    return findings, witness_map(combo, lt)
+
+
+def _observe_step(
+    combo: ComboSpec,
+    tree: Any,
+    vector: Tuple[int, ...],
+    delivered: Callable[[], List[TreeOp]],
+    prev_witness: Optional[Dict],
+    cache: Optional[ObservationCache],
+) -> Observation:
+    """Validity, oracle, and move checks after one delivery.
+
+    vector counts the delivered ops made by each replica, in ``sim.rids`` order,
+    and ``delivered()`` lists those ops.  The validity text (or the
+    ``SeveralBlowup``), the oracle findings and the witness depend only on
+    the payload state and on which ops were delivered, so they are kept in
+    the scenario's cache under the key (``tree.state()``, vector); on a hit
+    neither the lookup nor the op list is built.  The key is the exact
+    payload, never the delivered set alone, so two replicas that know the
+    same ops but hold different payloads are both checked.  Moves depend on
+    the previous witness and are computed on every call.  The caller passes
+    no cache (None) when the tree overrides ``lookup``: its visible tree
+    need not be a function of its payload state.
+    """
+    if cache is None:
+        findings, witness = _check_state(combo, tree, delivered())
+    else:
+        key = (tree.state(), vector)
+        seen = cache.get(key)
+        if seen is None:
+            seen = cache[key] = _check_state(combo, tree, delivered())
+        findings, witness = seen
+    if witness is None:
+        return Observation(findings, 0, prev_witness)
     moves = [] if prev_witness is None else witness_moves(prev_witness, witness)
     if combo.is_monotone():
-        findings += [("monotonic_violations", msg) for msg in moves]
+        findings = findings + [("monotonic_violations", msg) for msg in moves]
     return Observation(findings, len(moves), witness)
+
+
+def _final_text(tree: Any, texts: Optional[Dict[Any, str]]) -> str:
+    """``shown(tree, payload=True)``, computed once per payload state in texts."""
+    if texts is None:
+        return shown(tree, payload=True)
+    key = tree.state()
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = shown(tree, payload=True)
+    return text
 
 
 def check_convergence(
@@ -778,20 +832,23 @@ def _check_one(
     factory: Optional[Callable[[ComboSpec], Any]],
 ) -> None:
     sim = Simulation(combo, scn.replicas, scn.seed, factory)
+    cache = {} if lookup_follows_state(sim.replicas[sim.rids[0]].tree) else None
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
     for step, action in enumerate(scn.script, start=1):
         if sim.apply(action) is not None:
             continue
         for rid in sim.rids if action[0] == "sync" else [action[0]]:
+            rep = sim.replicas[rid]
+            vector = tuple(map(rep.clock.delivered.get, sim.rids))
             seen = _observe_step(
-                combo, sim.replicas[rid].tree, sim.known_ops(rid), witnesses[rid]
+                combo, rep.tree, vector, partial(sim.known_ops, rid), witnesses[rid], cache
             )
             report.record(f"{combo.label()} seed={scn.seed} step={step} replica={rid}", seen)
             witnesses[rid] = seen.witness
     if combo.flavor == "op":
-        _check_op_schedules(scn, sim, n_schedules, report)
+        _check_op_schedules(scn, sim, n_schedules, report, cache)
     else:
-        _check_state_schedules(scn, sim, report)
+        _check_state_schedules(scn, sim, report, cache)
 
 
 def _check_op_schedules(
@@ -799,6 +856,7 @@ def _check_op_schedules(
     sim: Simulation,
     n_schedules: Optional[int],
     report: ConvergenceReport,
+    cache: Optional[ObservationCache],
 ) -> None:
     """Replay every delivery order, or a sample, on a fresh observer each.
 
@@ -809,6 +867,14 @@ def _check_op_schedules(
     deliveries beyond that prefix are observed; the shared ones reuse the
     stored observations under this order's own location.  Each order is
     still replayed in full, so the check never relies on ``copy()``.
+
+    A delivery past the shared prefix is looked up in the scenario's cache
+    (see ``_observe_step``) under the key (``observer.state()``, the
+    per-replica counts of the prefix's ops), so a state another prefix or
+    a replica already reached is not checked again; the op list is built
+    only on a miss.  Each order's final payload text is likewise computed
+    once per distinct ``state()``.  With no cache (a tree that overrides
+    ``lookup``) every new delivery is checked and every final text built.
     """
     envelopes = sim.envelopes
     deps = causal_deps(envelopes)
@@ -817,6 +883,8 @@ def _check_op_schedules(
     else:
         rng = random.Random(f"schedules/{sim.combo.label()}/{scn.seed}")
         orders = sampled_extensions(deps, n_schedules or 32, rng)
+    slot = {rid: k for k, rid in enumerate(sim.rids)}
+    texts: Optional[Dict[Any, str]] = None if cache is None else {}
     finals: Dict[str, Tuple[int, ...]] = {}
     # the observation after each delivery of the previous order
     observed: List[Observation] = []
@@ -825,16 +893,25 @@ def _check_op_schedules(
         del observed[_common_prefix(previous, order) :]
         previous = order
         observer = sim.factory(sim.combo)
-        delivered: List[TreeOp] = []
+        counts = [0] * len(sim.rids)
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
-            delivered.append(envelopes[i].payload)
+            counts[slot[envelopes[i].origin]] += 1
             if pos > len(observed):
                 witness = observed[-1].witness if observed else None
-                observed.append(_observe_step(sim.combo, observer, delivered, witness))
+                observed.append(
+                    _observe_step(
+                        sim.combo,
+                        observer,
+                        tuple(counts),
+                        lambda: [envelopes[j].payload for j in order[:pos]],
+                        witness,
+                        cache,
+                    )
+                )
             where = f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}"
             report.record(where, observed[pos - 1])
-        finals.setdefault(shown(observer, payload=True), order)
+        finals.setdefault(_final_text(observer, texts), order)
         report.schedules += 1
     if len(finals) > 1:
         report.divergences.append(_disagreement(scn, "schedules", finals))
@@ -865,8 +942,16 @@ def _check_state_schedules(
     scn: Scenario,
     sim: Simulation,
     report: ConvergenceReport,
+    cache: Optional[ObservationCache],
 ) -> None:
-    ops = [op for _, op in sim.local_ops]
+    """Merge the replicas in every order, starting from a copy of the first.
+
+    Every fold holds every local op.  Its observation and its final payload
+    text are looked up by ``state()`` as in ``_check_op_schedules``.
+    """
+    made = Counter(origin for origin, _ in sim.local_ops)
+    vector = tuple(made[rid] for rid in sim.rids)
+    texts: Optional[Dict[Any, str]] = None if cache is None else {}
     finals: Dict[str, Tuple[str, ...]] = {}
     for perm in itertools.permutations(sim.rids):
         acc = sim.replicas[perm[0]].tree.copy()
@@ -874,10 +959,13 @@ def _check_state_schedules(
         for rid in perm[1:]:
             acc.merge(sim.replicas[rid].tree, clock)
         acc.merge(sim.replicas[perm[0]].tree, clock)
-        finals.setdefault(shown(acc, payload=True), perm)
+        finals.setdefault(_final_text(acc, texts), perm)
         report.schedules += 1
         where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"
-        report.record(where, _observe_step(sim.combo, acc, ops, None))
+        seen = _observe_step(
+            sim.combo, acc, vector, lambda: [op for _, op in sim.local_ops], None, cache
+        )
+        report.record(where, seen)
     if len(finals) > 1:
         report.divergences.append(_disagreement(scn, "folds", finals))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .errors import SeveralBlowup
 from .lookup import LookupTree, next_version
@@ -67,6 +67,10 @@ class HistoryGraph:
 
     def copy(self) -> "HistoryGraph":
         return HistoryGraph(set(self.nodes), set(self.edges))
+
+    def state(self) -> Tuple[FrozenSet[Any], FrozenSet[Tuple]]:
+        """A hashable, exact copy of the recorded nodes and edges."""
+        return (frozenset(self.nodes), frozenset(self.edges))
 
     def parents_map(self) -> Dict[Any, Set[Any]]:
         out: Dict[Any, Set[Any]] = {}

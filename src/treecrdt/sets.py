@@ -95,6 +95,10 @@ class SetCrdt:
     def copy(self) -> "SetCrdt":
         raise NotImplementedError
 
+    def state(self) -> Any:
+        """A hashable, exact copy of the payload: equal exactly when the payloads are."""
+        raise NotImplementedError
+
     def max_stamp(self) -> Optional[LamportStamp]:
         """Largest timestamp stored in the payload, if the kind keeps any."""
         return None
@@ -160,6 +164,9 @@ class GSet(SetCrdt):
         dup.elements = set(self.elements)
         return dup
 
+    def state(self) -> Any:
+        return frozenset(self.elements)
+
     def _canonical_lines(self) -> list:
         return [f"elem {render(e)}" for e in sorted_elements(self.elements)]
 
@@ -215,6 +222,9 @@ class TwoPhaseSet(SetCrdt):
         dup.removed = set(self.removed)
         return dup
 
+    def state(self) -> Any:
+        return (frozenset(self.added), frozenset(self.removed))
+
     def _canonical_lines(self) -> list:
         lines = []
         for e in sorted_elements(self.added | self.removed):
@@ -266,6 +276,9 @@ class LwwSet(SetCrdt):
         dup = LwwSet(self.flavor)
         dup.entries = dict(self.entries)
         return dup
+
+    def state(self) -> Any:
+        return frozenset(self.entries.items())
 
     def max_stamp(self) -> Optional[LamportStamp]:
         stamps = [stamp for stamp, _ in self.entries.values()]
@@ -360,6 +373,11 @@ class CounterSet(SetCrdt):
         else:
             dup.counts = dict(self.counts)
         return dup
+
+    def state(self) -> Any:
+        if self.flavor == "state":
+            return (_frozen_buckets(self.pos), _frozen_buckets(self.neg))
+        return frozenset(self.counts.items())
 
     def _canonical_lines(self) -> list:
         lines = []
@@ -459,6 +477,10 @@ class ObservedRemoveSet(SetCrdt):
             dup.removed = {e: set(t) for e, t in self.removed.items()}
         return dup
 
+    def state(self) -> Any:
+        removed = _frozen_buckets(self.removed) if self.flavor == "state" else None
+        return (_frozen_buckets(self.tags), frozenset(self.stamps.items()), removed)
+
     def max_stamp(self) -> Optional[LamportStamp]:
         return max(self.stamps.values()) if self.stamps else None
 
@@ -475,6 +497,11 @@ class ObservedRemoveSet(SetCrdt):
         for tag in sorted(self.stamps, key=lambda t: (t.origin, t.seq)):
             lines.append(f"tag {tag.render()} stamp={self.stamps[tag].render()}")
         return lines
+
+
+def _frozen_buckets(buckets: Dict[Any, Set[Tag]]) -> FrozenSet:
+    """A hashable copy of an element-to-tags map, empty buckets included."""
+    return frozenset((e, frozenset(tags)) for e, tags in buckets.items())
 
 
 _CLASSES = {

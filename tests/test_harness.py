@@ -459,12 +459,30 @@ class ArrivalOrderTree(GraphTree):
         return lt
 
 
-def test_schedule_observers_build_each_delivery_prefix_once(monkeypatch):
+def _replayed(sim, order):
+    """A fresh tree that has applied sim's envelopes in order."""
+    tree = make_tree(sim.combo)
+    for i in order:
+        tree.apply_remote(sim.envelopes[i].payload)
+    return tree
+
+
+def test_schedule_observers_build_each_distinct_state_once(monkeypatch):
     combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
     scn = random_scenario(combo, seed=42)
     sim = Simulation(combo, scn.replicas, scn.seed)
     sim.run(scn.script)
     replicas = {id(rep.tree) for rep in sim.replicas.values()}
+    orders = linear_extensions(causal_deps(sim.envelopes))
+    prefixes = {order[:k] for order in orders for k in range(1, len(order) + 1)}
+    # what a prefix's observation depends on: its payload and which ops it holds
+    states = {
+        (
+            _replayed(sim, prefix).state(),
+            tuple(sum(sim.envelopes[i].origin == rid for i in prefix) for rid in sim.rids),
+        )
+        for prefix in prefixes
+    }
     builds = []
     build = GraphTree._build_lookup
 
@@ -474,14 +492,14 @@ def test_schedule_observers_build_each_delivery_prefix_once(monkeypatch):
         return build(tree)
 
     monkeypatch.setattr(GraphTree, "_build_lookup", counted)
-    orders = linear_extensions(causal_deps(sim.envelopes))
-    prefixes = {order[:k] for order in orders for k in range(1, len(order) + 1)}
     report = ConvergenceReport(combo=combo)
-    _check_op_schedules(scn, sim, None, report)
+    _check_op_schedules(scn, sim, None, report, {})
     assert report.schedules == len(orders)
-    # the orders share prefixes, so observing every delivery would build more
+    # the orders share prefixes, and prefixes share states, so observing
+    # every delivery, or every prefix, would build more
     assert len(prefixes) < len(orders) * len(sim.envelopes)
-    assert len(builds) == len(prefixes)
+    assert len(states) < len(prefixes)
+    assert len(builds) == len(states)
 
 
 def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):
@@ -499,8 +517,15 @@ def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):
     report = ConvergenceReport(combo=combo)
     _check_one(combo, scn, None, report, None)
     assert report.passed
-    # only the final trees are compared: one per delivery order and replica
-    assert len(dumps) == report.schedules + scn.replicas
+    # only the final trees are compared: once per distinct final state of
+    # the delivery orders, and once per replica
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    for action in scn.script:
+        sim.apply(action)
+    orders = linear_extensions(causal_deps(sim.envelopes))
+    finals = {_replayed(sim, order).state() for order in orders}
+    assert len(finals) < report.schedules
+    assert len(dumps) == len(finals) + scn.replicas
 
 
 def test_planted_order_dependence_is_caught_and_minimized():
@@ -516,6 +541,17 @@ def test_planted_order_dependence_is_caught_and_minimized():
     assert "disagree" in counterexample
     # the planted bug needs two concurrent adds, nothing more
     assert counterexample.count(" add ") <= 3
+
+
+def test_an_overridden_lookup_is_observed_without_the_state_cache():
+    # the planted tree's labels come from its arrival order, not its payload,
+    # so schedule observers with equal state() still show different trees
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    for seed in (42, 43, 44, 45):
+        report = ConvergenceReport(combo=combo)
+        _check_one(combo, random_scenario(combo, seed), None, report, lambda c: ArrivalOrderTree())
+        assert report.divergences
+        assert report.divergences[0].startswith(f"seed={seed}: schedules ("), seed
 
 
 def test_full_matrix_sample_across_pi_modes():

@@ -119,6 +119,23 @@ def test_copy_is_independent_in_both_directions(combo):
     assert shown(dup, payload=True) == before
 
 
+@pytest.mark.parametrize("combo", legal_combos(), ids=lambda c: c.label())
+def test_state_is_an_exact_hashable_copy_of_the_payload(combo):
+    scn = random_scenario(combo, seed=42)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    texts = {}
+    for action in scn.script:
+        sim.apply(action)
+        for rep in sim.replicas.values():
+            state = rep.tree.state()
+            assert rep.tree.copy().state() == state
+            # the checker dumps one tree per distinct state: equal states show alike
+            text = shown(rep.tree, payload=True)
+            assert texts.setdefault(state, text) == text
+    if combo.flavor == "op":
+        assert len({rep.tree.state() for rep in sim.replicas.values()}) == 1
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
