@@ -56,7 +56,7 @@ class UpiEdges(UpiPositions, PlainEdges):
         return e
 
     def used_positions(self, tree: Any) -> Iterable[Upi]:
-        return (pos for _, _, pos in tree.history.edges)
+        return (pos for _, _, pos in map(self.decode, tree.edges.ever()))
 
 
 class NodePositions(UpiPositions, PlainEdges):
@@ -66,7 +66,7 @@ class NodePositions(UpiPositions, PlainEdges):
         return PositionedNode(n, pos)
 
     def used_positions(self, tree: Any) -> Iterable[Upi]:
-        return (v.upi for v in tree.history.nodes if isinstance(v, PositionedNode))
+        return (node.upi for _, node, _ in map(self.decode, tree.edges.ever()))
 
     def sibling_positions(self, tree: Any, m: Any) -> List[Upi]:
         """Positions of m's children in the visible tree."""

@@ -1,16 +1,18 @@
 """The shared tree surface and the graph engine.
 
 ``ReplicatedTree`` is what every tree CRDT here has in common: one or more
-replicated payload parts (set CRDTs, and for graphs a history), a lookup
-memoized per payload state, merge, copy, the canonical payload text, and
-insertion at a sibling index.  An engine supplies only its payload, how
-the visible tree is built from it, and how ops are generated and applied.
+set CRDTs as its payload, a lookup memoized per payload state, merge, copy,
+the canonical payload text, and insertion at a sibling index.  An engine
+supplies only its sets, how the visible tree is built from them, and how
+ops are generated and applied.
 
 ``GraphTree`` is the engine over an edge set, plus a node set unless it is
 an edge tree.  An edge codec (``edges``) decides how an edge is stored for
 the tree's positioning mode.  Its visible tree is set lookup, then a
 connection policy that resolves orphans, then a mapping policy that
-resolves multiple parents.
+resolves multiple parents.  The policies that revive or rewire orphans
+read the history from the edge set itself: ``ever()`` keeps every edge
+ever added.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .policies import (
     DEFAULT_SEVERAL_CAP,
     MAP_POLICIES,
     EdgeInfo,
-    HistoryGraph,
     connect,
     map_to_tree,
 )
@@ -102,17 +103,14 @@ class TreeOp:
 
 
 class ReplicatedTree:
-    """One tree CRDT: replicated payload parts, a lookup, and their sync.
+    """One tree CRDT: replicated set CRDTs, a lookup, and their sync.
 
-    An engine names its payload parts in ``PAYLOADS`` (merged and copied)
-    and the set CRDTs among them in ``SETS`` (stamped and printed), takes
-    its codec for a positioning mode from ``CODECS``, and supplies
-    ``_payload_version()``, which changes whenever any part does, and
-    ``_build_lookup()``, the uncached builder of its visible tree.
+    An engine names its sets in ``SETS`` (merged, copied, stamped and
+    printed), takes its codec for a positioning mode from ``CODECS``, and
+    supplies ``_build_lookup()``, the uncached builder of its visible tree.
     """
 
     CODECS: Dict[Optional[str], Any] = {}
-    PAYLOADS: Tuple[str, ...] = ()
     SETS: Tuple[str, ...] = ()
     map_policy: Optional[str] = None
     _memo_key: Any = None
@@ -130,9 +128,9 @@ class ReplicatedTree:
         self.flavor = flavor
         self.connect_policy = connect_policy
 
-    def _parts(self, names: Tuple[str, ...]) -> list:
-        """(name, part) for each of the named parts this replica holds."""
-        return [(n, part) for n in names if (part := getattr(self, n)) is not None]
+    def _sets(self) -> list:
+        """(name, set) for each of the sets this replica holds."""
+        return [(n, part) for n in self.SETS if (part := getattr(self, n)) is not None]
 
     def lookup(self) -> LookupTree:
         """The visible tree of the current payload.
@@ -145,7 +143,7 @@ class ReplicatedTree:
             # an override that post-processes super().lookup() mutates what
             # it gets, so it gets a tree of its own
             return self._build_lookup()
-        key = self._payload_version()
+        key = tuple(part.version for _, part in self._sets())
         if key != self._memo_key:
             self._memo_tree = self._build_lookup()
             self._memo_key = key
@@ -168,7 +166,7 @@ class ReplicatedTree:
                 raise KindMismatch(
                     f"cannot merge a replica with {name}={theirs} into one with {name}={mine}"
                 )
-        for name, mine in self._parts(self.PAYLOADS):
+        for name, mine in self._sets():
             mine.merge(getattr(other, name))
         if clock is not None:
             stamp = other.max_stamp()
@@ -176,18 +174,18 @@ class ReplicatedTree:
                 clock.observe(stamp)
 
     def max_stamp(self) -> Optional[LamportStamp]:
-        stamps = [part.max_stamp() for _, part in self._parts(self.SETS)]
+        stamps = [part.max_stamp() for _, part in self._sets()]
         stamps = [s for s in stamps if s is not None]
         return max(stamps) if stamps else None
 
     def state(self) -> Tuple[Any, ...]:
-        """A hashable, exact copy of every payload part, in ``PAYLOADS`` order."""
-        return tuple(part.state() for _, part in self._parts(self.PAYLOADS))
+        """A hashable, exact copy of every set, in ``SETS`` order."""
+        return tuple(part.state() for _, part in self._sets())
 
     def copy(self) -> "ReplicatedTree":
         """An independent replica with the same payload and an empty memo."""
         dup = shallow_copy(self)
-        for name, part in self._parts(self.PAYLOADS):
+        for name, part in self._sets():
             setattr(dup, name, part.copy())
         dup._memo_key = dup._memo_tree = None
         return dup
@@ -202,7 +200,7 @@ class ReplicatedTree:
         if self.pi_mode is not None:
             head += f" pi={self.pi_mode}"
         lines = [head]
-        for name, part in self._parts(self.SETS):
+        for name, part in self._sets():
             lines += [f"{name} " + ln for ln in part.canonical().splitlines()]
         return "\n".join(lines)
 
@@ -210,7 +208,7 @@ class ReplicatedTree:
 def lookup_follows_state(tree: ReplicatedTree) -> bool:
     """True when the tree's visible tree is a function of ``tree.state()``.
 
-    The base lookup builds it from the payload parts alone.  An override
+    The base lookup builds it from the sets alone.  An override
     may post-process it with anything else the tree keeps, so its trees
     are neither memoized nor compared by state.
     """
@@ -229,7 +227,6 @@ class GraphTree(ReplicatedTree):
     """
 
     CODECS = EDGE_CODECS
-    PAYLOADS = ("nodes", "edges", "history")
     SETS = ("nodes", "edges")
     root = ROOT
 
@@ -254,8 +251,6 @@ class GraphTree(ReplicatedTree):
         self.several_cap = several_cap
         self.nodes = make_set(kind, flavor) if repr_name == "graph" else None
         self.edges = make_set(kind, flavor)
-        self.history = HistoryGraph()
-        self.history.record_node(self.root)
         # an edge tree has no node set to hold the root
         self._root_rule = (
             "the root is always present"
@@ -265,18 +260,14 @@ class GraphTree(ReplicatedTree):
 
     # --- lookup pipeline ---
 
-    def _payload_version(self) -> Tuple[int, ...]:
-        if self.nodes is None:
-            return (self.edges.version, self.history.version)
-        return (self.nodes.version, self.edges.version, self.history.version)
-
     def _build_lookup(self) -> LookupTree:
         infos = edge_infos(self.edges, self.kind, self.map_policy, self.codec)
         if self.nodes is not None:
             nodes = self.nodes.lookup()
         else:
             nodes = {info.dst for info in infos}
-        g = connect(nodes, infos, self.history, self.connect_policy, self.root)
+        history = map(self.codec.decode, self.edges.ever())
+        g = connect(nodes, infos, history, self.connect_policy, self.root)
         lt = map_to_tree(g, self.map_policy, self.several_cap)
         self.codec.finish(lt)
         return lt
@@ -316,7 +307,6 @@ class GraphTree(ReplicatedTree):
                 )
         node_ops = () if self.nodes is None else (self.nodes.local_add(node, clock),)
         edge_op = self.edges.local_add(edge, clock)
-        self._note_add(edge)
         return TreeOp(ADD, node, m, node_ops, (edge_op,))
 
     def gen_rmv(self, n: Any, clock: ReplicaClock) -> TreeOp:
@@ -359,11 +349,6 @@ class GraphTree(ReplicatedTree):
             stack.extend(child.key for child in kids.get(key, ()))
         return nodes
 
-    def _note_add(self, edge: Any) -> None:
-        src, dst, pos = self.codec.decode(edge)
-        self.history.record_node(dst)
-        self.history.record_edge(src, dst, pos)
-
     # --- synchronization ---
 
     def apply_remote(self, op: TreeOp) -> None:
@@ -372,6 +357,3 @@ class GraphTree(ReplicatedTree):
                 self.nodes.apply(sub)
         for sub in op.edge_ops:
             self.edges.apply(sub)
-        if op.verb == ADD:
-            self._note_add(op.edge_ops[0].element)
-

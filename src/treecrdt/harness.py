@@ -251,6 +251,8 @@ class Simulation:
             for rid in self.rids
         }
         self.envelopes: List[Envelope] = []
+        # each origin's envelopes, in the order it sent them
+        self.outbox: Dict[str, List[Envelope]] = {rid: [] for rid in self.rids}
         self.local_ops: List[Tuple[str, TreeOp]] = []
         self.handed: Dict[Tuple[str, str], int] = {}
         self.steps = 0
@@ -294,7 +296,9 @@ class Simulation:
         op = self._gen(rep, verb, args)
         self.local_ops.append((rid, op))
         if self.combo.flavor == "op":
-            self.envelopes.append(rep.clock.wrap(op))
+            env = rep.clock.wrap(op)
+            self.envelopes.append(env)
+            self.outbox[rid].append(env)
         else:
             rep.clock.delivered.increment(rid)
 
@@ -330,7 +334,7 @@ class Simulation:
             return
         rep = self.replicas[rid]
         start = self.handed.get((rid, src), 0)
-        outgoing = [e for e in self.envelopes if e.origin == src]
+        outgoing = self.outbox[src]
         for env in outgoing[start:]:
             rep.buffer.add(env)
         self.handed[(rid, src)] = len(outgoing)
@@ -872,8 +876,8 @@ def _check_op_schedules(
     (see ``_observe_step``) under the key (``observer.state()``, the
     per-replica counts of the prefix's ops), so a state another prefix or
     a replica already reached is not checked again; the op list is built
-    only on a miss.  Each order's final payload text is likewise computed
-    once per distinct ``state()``.  With no cache (a tree that overrides
+    only on a miss.  Each order's and each replica's final payload text is
+    likewise computed once per distinct ``state()``.  With no cache (a tree that overrides
     ``lookup``) every new delivery is checked and every final text built.
     """
     envelopes = sim.envelopes
@@ -919,7 +923,7 @@ def _check_op_schedules(
     if finals:
         shape = next(iter(finals))
         for rid, rep in sim.replicas.items():
-            here = shown(rep.tree, payload=True)
+            here = _final_text(rep.tree, texts)
             if here != shape:
                 report.divergences.append(
                     f"seed={scn.seed}: replica {rid} disagrees with schedules:"

@@ -1,31 +1,18 @@
 """The client-visible tree: instances, deterministic dumps, and validation.
 
-``LookupTree`` is what a replica shows its client.  ``next_version`` hands
-out the payload versions under which ``graph.ReplicatedTree`` memoizes one
-lookup tree per payload state.
+``LookupTree`` is what a replica shows its client.  ``graph.ReplicatedTree``
+builds one per payload state, keyed on the versions of its set CRDTs, and
+hands it to every caller until a set changes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .render import render, sort_key
 
 InstanceKey = Tuple  # () is the root; other keys are tuples identifying instances
-
-_VERSIONS = itertools.count(1)
-
-
-def next_version() -> int:
-    """A payload version never handed out before in this process.
-
-    Every replicated payload (set CRDT, history graph) takes a new version
-    when it is built and on each mutation, so equal versions mean the same
-    object in the same state, and a lookup cached under them is current.
-    """
-    return next(_VERSIONS)
 
 
 @dataclass(slots=True)

@@ -180,8 +180,7 @@ class UpiSteps(UpiPositions, PlainSteps):
         return step.upi
 
     def used_positions(self, tree: Any) -> Iterable[Upi]:
-        seen = tree.paths.added | tree.paths.removed
-        return (step.upi for q in seen for step in q)
+        return (step.upi for q in tree.paths.ever() for step in q)
 
     def finish(self, lt: LookupTree) -> None:
         for inst in lt.instances.values():

@@ -104,7 +104,7 @@ class WordTree(ReplicatedTree):
     """
 
     CODECS = STEP_CODECS
-    PAYLOADS = SETS = ("paths",)
+    SETS = ("paths",)
     repr_name = "word"
 
     def __init__(
@@ -123,9 +123,6 @@ class WordTree(ReplicatedTree):
 
     def live_paths(self) -> Set[Path]:
         return {as_path(p) for p in self.paths.lookup()}
-
-    def _payload_version(self) -> int:
-        return self.paths.version
 
     def _build_lookup(self) -> LookupTree:
         live = self.live_paths()

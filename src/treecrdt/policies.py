@@ -3,17 +3,19 @@
 The connection step repairs orphans (nodes whose ancestors were removed) and
 yields a rooted graph; the mapping step collapses remaining multi-parent
 conflicts into a single tree.  Both steps are pure and deterministic, so every
-replica that reaches the same payload derives the same tree.
+replica that reaches the same payload derives the same tree.  The reappear
+and compact policies also read the history: every (src, dst, pos) edge ever
+added, which the caller decodes from the edge set's ``ever()``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import SeveralBlowup
-from .lookup import LookupTree, next_version
+from .lookup import LookupTree
 from .render import cached_on_self, render, sort_key
 
 CONNECT_POLICIES = ("skip", "reappear", "root", "compact")
@@ -39,44 +41,6 @@ class EdgeInfo:
     @cached_on_self
     def identity(self):
         return (sort_key(self.dst), sort_key(self.src), sort_key(self.pos))
-
-
-@dataclass
-class HistoryGraph:
-    """Every node and edge ever observed added, for reconnection policies."""
-
-    nodes: Set[Any] = field(default_factory=set)
-    edges: Set[Tuple] = field(default_factory=set)  # (src, dst, pos)
-    # renewed on every change, like a set CRDT's version
-    version: int = field(default_factory=next_version, compare=False, repr=False)
-
-    def record_edge(self, src: Any, dst: Any, pos: Any = None) -> None:
-        self.version = next_version()
-        self.nodes.add(src)
-        self.nodes.add(dst)
-        self.edges.add((src, dst, pos))
-
-    def record_node(self, node: Any) -> None:
-        self.version = next_version()
-        self.nodes.add(node)
-
-    def merge(self, other: "HistoryGraph") -> None:
-        self.version = next_version()
-        self.nodes |= other.nodes
-        self.edges |= other.edges
-
-    def copy(self) -> "HistoryGraph":
-        return HistoryGraph(set(self.nodes), set(self.edges))
-
-    def state(self) -> Tuple[FrozenSet[Any], FrozenSet[Tuple]]:
-        """A hashable, exact copy of the recorded nodes and edges."""
-        return (frozenset(self.nodes), frozenset(self.edges))
-
-    def parents_map(self) -> Dict[Any, Set[Any]]:
-        out: Dict[Any, Set[Any]] = {}
-        for src, dst, _ in self.edges:
-            out.setdefault(dst, set()).add(src)
-        return out
 
 
 @dataclass
@@ -140,18 +104,17 @@ def _restrict(root: Any, nodes: Set[Any], edges: Iterable[EdgeInfo]) -> RootedGr
 def get_connected(
     start: Any,
     anchored: Set[Any],
-    history: HistoryGraph,
+    parents: Dict[Any, Set[Any]],
     memo: Optional[Dict[Any, Set[Any]]] = None,
 ) -> Set[Any]:
     """Live, root-connected nodes that some history path joins to `start`.
 
-    Walks history parents of dead or orphaned nodes until anchored nodes are
-    hit.  A visiting guard makes history cycles terminate; results within one
-    memo are consistent with each other.
+    Walks the history parents (node -> set of parents) of dead or orphaned
+    nodes until anchored nodes are hit.  A visiting guard makes history cycles
+    terminate; results within one memo are consistent with each other.
     """
     if memo is None:
         memo = {}
-    parents = history.parents_map()
     visiting: Set[Any] = set()
 
     def walk(node: Any) -> Set[Any]:
@@ -174,11 +137,15 @@ def get_connected(
 def connect(
     nodes: Set[Any],
     edges: Iterable[EdgeInfo],
-    history: HistoryGraph,
+    history: Iterable[Tuple],
     policy: str,
     root: Any,
 ) -> RootedGraph:
-    """Apply one orphan-handling policy and return a rooted graph."""
+    """Apply one orphan-handling policy and return a rooted graph.
+
+    history holds every (src, dst, pos) edge ever added; only reappear and
+    compact read it.
+    """
     if policy not in CONNECT_POLICIES:
         raise ValueError(f"unknown connection policy {policy!r}")
     live = set(nodes) | {root}
@@ -202,12 +169,16 @@ def connect(
         ]
         return _restrict(root, live, graph_edges + rewired)
 
+    history = list(history)
+    parents: Dict[Any, Set[Any]] = {}
+    for src, dst, _ in history:
+        parents.setdefault(dst, set()).add(src)
     if policy == "compact":
         memo: Dict[Any, Set[Any]] = {}
         rewired = []
         for e in orphan_edges:
             for anchor in sorted(
-                get_connected(e.src, reach, history, memo), key=sort_key
+                get_connected(e.src, reach, parents, memo), key=sort_key
             ):
                 rewired.append(
                     EdgeInfo(src=anchor, dst=e.dst, weight=e.weight, pos=e.pos)
@@ -218,18 +189,17 @@ def connect(
     # orphan edge's source, then keep the orphan edge itself.
     revived_nodes: Set[Any] = set()
     revived_edges: List[EdgeInfo] = []
-    hist_parents = history.parents_map()
     for e in orphan_edges:
         ancestors = {e.src}
         queue = deque([e.src])
         while queue:
             cur = queue.popleft()
-            for parent in hist_parents.get(cur, ()):
+            for parent in parents.get(cur, ()):
                 if parent not in ancestors:
                     ancestors.add(parent)
                     queue.append(parent)
         revived_nodes |= ancestors
-        for src, dst, pos in history.edges:
+        for src, dst, pos in history:
             if dst in ancestors:
                 revived_edges.append(EdgeInfo(src=src, dst=dst, weight=-1, pos=pos))
     combined = graph_edges + list(orphan_edges) + revived_edges

@@ -7,12 +7,12 @@ payload and returns the op, so one history can drive either flavor.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Optional, Set
 
 from .clocks import LamportStamp, ReplicaClock, Tag
 from .errors import KindMismatch, PreconditionViolation
-from .lookup import next_version
 from .render import render, sorted_elements
 
 KINDS = ("g", "2p", "lww", "c", "or")
@@ -20,6 +20,18 @@ FLAVORS = ("state", "op")
 
 ADD = "add"
 RMV = "rmv"
+
+_VERSIONS = itertools.count(1)
+
+
+def next_version() -> int:
+    """A payload version never handed out before in this process.
+
+    Every set takes a new version when it is built and on each mutation,
+    so equal versions mean the same set in the same state, and a lookup
+    cached under them is current.
+    """
+    return next(_VERSIONS)
 
 
 @dataclass(frozen=True)
@@ -58,6 +70,10 @@ class SetCrdt:
         self.version = next_version()
 
     def lookup(self) -> Set[Any]:
+        raise NotImplementedError
+
+    def ever(self) -> Set[Any]:
+        """Every element the payload has held, removed ones included."""
         raise NotImplementedError
 
     def contains(self, e: Any) -> bool:
@@ -138,6 +154,8 @@ class GSet(SetCrdt):
     def lookup(self) -> Set[Any]:
         return set(self.elements)
 
+    ever = lookup  # nothing is ever removed
+
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
         self._touch()
         self.elements.add(e)
@@ -183,6 +201,9 @@ class TwoPhaseSet(SetCrdt):
 
     def lookup(self) -> Set[Any]:
         return self.added - self.removed
+
+    def ever(self) -> Set[Any]:
+        return set(self.added)
 
     def gen_add(self, e: Any, clock: ReplicaClock) -> SetOp:
         if e in self.added or e in self.removed:
@@ -244,6 +265,9 @@ class LwwSet(SetCrdt):
 
     def lookup(self) -> Set[Any]:
         return {e for e, (_, visible) in self.entries.items() if visible}
+
+    def ever(self) -> Set[Any]:
+        return set(self.entries)
 
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
         self._touch()
@@ -322,11 +346,12 @@ class CounterSet(SetCrdt):
         return self.counts.get(e, 0)
 
     def lookup(self) -> Set[Any]:
+        return {e for e in self.ever() if self.count(e) > 0}
+
+    def ever(self) -> Set[Any]:
         if self.flavor == "state":
-            keys = set(self.pos) | set(self.neg)
-        else:
-            keys = set(self.counts)
-        return {e for e in keys if self.count(e) > 0}
+            return set(self.pos) | set(self.neg)
+        return set(self.counts)
 
     def _shift(self, e: Any, delta: int, clock: ReplicaClock) -> None:
         if self.flavor == "op":
@@ -397,7 +422,9 @@ class ObservedRemoveSet(SetCrdt):
     """Tagged set: each add mints a tag, a remove kills only tags it has seen.
 
     Every tag is paired with a clock reading taken when it was minted, so
-    elements can also be ranked by how recently they were last added.
+    elements can also be ranked by how recently they were last added.  The
+    op flavor drops removed tags but keeps an element's emptied bucket, so
+    ``ever()`` still names it; the canonical text skips empty buckets.
     """
 
     kind = "or"
@@ -424,6 +451,9 @@ class ObservedRemoveSet(SetCrdt):
     def lookup(self) -> Set[Any]:
         return {e for e in self.tags if self.live_tags(e)}
 
+    def ever(self) -> Set[Any]:
+        return set(self.tags)
+
     def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
         self._touch()
         tag = clock.fresh_tag()
@@ -438,12 +468,13 @@ class ObservedRemoveSet(SetCrdt):
         if self.flavor == "state":
             self.removed.setdefault(e, set()).update(observed)
         else:
-            remaining = self.tags.get(e, set()) - observed
-            if remaining:
-                self.tags[e] = remaining
-            else:
-                self.tags.pop(e, None)
+            self._drop_tags(e, observed)
         return SetOp(RMV, e, tags=observed)
+
+    def _drop_tags(self, e: Any, tags: FrozenSet[Tag]) -> None:
+        """Op flavor: forget tags of e, keeping its bucket when one exists."""
+        if e in self.tags:
+            self.tags[e] -= tags
 
     def apply(self, op: SetOp) -> None:
         self._require_flavor("op", "apply")
@@ -453,11 +484,7 @@ class ObservedRemoveSet(SetCrdt):
             if op.stamp is not None:
                 self.stamps[op.tag] = op.stamp
         else:
-            remaining = self.tags.get(op.element, set()) - op.tags
-            if remaining:
-                self.tags[op.element] = remaining
-            else:
-                self.tags.pop(op.element, None)
+            self._drop_tags(op.element, op.tags)
 
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")
@@ -493,7 +520,8 @@ class ObservedRemoveSet(SetCrdt):
                 lines.append(f"elem {render(e)} tags={tags} removed={removed}")
         else:
             for e in sorted_elements(self.tags):
-                lines.append(f"elem {render(e)} tags={render(self.tags[e])}")
+                if self.tags[e]:
+                    lines.append(f"elem {render(e)} tags={render(self.tags[e])}")
         for tag in sorted(self.stamps, key=lambda t: (t.origin, t.seq)):
             lines.append(f"tag {tag.render()} stamp={self.stamps[tag].render()}")
         return lines

@@ -1,11 +1,22 @@
 """Graph-backed tree CRDTs: preconditions, removal payloads, policy behavior."""
 
+import itertools
+import random
+
 import pytest
 from helpers import REPLICAS, TreeGroup
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
-from treecrdt.sets import FLAVORS, KINDS
+from treecrdt.harness import (
+    Simulation,
+    causal_deps,
+    legal_combos,
+    linear_extensions,
+    random_scenario,
+    sampled_extensions,
+)
+from treecrdt.sets import ADD, FLAVORS, KINDS
 
 
 def fresh(kind="or", flavor="op", **kw):
@@ -198,7 +209,8 @@ def test_orphan_survivor_per_connection_policy(flavor, connect_policy, expected)
 def test_history_survives_state_merges():
     group = orphan_group("lww", "state", "reappear")
     for tree in group.trees.values():
-        assert ("m", "z", None) in tree.history.edges
+        # r1 learned the edge under m by merge; the removed edge into m stays
+        assert {("m", "z"), ("root", "m")} <= tree.edges.ever()
 
 
 # --- weighted mapping policies on live metadata ---
@@ -359,3 +371,50 @@ def test_concurrent_adds_under_two_parents_converge_in_both_orders():
             tree.apply_remote(op)
         dumps.add(tree.lookup().dump())
     assert dumps == {"root\n  a\n  x"}
+
+
+# --- the history the reconnection policies read ---
+
+
+def decoded_ever(tree):
+    return set(map(tree.codec.decode, tree.edges.ever()))
+
+
+def decoded_adds(tree, ops):
+    return {tree.codec.decode(op.edge_ops[0].element) for op in ops if op.verb == ADD}
+
+
+@pytest.mark.parametrize(
+    "combo", [c for c in legal_combos() if c.repr_name != "word"], ids=lambda c: c.label()
+)
+def test_edge_set_ever_is_every_edge_added(combo):
+    scn = random_scenario(combo, 42, final_sync=combo.flavor == "op")
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    for action in scn.script:
+        if sim.apply(action) is None:
+            for rid in sim.rids:
+                tree = sim.replicas[rid].tree
+                assert decoded_ever(tree) == decoded_adds(tree, sim.known_ops(rid))
+    if combo.flavor == "state":
+        # the checker's schedules: merge the replicas in every order
+        for perm in itertools.permutations(sim.rids):
+            acc = sim.replicas[perm[0]].tree.copy()
+            known = decoded_adds(acc, sim.known_ops(perm[0]))
+            for rid in perm[1:]:
+                acc.merge(sim.replicas[rid].tree)
+                known |= decoded_adds(acc, sim.known_ops(rid))
+                assert decoded_ever(acc) == known
+        return
+    # the checker's schedules: every delivery order, or the same sample
+    deps = causal_deps(sim.envelopes)
+    if len(sim.envelopes) <= 7:
+        orders = linear_extensions(deps)
+    else:
+        rng = random.Random(f"schedules/{combo.label()}/{scn.seed}")
+        orders = sampled_extensions(deps, 32, rng)
+    for order in orders:
+        observer = sim.factory(combo)
+        for pos, i in enumerate(order, start=1):
+            observer.apply_remote(sim.envelopes[i].payload)
+            delivered = [sim.envelopes[j].payload for j in order[:pos]]
+            assert decoded_ever(observer) == decoded_adds(observer, delivered)

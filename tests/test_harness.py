@@ -517,15 +517,16 @@ def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):
     report = ConvergenceReport(combo=combo)
     _check_one(combo, scn, None, report, None)
     assert report.passed
-    # only the final trees are compared: once per distinct final state of
-    # the delivery orders, and once per replica
+    # only the final trees are compared, once per distinct final state over
+    # the delivery orders and the replicas
     sim = Simulation(combo, scn.replicas, scn.seed)
     for action in scn.script:
         sim.apply(action)
     orders = linear_extensions(causal_deps(sim.envelopes))
     finals = {_replayed(sim, order).state() for order in orders}
     assert len(finals) < report.schedules
-    assert len(dumps) == len(finals) + scn.replicas
+    finals |= {rep.tree.state() for rep in sim.replicas.values()}
+    assert len(dumps) == len(finals)
 
 
 def test_planted_order_dependence_is_caught_and_minimized():

@@ -82,7 +82,7 @@ def test_every_payload_change_renews_the_lookup():
     tree = GraphTree("or", "state", "compact")
     tree.gen_add("a", "root", clock)
     before = tree.lookup()
-    tree.history.record_node("ghost")
+    tree.edges.local_add(("root", "ghost"), clock)
     assert tree.lookup() is not before
     before = tree.lookup()
     peer = tree.copy()

@@ -11,7 +11,6 @@ from treecrdt.policies import (
     CONNECT_POLICIES,
     MAP_POLICIES,
     EdgeInfo,
-    HistoryGraph,
     RootedGraph,
     connect,
     get_connected,
@@ -26,14 +25,20 @@ def E(src, dst, weight=0, pos=None):
 
 
 def history_of(*edges):
-    h = HistoryGraph()
-    for src, dst in edges:
-        h.record_edge(src, dst)
-    return h
+    """The (src, dst, pos) triples of unpositioned edges ever added."""
+    return [(src, dst, None) for src, dst in edges]
+
+
+def parents_of(history):
+    """The node -> parents map that connect builds from a history."""
+    parents = {}
+    for src, dst, _ in history:
+        parents.setdefault(dst, set()).add(src)
+    return parents
 
 
 def rooted(nodes, edges, history=None, policy="skip"):
-    return connect(set(nodes), edges, history or HistoryGraph(), policy, ROOT)
+    return connect(set(nodes), edges, history or [], policy, ROOT)
 
 
 # --- connection policies ---
@@ -116,24 +121,24 @@ def test_compact_skips_dead_middle_ancestors():
 
 def test_get_connected_returns_live_node_itself():
     history = history_of((ROOT, "m"), ("m", "x"))
-    assert get_connected("x", {ROOT, "m", "x"}, history) == {"x"}
+    assert get_connected("x", {ROOT, "m", "x"}, parents_of(history)) == {"x"}
 
 
 def test_get_connected_climbs_through_removed_parent():
     history = history_of((ROOT, "m"), ("m", "x"))
-    assert get_connected("x", {ROOT}, history) == {ROOT}
+    assert get_connected("x", {ROOT}, parents_of(history)) == {ROOT}
 
 
 def test_get_connected_unions_all_live_anchors():
     # x has parents p1 (live) and p2 (dead, child of live q)
     history = history_of((ROOT, "p1"), (ROOT, "q"), ("q", "p2"), ("p1", "x"), ("p2", "x"))
     anchored = {ROOT, "p1", "q"}
-    assert get_connected("x", anchored, history) == {"p1", "q"}
+    assert get_connected("x", anchored, parents_of(history)) == {"p1", "q"}
 
 
 def test_get_connected_survives_history_cycles():
     history = history_of((ROOT, "a"), ("a", "b"), ("b", "a"), ("b", "x"))
-    assert get_connected("x", {ROOT}, history) == {ROOT}
+    assert get_connected("x", {ROOT}, parents_of(history)) == {ROOT}
 
 
 def test_root_policy_keeps_orphan_component_internal_edges():
@@ -262,7 +267,7 @@ def graphs(draw):
         st.lists(st.integers(0, 3), min_size=len(picked), max_size=len(picked))
     )
     edges = [E(s, d, weight=w) for (s, d), w in zip(picked, weights)]
-    return connect(nodes, edges, HistoryGraph(), "skip", ROOT)
+    return connect(nodes, edges, [], "skip", ROOT)
 
 
 @settings(max_examples=150, deadline=None)

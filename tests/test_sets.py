@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import oracle_membership_ops, random_set_script, run_set_history
+from helpers import SetGroup, oracle_membership_ops, random_set_script, run_set_history
 from treecrdt.clocks import LamportStamp, ReplicaClock, Tag
 from treecrdt.errors import KindMismatch, PreconditionViolation
-from treecrdt.sets import ADD, RMV, KINDS, SetOp, make_set
+from treecrdt.sets import ADD, FLAVORS, RMV, KINDS, SetOp, make_set
 
 
 def clock(rid="r1"):
@@ -290,3 +290,51 @@ def test_counter_balance_equals_delta_sum():
     for e in "abc":
         total = sum(op.delta for op in ops if op.element == e)
         assert group.states["r2"].count(e) == total
+
+
+# --- ever: every element the payload has held ---
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_ever_is_the_elements_of_the_delivered_adds(kind, flavor, seed):
+    group = SetGroup(kind, flavor)
+    # the elements of the add ops each replica has made or received
+    added = {r: set() for r in group.states}
+    for step in random_set_script(seed) + [("sync",)]:
+        if step[0] == "sync":
+            group.sync()
+            everything = {op.element for _, op in group.log if op.verb == ADD}
+            added = {r: set(everything) for r in added}
+        else:
+            replica, verb, e = step
+            op = group.local(replica, verb, e)
+            if op is not None and op.verb == ADD:
+                added[replica].add(e)
+        for r, state in group.states.items():
+            assert state.ever() == added[r]
+            assert state.lookup() <= state.ever()
+
+
+def test_op_orset_keeps_an_emptied_element_in_ever_only():
+    c = clock()
+    local, remote = make_set("or", "op"), make_set("or", "op")
+    for op in (local.gen_add("a", c), local.gen_rmv("a", c)):
+        remote.apply(op)
+    for s in (local, remote):
+        assert s.lookup() == set()
+        assert "elem" not in s.canonical()
+        assert s.ever() == {"a"}
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", ["2p", "c", "or"])
+def test_removing_an_element_never_held_leaves_ever_empty(kind, flavor):
+    s = make_set(kind, flavor)
+    s.local_rmv("a", clock())
+    assert s.ever() == set()
+    if (kind, flavor) == ("or", "op"):
+        s.apply(SetOp(RMV, "b", tags=frozenset()))
+        assert s.ever() == set()
