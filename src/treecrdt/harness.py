@@ -6,10 +6,9 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .clocks import DeliveryBuffer, Envelope, ReplicaClock
+from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock
 from .errors import (
     IllegalCombo,
     PreconditionViolation,
@@ -349,14 +348,14 @@ class Simulation:
         rep.tree.merge(peer.tree, rep.clock)
         rep.clock.delivered.merge(peer.clock.delivered)
 
-    def known_ops(self, rid: str) -> List[TreeOp]:
-        """The local ops rid's state reflects, in the order they were made.
+    def known_ops(self, known: VectorClock) -> List[TreeOp]:
+        """The local ops a state with version vector known reflects: the first
+        ``known.get(origin)`` made by each origin, in the order they were made.
 
         In both flavors a replica's knowledge is its version vector
         ``clock.delivered``: delivery and local ops advance it, and a state
         merge joins the peer's into it.
         """
-        known = self.replicas[rid].clock.delivered
         made: Dict[str, int] = {}
         out = []
         for origin, op in self.local_ops:
@@ -687,12 +686,6 @@ class ConvergenceReport:
     monotonic_violations: List[str] = field(default_factory=list)
     parent_moves: int = 0
 
-    def record(self, where: str, seen: "Observation") -> None:
-        """Add one observation's moves and findings, each located by where."""
-        self.parent_moves += seen.moves
-        for name, msg in seen.findings:
-            getattr(self, name).append(f"{where}: {msg}")
-
     @property
     def passed(self) -> bool:
         return not (
@@ -715,23 +708,15 @@ class ConvergenceReport:
         )
 
 
-class Observation(NamedTuple):
-    """What the checks found in one replica state."""
-
-    findings: List[Tuple[str, str]]  # (report field, text)
-    moves: int  # surviving identities that moved since the previous state
-    witness: Optional[Dict]
+# per scenario: (tree.state(), delivered vector) -> what the checks find in
+# that state whatever came before it: the validity and oracle findings as
+# (report field, text) pairs, and the witness (None when the lookup blew up)
+ObservationCache = Dict[Tuple[Any, Tuple[int, ...]], Tuple[List[Tuple[str, str]], Optional[Dict]]]
 
 
-# what the checks find in one state, whatever came before it: the validity
-# and oracle findings, and the witness (None when the lookup blew up)
-StateFindings = Tuple[List[Tuple[str, str]], Optional[Dict]]
-
-# per scenario: (tree.state(), delivered vector) -> StateFindings
-ObservationCache = Dict[Tuple[Any, Tuple[int, ...]], StateFindings]
-
-
-def _check_state(combo: ComboSpec, tree: Any, delivered: List[TreeOp]) -> StateFindings:
+def _check_state(
+    combo: ComboSpec, tree: Any, delivered: List[TreeOp]
+) -> Tuple[List[Tuple[str, str]], Optional[Dict]]:
     """Validity and oracle findings of the tree's state, and its witness."""
     try:
         lt = tree.lookup()
@@ -746,42 +731,50 @@ def _check_state(combo: ComboSpec, tree: Any, delivered: List[TreeOp]) -> StateF
     return findings, witness_map(combo, lt)
 
 
-def _observe_step(
-    combo: ComboSpec,
+def _observe(
+    sim: Simulation,
     tree: Any,
-    vector: Tuple[int, ...],
-    delivered: Callable[[], List[TreeOp]],
+    known: VectorClock,
     prev_witness: Optional[Dict],
     cache: Optional[ObservationCache],
-) -> Observation:
-    """Validity, oracle, and move checks after one delivery.
+    report: ConvergenceReport,
+    where: str,
+) -> Optional[Dict]:
+    """Check one state of a replica, an observer or a fold, add what is found
+    to report under where, and return the witness to compare the next state
+    with.
 
-    vector counts the delivered ops made by each replica, in ``sim.rids`` order,
-    and ``delivered()`` lists those ops.  The validity text (or the
-    ``SeveralBlowup``), the oracle findings and the witness depend only on
-    the payload state and on which ops were delivered, so they are kept in
-    the scenario's cache under the key (``tree.state()``, vector); on a hit
-    neither the lookup nor the op list is built.  The key is the exact
-    payload, never the delivered set alone, so two replicas that know the
-    same ops but hold different payloads are both checked.  Moves depend on
-    the previous witness and are computed on every call.  The caller passes
-    no cache (None) when the tree overrides ``lookup``: its visible tree
-    need not be a function of its payload state.
+    known is the version vector of the ops the tree holds.  The validity
+    text (or the ``SeveralBlowup``), the oracle findings and the witness
+    depend only on the payload state and on which ops were delivered, so
+    they are kept in the scenario's cache under the key (``tree.state()``,
+    known's counts in ``sim.rids`` order); ``sim.known_ops(known)`` lists
+    the delivered ops only on a miss.  The key is the exact payload, never
+    the delivered set alone, so two replicas that know the same ops but
+    hold different payloads are both checked.  Moves depend on prev_witness
+    and are computed on every call; a state whose lookup blew up has no
+    witness, so prev_witness stays the one to compare with.  The caller
+    passes no cache (None) when the tree overrides ``lookup``: its visible
+    tree need not be a function of its payload state.
     """
     if cache is None:
-        findings, witness = _check_state(combo, tree, delivered())
+        findings, witness = _check_state(sim.combo, tree, sim.known_ops(known))
     else:
-        key = (tree.state(), vector)
+        key = (tree.state(), tuple(map(known.get, sim.rids)))
         seen = cache.get(key)
         if seen is None:
-            seen = cache[key] = _check_state(combo, tree, delivered())
+            seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
         findings, witness = seen
+    for name, msg in findings:
+        getattr(report, name).append(f"{where}: {msg}")
     if witness is None:
-        return Observation(findings, 0, prev_witness)
-    moves = [] if prev_witness is None else witness_moves(prev_witness, witness)
-    if combo.is_monotone():
-        findings = findings + [("monotonic_violations", msg) for msg in moves]
-    return Observation(findings, len(moves), witness)
+        return prev_witness
+    if prev_witness is not None:
+        moves = witness_moves(prev_witness, witness)
+        report.parent_moves += len(moves)
+        if sim.combo.is_monotone():
+            report.monotonic_violations += [f"{where}: {msg}" for msg in moves]
+    return witness
 
 
 def _final_text(tree: Any, texts: Optional[Dict[Any, str]]) -> str:
@@ -843,12 +836,10 @@ def _check_one(
             continue
         for rid in sim.rids if action[0] == "sync" else [action[0]]:
             rep = sim.replicas[rid]
-            vector = tuple(map(rep.clock.delivered.get, sim.rids))
-            seen = _observe_step(
-                combo, rep.tree, vector, partial(sim.known_ops, rid), witnesses[rid], cache
+            where = f"{combo.label()} seed={scn.seed} step={step} replica={rid}"
+            witnesses[rid] = _observe(
+                sim, rep.tree, rep.clock.delivered, witnesses[rid], cache, report, where
             )
-            report.record(f"{combo.label()} seed={scn.seed} step={step} replica={rid}", seen)
-            witnesses[rid] = seen.witness
     if combo.flavor == "op":
         _check_op_schedules(scn, sim, n_schedules, report, cache)
     else:
@@ -864,21 +855,15 @@ def _check_op_schedules(
 ) -> None:
     """Replay every delivery order, or a sample, on a fresh observer each.
 
-    What the checks find after a delivery depends only on the order's
-    prefix up to it: the observer is a fresh replica that has applied
-    exactly those ops.  Orders come in lexicographic order, so an order
-    shares its longest common prefix with the one before it, and only the
-    deliveries beyond that prefix are observed; the shared ones reuse the
-    stored observations under this order's own location.  Each order is
-    still replayed in full, so the check never relies on ``copy()``.
-
-    A delivery past the shared prefix is looked up in the scenario's cache
-    (see ``_observe_step``) under the key (``observer.state()``, the
-    per-replica counts of the prefix's ops), so a state another prefix or
-    a replica already reached is not checked again; the op list is built
-    only on a miss.  Each order's and each replica's final payload text is
-    likewise computed once per distinct ``state()``.  With no cache (a tree that overrides
-    ``lookup``) every new delivery is checked and every final text built.
+    Each order is replayed in full on a fresh replica, so the check never
+    relies on ``copy()``, and every delivery is observed (see
+    ``_observe``) under the observer's own version vector.  Orders that
+    share a prefix reach the same states, and a state another order or a
+    replica already reached is a hit in the scenario's cache: each distinct
+    state is checked once, not each delivery or each prefix.  Each order's
+    and each replica's final payload text is likewise computed once per
+    distinct ``state()``.  With no cache (a tree that overrides ``lookup``)
+    every delivery is checked and every final text built.
     """
     envelopes = sim.envelopes
     deps = causal_deps(envelopes)
@@ -887,34 +872,17 @@ def _check_op_schedules(
     else:
         rng = random.Random(f"schedules/{sim.combo.label()}/{scn.seed}")
         orders = sampled_extensions(deps, n_schedules or 32, rng)
-    slot = {rid: k for k, rid in enumerate(sim.rids)}
     texts: Optional[Dict[Any, str]] = None if cache is None else {}
     finals: Dict[str, Tuple[int, ...]] = {}
-    # the observation after each delivery of the previous order
-    observed: List[Observation] = []
-    previous: Tuple[int, ...] = ()
     for order in orders:
-        del observed[_common_prefix(previous, order) :]
-        previous = order
         observer = sim.factory(sim.combo)
-        counts = [0] * len(sim.rids)
+        known = VectorClock()
+        witness = None
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
-            counts[slot[envelopes[i].origin]] += 1
-            if pos > len(observed):
-                witness = observed[-1].witness if observed else None
-                observed.append(
-                    _observe_step(
-                        sim.combo,
-                        observer,
-                        tuple(counts),
-                        lambda: [envelopes[j].payload for j in order[:pos]],
-                        witness,
-                        cache,
-                    )
-                )
+            known.increment(envelopes[i].origin)
             where = f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}"
-            report.record(where, observed[pos - 1])
+            witness = _observe(sim, observer, known, witness, cache, report, where)
         finals.setdefault(_final_text(observer, texts), order)
         report.schedules += 1
     if len(finals) > 1:
@@ -932,16 +900,6 @@ def _check_op_schedules(
                 return
 
 
-def _common_prefix(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    """The length of the longest common prefix of a and b."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 def _check_state_schedules(
     scn: Scenario,
     sim: Simulation,
@@ -950,11 +908,11 @@ def _check_state_schedules(
 ) -> None:
     """Merge the replicas in every order, starting from a copy of the first.
 
-    Every fold holds every local op.  Its observation and its final payload
-    text are looked up by ``state()`` as in ``_check_op_schedules``.
+    Every fold holds every local op, so its version vector is the made
+    counts.  Its observation and its final payload text are looked up by
+    ``state()`` as in ``_check_op_schedules``.
     """
-    made = Counter(origin for origin, _ in sim.local_ops)
-    vector = tuple(made[rid] for rid in sim.rids)
+    made = VectorClock(Counter(origin for origin, _ in sim.local_ops))
     texts: Optional[Dict[Any, str]] = None if cache is None else {}
     finals: Dict[str, Tuple[str, ...]] = {}
     for perm in itertools.permutations(sim.rids):
@@ -966,10 +924,7 @@ def _check_state_schedules(
         finals.setdefault(_final_text(acc, texts), perm)
         report.schedules += 1
         where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"
-        seen = _observe_step(
-            sim.combo, acc, vector, lambda: [op for _, op in sim.local_ops], None, cache
-        )
-        report.record(where, seen)
+        _observe(sim, acc, made, None, cache, report, where)
     if len(finals) > 1:
         report.divergences.append(_disagreement(scn, "folds", finals))
 
@@ -992,25 +947,21 @@ def _shrink(
 ) -> str:
     """Greedy script minimization keeping the first divergence reproducible."""
 
-    def still_fails(candidate: Scenario) -> bool:
+    def divergence(candidate: Scenario) -> Optional[str]:
         probe = ConvergenceReport(combo=combo)
         _check_one(combo, candidate, n_schedules, probe, factory)
-        return bool(probe.divergences)
+        return probe.divergences[0] if probe.divergences else None
 
-    if not still_fails(scn):
+    detail = divergence(scn)
+    if detail is None:
         return first
-    script = list(scn.script)
     changed = True
     while changed:
         changed = False
-        for i in range(len(script)):
-            cand = replace(scn, script=script[:i] + script[i + 1 :])
-            if still_fails(cand):
-                script = list(cand.script)
-                scn = cand
-                changed = True
+        for i in range(len(scn.script)):
+            cand = replace(scn, script=scn.script[:i] + scn.script[i + 1 :])
+            found = divergence(cand)
+            if found is not None:
+                scn, detail, changed = cand, found, True
                 break
-    probe = ConvergenceReport(combo=combo)
-    _check_one(combo, scn, n_schedules, probe, factory)
-    detail = probe.divergences[0] if probe.divergences else first
     return "minimized scenario:\n" + serialize_scenario(scn) + detail

@@ -379,7 +379,9 @@ class CounterSet(SetCrdt):
     def apply(self, op: SetOp) -> None:
         self._require_flavor("op", "apply")
         self._touch()
-        self.counts[op.element] = self.counts.get(op.element, 0) + op.delta
+        # a zero delta changes no balance, so it must not name the element
+        if op.delta:
+            self.counts[op.element] = self.counts.get(op.element, 0) + op.delta
 
     def merge(self, other: SetCrdt) -> None:
         self._require_flavor("state", "merge")

@@ -384,6 +384,10 @@ def decoded_adds(tree, ops):
     return {tree.codec.decode(op.edge_ops[0].element) for op in ops if op.verb == ADD}
 
 
+def replica_ops(sim, rid):
+    return sim.known_ops(sim.replicas[rid].clock.delivered)
+
+
 @pytest.mark.parametrize(
     "combo", [c for c in legal_combos() if c.repr_name != "word"], ids=lambda c: c.label()
 )
@@ -394,15 +398,15 @@ def test_edge_set_ever_is_every_edge_added(combo):
         if sim.apply(action) is None:
             for rid in sim.rids:
                 tree = sim.replicas[rid].tree
-                assert decoded_ever(tree) == decoded_adds(tree, sim.known_ops(rid))
+                assert decoded_ever(tree) == decoded_adds(tree, replica_ops(sim, rid))
     if combo.flavor == "state":
         # the checker's schedules: merge the replicas in every order
         for perm in itertools.permutations(sim.rids):
             acc = sim.replicas[perm[0]].tree.copy()
-            known = decoded_adds(acc, sim.known_ops(perm[0]))
+            known = decoded_adds(acc, replica_ops(sim, perm[0]))
             for rid in perm[1:]:
                 acc.merge(sim.replicas[rid].tree)
-                known |= decoded_adds(acc, sim.known_ops(rid))
+                known |= decoded_adds(acc, replica_ops(sim, rid))
                 assert decoded_ever(acc) == known
         return
     # the checker's schedules: every delivery order, or the same sample

@@ -1,10 +1,12 @@
 """Simulator and convergence-checker tests, including a planted-bug check."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from treecrdt.clocks import ReplicaClock
+from treecrdt import harness
+from treecrdt.clocks import ReplicaClock, VectorClock
 from treecrdt.errors import IllegalCombo, ScenarioError
 from treecrdt.graph import GraphTree
 from treecrdt.lookup import LookupTree
@@ -553,6 +555,93 @@ def test_an_overridden_lookup_is_observed_without_the_state_cache():
         _check_one(combo, random_scenario(combo, seed), None, report, lambda c: ArrivalOrderTree())
         assert report.divergences
         assert report.divergences[0].startswith(f"seed={seed}: schedules ("), seed
+
+
+def test_shrink_checks_the_minimized_script_once(monkeypatch):
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    checked = []
+    check_one = harness._check_one
+
+    def spied(combo, scn, n_schedules, report, factory):
+        before = len(report.divergences)
+        check_one(combo, scn, n_schedules, report, factory)
+        checked.append((scn, len(report.divergences) > before))
+
+    monkeypatch.setattr(harness, "_check_one", spied)
+    report = check_convergence(
+        combo, n_ops=5, scenarios=4, factory=lambda combo: ArrivalOrderTree()
+    )
+    minimized = [scn for scn, failed in checked if failed][-1]
+    assert report.divergences[0].startswith(
+        "minimized scenario:\n" + serialize_scenario(minimized)
+    )
+    assert [scn for scn, _ in checked].count(minimized) == 1
+
+
+@pytest.mark.parametrize("flavor", ["op", "state"])
+def test_the_delivered_ops_are_listed_once_per_new_cache_key(monkeypatch, flavor):
+    combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
+    listed, caches = [], []
+    known_ops, observe = Simulation.known_ops, harness._observe
+
+    def counted(sim, known):
+        listed.append(known.copy())
+        return known_ops(sim, known)
+
+    def spied(sim, tree, known, prev_witness, cache, report, where):
+        caches.append(cache)
+        return observe(sim, tree, known, prev_witness, cache, report, where)
+
+    monkeypatch.setattr(Simulation, "known_ops", counted)
+    monkeypatch.setattr(harness, "_observe", spied)
+    report = ConvergenceReport(combo=combo)
+    scn = random_scenario(combo, seed=42, final_sync=flavor == "op")
+    _check_one(combo, scn, None, report, None)
+    assert report.passed
+    (cache,) = {id(c): c for c in caches}.values()
+    # a miss fills one new key and lists the ops once; a hit lists none
+    assert len(listed) == len(cache) < len(caches)
+
+
+def test_known_ops_of_a_delivery_prefix_are_its_ops():
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    scn = random_scenario(combo, seed=42, final_sync=True)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    sim.run(scn.script)
+    for order in linear_extensions(causal_deps(sim.envelopes)):
+        known = VectorClock()
+        for pos, i in enumerate(order, start=1):
+            known.increment(sim.envelopes[i].origin)
+            prefix = Counter(sim.envelopes[j].payload for j in order[:pos])
+            assert Counter(sim.known_ops(known)) == prefix
+
+
+def test_known_ops_of_a_state_replica_are_the_ops_it_has_merged():
+    combo = ComboSpec("graph", "or", "state", "skip", "shortest", None)
+    script = """
+        r1 add a root
+        r2 add b root
+        r2 merge r1
+        r3 add c root
+        r1 merge r3
+        r2 add d a
+        r3 merge r2
+        r3 rmv b
+        r1 merge r3
+        sync
+    """
+    sim = Simulation(combo, seed=42)
+    held = {rid: Counter() for rid in sim.rids}
+    for action in (tuple(line.split()) for line in script.split("\n") if line.strip()):
+        assert sim.apply(action) is None
+        if action[0] == "sync":
+            held = {rid: Counter(op for _, op in sim.local_ops) for rid in sim.rids}
+        elif action[1] == "merge":
+            held[action[0]] |= held[action[2]]
+        else:
+            held[action[0]][sim.local_ops[-1][1]] += 1
+        for rid, rep in sim.replicas.items():
+            assert Counter(sim.known_ops(rep.clock.delivered)) == held[rid]
 
 
 def test_full_matrix_sample_across_pi_modes():

@@ -338,3 +338,10 @@ def test_removing_an_element_never_held_leaves_ever_empty(kind, flavor):
     if (kind, flavor) == ("or", "op"):
         s.apply(SetOp(RMV, "b", tags=frozenset()))
         assert s.ever() == set()
+
+
+def test_op_counter_stores_nothing_for_a_zero_delta():
+    s = make_set("c", "op")
+    s.apply(SetOp(RMV, "a", delta=0))
+    assert s.ever() == set()
+    assert s.state() == make_set("c", "op").state()
