@@ -54,6 +54,26 @@ def test_every_combo_transcript_and_payload_is_unchanged():
     assert combo_digests() == EXPECTED
 
 
+# the three op-flavor combos of the replay benchmark, over ~360-action scripts
+# (300 ops plus syncs) whose graph and edge trees reach ~80 nodes per replica
+LONG_SCRIPT_DIGESTS = {
+    "graph or op compact highest plain": "4f5d5082e59b19e25a62794b1a236df8ab01ecf2890cd25671f2558dc2de1937",
+    "edge lww op root newest plain": "dacc3d7b390f334c9d4cada333c59dad98266278013b264d1de32567ac11c4c3",
+    "word or op reappear - plain": "0b20d68dc769ded62269d837456e793ed7d32ba4f1eb6abd0e5f529590b30713",
+}
+
+
+def test_long_script_transcript_digests():
+    """Pin the transcripts of long scripts, where sibling lists and edge
+    buckets are large enough for an ordering change to show."""
+    found = {}
+    for label in LONG_SCRIPT_DIGESTS:
+        combo = parse_combo(label.split())
+        scn = random_scenario(combo, seed=7, n_ops=300)
+        found[label] = hashlib.sha256(run_scenario(combo, scn).encode()).hexdigest()
+    assert found == LONG_SCRIPT_DIGESTS
+
+
 # monotone zero-policy combos that report a survivor move, with their check seeds
 KNOWN_ZERO_REPORTS = (
     ("edge 2p op reappear zero plain", (6, 7, 14, 15, 59)),
