@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 ReplicaId = str
 
@@ -147,17 +147,32 @@ class DeliveryBuffer:
     def drain(self, delivered: VectorClock) -> Iterator[Envelope]:
         """Yield envelopes as they become deliverable; caller must accept each.
 
-        An envelope whose seq its origin has already had delivered is a
-        duplicate or a replay, so it is dropped instead of waiting forever.
+        Each step yields the earliest-arrived deliverable envelope.  Only an
+        envelope with its origin's next seq can be one, so a step checks one
+        per origin, more only where copies arrived.  When the drain ends,
+        the envelopes it yielded leave ``pending``, and so does any whose
+        seq its origin has already had delivered: a duplicate or a replay
+        is dropped instead of waiting forever.
         """
-        progress = True
-        while progress:
-            progress = False
-            for env in list(self.pending):
-                if env.seq <= delivered.get(env.origin):
-                    self.pending.remove(env)
-                elif deliverable(env, delivered):
-                    self.pending.remove(env)
-                    progress = True
-                    yield env
-                    break
+        waiting: Dict[Tuple[ReplicaId, int], List[int]] = {}
+        for i, env in enumerate(self.pending):
+            waiting.setdefault((env.origin, env.seq), []).append(i)
+        origins = {origin for origin, _ in waiting}
+        taken: Set[int] = set()
+        while True:
+            first = None
+            for origin in origins:
+                for i in waiting.get((origin, delivered.get(origin) + 1), ()):
+                    if i not in taken and deliverable(self.pending[i], delivered):
+                        if first is None or i < first:
+                            first = i
+                        break
+            if first is None:
+                break
+            taken.add(first)
+            yield self.pending[first]
+        self.pending = [
+            env
+            for i, env in enumerate(self.pending)
+            if i not in taken and env.seq > delivered.get(env.origin)
+        ]

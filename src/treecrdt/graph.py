@@ -68,8 +68,9 @@ def edge_weights(edge_set, kind: str, map_policy: str, live: list) -> Dict[Any, 
 
 
 def edge_infos(edge_set, kind: str, map_policy: str, codec) -> list:
-    """The live edges, decoded by the codec, with their mapping-policy rank."""
-    live = sorted_elements(edge_set.lookup())
+    """The live edges, decoded by the codec, with their mapping-policy rank,
+    in no order: ``connect`` sorts what it keeps."""
+    live = edge_set.lookup()
     weights = edge_weights(edge_set, kind, map_policy, live)
     return [
         EdgeInfo(src=src, dst=dst, weight=weights.get(e, 0), pos=pos)

@@ -32,10 +32,17 @@ class Instance:
 
 @dataclass
 class LookupTree:
-    """A rooted tree of node instances with a canonical textual dump."""
+    """A rooted tree of node instances with a canonical textual dump.
+
+    Each instance is also kept in its parent's list of children, in the
+    order it was added.  Once a build has added its instances, the tree is
+    read-only but for the codec's ``finish``, which may set an instance's
+    ``label`` and ``pos`` but never its ``parent``, so the lists stay valid.
+    """
 
     root_label: str = "root"
     instances: Dict[InstanceKey, Instance] = field(default_factory=dict)
+    kids: Dict[InstanceKey, List[Instance]] = field(default_factory=dict, repr=False)
 
     def add_instance(
         self,
@@ -48,7 +55,7 @@ class LookupTree:
     ) -> None:
         if key == () or key in self.instances:
             raise ValueError(f"duplicate or reserved instance key {key!r}")
-        self.instances[key] = Instance(
+        inst = self.instances[key] = Instance(
             key=key,
             node=node,
             parent=parent,
@@ -56,17 +63,14 @@ class LookupTree:
             ghost=ghost,
             pos=pos,
         )
+        self.kids.setdefault(parent, []).append(inst)
 
     def children(self, key: InstanceKey) -> List[Instance]:
-        kids = [inst for inst in self.instances.values() if inst.parent == key]
-        return sorted(kids, key=Instance.order_key)
+        return sorted(self.kids.get(key, ()), key=Instance.order_key)
 
     def children_by_parent(self) -> Dict[InstanceKey, List[Instance]]:
-        """Every instance grouped under its parent key, in one pass, unsorted."""
-        kids: Dict[InstanceKey, List[Instance]] = {}
-        for inst in self.instances.values():
-            kids.setdefault(inst.parent, []).append(inst)
-        return kids
+        """Every instance grouped under its parent key, unsorted; read-only."""
+        return self.kids
 
     def nodes_present(self) -> set:
         return {inst.node for inst in self.instances.values()}
@@ -89,14 +93,16 @@ class LookupTree:
                 cur = self.instances[cur].parent
 
     def dump(self) -> str:
-        kids = self.children_by_parent()
+        kids = self.kids
 
-        def last_first(key: InstanceKey) -> List[Instance]:
-            return sorted(kids.get(key, ()), key=Instance.order_key)[::-1]
+        def last_first(group: List[Instance]) -> List[Instance]:
+            if len(group) < 2:
+                return group
+            return sorted(group, key=Instance.order_key)[::-1]
 
         lines = [self.root_label]
         # depth-first with an explicit stack, so siblings are pushed last-first
-        stack = [(inst, 1) for inst in last_first(())]
+        stack = [(inst, 1) for inst in last_first(kids.get((), []))]
         while stack:
             inst, depth = stack.pop()
             label = inst.label
@@ -105,7 +111,9 @@ class LookupTree:
             if inst.ghost:
                 label += " ~"
             lines.append("  " * depth + label)
-            stack.extend((kid, depth + 1) for kid in last_first(inst.key))
+            group = kids.get(inst.key)
+            if group:
+                stack.extend((kid, depth + 1) for kid in last_first(group))
         return "\n".join(lines)
 
     def __eq__(self, other: Any) -> bool:

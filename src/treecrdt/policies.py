@@ -45,18 +45,23 @@ class EdgeInfo:
 
 @dataclass
 class RootedGraph:
-    """Connection-policy output: every node is reachable from the root."""
+    """Connection-policy output: every node is reachable from the root.
+
+    The edges are sorted by identity once, when the graph is built, so each
+    bucket of ``in_edges`` and ``out_edges`` comes out in that order too.
+    """
 
     root: Any
     nodes: Set[Any]
     edges: List[EdgeInfo]
 
+    def __post_init__(self):
+        self.edges = sorted(self.edges, key=EdgeInfo.identity)
+
     def in_edges(self) -> Dict[Any, List[EdgeInfo]]:
         table: Dict[Any, List[EdgeInfo]] = {n: [] for n in self.nodes}
         for e in self.edges:
             table[e.dst].append(e)
-        for dst in table:
-            table[dst].sort(key=EdgeInfo.identity)
         return table
 
     def out_edges(self) -> Dict[Any, List[EdgeInfo]]:
@@ -64,8 +69,6 @@ class RootedGraph:
         table[self.root] = []
         for e in self.edges:
             table[e.src].append(e)
-        for src in table:
-            table[src].sort(key=EdgeInfo.identity)
         return table
 
 
@@ -91,7 +94,7 @@ def _dedupe(edges: Iterable[EdgeInfo]) -> List[EdgeInfo]:
         cur = best.get(key)
         if cur is None or e.weight > cur.weight:
             best[key] = e
-    return sorted(best.values(), key=EdgeInfo.identity)
+    return list(best.values())
 
 
 def _restrict(root: Any, nodes: Set[Any], edges: Iterable[EdgeInfo]) -> RootedGraph:
@@ -388,7 +391,7 @@ def _edmonds(
 
 
 def _map_weighted(g: RootedGraph) -> LookupTree:
-    ranked = sorted(g.edges, key=EdgeInfo.identity)
+    ranked = g.edges  # in identity order
     # power-of-two bonuses give every edge subset a distinct total, so the
     # maximum-weight tree is unique and needs no further tie-breaking
     scale = 1 << len(ranked)

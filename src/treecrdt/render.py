@@ -5,6 +5,8 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterable, Tuple
 
+_MISSING = object()
+
 
 def cached_on_self(method: Callable) -> Callable:
     """Compute a no-argument method of an immutable object once per object.
@@ -18,12 +20,11 @@ def cached_on_self(method: Callable) -> Callable:
 
     @functools.wraps(method)
     def cached(self):
-        try:
-            return getattr(self, slot)
-        except AttributeError:
+        value = getattr(self, slot, _MISSING)
+        if value is _MISSING:
             value = method(self)
             object.__setattr__(self, slot, value)
-            return value
+        return value
 
     return cached
 

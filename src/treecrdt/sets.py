@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Optional, Set
+from typing import AbstractSet, Any, Dict, FrozenSet, Optional, Set
 
 from .clocks import LamportStamp, ReplicaClock, Tag
 from .errors import KindMismatch, PreconditionViolation
@@ -22,6 +22,7 @@ ADD = "add"
 RMV = "rmv"
 
 _VERSIONS = itertools.count(1)
+_NO_TAGS: FrozenSet[Tag] = frozenset()
 
 
 def next_version() -> int:
@@ -438,11 +439,13 @@ class ObservedRemoveSet(SetCrdt):
         if flavor == "state":
             self.removed: Dict[Any, Set[Tag]] = {}
 
-    def live_tags(self, e: Any) -> Set[Tag]:
-        tags = self.tags.get(e, set())
+    def live_tags(self, e: Any) -> AbstractSet[Tag]:
+        """The tags of e no remove has seen.  The op flavor returns the
+        stored set itself, which callers must not mutate."""
+        tags = self.tags.get(e, _NO_TAGS)
         if self.flavor == "state":
-            return tags - self.removed.get(e, set())
-        return set(tags)
+            return tags - self.removed.get(e, _NO_TAGS)
+        return tags
 
     def newest_stamp(self, e: Any) -> Optional[LamportStamp]:
         readings = [

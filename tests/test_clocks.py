@@ -1,10 +1,12 @@
 """Timestamps, tags, vector clocks, and causal delivery order."""
 
 import itertools
+import random
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from treecrdt import clocks
 from treecrdt.clocks import (
     DeliveryBuffer,
     LamportStamp,
@@ -149,3 +151,95 @@ def test_stamp_order_consistent_with_causality():
         r2.accept(env)
     effect = r2.wrap("effect")
     assert cause.stamp < effect.stamp
+
+
+class ScanBuffer:
+    """The delivery buffer as a rescan of every pending envelope per yield."""
+
+    def __init__(self):
+        self.pending = []
+
+    def add(self, env):
+        self.pending.append(env)
+
+    def drain(self, delivered):
+        progress = True
+        while progress:
+            progress = False
+            for env in list(self.pending):
+                if env.seq <= delivered.get(env.origin):
+                    self.pending.remove(env)
+                elif deliverable(env, delivered):
+                    self.pending.remove(env)
+                    progress = True
+                    yield env
+                    break
+
+
+def causal_envelopes(rng, n_ops):
+    """Envelopes of three replicas that deliver some of each other's ops."""
+    clocks_ = {r: ReplicaClock(r) for r in ("r1", "r2", "r3")}
+    bufs = {r: DeliveryBuffer() for r in clocks_}
+    made = []
+    while len(made) < n_ops:
+        rid = rng.choice(sorted(clocks_))
+        others = [env for env in made if env.origin != rid]
+        if others and rng.random() < 0.5:
+            bufs[rid].add(rng.choice(others))
+            for env in bufs[rid].drain(clocks_[rid].delivered):
+                clocks_[rid].accept(env)
+        else:
+            made.append(clocks_[rid].wrap(len(made)))
+    return made
+
+
+def test_drain_yields_what_a_full_rescan_yields():
+    rng = random.Random(3)
+    for _ in range(60):
+        made = causal_envelopes(rng, 15)
+        arrivals = made + [rng.choice(made) for _ in range(6)]
+        rng.shuffle(arrivals)
+        fast, scan = DeliveryBuffer(), ScanBuffer()
+        fast_clock, scan_clock = ReplicaClock("obs"), ReplicaClock("obs")
+        for i, env in enumerate(arrivals):
+            fast.add(env)
+            scan.add(env)
+            if rng.random() < 0.5 and i < len(arrivals) - 1:
+                continue
+            got = []
+            for ready in fast.drain(fast_clock.delivered):
+                fast_clock.accept(ready)
+                got.append(ready)
+            want = []
+            for ready in scan.drain(scan_clock.delivered):
+                scan_clock.accept(ready)
+                want.append(ready)
+            assert got == want
+            assert fast.pending == scan.pending
+        assert fast.pending == []
+        made_by = {r: sum(env.origin == r for env in made) for r in ("r1", "r2", "r3")}
+        assert fast_clock.delivered == VectorClock(made_by)
+
+
+def test_reversed_arrival_needs_linear_deliverable_checks(monkeypatch):
+    sender = ReplicaClock("r1")
+    envs = [sender.wrap(i) for i in range(2000)]
+    checks = 0
+
+    def counted(env, delivered):
+        nonlocal checks
+        checks += 1
+        return deliverable(env, delivered)
+
+    monkeypatch.setattr(clocks, "deliverable", counted)
+    buf = DeliveryBuffer()
+    for env in reversed(envs):
+        buf.add(env)
+    receiver = ReplicaClock("r2")
+    seen = []
+    for env in buf.drain(receiver.delivered):
+        receiver.accept(env)
+        seen.append(env.payload)
+    assert seen == list(range(2000))
+    assert buf.pending == []
+    assert checks <= 2 * len(envs)

@@ -5,9 +5,10 @@ import random
 import pytest
 
 from treecrdt.clocks import ReplicaClock
+from treecrdt.errors import SeveralBlowup
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, random_scenario
-from treecrdt.lookup import LookupTree
+from treecrdt.lookup import Instance, LookupTree
 from treecrdt.ordered import PathStep, PositionedNode, SeqPos
 from treecrdt.paths import WordTree, parse_path
 from treecrdt.policies import EdgeInfo
@@ -160,6 +161,54 @@ def test_instance_order_is_unchanged_by_the_one_pass_grouping():
         lt.add_instance((name,), name, parent, pos=pos)
         names.append(name)
     assert lt.dump() == reference_dump(lt)
+
+
+def test_dump_orders_only_instances_with_a_sibling(monkeypatch):
+    rng = random.Random(8)
+    lt = LookupTree()
+    keys = [()]
+    for i in range(300):
+        lt.add_instance((i,), i, rng.choice(keys))
+        keys.append((i,))
+    expected = reference_dump(lt)
+    with_sibling = sum(len(group) for group in scan_groups(lt).values() if len(group) > 1)
+    assert 0 < with_sibling < len(lt.instances)
+    calls = 0
+    order_key = Instance.order_key
+
+    def counted(inst):
+        nonlocal calls
+        calls += 1
+        return order_key(inst)
+
+    monkeypatch.setattr(Instance, "order_key", counted)
+    assert lt.dump() == expected
+    assert calls == with_sibling
+
+
+def scan_groups(lt: LookupTree) -> dict:
+    """Every instance under its parent key, by a scan of all instances."""
+    groups = {}
+    for inst in lt.instances.values():
+        groups.setdefault(inst.parent, []).append(inst)
+    return groups
+
+
+def test_grouped_children_match_a_scan_in_every_combo():
+    for combo in legal_combos():
+        scn = random_scenario(combo, 42)
+        sim = Simulation(combo, scn.replicas, scn.seed)
+        sim.run(scn.script)
+        for rep in sim.replicas.values():
+            try:
+                lt = rep.tree.lookup()
+            except SeveralBlowup:
+                continue
+            groups = scan_groups(lt)
+            assert lt.children_by_parent() == groups
+            for key in [(), *lt.instances]:
+                scanned = [i for i in lt.instances.values() if i.parent == key]
+                assert lt.children(key) == sorted(scanned, key=Instance.order_key)
 
 
 def cached_elements():

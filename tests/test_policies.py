@@ -1,6 +1,7 @@
 """Connection and mapping policies on raw graphs, against brute-force oracles."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -302,3 +303,21 @@ def test_unweighted_policies_ignore_weights(data):
     )
     for policy in ("several", "shortest", "zero"):
         assert map_to_tree(g, policy).dump() == map_to_tree(stripped, policy).dump()
+
+
+def test_rooted_graph_buckets_come_out_in_identity_order():
+    rng = random.Random(11)
+    nodes = [ROOT] + [f"n{i}" for i in range(12)]
+    edges = {
+        E(rng.choice(nodes), rng.choice(nodes[1:]), pos=rng.choice((None, 1, 2)))
+        for _ in range(60)
+    }
+    for _ in range(5):
+        shuffled = list(edges)
+        rng.shuffle(shuffled)
+        g = RootedGraph(root=ROOT, nodes=set(nodes), edges=shuffled)
+        assert g.edges == sorted(edges, key=EdgeInfo.identity)
+        for table in (g.in_edges(), g.out_edges()):
+            assert sum(map(len, table.values())) == len(edges)
+            for bucket in table.values():
+                assert bucket == sorted(bucket, key=EdgeInfo.identity)

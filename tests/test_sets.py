@@ -345,3 +345,27 @@ def test_op_counter_stores_nothing_for_a_zero_delta():
     s.apply(SetOp(RMV, "a", delta=0))
     assert s.ever() == set()
     assert s.state() == make_set("c", "op").state()
+
+
+def copied_live_tags(s, e):
+    """OR-set live tags, read through fresh copies of the stored sets."""
+    tags = set(s.tags.get(e, set()))
+    if s.flavor == "state":
+        tags -= set(s.removed.get(e, set()))
+    return tags
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_orset_reads_match_a_copying_reference(flavor, seed):
+    group = SetGroup("or", flavor)
+    for step in random_set_script(seed, n_steps=20) + [("sync",)]:
+        if step[0] == "sync":
+            group.sync()
+        else:
+            group.local(*step)
+        for s in group.states.values():
+            live = {e: copied_live_tags(s, e) for e in "abc"}
+            assert {e: set(s.live_tags(e)) for e in "abc"} == live
+            assert s.lookup() == {e for e in s.tags if live[e]}
