@@ -54,10 +54,9 @@ def check_weight_combo(kind: str, map_policy: str) -> None:
 def edge_weights(edge_set, kind: str, map_policy: str, live: list) -> Dict[Any, int]:
     """Per-edge rank used by the one-parent mapping policies."""
     if map_policy == "newest":
-        if kind == "lww":
-            keyed = {e: edge_set.stamp_of(e) for e in live}
-        else:
-            keyed = {e: edge_set.newest_stamp(e) for e in live}
+        stamp_of = edge_set.stamp_of if kind == "lww" else edge_set.newest_stamp
+        # plain tuples order as the stamps do, without the dataclass __lt__
+        keyed = {e: (s.counter, s.origin) for e, s in zip(live, map(stamp_of, live))}
         ranked = {k: i for i, k in enumerate(sorted(set(keyed.values())))}
         return {e: ranked[keyed[e]] for e in live}
     if map_policy == "highest":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Set, Tuple
 
 from .clocks import ReplicaClock
-from .errors import IllegalCombo, PreconditionViolation
+from .errors import IllegalCombo, InvalidInterval, PreconditionViolation
 from .render import cached_on_self, render, sort_key
 from .sets import SetCrdt, SetOp, make_set
 
@@ -49,6 +49,19 @@ class WootrTriple(WootrElement):
     atom: Any
     prev: WootrElement
     next: WootrElement
+
+    def __post_init__(self):
+        # the dataclass's own field hash, computed once: uncached, every
+        # hash would walk the whole reference DAG once per path through it
+        object.__setattr__(self, "_hash", hash((self.atom, self.prev, self.next)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # unpickling rebuilds the triple, so its hash is the loading
+        # process's, whatever that process's hash seed
+        return WootrTriple, (self.atom, self.prev, self.next)
 
     @cached_on_self
     def render(self) -> str:
@@ -88,13 +101,17 @@ def _hint(e: WootrTriple) -> Tuple:
     return (sort_key(e.atom), e.render())
 
 
-def _integrate(seq: List[WootrElement], e: WootrTriple, lpos: int, rpos: int) -> None:
-    """Place e inside the open window (lpos, rpos) of the sequence."""
-    while True:
-        if rpos - lpos == 1:
-            seq.insert(rpos, e)
-            return
-        index = {x: i for i, x in enumerate(seq)}
+def _integrate(seq: List[WootrElement], e: WootrTriple) -> None:
+    """Place e between its two neighbours in the sequence."""
+    index = {x: i for i, x in enumerate(seq)}
+    lpos, rpos = index.get(e.prev), index.get(e.next)
+    # every placed element sits between its own neighbours, so a window that
+    # is not empty always holds a wall and the loop below narrows it
+    if lpos is None or rpos is None or lpos >= rpos:
+        raise InvalidInterval(
+            f"the neighbours of atom {render(e.atom)} are not in sequence order"
+        )
+    while rpos - lpos > 1:
         # narrow the window using only elements whose own references span it
         walls = [lpos]
         for i in range(lpos + 1, rpos):
@@ -106,6 +123,7 @@ def _integrate(seq: List[WootrElement], e: WootrTriple, lpos: int, rpos: int) ->
         while k < len(walls) - 1 and _hint(seq[walls[k]]) < _hint(e):
             k += 1
         lpos, rpos = walls[k - 1], walls[k]
+    seq.insert(rpos, e)
 
 
 def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
@@ -113,7 +131,9 @@ def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
 
     Integrates the whole reference closure shallow-first, so the place of
     a deleted previous or next element is recovered before it is needed,
-    then filters the result back down to the live elements.
+    then filters the result back down to the live elements.  Raises
+    ``InvalidInterval`` for a triple whose previous element does not
+    precede its next one.
     """
     live = {e for e in elements if isinstance(e, WootrTriple)}
     depths: Dict[WootrElement, int] = {}
@@ -122,7 +142,7 @@ def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
     )
     seq: List[WootrElement] = [BEGIN, END]
     for e in universe:
-        _integrate(seq, e, seq.index(e.prev), seq.index(e.next))
+        _integrate(seq, e)
     return [e for e in seq[1:-1] if e in live]
 
 

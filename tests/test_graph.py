@@ -5,9 +5,9 @@ import random
 
 import pytest
 from helpers import REPLICAS, TreeGroup
-from treecrdt.clocks import ReplicaClock
+from treecrdt.clocks import LamportStamp, ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
-from treecrdt.graph import GraphTree
+from treecrdt.graph import GraphTree, edge_weights
 from treecrdt.harness import (
     Simulation,
     causal_deps,
@@ -16,7 +16,7 @@ from treecrdt.harness import (
     random_scenario,
     sampled_extensions,
 )
-from treecrdt.sets import ADD, FLAVORS, KINDS
+from treecrdt.sets import ADD, FLAVORS, KINDS, SetOp, make_set
 
 
 def fresh(kind="or", flavor="op", **kw):
@@ -239,6 +239,22 @@ def test_newest_uses_tag_recency_for_tagged_sets():
     group = two_parent_group("or", "newest")
     for tree in group.trees.values():
         assert tree.lookup().dump() == "root\n  a\n  b\n    c"
+
+
+def test_newest_ranks_follow_stamp_order():
+    # equal counters break by origin, and equal stamps share a rank
+    stamps = {
+        "e1": LamportStamp(2, "r2"),
+        "e2": LamportStamp(2, "r1"),
+        "e3": LamportStamp(1, "r3"),
+        "e4": LamportStamp(2, "r2"),
+        "e5": LamportStamp(10, "r1"),
+    }
+    edges = make_set("lww", "op")
+    for e, stamp in stamps.items():
+        edges.apply(SetOp(ADD, e, stamp=stamp))
+    ranks = edge_weights(edges, "lww", "newest", edges.lookup())
+    assert ranks == {"e1": 2, "e2": 1, "e3": 0, "e4": 2, "e5": 3}
 
 
 def test_highest_keeps_most_supported_edge():

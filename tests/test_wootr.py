@@ -1,23 +1,37 @@
 """Recursive sequence elements: structural identity, ordering, and removal."""
 
+import os
+import pickle
 import random
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import TombstoneSequence
-from treecrdt.clocks import ReplicaClock
-from treecrdt.errors import IllegalCombo, PreconditionViolation
-from treecrdt.sets import ADD
+from treecrdt.clocks import ReplicaClock, Tag
+from treecrdt.errors import IllegalCombo, InvalidInterval, PreconditionViolation
+from treecrdt.graph import TreeOp
+from treecrdt.harness import make_tree, parse_combo
+from treecrdt.render import Path
+from treecrdt.sets import ADD, SetOp
 from treecrdt.wootr import (
     BEGIN,
     END,
     WootrSequence,
     WootrTriple,
     wootr_closure,
+    wootr_depth,
     wootr_order,
 )
+
+
+SRC = str(FsPath(__file__).resolve().parent.parent / "src")
 
 
 def clock(rid="r1", seed=0):
@@ -104,6 +118,147 @@ def test_order_ignores_input_order():
     b = WootrTriple("b", a, END)
     c = WootrTriple("c", BEGIN, a)
     assert wootr_order([b, c, a]) == wootr_order([a, b, c]) == [c, a, b]
+
+
+# --- the structural hash is computed once per triple ---
+
+
+@contextmanager
+def deadline(seconds=10):
+    """Fail instead of hanging where an alarm signal is available."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class CountingAtom:
+    """An atom that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        CountingAtom.hashes += 1
+        return hash(self.name)
+
+    def render(self):
+        return self.name
+
+    def canon_key(self):
+        return self.name
+
+
+def nested_history(depth):
+    """A valid history in which each element goes between the two before
+    it, so every element reaches the first along exponentially many paths."""
+    older, newer = BEGIN, WootrTriple(0, BEGIN, END)
+    history = [newer]
+    for n in range(1, depth):
+        pair = (older, newer) if n % 2 else (newer, older)
+        older, newer = newer, WootrTriple(n, *pair)
+        history.append(newer)
+    return history
+
+
+def test_structurally_equal_triples_hash_equal():
+    def build():
+        a = WootrTriple("a", BEGIN, END)
+        return WootrTriple("b", a, WootrTriple("c", a, END))
+
+    one, two = build(), build()
+    assert one is not two
+    assert one == two and hash(one) == hash(two)
+    assert len({one, two}) == 1
+
+
+def test_hash_is_the_field_tuple_hash():
+    a = WootrTriple("a", BEGIN, END)
+    for t in (a, WootrTriple("b", a, END), WootrTriple(("t", 1), BEGIN, a)):
+        assert hash(t) == hash((t.atom, t.prev, t.next))
+
+
+def test_unpickled_triple_hashes_under_the_loading_hash_seed():
+    a = WootrTriple("a", BEGIN, END)
+    data = pickle.dumps(WootrTriple("b", a, END))
+    check = (
+        "import pickle, sys; t = pickle.loads(sys.stdin.buffer.read());"
+        " assert hash(t) == hash((t.atom, t.prev, t.next))"
+    )
+    for seed in ("1", "999"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        subprocess.run([sys.executable, "-c", check], input=data, env=env, check=True)
+
+
+def test_nested_history_is_a_valid_sequence():
+    history = nested_history(12)
+    s = WootrSequence("or", "op")
+    c = clock()
+    for e in history:
+        s.gen_insert(e.atom, e.prev, e.next, c)
+    assert s.elements.lookup() == set(history)
+
+
+def test_deep_nested_history_hashes_in_linear_time():
+    # never rendered: the canonical text of the deepest triple is
+    # exponentially long
+    history = nested_history(60)
+    with deadline():
+        assert len(set(history)) == 60
+        assert wootr_closure([history[-1]]) == set(history)
+        assert wootr_depth(history[-1], {}) == 60
+
+
+def test_order_hashes_each_triple_at_most_once():
+    # hashing a triple hashes its atom once and reads its neighbours' hashes
+    CountingAtom.hashes = 0
+    rng = random.Random(200)
+    line = [BEGIN, END]
+    for n in range(200):
+        i = rng.randrange(len(line) - 1)
+        line.insert(i + 1, WootrTriple(CountingAtom(f"a{n}"), line[i], line[i + 1]))
+    assert wootr_order(line[1:-1]) == line[1:-1]
+    assert 0 < CountingAtom.hashes <= 200
+
+
+# --- a previous element that does not precede the next one ---
+
+
+X = WootrTriple("x", BEGIN, END)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [WootrTriple("z", X, X), WootrTriple("z", END, BEGIN), WootrTriple("z", "stray", END)],
+    ids=["empty", "reversed", "unknown"],
+)
+def test_order_refuses_a_window_that_is_not_open(bad):
+    with deadline(), pytest.raises(InvalidInterval):
+        wootr_order([X, bad])
+
+
+def test_forged_empty_window_op_raises_at_lookup():
+    combo = parse_combo("word or op skip - wootr".split())
+    sender, receiver = make_tree(combo), make_tree(combo)
+    receiver.apply_remote(sender.gen_add("x", Path(()), clock("r1")))
+    assert [key[-1] for key in receiver.lookup().instances] == [X]
+    forged = Path((WootrTriple("z", X, X),))
+    op = SetOp(ADD, forged, tag=Tag("r2", 1))
+    receiver.apply_remote(TreeOp(ADD, forged, Path(()), (op,)))
+    with deadline(), pytest.raises(InvalidInterval):
+        receiver.lookup()
 
 
 # --- preconditions and combos ---
