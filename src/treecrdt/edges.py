@@ -99,11 +99,7 @@ class WootrEdges(WootrPositions, PlainEdges):
         return e[0], e[1].atom, e[1]
 
     def finish(self, lt: LookupTree) -> None:
-        groups: dict = {}
-        for inst in lt.instances.values():
-            if isinstance(inst.pos, WootrTriple):
-                groups.setdefault(inst.parent, []).append(inst)
-        rank_siblings(groups.values(), lambda k: k.pos)
+        rank_siblings(lt.kids.values(), lambda k: k.pos)
 
 
 EDGE_CODECS = {

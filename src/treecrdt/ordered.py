@@ -15,7 +15,7 @@ edge codecs of the graph engine are in ``edges``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Iterable, List, Tuple
 
 from .clocks import ReplicaClock
 from .errors import PreconditionViolation
@@ -199,11 +199,9 @@ class WootrSteps(WootrPositions, PlainSteps):
         return step
 
     def finish(self, lt: LookupTree) -> None:
-        groups: Dict[Tuple, List[Instance]] = {}
         for inst in lt.instances.values():
-            groups.setdefault(inst.key[:-1], []).append(inst)
             inst.label = render(inst.key[-1].atom)
-        rank_siblings(groups.values(), lambda k: k.key[-1])
+        rank_siblings(lt.kids.values(), lambda k: k.key[-1])
 
 
 STEP_CODECS = {None: PlainSteps(), "edge": UpiSteps(), "wootr": WootrSteps()}

@@ -104,37 +104,31 @@ def _restrict(root: Any, nodes: Set[Any], edges: Iterable[EdgeInfo]) -> RootedGr
     return RootedGraph(root=root, nodes=keep, edges=_dedupe(kept_edges))
 
 
-def get_connected(
-    start: Any,
-    anchored: Set[Any],
-    parents: Dict[Any, Set[Any]],
-    memo: Optional[Dict[Any, Set[Any]]] = None,
-) -> Set[Any]:
-    """Live, root-connected nodes that some history path joins to `start`.
+def _climb(starts: Iterable[Any], parents: Dict[Any, Set[Any]], stop: Set[Any]) -> Set[Any]:
+    """Every node an upward walk over history parents reaches from starts.
 
-    Walks the history parents (node -> set of parents) of dead or orphaned
-    nodes until anchored nodes are hit.  A visiting guard makes history cycles
-    terminate; results within one memo are consistent with each other.
+    The walk visits each node once and does not climb above a node of stop.
     """
-    if memo is None:
-        memo = {}
-    visiting: Set[Any] = set()
+    seen = set(starts)
+    stack = [n for n in seen if n not in stop]
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in seen:
+                seen.add(parent)
+                if parent not in stop:
+                    stack.append(parent)
+    return seen
 
-    def walk(node: Any) -> Set[Any]:
-        if node in anchored:
-            return {node}
-        if node in memo:
-            return memo[node]
-        visiting.add(node)
-        found: Set[Any] = set()
-        for parent in sorted(parents.get(node, ()), key=sort_key):
-            if parent not in visiting:
-                found |= walk(parent)
-        visiting.remove(node)
-        memo[node] = found
-        return found
 
-    return walk(start)
+def get_connected(start: Any, anchored: Set[Any], parents: Dict[Any, Set[Any]]) -> Set[Any]:
+    """The anchors of `start` under the history parents (node -> set of parents).
+
+    An anchor is an anchored node that some history path from `start`
+    reaches without passing through another anchored node; an anchored
+    `start` is its own only anchor.  History cycles are harmless, and the
+    result depends neither on node names nor on call order.
+    """
+    return _climb((start,), parents, anchored) & anchored
 
 
 def connect(
@@ -147,7 +141,15 @@ def connect(
     """Apply one orphan-handling policy and return a rooted graph.
 
     history holds every (src, dst, pos) edge ever added; only reappear and
-    compact read it.
+    compact read it.  An orphan edge runs from a removed node into a live
+    node that the live edges do not connect to the root.  The root policy
+    hangs it under the root.  Compact hangs it under every anchor of its
+    source: every root-connected node that some history path up from the
+    source reaches without passing through another root-connected node
+    (see ``get_connected``).  Reappear revives every history ancestor of
+    every orphan edge's source, with every history edge into one of them.
+    The result does not depend on node names or on the order of edges and
+    history.
     """
     if policy not in CONNECT_POLICIES:
         raise ValueError(f"unknown connection policy {policy!r}")
@@ -160,10 +162,7 @@ def connect(
         return RootedGraph(root=root, nodes=reach, edges=_dedupe(kept))
 
     orphans = live - reach
-    orphan_edges = sorted(
-        (e for e in all_edges if e.dst in orphans and e.src not in live),
-        key=EdgeInfo.identity,
-    )
+    orphan_edges = [e for e in all_edges if e.dst in orphans and e.src not in live]
 
     if policy == "root":
         rewired = [
@@ -176,37 +175,25 @@ def connect(
     parents: Dict[Any, Set[Any]] = {}
     for src, dst, _ in history:
         parents.setdefault(dst, set()).add(src)
+    sources = {e.src for e in orphan_edges}
     if policy == "compact":
-        memo: Dict[Any, Set[Any]] = {}
-        rewired = []
-        for e in orphan_edges:
-            for anchor in sorted(
-                get_connected(e.src, reach, parents, memo), key=sort_key
-            ):
-                rewired.append(
-                    EdgeInfo(src=anchor, dst=e.dst, weight=e.weight, pos=e.pos)
-                )
+        anchors = {src: get_connected(src, reach, parents) for src in sources}
+        rewired = [
+            EdgeInfo(src=anchor, dst=e.dst, weight=e.weight, pos=e.pos)
+            for e in orphan_edges
+            for anchor in anchors[e.src]
+        ]
         return _restrict(root, live, graph_edges + rewired)
 
     # reappear: recreate, from history, every path from the root down to each
     # orphan edge's source, then keep the orphan edge itself.
-    revived_nodes: Set[Any] = set()
-    revived_edges: List[EdgeInfo] = []
-    for e in orphan_edges:
-        ancestors = {e.src}
-        queue = deque([e.src])
-        while queue:
-            cur = queue.popleft()
-            for parent in parents.get(cur, ()):
-                if parent not in ancestors:
-                    ancestors.add(parent)
-                    queue.append(parent)
-        revived_nodes |= ancestors
-        for src, dst, pos in history:
-            if dst in ancestors:
-                revived_edges.append(EdgeInfo(src=src, dst=dst, weight=-1, pos=pos))
-    combined = graph_edges + list(orphan_edges) + revived_edges
-    return _restrict(root, live | revived_nodes, combined)
+    revived = _climb(sources, parents, set())
+    revived_edges = [
+        EdgeInfo(src=src, dst=dst, weight=-1, pos=pos)
+        for src, dst, pos in history
+        if dst in revived
+    ]
+    return _restrict(root, live | revived, graph_edges + orphan_edges + revived_edges)
 
 
 def _instances_from_choice(
@@ -215,25 +202,22 @@ def _instances_from_choice(
     """One instance per chosen edge, keyed by node, or by the edge path from
     the root the way the several policy keys them."""
     tree = LookupTree(root_label=render(g.root))
-    ordered = sorted(choice, key=sort_key)
+    kids: Dict[Any, List[Any]] = {}
+    for node in sorted(choice, key=sort_key):
+        kids.setdefault(choice[node].src, []).append(node)
+    # root first, so every parent is placed before its children
     keys: Dict[Any, Tuple] = {g.root: ()}
-    # place parents before children so validation-by-construction holds
-    pending = deque(ordered)
-    spins = 0
-    while pending:
-        node = pending.popleft()
-        edge = choice[node]
-        if edge.src in keys:
-            parent_key = keys[edge.src]
-            key = parent_key + ((node, edge.pos),) if path_keys else (node,)
-            tree.add_instance(key, node, parent_key, pos=edge.pos)
+    queue = deque([g.root])
+    while queue:
+        parent = queue.popleft()
+        for node in kids.get(parent, ()):
+            edge = choice[node]
+            key = keys[parent] + ((node, edge.pos),) if path_keys else (node,)
+            tree.add_instance(key, node, keys[parent], pos=edge.pos)
             keys[node] = key
-            spins = 0
-        else:
-            pending.append(node)
-            spins += 1
-            if spins > len(pending):
-                raise AssertionError("parent choice does not form a tree")
+            queue.append(node)
+    if len(keys) <= len(choice):
+        raise AssertionError("parent choice does not form a tree")
     return tree
 
 
@@ -253,27 +237,29 @@ def _map_several(g: RootedGraph, cap: int) -> LookupTree:
     tree = LookupTree(root_label=render(g.root))
     out = g.out_edges()
     count = 0
-
-    def walk(node: Any, key: Tuple, on_path: Set[Any]) -> None:
-        nonlocal count
-        for edge in out.get(node, ()):
-            if edge.dst in on_path:
-                continue
-            count += 1
-            if count > cap:
-                raise SeveralBlowup(cap)
-            child_key = key + ((edge.dst, edge.pos),)
-            label = render(edge.dst)
-            if key:
-                label += "/" + ".".join(render(step[0]) for step in key)
-            tree.add_instance(
-                child_key, edge.dst, key, label=label, pos=edge.pos
-            )
-            on_path.add(edge.dst)
-            walk(edge.dst, child_key, on_path)
-            on_path.remove(edge.dst)
-
-    walk(g.root, (), {g.root})
+    # depth-first, one stack entry per node on the current path; trail is
+    # the dotted text of the path, which labels the path's children
+    on_path = {g.root}
+    stack = [(g.root, (), "", iter(out.get(g.root, ())))]
+    while stack:
+        node, key, trail, edges = stack[-1]
+        edge = next(edges, None)
+        if edge is None:
+            stack.pop()
+            on_path.remove(node)
+            continue
+        if edge.dst in on_path:
+            continue
+        count += 1
+        if count > cap:
+            raise SeveralBlowup(cap)
+        child_key = key + ((edge.dst, edge.pos),)
+        name = render(edge.dst)
+        label = f"{name}/{trail}" if trail else name
+        tree.add_instance(child_key, edge.dst, key, label=label, pos=edge.pos)
+        on_path.add(edge.dst)
+        child_trail = f"{trail}.{name}" if trail else name
+        stack.append((edge.dst, child_key, child_trail, iter(out.get(edge.dst, ()))))
     return tree
 
 
@@ -406,13 +392,7 @@ def _map_weighted(g: RootedGraph) -> LookupTree:
         for i, e in enumerate(ranked)
     ]
     chosen = _edmonds(set(g.nodes), work, g.root)
-    choice: Dict[Any, EdgeInfo] = {}
-    for dst, e in chosen.items():
-        base = e
-        while base.orig is None:
-            base = base.inner
-        choice[dst] = base.orig
-    return _instances_from_choice(g, choice)
+    return _instances_from_choice(g, {dst: e.orig for dst, e in chosen.items()})
 
 
 def map_to_tree(

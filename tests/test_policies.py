@@ -2,12 +2,15 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecrdt.policies as policies
 from treecrdt.errors import SeveralBlowup
+from treecrdt.harness import Simulation, parse_scenario
 from treecrdt.policies import (
     CONNECT_POLICIES,
     MAP_POLICIES,
@@ -142,6 +145,78 @@ def test_get_connected_survives_history_cycles():
     assert get_connected("x", {ROOT}, parents_of(history)) == {ROOT}
 
 
+def history_cycle_fixture(d, e):
+    """Orphans d and e under dead s and x, which were each other's parents."""
+    nodes = {"a", d, e}
+    edges = [E(ROOT, "a"), E("s", d), E("x", e)]
+    history = history_of(
+        (ROOT, "a"), ("a", "s"), ("s", "x"), ("x", "s"), ("s", d), ("x", e)
+    )
+    return nodes, edges, history
+
+
+@pytest.mark.parametrize("d, e", [("d", "e"), ("e", "d")])
+def test_compact_anchors_do_not_depend_on_names(d, e):
+    # x reaches a only through s, its history child and parent; both
+    # orphans hang under a, whichever of them is walked first
+    g = connect(*history_cycle_fixture(d, e), "compact", ROOT)
+    assert {(x.src, x.dst) for x in g.edges} == {(ROOT, "a"), ("a", "d"), ("a", "e")}
+
+
+@pytest.mark.parametrize("d, e", [("d", "e"), ("e", "d")])
+def test_compact_history_cycle_script_shows_both_orphans(d, e):
+    scn = parse_scenario(
+        f"""
+        combo edge or op compact shortest plain
+        replicas 2
+        r1 add a root
+        r1 add s a
+        r1 add x s
+        r1 add s x
+        r2 deliver r1
+        r2 add {d} s
+        r2 add {e} x
+        r1 rmv s
+        sync
+        """
+    )
+    sim = Simulation(scn.combo, scn.replicas, scn.seed)
+    assert all(step.violation is None for step in sim.run(scn.script))
+    assert sim.final_dumps() == {rid: "root\n  a\n    d\n    e" for rid in ("r1", "r2")}
+
+
+def dead_chain(depth):
+    """History root -> c1 -> ... -> c<depth>; every chain node is removed."""
+    names = [ROOT] + [f"c{i}" for i in range(1, depth + 1)]
+    return history_of(*zip(names, names[1:])), names[-1]
+
+
+def test_compact_climbs_a_deep_dead_chain():
+    history, bottom = dead_chain(1200)
+    history += history_of((bottom, "leaf"))
+    g = connect({"leaf"}, [E(bottom, "leaf")], history, "compact", ROOT)
+    assert {(e.src, e.dst) for e in g.edges} == {(ROOT, "leaf")}
+
+
+def test_reappear_builds_each_revived_edge_once(monkeypatch):
+    history, bottom = dead_chain(200)
+    orphans = [f"o{i}" for i in range(400)]
+    history += history_of(*((bottom, o) for o in orphans))
+    revived = []
+
+    @dataclass(frozen=True)
+    class CountedEdgeInfo(EdgeInfo):
+        def __post_init__(self):
+            if self.weight == -1:
+                revived.append(self)
+
+    monkeypatch.setattr(policies, "EdgeInfo", CountedEdgeInfo)
+    g = connect(set(orphans), [E(bottom, o) for o in orphans], history, "reappear", ROOT)
+    assert len(g.nodes) == 1 + 200 + 400
+    assert len(g.edges) == 200 + 400
+    assert len(revived) == 200
+
+
 def test_root_policy_keeps_orphan_component_internal_edges():
     # dead parent d; orphans a -> b connected between themselves
     nodes = {"a", "b"}
@@ -207,6 +282,44 @@ def test_several_cap_raises_instead_of_hanging():
     g = RootedGraph(root=ROOT, nodes=set(names) | {ROOT}, edges=edges)
     with pytest.raises(SeveralBlowup):
         map_to_tree(g, "several", cap=5000)
+
+
+def test_several_walks_a_deep_chain_with_a_shortcut():
+    # every chain node below n1 shows twice: under n0, and under the shortcut
+    names = [f"n{i}" for i in range(1201)]
+    edges = [E(ROOT, "n0"), E(ROOT, "n1")] + [E(a, b) for a, b in zip(names, names[1:])]
+    g = RootedGraph(root=ROOT, nodes=set(names) | {ROOT}, edges=edges)
+    tree = map_to_tree(g, "several")
+    assert len(tree.instances) == 2401
+    assert [len(inst.key) for inst in tree.instances_of("n1200")] == [1201, 1200]
+
+
+class CountedReads(dict):
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_placement_reads_each_choice_a_bounded_number_of_times():
+    # names sort deepest first, the worst order for placing parents first
+    n = 2000
+    names = [f"n{n - depth:04d}" for depth in range(1, n + 1)]
+    edges = [E(a, b) for a, b in zip([ROOT] + names, names)]
+    g = RootedGraph(root=ROOT, nodes=set(names) | {ROOT}, edges=edges)
+    choice = CountedReads((e.dst, e) for e in edges)
+    tree = policies._instances_from_choice(g, choice)
+    assert len(tree.instances) == n
+    tree.validate()
+    assert choice.reads <= 2 * n
+
+
+def test_placement_refuses_a_choice_that_is_not_a_tree():
+    edges = [E(ROOT, "a"), E("x", "y"), E("y", "x")]
+    g = RootedGraph(root=ROOT, nodes={ROOT, "a", "x", "y"}, edges=edges)
+    with pytest.raises(AssertionError, match="does not form a tree"):
+        policies._instances_from_choice(g, {e.dst: e for e in edges})
 
 
 def test_newest_prefers_higher_weight_edge():
