@@ -269,6 +269,9 @@ class GraphTree(ReplicatedTree):
         history = map(self.codec.decode, self.edges.ever())
         g = connect(nodes, infos, history, self.connect_policy, self.root)
         lt = map_to_tree(g, self.map_policy, self.several_cap)
+        # every mapping policy adds each parent's children in node order,
+        # which is the dump order of instances without a position
+        lt.ordered = self.pi_mode is None
         self.codec.finish(lt)
         return lt
 

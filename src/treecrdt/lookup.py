@@ -38,11 +38,19 @@ class LookupTree:
     order it was added.  Once a build has added its instances, the tree is
     read-only but for the codec's ``finish``, which may set an instance's
     ``label`` and ``pos`` but never its ``parent``, so the lists stay valid.
+
+    ``ordered`` says that every list of children is already in
+    ``Instance.order_key`` order, so ``dump`` and ``children`` read it as
+    it is instead of sorting it.  Only a builder that adds each sibling
+    group in that order may set it, and while it is set ``finish`` must not
+    reorder siblings: it must leave ``pos``, which ``order_key`` reads, as
+    it is.  A tree built by hand leaves it unset and is sorted on every read.
     """
 
     root_label: str = "root"
     instances: Dict[InstanceKey, Instance] = field(default_factory=dict)
     kids: Dict[InstanceKey, List[Instance]] = field(default_factory=dict, repr=False)
+    ordered: bool = field(default=False, repr=False, compare=False)
 
     def add_instance(
         self,
@@ -66,7 +74,10 @@ class LookupTree:
         self.kids.setdefault(parent, []).append(inst)
 
     def children(self, key: InstanceKey) -> List[Instance]:
-        return sorted(self.kids.get(key, ()), key=Instance.order_key)
+        group = self.kids.get(key, ())
+        if self.ordered:
+            return list(group)
+        return sorted(group, key=Instance.order_key)
 
     def children_by_parent(self) -> Dict[InstanceKey, List[Instance]]:
         """Every instance grouped under its parent key, unsorted; read-only."""
@@ -79,18 +90,26 @@ class LookupTree:
         return [inst for inst in self.instances.values() if inst.node == node]
 
     def validate(self) -> None:
-        """Check the parent map is total, acyclic, and root-connected."""
-        for key, inst in self.instances.items():
-            if inst.parent != () and inst.parent not in self.instances:
+        """Check the parent map is total, acyclic, and root-connected.
+
+        Each walk up from an instance stops at the first instance an
+        earlier walk proved root-connected, so every instance is read once.
+        A walk longer than the instance count has gone round a cycle.
+        """
+        instances = self.instances
+        for key, inst in instances.items():
+            if inst.parent != () and inst.parent not in instances:
                 raise AssertionError(f"instance {key!r} has missing parent")
-        for key in self.instances:
-            seen = set()
+        rooted = {()}
+        for key in instances:
+            walk = []
             cur = key
-            while cur != ():
-                if cur in seen:
+            while cur not in rooted:
+                if len(walk) == len(instances):
                     raise AssertionError(f"cycle through instance {key!r}")
-                seen.add(cur)
-                cur = self.instances[cur].parent
+                walk.append(cur)
+                cur = instances[cur].parent
+            rooted.update(walk)
 
     def dump(self) -> str:
         kids = self.kids
@@ -98,6 +117,8 @@ class LookupTree:
         def last_first(group: List[Instance]) -> List[Instance]:
             if len(group) < 2:
                 return group
+            if self.ordered:
+                return group[::-1]
             return sorted(group, key=Instance.order_key)[::-1]
 
         lines = [self.root_label]

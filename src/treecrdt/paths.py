@@ -125,15 +125,31 @@ class WordTree(ReplicatedTree):
         return {as_path(p) for p in self.paths.lookup()}
 
     def _build_lookup(self) -> LookupTree:
+        """The visible tree, one instance per shown path.
+
+        Under skip and reappear an instance's node is its own path, so with
+        bare-atom steps the siblings come in dump order and the tree is
+        built ``ordered``.  Under reappear every live path is its own image,
+        so that build needs no ``path_images``: it walks up from each live
+        path to the first path already shown, and each path it passes is a
+        ghost, a dead prefix shown only to hold its descendants.
+        """
         live = self.live_paths()
-        images = path_images(live, self.connect_policy)
-        lt = LookupTree(root_label="/")
+        plain_order = self.pi_mode is None and self.connect_policy in ("skip", "reappear")
+        lt = LookupTree(root_label="/", ordered=plain_order)
         if self.connect_policy == "reappear":
-            ghosts = {q for p in images for q in p.prefixes() if q and q not in live}
-            shown = {img for img in images.values() if img} | ghosts
+            shown = live - {EPSILON}
+            ghosts = set()
+            for p in live:
+                q = p.parent()
+                while q and q not in shown:
+                    ghosts.add(q)
+                    shown.add(q)
+                    q = q.parent()
             for p in sorted(shown, key=Path.order_key):
                 lt.add_instance(p, p, Path(p[:-1]), label=render(p[-1]), ghost=p in ghosts)
         else:
+            images = path_images(live, self.connect_policy)
             # each instance remembers the first live path it shows, so moves
             # of a relocated subtree stay observable across lookups
             sources: Dict[Path, Path] = {}

@@ -200,18 +200,25 @@ def _instances_from_choice(
     g: RootedGraph, choice: Dict[Any, EdgeInfo], path_keys: bool = False
 ) -> LookupTree:
     """One instance per chosen edge, keyed by node, or by the edge path from
-    the root the way the several policy keys them."""
+    the root the way the several policy keys them.
+
+    Every chosen edge is a member of ``g.edges``, which is sorted by
+    identity, and an identity starts with the child's sort key.  So reading
+    the chosen edges in that order groups each parent's children in child
+    order with no sort of their own.
+    """
     tree = LookupTree(root_label=render(g.root))
-    kids: Dict[Any, List[Any]] = {}
-    for node in sorted(choice, key=sort_key):
-        kids.setdefault(choice[node].src, []).append(node)
+    kids: Dict[Any, List[EdgeInfo]] = {}
+    for e in g.edges:
+        if choice.get(e.dst) is e:
+            kids.setdefault(e.src, []).append(e)
     # root first, so every parent is placed before its children
     keys: Dict[Any, Tuple] = {g.root: ()}
     queue = deque([g.root])
     while queue:
         parent = queue.popleft()
-        for node in kids.get(parent, ()):
-            edge = choice[node]
+        for edge in kids.get(parent, ()):
+            node = edge.dst
             key = keys[parent] + ((node, edge.pos),) if path_keys else (node,)
             tree.add_instance(key, node, keys[parent], pos=edge.pos)
             keys[node] = key

@@ -47,10 +47,6 @@ class Path(tuple):
     def parent(self) -> "Path":
         return Path(self[:-1])
 
-    def prefixes(self) -> "list[Path]":
-        """Proper prefixes, shortest first, starting with the empty path."""
-        return [Path(self[:k]) for k in range(len(self))]
-
     def starts_with(self, prefix: tuple) -> bool:
         return self[: len(prefix)] == tuple(prefix)
 

@@ -7,7 +7,7 @@ import pytest
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import SeveralBlowup
 from treecrdt.graph import GraphTree
-from treecrdt.harness import Simulation, legal_combos, random_scenario
+from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario
 from treecrdt.lookup import Instance, LookupTree
 from treecrdt.ordered import PathStep, PositionedNode, SeqPos
 from treecrdt.paths import WordTree, parse_path
@@ -16,6 +16,8 @@ from treecrdt.positions import Upi
 from treecrdt.render import Path, render, sort_key
 from treecrdt.sets import ADD
 from treecrdt.wootr import BEGIN, END, WootrTriple
+
+from test_combo_digests import LONG_SCRIPT_DIGESTS
 
 
 def reference_dump(lt: LookupTree) -> str:
@@ -194,9 +196,10 @@ def scan_groups(lt: LookupTree) -> dict:
     return groups
 
 
-def test_grouped_children_match_a_scan_in_every_combo():
+def final_lookups(seed: int):
+    """Each replica's visible tree after a random scenario of every combo."""
     for combo in legal_combos():
-        scn = random_scenario(combo, 42)
+        scn = random_scenario(combo, seed)
         sim = Simulation(combo, scn.replicas, scn.seed)
         sim.run(scn.script)
         for rep in sim.replicas.values():
@@ -204,11 +207,69 @@ def test_grouped_children_match_a_scan_in_every_combo():
                 lt = rep.tree.lookup()
             except SeveralBlowup:
                 continue
-            groups = scan_groups(lt)
-            assert lt.children_by_parent() == groups
-            for key in [(), *lt.instances]:
-                scanned = [i for i in lt.instances.values() if i.parent == key]
-                assert lt.children(key) == sorted(scanned, key=Instance.order_key)
+            yield lt
+
+
+def assert_ordered_lists_sorted(lt: LookupTree) -> int:
+    """An ``ordered`` tree needs no sort; returns its sibling-group count."""
+    if not lt.ordered:
+        return 0
+    for group in lt.kids.values():
+        assert group == sorted(group, key=Instance.order_key)
+    assert lt.dump() == reference_dump(lt)
+    return sum(len(group) > 1 for group in lt.kids.values())
+
+
+def test_grouped_children_match_a_scan_in_every_combo():
+    ordered_groups = 0
+    for lt in final_lookups(42):
+        groups = scan_groups(lt)
+        assert lt.children_by_parent() == groups
+        for key in [(), *lt.instances]:
+            scanned = [i for i in lt.instances.values() if i.parent == key]
+            assert lt.children(key) == sorted(scanned, key=Instance.order_key)
+        ordered_groups += assert_ordered_lists_sorted(lt)
+    assert ordered_groups > 0
+
+
+def test_ordered_builds_add_siblings_in_dump_order():
+    assert sum(map(assert_ordered_lists_sorted, final_lookups(43))) > 0
+
+
+# the three op-flavor combos of the replay benchmark
+@pytest.mark.parametrize("label", LONG_SCRIPT_DIGESTS)
+def test_long_scripts_keep_ordered_trees_in_dump_order(label):
+    combo = parse_combo(label.split())
+    scn = random_scenario(combo, seed=7, n_ops=300)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    groups = 0
+    for action in scn.script:
+        sim.execute(action)
+        for rep in sim.replicas.values():
+            groups += assert_ordered_lists_sorted(rep.tree.lookup())
+    assert groups > 0
+
+
+def test_dump_of_an_ordered_build_calls_no_order_key(monkeypatch):
+    combo = parse_combo("edge lww op root newest plain".split())
+    scn = random_scenario(combo, seed=7, n_ops=300)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    sim.run(scn.script)
+    lt = sim.replicas["r1"].tree.lookup()
+    assert lt.ordered
+    assert sum(len(group) > 1 for group in lt.kids.values()) >= 5
+    expected = reference_dump(lt)
+    calls = 0
+    order_key = Instance.order_key
+
+    def counted(inst):
+        nonlocal calls
+        calls += 1
+        return order_key(inst)
+
+    monkeypatch.setattr(Instance, "order_key", counted)
+    assert lt.dump() == expected
+    assert calls == 0
 
 
 def cached_elements():

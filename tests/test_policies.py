@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import treecrdt.policies as policies
 from treecrdt.errors import SeveralBlowup
 from treecrdt.harness import Simulation, parse_scenario
+from treecrdt.lookup import LookupTree
 from treecrdt.policies import (
     CONNECT_POLICIES,
     MAP_POLICIES,
@@ -20,6 +21,7 @@ from treecrdt.policies import (
     get_connected,
     map_to_tree,
 )
+from treecrdt.render import sort_key
 
 ROOT = "root"
 
@@ -301,6 +303,44 @@ class CountedReads(dict):
         self.reads += 1
         return super().__getitem__(key)
 
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def test_validate_reads_each_instance_a_bounded_number_of_times():
+    # a 600-deep chain with a shortcut from the root to its second node
+    names = [f"n{i}" for i in range(600)]
+    edges = [E(ROOT, "n0"), E(ROOT, "n1")] + [E(a, b) for a, b in zip(names, names[1:])]
+    g = RootedGraph(root=ROOT, nodes=set(names) | {ROOT}, edges=edges)
+    tree = map_to_tree(g, "several")
+    n = len(tree.instances)
+    assert n == 1199
+    tree.instances = CountedReads(tree.instances)
+    tree.validate()
+    assert tree.instances.reads <= 2 * n
+
+
+def test_validate_names_a_missing_parent_and_a_cycle():
+    tree = LookupTree()
+    tree.add_instance(("a",), "a", ())
+    tree.add_instance(("b",), "b", ("a",))
+    tree.add_instance(("c",), "c", ("gone",))
+    with pytest.raises(AssertionError) as missing:
+        tree.validate()
+    assert str(missing.value) == "instance ('c',) has missing parent"
+
+    tree = LookupTree()
+    tree.add_instance(("a",), "a", ())
+    tree.add_instance(("t",), "t", ("x",))
+    tree.add_instance(("x",), "x", ("y",))
+    tree.add_instance(("y",), "y", ("x",))
+    tree.add_instance(("b",), "b", ("a",))
+    with pytest.raises(AssertionError) as cycle:
+        tree.validate()
+    # the first instance in instance order whose walk never reaches the root
+    assert str(cycle.value) == "cycle through instance ('t',)"
+
 
 def test_placement_reads_each_choice_a_bounded_number_of_times():
     # names sort deepest first, the worst order for placing parents first
@@ -313,6 +353,29 @@ def test_placement_reads_each_choice_a_bounded_number_of_times():
     assert len(tree.instances) == n
     tree.validate()
     assert choice.reads <= 2 * n
+
+
+def test_placement_takes_child_order_from_the_sorted_edges(monkeypatch):
+    names = [f"n{i:02d}" for i in range(40)]
+    rng = random.Random(11)
+    edges, placed = [], [ROOT]
+    for name in rng.sample(names, len(names)):
+        edges.append(E(rng.choice(placed), name))
+        placed.append(name)
+    g = RootedGraph(root=ROOT, nodes=set(names) | {ROOT}, edges=edges)
+    calls = 0
+
+    def counted(e):
+        nonlocal calls
+        calls += 1
+        return sort_key(e)
+
+    monkeypatch.setattr(policies, "sort_key", counted)
+    tree = policies._instances_from_choice(g, {e.dst: e for e in g.edges})
+    assert calls == 0
+    assert len(tree.instances) == len(names)
+    for group in tree.kids.values():
+        assert [inst.node for inst in group] == sorted(inst.node for inst in group)
 
 
 def test_placement_refuses_a_choice_that_is_not_a_tree():

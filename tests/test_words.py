@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import treecrdt.paths as paths
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
@@ -105,6 +106,37 @@ def test_probe_count_is_total_path_length():
             counter = ProbeCounter()
             path_images(live, policy, probes=counter)
             assert counter.probes == total
+
+
+def test_reappear_build_walks_each_shown_path_once(monkeypatch):
+    # 200 live leaves under a 200-deep chain of dead paths
+    chain = Path(f"c{i}" for i in range(200))
+    leaves = [chain.child(f"l{i}") for i in range(200)]
+    tree = WordTree("g", "state", "reappear")
+    clock = fresh_clock()
+    for leaf in leaves:
+        tree.paths.local_add(leaf, clock)
+    images = parents = 0
+    real_parent = Path.parent
+
+    def counted_images(*args, **kwargs):
+        nonlocal images
+        images += 1
+        return path_images(*args, **kwargs)
+
+    def counted_parent(self):
+        nonlocal parents
+        parents += 1
+        return real_parent(self)
+
+    monkeypatch.setattr(paths, "path_images", counted_images)
+    monkeypatch.setattr(Path, "parent", counted_parent)
+    lt = tree._build_lookup()
+    ghosts = sum(inst.ghost for inst in lt.instances.values())
+    assert (len(lt.instances), ghosts) == (400, 200)
+    assert images == 0
+    assert parents <= 2 * len(lt.instances)
+    assert lt.instances[leaves[0]].parent == chain
 
 
 path_sets = st.sets(
