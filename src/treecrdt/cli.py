@@ -12,6 +12,7 @@ from .errors import IllegalCombo, ScenarioError
 from .harness import (
     REPRS,
     check_convergence,
+    check_sizes,
     legal_combos,
     parse_scenario,
     run_scenario,
@@ -102,6 +103,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     combos = _match(args)
     if not combos:
         print("treecrdt check: no legal combo matches those flags", file=sys.stderr)
+        return 2
+    try:
+        check_sizes(args.ops, args.replicas, args.schedules)
+    except ValueError as exc:
+        print(f"treecrdt check: {exc}", file=sys.stderr)
         return 2
     lines = [f"checking {len(combos)} combos seed={args.seed} ops={args.ops}"]
     failures = []

@@ -108,6 +108,12 @@ class ReplicatedTree:
     An engine names its sets in ``SETS`` (merged, copied, stamped and
     printed), takes its codec for a positioning mode from ``CODECS``, and
     supplies ``_build_lookup()``, the uncached builder of its visible tree.
+
+    The visible tree is a function of ``state()``: equal payloads show
+    equal trees, which the memo and the checker's observation cache rely
+    on.  A subclass customises the tree in ``_build_lookup`` and folds any
+    extra input it reads into ``state()``; the memo is keyed on the set
+    versions, so that input changes only when a set does.
     """
 
     CODECS: Dict[Optional[str], Any] = {}
@@ -139,10 +145,6 @@ class ReplicatedTree:
         payload state, post-processing included, and handed to every caller
         until the payload changes, so callers must not mutate it.
         """
-        if not lookup_follows_state(self):
-            # an override that post-processes super().lookup() mutates what
-            # it gets, so it gets a tree of its own
-            return self._build_lookup()
         key = tuple(part.version for _, part in self._sets())
         if key != self._memo_key:
             self._memo_tree = self._build_lookup()
@@ -205,16 +207,6 @@ class ReplicatedTree:
         return "\n".join(lines)
 
 
-def lookup_follows_state(tree: ReplicatedTree) -> bool:
-    """True when the tree's visible tree is a function of ``tree.state()``.
-
-    The base lookup builds it from the sets alone.  An override
-    may post-process it with anything else the tree keeps, so its trees
-    are neither memoized nor compared by state.
-    """
-    return type(tree).lookup is ReplicatedTree.lookup
-
-
 class GraphTree(ReplicatedTree):
     """Replicated tree over an edge set, plus a node set unless an edge tree.
 
@@ -229,6 +221,7 @@ class GraphTree(ReplicatedTree):
     CODECS = EDGE_CODECS
     SETS = ("nodes", "edges")
     root = ROOT
+    several_cap = DEFAULT_SEVERAL_CAP
 
     def __init__(
         self,
@@ -236,7 +229,6 @@ class GraphTree(ReplicatedTree):
         flavor: str,
         connect_policy: str = "skip",
         map_policy: str = "shortest",
-        several_cap: int = DEFAULT_SEVERAL_CAP,
         repr_name: str = "graph",
         pi_mode: Optional[str] = None,
     ):
@@ -248,7 +240,6 @@ class GraphTree(ReplicatedTree):
         check_weight_combo(kind, map_policy)
         self.repr_name = repr_name
         self.map_policy = map_policy
-        self.several_cap = several_cap
         self.nodes = make_set(kind, flavor) if repr_name == "graph" else None
         self.edges = make_set(kind, flavor)
         # an edge tree has no node set to hold the root
@@ -343,7 +334,7 @@ class GraphTree(ReplicatedTree):
     @staticmethod
     def subtree_nodes(lt: LookupTree, n: Any) -> Set[Any]:
         """Nodes of every instance-subtree of n; removing one copy removes all."""
-        kids = lt.children_by_parent()
+        kids = lt.kids
         nodes: Set[Any] = set()
         stack = [inst.key for inst in lt.instances_of(n)]
         while stack:

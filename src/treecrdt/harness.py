@@ -15,7 +15,7 @@ from .errors import (
     ScenarioError,
     SeveralBlowup,
 )
-from .graph import GraphTree, TreeOp, lookup_follows_state
+from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
 from .ordered import PositionedNode
 from .paths import WordTree
@@ -637,13 +637,11 @@ def causal_deps(envelopes: List[Envelope]) -> List[Set[int]]:
     return deps
 
 
-def linear_extensions(deps: List[Set[int]], limit: Optional[int] = None) -> List[Tuple[int, ...]]:
+def linear_extensions(deps: List[Set[int]]) -> List[Tuple[int, ...]]:
     n = len(deps)
     out: List[Tuple[int, ...]] = []
 
     def rec(prefix: Tuple[int, ...], done: Set[int]) -> None:
-        if limit is not None and len(out) >= limit:
-            return
         if len(prefix) == n:
             out.append(prefix)
             return
@@ -736,7 +734,7 @@ def _observe(
     tree: Any,
     known: VectorClock,
     prev_witness: Optional[Dict],
-    cache: Optional[ObservationCache],
+    cache: ObservationCache,
     report: ConvergenceReport,
     where: str,
 ) -> Optional[Dict]:
@@ -753,18 +751,13 @@ def _observe(
     the delivered set alone, so two replicas that know the same ops but
     hold different payloads are both checked.  Moves depend on prev_witness
     and are computed on every call; a state whose lookup blew up has no
-    witness, so prev_witness stays the one to compare with.  The caller
-    passes no cache (None) when the tree overrides ``lookup``: its visible
-    tree need not be a function of its payload state.
+    witness, so prev_witness stays the one to compare with.
     """
-    if cache is None:
-        findings, witness = _check_state(sim.combo, tree, sim.known_ops(known))
-    else:
-        key = (tree.state(), tuple(map(known.get, sim.rids)))
-        seen = cache.get(key)
-        if seen is None:
-            seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
-        findings, witness = seen
+    key = (tree.state(), tuple(map(known.get, sim.rids)))
+    seen = cache.get(key)
+    if seen is None:
+        seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
+    findings, witness = seen
     for name, msg in findings:
         getattr(report, name).append(f"{where}: {msg}")
     if witness is None:
@@ -777,15 +770,23 @@ def _observe(
     return witness
 
 
-def _final_text(tree: Any, texts: Optional[Dict[Any, str]]) -> str:
+def _final_text(tree: Any, texts: Dict[Any, str]) -> str:
     """``shown(tree, payload=True)``, computed once per payload state in texts."""
-    if texts is None:
-        return shown(tree, payload=True)
     key = tree.state()
     text = texts.get(key)
     if text is None:
         text = texts[key] = shown(tree, payload=True)
     return text
+
+
+def check_sizes(n_ops: int, n_replicas: int, n_schedules: Optional[int]) -> None:
+    """Refuse a check that has no replica, a negative op count, or no order."""
+    if n_replicas < 1:
+        raise ValueError(f"a check needs at least 1 replica, not {n_replicas}")
+    if n_ops < 0:
+        raise ValueError(f"the op count cannot be negative, not {n_ops}")
+    if n_schedules is not None and n_schedules < 1:
+        raise ValueError(f"a check samples at least 1 schedule, not {n_schedules}")
 
 
 def check_convergence(
@@ -799,6 +800,7 @@ def check_convergence(
 ) -> ConvergenceReport:
     """Drive seeded scenarios and compare every legal delivery schedule."""
     make_tree(combo)
+    check_sizes(n_ops, n_replicas, n_schedules)
     report = ConvergenceReport(combo=combo)
     first_failure: Optional[Scenario] = None
     for k in range(scenarios):
@@ -829,7 +831,7 @@ def _check_one(
     factory: Optional[Callable[[ComboSpec], Any]],
 ) -> None:
     sim = Simulation(combo, scn.replicas, scn.seed, factory)
-    cache = {} if lookup_follows_state(sim.replicas[sim.rids[0]].tree) else None
+    cache: ObservationCache = {}
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
     for step, action in enumerate(scn.script, start=1):
         if sim.apply(action) is not None:
@@ -851,7 +853,7 @@ def _check_op_schedules(
     sim: Simulation,
     n_schedules: Optional[int],
     report: ConvergenceReport,
-    cache: Optional[ObservationCache],
+    cache: ObservationCache,
 ) -> None:
     """Replay every delivery order, or a sample, on a fresh observer each.
 
@@ -862,8 +864,7 @@ def _check_op_schedules(
     replica already reached is a hit in the scenario's cache: each distinct
     state is checked once, not each delivery or each prefix.  Each order's
     and each replica's final payload text is likewise computed once per
-    distinct ``state()``.  With no cache (a tree that overrides ``lookup``)
-    every delivery is checked and every final text built.
+    distinct ``state()``.
     """
     envelopes = sim.envelopes
     deps = causal_deps(envelopes)
@@ -871,8 +872,8 @@ def _check_op_schedules(
         orders = linear_extensions(deps)
     else:
         rng = random.Random(f"schedules/{sim.combo.label()}/{scn.seed}")
-        orders = sampled_extensions(deps, n_schedules or 32, rng)
-    texts: Optional[Dict[Any, str]] = None if cache is None else {}
+        orders = sampled_extensions(deps, 32 if n_schedules is None else n_schedules, rng)
+    texts: Dict[Any, str] = {}
     finals: Dict[str, Tuple[int, ...]] = {}
     for order in orders:
         observer = sim.factory(sim.combo)
@@ -904,7 +905,7 @@ def _check_state_schedules(
     scn: Scenario,
     sim: Simulation,
     report: ConvergenceReport,
-    cache: Optional[ObservationCache],
+    cache: ObservationCache,
 ) -> None:
     """Merge the replicas in every order, starting from a copy of the first.
 
@@ -913,7 +914,7 @@ def _check_state_schedules(
     ``state()`` as in ``_check_op_schedules``.
     """
     made = VectorClock(Counter(origin for origin, _ in sim.local_ops))
-    texts: Optional[Dict[Any, str]] = None if cache is None else {}
+    texts: Dict[Any, str] = {}
     finals: Dict[str, Tuple[str, ...]] = {}
     for perm in itertools.permutations(sim.rids):
         acc = sim.replicas[perm[0]].tree.copy()

@@ -79,10 +79,6 @@ class LookupTree:
             return list(group)
         return sorted(group, key=Instance.order_key)
 
-    def children_by_parent(self) -> Dict[InstanceKey, List[Instance]]:
-        """Every instance grouped under its parent key, unsorted; read-only."""
-        return self.kids
-
     def nodes_present(self) -> set:
         return {inst.node for inst in self.instances.values()}
 

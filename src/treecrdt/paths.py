@@ -10,7 +10,6 @@ prefix-closed set by a connection policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Set
 
 from .clocks import ReplicaClock
@@ -25,14 +24,6 @@ from .sets import ADD, RMV, make_set
 EPSILON = Path()
 
 
-def parse_path(text: str) -> Path:
-    """Read a /-joined path literal; "/" or the empty string is the root."""
-    atoms = [a for a in text.strip().split("/") if a]
-    for atom in atoms:
-        check_atom(atom)
-    return Path(atoms)
-
-
 def as_path(p: Iterable) -> Path:
     """p itself when it already is a Path, so the keys cached on it are kept."""
     return p if type(p) is Path else Path(p)
@@ -43,23 +34,7 @@ def check_atom(atom: Any) -> None:
         raise ValueError(f"atom must be a bare identifier, got {atom!r}")
 
 
-def is_prefix_closed(paths: Iterable[Path]) -> bool:
-    got = {Path(p) for p in paths} | {EPSILON}
-    return all(Path(p[:-1]) in got for p in got if p)
-
-
-@dataclass
-class ProbeCounter:
-    """Counts membership probes so lookup cost can be asserted, not timed."""
-
-    probes: int = 0
-
-
-def path_images(
-    paths: Iterable[Path],
-    policy: str,
-    probes: Optional[ProbeCounter] = None,
-) -> Dict[Path, Optional[Path]]:
+def path_images(paths: Iterable[Path], policy: str) -> Dict[Path, Optional[Path]]:
     """Map each live path to where the policy shows it; None when dropped.
 
     A path is an orphan when some proper prefix of it is not live.  Skip
@@ -72,15 +47,9 @@ def path_images(
     if policy not in CONNECT_POLICIES:
         raise IllegalCombo(f"unknown connection policy {policy!r}")
     live = {as_path(p) for p in paths} | {EPSILON}
-    counter = probes if probes is not None else ProbeCounter()
-
-    def is_live(p: Path) -> bool:
-        counter.probes += 1
-        return p in live
-
     out: Dict[Path, Optional[Path]] = {}
     for p in sorted(live, key=Path.order_key):
-        dead = {k for k in range(len(p)) if not is_live(Path(p[:k]))}
+        dead = {k for k in range(len(p)) if Path(p[:k]) not in live}
         if not dead:
             out[p] = p
         elif policy == "skip":

@@ -271,29 +271,21 @@ def _map_several(g: RootedGraph, cap: int) -> LookupTree:
 
 
 def _map_shortest(g: RootedGraph) -> LookupTree:
-    table = g.in_edges()
-    depth = {g.root: 0}
-    frontier = [g.root]
-    choice: Dict[Any, EdgeInfo] = {}
+    """Each node under its first in-edge, in identity order, from a parent
+    one level nearer the root: the least (parent, position) among them."""
     out = g.out_edges()
-    d = 0
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for edge in out.get(node, ()):
-                if edge.dst not in depth:
-                    nxt.append(edge.dst)
-                    depth[edge.dst] = d + 1
-        nxt = sorted(set(nxt), key=sort_key)
-        for node in nxt:
-            candidates = [
-                e for e in table[node] if depth.get(e.src, -1) == depth[node] - 1
-            ]
-            choice[node] = min(
-                candidates, key=lambda e: (sort_key(e.src), sort_key(e.pos))
-            )
-        frontier = nxt
-        d += 1
+    depth = {g.root: 0}
+    queue = deque([g.root])
+    while queue:
+        node = queue.popleft()
+        for edge in out.get(node, ()):
+            if edge.dst not in depth:
+                depth[edge.dst] = depth[node] + 1
+                queue.append(edge.dst)
+    choice: Dict[Any, EdgeInfo] = {}
+    for e in g.edges:
+        if e.dst not in choice and depth.get(e.src, -2) + 1 == depth.get(e.dst):
+            choice[e.dst] = e
     return _instances_from_choice(g, choice)
 
 
@@ -327,10 +319,12 @@ class _WorkEdge:
         return (self.eff, -self.idx)
 
 
-def _edmonds(
-    nodes: Set[Any], edges: List[_WorkEdge], root: Any, level: int = 0
-) -> Dict[Any, _WorkEdge]:
-    """Maximum-weight arborescence; returned values are members of `edges`."""
+def _edmonds(edges: List[_WorkEdge], root: Any, level: int = 0) -> Dict[Any, _WorkEdge]:
+    """Maximum-weight arborescence; returned values are members of `edges`.
+
+    Each node has one best in-edge, so the cycles those edges form are
+    disjoint, and every one of them is contracted in the same level.
+    """
     best: Dict[Any, _WorkEdge] = {}
     for e in edges:
         if e.dst == root or e.src == e.dst:
@@ -339,47 +333,37 @@ def _edmonds(
         if cur is None or e.pref() > cur.pref():
             best[e.dst] = e
 
-    cycle = None
+    # each node of a cycle -> the node that stands for its cycle
+    stand_in: Dict[Any, Tuple] = {}
+    walked: Set[Any] = set()
     for start in best:
         path = []
-        seen = set()
         cur = start
-        while cur in best and cur not in seen:
-            seen.add(cur)
+        while cur in best and cur not in walked:
+            walked.add(cur)
             path.append(cur)
             cur = best[cur].src
-        if cur in seen:
-            cycle = path[path.index(cur):]
-            break
-    if cycle is None:
+        if cur in path:
+            super_node = ("__cycle__", level, len(stand_in))
+            stand_in.update((node, super_node) for node in path[path.index(cur):])
+    if not stand_in:
         return best
 
-    cyc = set(cycle)
-    super_node = ("__cycle__", level)
-    new_nodes = (nodes - cyc) | {super_node}
     new_edges: List[_WorkEdge] = []
     for e in edges:
-        src = super_node if e.src in cyc else e.src
-        dst = super_node if e.dst in cyc else e.dst
+        src = stand_in.get(e.src, e.src)
+        dst = stand_in.get(e.dst, e.dst)
         if src == dst:
             continue
-        eff = e.eff - best[e.dst].eff if dst == super_node else e.eff
+        eff = e.eff - best[e.dst].eff if e.dst in stand_in else e.eff
         new_edges.append(_WorkEdge(src=src, dst=dst, eff=eff, idx=e.idx, inner=e))
 
-    sub = _edmonds(new_nodes, new_edges, root, level + 1)
-    # every chosen contracted edge unwraps to exactly one edge of this level
-    result: Dict[Any, _WorkEdge] = {}
-    entering = None
-    for dst, e in sub.items():
-        if dst == super_node:
-            entering = e.inner
-        else:
-            result[dst] = e.inner
-    for node in cycle:
-        if entering is None or node != entering.dst:
-            result[node] = best[node]
-    if entering is not None:
-        result[entering.dst] = entering
+    # every chosen contracted edge unwraps to exactly one edge of this level;
+    # it enters its cycle at one node, and the rest of the cycle keeps its
+    # best in-edges
+    result = {e.inner.dst: e.inner for e in _edmonds(new_edges, root, level + 1).values()}
+    for node in stand_in:
+        result.setdefault(node, best[node])
     return result
 
 
@@ -398,7 +382,7 @@ def _map_weighted(g: RootedGraph) -> LookupTree:
         )
         for i, e in enumerate(ranked)
     ]
-    chosen = _edmonds(set(g.nodes), work, g.root)
+    chosen = _edmonds(work, g.root)
     return _instances_from_choice(g, {dst: e.orig for dst, e in chosen.items()})
 
 

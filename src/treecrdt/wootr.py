@@ -189,16 +189,6 @@ class WootrSequence:
             )
         return self.elements.gen_add(WootrTriple(atom, prev, nxt), clock)
 
-    def gen_insert_at(self, atom: Any, index: int, clock: ReplicaClock) -> SetOp:
-        """Insert so the atom lands at `index` in the current text."""
-        line = self.line()
-        if not 0 <= index <= len(line) - 2:
-            raise PreconditionViolation(f"index {index} is outside the sequence")
-        return self.gen_insert(atom, line[index], line[index + 1], clock)
-
-    def gen_remove(self, e: WootrTriple, clock: ReplicaClock) -> SetOp:
-        return self.elements.gen_rmv(e, clock)
-
     def apply(self, op: SetOp) -> None:
         self.elements.apply(op)
 

@@ -3,16 +3,42 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import PreconditionViolation
 from treecrdt.harness import oracle_membership
-from treecrdt.render import sort_key
+from treecrdt.paths import EPSILON, check_atom
+from treecrdt.render import Path, sort_key
 from treecrdt.sets import ADD, RMV, SetOp, make_set
-from treecrdt.wootr import BEGIN, END
+from treecrdt.wootr import BEGIN, END, WootrSequence, WootrTriple
 
 REPLICAS = ("r1", "r2", "r3")
+
+
+def parse_path(text: str) -> Path:
+    """Read a /-joined path literal; "/" or the empty string is the root."""
+    atoms = [a for a in text.strip().split("/") if a]
+    for atom in atoms:
+        check_atom(atom)
+    return Path(atoms)
+
+
+def is_prefix_closed(paths: Iterable[Path]) -> bool:
+    got = {Path(p) for p in paths} | {EPSILON}
+    return all(Path(p[:-1]) in got for p in got if p)
+
+
+def gen_insert_at(seq: WootrSequence, atom: Any, index: int, clock: ReplicaClock) -> SetOp:
+    """Insert so the atom lands at `index` in the sequence's current text."""
+    line = seq.line()
+    if not 0 <= index <= len(line) - 2:
+        raise PreconditionViolation(f"index {index} is outside the sequence")
+    return seq.gen_insert(atom, line[index], line[index + 1], clock)
+
+
+def gen_remove(seq: WootrSequence, e: WootrTriple, clock: ReplicaClock) -> SetOp:
+    return seq.elements.gen_rmv(e, clock)
 
 
 class SetGroup:

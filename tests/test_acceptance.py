@@ -9,7 +9,7 @@ from typing import List, Set
 
 import pytest
 
-from helpers import TombstoneSequence
+from helpers import TombstoneSequence, gen_remove
 from treecrdt.cli import main
 from treecrdt.clocks import ReplicaClock
 from treecrdt.demos import CYCLE_SCRIPT, DEMOS, WORD_SCRIPT
@@ -337,7 +337,7 @@ def _wootr_history(seed: int, n_ops: int = 6):
             continue
         live = wootr_order(seq.elements.lookup())
         if live and rng.random() < 0.30:
-            op = seq.gen_remove(rng.choice(live), clocks[rid])
+            op = gen_remove(seq, rng.choice(live), clocks[rid])
         else:
             line = [BEGIN] + live + [END]
             k = rng.randrange(len(line) - 1)
@@ -377,6 +377,10 @@ def test_criterion_09_wootr_sequences_converge():
 # --- criterion 11: the cycle resolves finitely and dense graphs are capped ---
 
 
+class CappedTree(GraphTree):
+    several_cap = 5000
+
+
 def test_criterion_11_cycle_tree_and_blowup_guard():
     combo = ComboSpec("graph", "g", "state", "skip", "several", None)
     sim = Simulation(combo, 2, 3)
@@ -396,7 +400,7 @@ def test_criterion_11_cycle_tree_and_blowup_guard():
         arcs.update((perm[i], perm[i + 1]) for i in range(7))
     merged = None
     for k, perm in enumerate(chains):
-        contrib = GraphTree("or", "state", "skip", "several", several_cap=5000)
+        contrib = CappedTree("or", "state", "skip", "several")
         clock = ReplicaClock(f"c{k}", 0)
         prev = "root"
         for name in perm:

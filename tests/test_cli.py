@@ -126,6 +126,23 @@ def test_check_no_matching_combo_exits_2(capsys):
     assert "no legal combo matches" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--replicas", "0", "at least 1 replica"),
+        ("--ops", "-1", "cannot be negative"),
+        ("--schedules", "0", "at least 1 schedule"),
+    ],
+)
+def test_check_bad_sizes_exit_2(capsys, flag, value, message):
+    code, out, err = run_cli(
+        capsys, "check", "--repr", "word", "--set", "g", "--flavor", "state", flag, value
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_check_reports_failures_with_exit_1(capsys, monkeypatch):
     combo = ComboSpec("graph", "g", "op", "skip", "zero", None)
     broken = ConvergenceReport(combo=combo, scenarios=1, schedules=2)

@@ -373,7 +373,6 @@ def test_linear_extensions_respect_deps():
     deps = causal_deps(make_envelopes())
     orders = linear_extensions(deps)
     assert sorted(orders) == [(0, 1, 2), (0, 2, 1)]
-    assert linear_extensions(deps, limit=1) == [(0, 1, 2)]
 
 
 def test_sampled_extensions_are_valid_and_deterministic():
@@ -409,6 +408,20 @@ def test_check_convergence_passes(combo):
     assert "pass" in report.summary()
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        ({"n_replicas": 0}, "at least 1 replica"),
+        ({"n_ops": -1}, "cannot be negative"),
+        ({"n_schedules": 0}, "at least 1 schedule"),
+    ],
+)
+def test_check_convergence_refuses_bad_sizes(sizes, message):
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    with pytest.raises(ValueError, match=message):
+        check_convergence(combo, **sizes)
+
+
 def test_check_convergence_samples_beyond_the_exhaustive_bound():
     combo = ComboSpec("graph", "or", "op", "skip", "zero", None)
     report = check_convergence(combo, n_ops=9, n_schedules=6, scenarios=1)
@@ -442,7 +455,11 @@ def test_root_policy_moves_an_orphan_to_the_root():
 
 
 class ArrivalOrderTree(GraphTree):
-    """Planted bug: labels leak the local delivery order of adds."""
+    """Planted bug: labels leak the local delivery order of adds.
+
+    The order is part of ``state()``, so the visible tree is still a
+    function of it, as every tree's must be.
+    """
 
     def __init__(self):
         super().__init__("or", "op", "skip", "shortest")
@@ -453,8 +470,11 @@ class ArrivalOrderTree(GraphTree):
             self.arrivals.append(op.node)
         super().apply_remote(op)
 
-    def lookup(self):
-        lt = super().lookup()
+    def state(self):
+        return super().state() + (tuple(self.arrivals),)
+
+    def _build_lookup(self):
+        lt = super()._build_lookup()
         for inst in lt.instances.values():
             if inst.node in self.arrivals:
                 inst.label += f"#{self.arrivals.index(inst.node)}"
@@ -546,9 +566,18 @@ def test_planted_order_dependence_is_caught_and_minimized():
     assert counterexample.count(" add ") <= 3
 
 
-def test_an_overridden_lookup_is_observed_without_the_state_cache():
-    # the planted tree's labels come from its arrival order, not its payload,
-    # so schedule observers with equal state() still show different trees
+def test_the_cache_separates_equal_payloads_with_other_arrival_orders():
+    source, clock = GraphTree("or", "op"), ReplicaClock("r1")
+    ops = [source.gen_add("a", "root", clock), source.gen_add("b", "root", clock)]
+    trees = [ArrivalOrderTree(), ArrivalOrderTree()]
+    for tree, order in zip(trees, (ops, ops[::-1])):
+        for op in order:
+            tree.apply_remote(op)
+    # the sets are equal, but the arrival order is part of state()
+    assert GraphTree.state(trees[0]) == GraphTree.state(trees[1])
+    assert trees[0].state() != trees[1].state()
+    assert trees[0].lookup().dump() != trees[1].lookup().dump()
+    # so schedule observers that end with equal sets are still told apart
     combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
     for seed in (42, 43, 44, 45):
         report = ConvergenceReport(combo=combo)

@@ -10,13 +10,14 @@ from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario
 from treecrdt.lookup import Instance, LookupTree
 from treecrdt.ordered import PathStep, PositionedNode, SeqPos
-from treecrdt.paths import WordTree, parse_path
+from treecrdt.paths import WordTree
 from treecrdt.policies import EdgeInfo
 from treecrdt.positions import Upi
 from treecrdt.render import Path, render, sort_key
 from treecrdt.sets import ADD
 from treecrdt.wootr import BEGIN, END, WootrTriple
 
+from helpers import parse_path
 from test_combo_digests import LONG_SCRIPT_DIGESTS
 
 
@@ -96,7 +97,8 @@ def test_every_payload_change_renews_the_lookup():
 
 
 class LabelledTree(GraphTree):
-    """A subclass that post-processes the tree its base class returns."""
+    """A subclass that post-processes the tree its base class builds, and
+    folds the arrival order its labels read into ``state()``."""
 
     def __init__(self):
         super().__init__("or", "op", "skip", "shortest")
@@ -107,8 +109,11 @@ class LabelledTree(GraphTree):
             self.arrivals.append(op.node)
         super().apply_remote(op)
 
-    def lookup(self):
-        lt = super().lookup()
+    def state(self):
+        return super().state() + (tuple(self.arrivals),)
+
+    def _build_lookup(self):
+        lt = super()._build_lookup()
         for inst in lt.instances.values():
             if inst.node in self.arrivals:
                 inst.label += f"#{self.arrivals.index(inst.node)}"
@@ -224,7 +229,7 @@ def test_grouped_children_match_a_scan_in_every_combo():
     ordered_groups = 0
     for lt in final_lookups(42):
         groups = scan_groups(lt)
-        assert lt.children_by_parent() == groups
+        assert lt.kids == groups
         for key in [(), *lt.instances]:
             scanned = [i for i in lt.instances.values() if i.parent == key]
             assert lt.children(key) == sorted(scanned, key=Instance.order_key)

@@ -395,6 +395,46 @@ def test_newest_prefers_higher_weight_edge():
     assert tree.dump() == "root\n  a\n    b"
 
 
+def test_weighted_mapping_contracts_disjoint_cycles_in_one_level(monkeypatch):
+    # k two-node cycles hung from the root: a_i <-> b_i outweighs root -> a_i
+    k = 1000
+    edges = []
+    for i in range(k):
+        edges += [E(ROOT, f"a{i}"), E(f"a{i}", f"b{i}", weight=1), E(f"b{i}", f"a{i}", weight=1)]
+    g = RootedGraph(root=ROOT, nodes={ROOT} | {e.dst for e in edges}, edges=edges)
+    calls = []
+    edmonds = policies._edmonds
+
+    def counted(*args):
+        calls.append(args)
+        return edmonds(*args)
+
+    monkeypatch.setattr(policies, "_edmonds", counted)
+    tree = map_to_tree(g, "newest")
+    assert len(tree.instances) == 2 * k
+    assert tree.instances[("b7",)].parent == ("a7",)
+    # one level contracts every cycle, the next picks the edges into them
+    assert len(calls) <= 2
+
+
+def shortest_oracle(g: RootedGraph):
+    """node -> (parent, position) of its least in-edge, by parent then
+    position, among those from a node one BFS level nearer the root."""
+    depth, level, d = {g.root: 0}, {g.root}, 0
+    while level:
+        d += 1
+        level = {e.dst for e in g.edges if e.src in level and e.dst not in depth}
+        depth.update(dict.fromkeys(level, d))
+    return {
+        n: min(
+            ((e.src, e.pos) for e in g.edges if e.dst == n and depth.get(e.src) == d - 1),
+            key=lambda sp: (sort_key(sp[0]), sort_key(sp[1])),
+        )
+        for n, d in depth.items()
+        if d
+    }
+
+
 # brute-force oracle: enumerate every parent choice and maximize the same
 # scaled score the implementation uses
 
@@ -466,6 +506,16 @@ def test_every_policy_combo_yields_valid_tree(data):
     for policy in MAP_POLICIES:
         tree = map_to_tree(g, policy)
         tree.validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shortest_mapping_matches_the_level_oracle(data):
+    g = graphs(data.draw)
+    tree = map_to_tree(g, "shortest")
+    parents = {inst.node: (inst.parent, inst.pos) for inst in tree.instances.values()}
+    want = {n: (() if src == ROOT else (src,), pos) for n, (src, pos) in shortest_oracle(g).items()}
+    assert parents == want
 
 
 @settings(max_examples=80, deadline=None)

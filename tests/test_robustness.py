@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import parse_path
 from treecrdt.clocks import DeliveryBuffer, ReplicaClock
 from treecrdt.errors import KindMismatch
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario, shown
-from treecrdt.paths import EPSILON, WordTree, parse_path
+from treecrdt.paths import EPSILON, WordTree
 from treecrdt.positions import Upi
 
 SRC = Path(__file__).resolve().parent.parent / "src"

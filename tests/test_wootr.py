@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TombstoneSequence
+from helpers import TombstoneSequence, gen_insert_at, gen_remove
 from treecrdt.clocks import ReplicaClock, Tag
 from treecrdt.errors import IllegalCombo, InvalidInterval, PreconditionViolation
 from treecrdt.graph import TreeOp
@@ -80,7 +80,7 @@ def test_reintroduction_is_the_same_element():
     s = WootrSequence("or", "op")
     s.gen_insert("x", BEGIN, END, c)
     x = s.order()[0]
-    s.gen_remove(x, c)
+    gen_remove(s, x, c)
     assert s.text() == ""
     s.gen_insert("x", BEGIN, END, c)
     assert s.order() == [x]
@@ -96,7 +96,7 @@ def test_insert_relative_to_concurrently_removed_element():
     op_a = s1.gen_insert("a", BEGIN, END, c1)
     s2.apply(op_a)
     a = s1.order()[0]
-    op_rm = s1.gen_remove(a, c1)
+    op_rm = gen_remove(s1, a, c1)
     op_b = s2.gen_insert("b", a, END, c2)
     op_c = s2.gen_insert("c", BEGIN, a, c2)
     s1.apply(op_b)
@@ -281,7 +281,7 @@ def test_remove_missing_element_rejected():
     c = clock()
     s = WootrSequence("or", "op")
     with pytest.raises(PreconditionViolation):
-        s.gen_remove(WootrTriple("x", BEGIN, END), c)
+        gen_remove(s, WootrTriple("x", BEGIN, END), c)
 
 
 @pytest.mark.parametrize("kind", ["g", "2p"])
@@ -293,13 +293,13 @@ def test_add_only_kinds_rejected(kind):
 def test_insert_at_index_places_atom():
     c = clock()
     s = WootrSequence("or", "op")
-    s.gen_insert_at("b", 0, c)
-    s.gen_insert_at("a", 0, c)
-    s.gen_insert_at("d", 2, c)
-    s.gen_insert_at("c", 2, c)
+    gen_insert_at(s, "b", 0, c)
+    gen_insert_at(s, "a", 0, c)
+    gen_insert_at(s, "d", 2, c)
+    gen_insert_at(s, "c", 2, c)
     assert s.text() == "abcd"
     with pytest.raises(PreconditionViolation):
-        s.gen_insert_at("x", 9, c)
+        gen_insert_at(s, "x", 9, c)
 
 
 def test_counter_kind_balances_add_remove():
@@ -309,8 +309,8 @@ def test_counter_kind_balances_add_remove():
     op_a = s1.gen_insert("a", BEGIN, END, c1)
     s2.apply(op_a)
     a = s1.order()[0]
-    o1 = s1.gen_remove(a, c1)
-    o2 = s2.gen_remove(a, c2)
+    o1 = gen_remove(s1, a, c1)
+    o2 = gen_remove(s2, a, c2)
     s1.apply(o2)
     s2.apply(o1)
     assert s1.text() == s2.text() == ""
@@ -356,7 +356,7 @@ def test_every_delivery_order_matches_tombstone_reference():
     s2 = WootrSequence("or", "op")
     s2.apply(op0)
     op2 = s2.gen_insert("c", BEGIN, END, c2)
-    op3 = s2.gen_remove(a, c2)
+    op3 = gen_remove(s2, a, c2)
     s3 = WootrSequence("or", "op")
     s3.apply(op0)
     op4 = s3.gen_insert("d", BEGIN, a, c3)
@@ -402,7 +402,7 @@ def test_random_histories_match_tombstone_reference(seed):
             continue
         try:
             if s.order() and rng.random() < 0.3:
-                op = s.gen_remove(rng.choice(s.order()), clocks[r])
+                op = gen_remove(s, rng.choice(s.order()), clocks[r])
             else:
                 line = s.line()
                 i = rng.randrange(len(line) - 1)

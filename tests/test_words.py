@@ -13,19 +13,12 @@ import treecrdt.paths as paths
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
-from treecrdt.paths import (
-    EPSILON,
-    ProbeCounter,
-    WordTree,
-    is_prefix_closed,
-    parse_path,
-    path_images,
-)
+from treecrdt.paths import EPSILON, WordTree, path_images
 from treecrdt.policies import CONNECT_POLICIES
 from treecrdt.render import Path
 from treecrdt.sets import FLAVORS, KINDS
 
-from helpers import REPLICAS, TreeGroup
+from helpers import REPLICAS, TreeGroup, is_prefix_closed, parse_path
 
 P = Path  # Path("abcd") splits into single-character atoms
 
@@ -95,17 +88,6 @@ def test_colliding_images_fold_into_one_path():
     live = {P("a"), P("ba")}
     assert shown_paths(live, "root") == {P(""), P("a")}
     assert shown_paths(live, "compact") == {P(""), P("a")}
-
-
-def test_probe_count_is_total_path_length():
-    chain = {P("a" * k) for k in range(1, 13)}
-    bushy = {P(w) for w in map("".join, itertools.product("ab", repeat=2))}
-    bushy |= {P("a"), P("b")}
-    for live, total in ((chain, 78), (bushy, 10)):
-        for policy in CONNECT_POLICIES:
-            counter = ProbeCounter()
-            path_images(live, policy, probes=counter)
-            assert counter.probes == total
 
 
 def test_reappear_build_walks_each_shown_path_once(monkeypatch):
