@@ -72,7 +72,7 @@ def edge_infos(edge_set, kind: str, map_policy: str, codec) -> list:
     live = edge_set.lookup()
     weights = edge_weights(edge_set, kind, map_policy, live)
     return [
-        EdgeInfo(src=src, dst=dst, weight=weights.get(e, 0), pos=pos)
+        EdgeInfo(src, dst, weights.get(e, 0), pos)
         for e, (src, dst, pos) in zip(live, map(codec.decode, live))
     ]
 

@@ -845,7 +845,7 @@ def _check_one(
     if combo.flavor == "op":
         _check_op_schedules(scn, sim, n_schedules, report, cache)
     else:
-        _check_state_schedules(scn, sim, report, cache)
+        _check_state_schedules(scn, sim, n_schedules, report, cache)
 
 
 def _check_op_schedules(
@@ -904,19 +904,25 @@ def _check_op_schedules(
 def _check_state_schedules(
     scn: Scenario,
     sim: Simulation,
+    n_schedules: Optional[int],
     report: ConvergenceReport,
     cache: ObservationCache,
 ) -> None:
-    """Merge the replicas in every order, starting from a copy of the first.
-
-    Every fold holds every local op, so its version vector is the made
-    counts.  Its observation and its final payload text are looked up by
-    ``state()`` as in ``_check_op_schedules``.
-    """
+    """Merge the replicas in every order (a sample of n_schedules, 32 by
+    default, when it is given or there are over 7 replicas), starting from a
+    copy of the first.  Every fold holds every local op, so its version
+    vector is the made counts; its observation and its final payload text
+    are looked up by ``state()`` as in ``_check_op_schedules``."""
     made = VectorClock(Counter(origin for origin, _ in sim.local_ops))
     texts: Dict[Any, str] = {}
     finals: Dict[str, Tuple[str, ...]] = {}
-    for perm in itertools.permutations(sim.rids):
+    if n_schedules is None and len(sim.rids) <= 7:
+        perms = itertools.permutations(sim.rids)
+    else:
+        rng = random.Random(f"folds/{sim.combo.label()}/{scn.seed}")
+        orders = sampled_extensions([set()] * len(sim.rids), n_schedules or 32, rng)
+        perms = [tuple(sim.rids[i] for i in order) for order in orders]
+    for perm in perms:
         acc = sim.replicas[perm[0]].tree.copy()
         clock = ReplicaClock(f"fold-{'-'.join(perm)}", scn.seed)
         for rid in perm[1:]:

@@ -11,12 +11,12 @@ added, which the caller decodes from the edge set's ``ever()``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import SeveralBlowup
 from .lookup import LookupTree
-from .render import cached_on_self, render, sort_key
+from .render import render, sort_key
 
 CONNECT_POLICIES = ("skip", "reappear", "root", "compact")
 MAP_POLICIES = ("several", "newest", "highest", "shortest", "zero")
@@ -29,18 +29,25 @@ MONOTONE_MAP = ("several", "zero")
 DEFAULT_SEVERAL_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EdgeInfo:
-    """A directed edge plus the metadata mapping policies may need."""
+    """A directed edge plus the metadata mapping policies may need; treat it
+    as immutable, since its identity is kept from the first call."""
 
     src: Any
     dst: Any
     weight: int = 0
     pos: Any = None
+    _identity: Any = field(default=None, init=False, repr=False, compare=False)
 
-    @cached_on_self
     def identity(self):
-        return (sort_key(self.dst), sort_key(self.src), sort_key(self.pos))
+        try:
+            key = self._identity
+        except AttributeError:  # a subclass without slots leaves it unset
+            key = None
+        if key is None:
+            key = self._identity = (sort_key(self.dst), sort_key(self.src), sort_key(self.pos))
+        return key
 
 
 @dataclass
@@ -49,6 +56,8 @@ class RootedGraph:
 
     The edges are sorted by identity once, when the graph is built, so each
     bucket of ``in_edges`` and ``out_edges`` comes out in that order too.
+    The same pass keeps one edge per identity (a forged element can decode
+    to a real edge): the heaviest, the first of them among equal weights.
     """
 
     root: Any
@@ -56,7 +65,16 @@ class RootedGraph:
     edges: List[EdgeInfo]
 
     def __post_init__(self):
-        self.edges = sorted(self.edges, key=EdgeInfo.identity)
+        kept: List[EdgeInfo] = []
+        last = None
+        for e in sorted(self.edges, key=EdgeInfo.identity):
+            key = e._identity
+            if key != last:
+                kept.append(e)
+                last = key
+            elif e.weight > kept[-1].weight:
+                kept[-1] = e
+        self.edges = kept
 
     def in_edges(self) -> Dict[Any, List[EdgeInfo]]:
         table: Dict[Any, List[EdgeInfo]] = {n: [] for n in self.nodes}
@@ -72,36 +90,14 @@ class RootedGraph:
         return table
 
 
-def _reachable(root: Any, nodes: Set[Any], edges: Iterable[EdgeInfo]) -> Set[Any]:
-    out: Dict[Any, List[Any]] = {}
-    for e in edges:
-        out.setdefault(e.src, []).append(e.dst)
-    seen = {root}
-    queue = deque([root])
+def _walk(out: Dict[Any, List[Any]], reach: Set[Any], starts: Iterable[Any]) -> None:
+    """Add to reach every node that out leads to from starts (in reach)."""
+    queue = deque(starts)
     while queue:
-        cur = queue.popleft()
-        for nxt in out.get(cur, ()):
-            if nxt in nodes and nxt not in seen:
-                seen.add(nxt)
+        for nxt in out.get(queue.popleft(), ()):
+            if nxt not in reach:
+                reach.add(nxt)
                 queue.append(nxt)
-    return seen
-
-
-def _dedupe(edges: Iterable[EdgeInfo]) -> List[EdgeInfo]:
-    best: Dict[Tuple, EdgeInfo] = {}
-    for e in edges:
-        key = e.identity()
-        cur = best.get(key)
-        if cur is None or e.weight > cur.weight:
-            best[key] = e
-    return list(best.values())
-
-
-def _restrict(root: Any, nodes: Set[Any], edges: Iterable[EdgeInfo]) -> RootedGraph:
-    edges = [e for e in edges if e.src in nodes and e.dst in nodes]
-    keep = _reachable(root, nodes, edges)
-    kept_edges = [e for e in edges if e.src in keep and e.dst in keep]
-    return RootedGraph(root=root, nodes=keep, edges=_dedupe(kept_edges))
 
 
 def _climb(starts: Iterable[Any], parents: Dict[Any, Set[Any]], stop: Set[Any]) -> Set[Any]:
@@ -156,44 +152,49 @@ def connect(
     live = set(nodes) | {root}
     all_edges = list(edges)
     graph_edges = [e for e in all_edges if e.src in live and e.dst in live]
-    reach = _reachable(root, live, graph_edges)
+    out: Dict[Any, List[Any]] = {}
+    for e in graph_edges:
+        out.setdefault(e.src, []).append(e.dst)
+    reach = {root}
+    _walk(out, reach, (root,))
     if policy == "skip":
-        kept = [e for e in graph_edges if e.src in reach and e.dst in reach]
-        return RootedGraph(root=root, nodes=reach, edges=_dedupe(kept))
+        return RootedGraph(root, reach, [e for e in graph_edges if e.src in reach])
 
     orphans = live - reach
     orphan_edges = [e for e in all_edges if e.dst in orphans and e.src not in live]
-
     if policy == "root":
-        rewired = [
-            EdgeInfo(src=root, dst=e.dst, weight=e.weight, pos=e.pos)
-            for e in orphan_edges
-        ]
-        return _restrict(root, live, graph_edges + rewired)
-
-    history = list(history)
-    parents: Dict[Any, Set[Any]] = {}
-    for src, dst, _ in history:
-        parents.setdefault(dst, set()).add(src)
-    sources = {e.src for e in orphan_edges}
-    if policy == "compact":
-        anchors = {src: get_connected(src, reach, parents) for src in sources}
-        rewired = [
-            EdgeInfo(src=anchor, dst=e.dst, weight=e.weight, pos=e.pos)
-            for e in orphan_edges
-            for anchor in anchors[e.src]
-        ]
-        return _restrict(root, live, graph_edges + rewired)
-
-    # reappear: recreate, from history, every path from the root down to each
-    # orphan edge's source, then keep the orphan edge itself.
-    revived = _climb(sources, parents, set())
-    revived_edges = [
-        EdgeInfo(src=src, dst=dst, weight=-1, pos=pos)
-        for src, dst, pos in history
-        if dst in revived
-    ]
-    return _restrict(root, live | revived, graph_edges + orphan_edges + revived_edges)
+        added = [EdgeInfo(root, e.dst, e.weight, e.pos) for e in orphan_edges]
+    else:
+        history = list(history)
+        parents: Dict[Any, Set[Any]] = {}
+        for src, dst, _ in history:
+            parents.setdefault(dst, set()).add(src)
+        sources = {e.src for e in orphan_edges}
+        if policy == "compact":
+            anchors = {src: get_connected(src, reach, parents) for src in sources}
+            added = [
+                EdgeInfo(anchor, e.dst, e.weight, e.pos)
+                for e in orphan_edges
+                for anchor in anchors[e.src]
+            ]
+        else:
+            # reappear: recreate, from history, every path from the root down
+            # to each orphan edge's source, then keep the orphan edge itself
+            revived = _climb(sources, parents, set())
+            added = orphan_edges + [
+                EdgeInfo(src, dst, -1, pos) for src, dst, pos in history if dst in revived
+            ]
+    # the added edges only widen what the root reaches, so the one walk goes
+    # on from the targets of those whose source it has reached
+    starts = []
+    for e in added:
+        out.setdefault(e.src, []).append(e.dst)
+        if e.src in reach and e.dst not in reach:
+            reach.add(e.dst)
+            starts.append(e.dst)
+    _walk(out, reach, starts)
+    # an edge whose source the walk reached leads to a reached node
+    return RootedGraph(root, reach, [e for e in graph_edges + added if e.src in reach])
 
 
 def _instances_from_choice(
@@ -229,14 +230,16 @@ def _instances_from_choice(
 
 
 def _already_tree(g: RootedGraph) -> Optional[Dict[Any, EdgeInfo]]:
-    table = g.in_edges()
-    choice = {}
-    for node in g.nodes:
-        if node == g.root:
+    """Each non-root node's one in-edge, ignoring edges into the root, or None."""
+    choice: Dict[Any, EdgeInfo] = {}
+    for e in g.edges:
+        if e.dst == g.root:
             continue
-        if len(table[node]) != 1:
+        if e.dst in choice:
             return None
-        choice[node] = table[node][0]
+        choice[e.dst] = e
+    if len(choice) != len(g.nodes) - 1:
+        return None
     return choice
 
 

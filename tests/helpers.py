@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import PreconditionViolation
 from treecrdt.harness import oracle_membership
 from treecrdt.paths import EPSILON, check_atom
+from treecrdt.policies import EdgeInfo, get_connected
 from treecrdt.render import Path, sort_key
 from treecrdt.sets import ADD, RMV, SetOp, make_set
 from treecrdt.wootr import BEGIN, END, WootrSequence, WootrTriple
@@ -206,3 +208,87 @@ class TombstoneSequence:
     def order(self, live) -> List[Any]:
         keep = set(live)
         return [e for e in self.line[1:-1] if e in keep]
+
+
+# --- reference connection step ---
+#
+# The connection policies written the plain way: a reachability walk over
+# the live edges, then, once a policy has added its edges, a second walk
+# from scratch over everything, and a dict that keeps the heaviest edge of
+# each identity.  It returns (nodes, edges sorted by identity) for
+# comparison with ``policies.connect``.
+
+
+def reference_reachable(root: Any, nodes: set, edges: Iterable[EdgeInfo]) -> set:
+    out: Dict[Any, List[Any]] = {}
+    for e in edges:
+        out.setdefault(e.src, []).append(e.dst)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt in out.get(cur, ()):
+            if nxt in nodes and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def reference_dedupe(edges: Iterable[EdgeInfo]) -> List[EdgeInfo]:
+    best: Dict[Tuple, EdgeInfo] = {}
+    for e in edges:
+        key = e.identity()
+        cur = best.get(key)
+        if cur is None or e.weight > cur.weight:
+            best[key] = e
+    return list(best.values())
+
+
+def reference_restrict(root: Any, nodes: set, edges: Iterable[EdgeInfo]):
+    edges = [e for e in edges if e.src in nodes and e.dst in nodes]
+    keep = reference_reachable(root, nodes, edges)
+    kept_edges = [e for e in edges if e.src in keep and e.dst in keep]
+    return keep, sorted(reference_dedupe(kept_edges), key=EdgeInfo.identity)
+
+
+def reference_connect(nodes: set, edges: Iterable[EdgeInfo], history, policy: str, root: Any):
+    live = set(nodes) | {root}
+    all_edges = list(edges)
+    graph_edges = [e for e in all_edges if e.src in live and e.dst in live]
+    reach = reference_reachable(root, live, graph_edges)
+    if policy == "skip":
+        kept = [e for e in graph_edges if e.src in reach and e.dst in reach]
+        return reach, sorted(reference_dedupe(kept), key=EdgeInfo.identity)
+
+    orphans = live - reach
+    orphan_edges = [e for e in all_edges if e.dst in orphans and e.src not in live]
+    if policy == "root":
+        rewired = [EdgeInfo(root, e.dst, e.weight, e.pos) for e in orphan_edges]
+        return reference_restrict(root, live, graph_edges + rewired)
+
+    history = list(history)
+    parents: Dict[Any, set] = {}
+    for src, dst, _ in history:
+        parents.setdefault(dst, set()).add(src)
+    sources = {e.src for e in orphan_edges}
+    if policy == "compact":
+        anchors = {src: get_connected(src, reach, parents) for src in sources}
+        rewired = [
+            EdgeInfo(anchor, e.dst, e.weight, e.pos)
+            for e in orphan_edges
+            for anchor in anchors[e.src]
+        ]
+        return reference_restrict(root, live, graph_edges + rewired)
+
+    # reappear: every history ancestor of every orphan edge's source
+    revived = set(sources)
+    stack = list(sources)
+    while stack:
+        for parent in parents.get(stack.pop(), ()):
+            if parent not in revived:
+                revived.add(parent)
+                stack.append(parent)
+    revived_edges = [EdgeInfo(src, dst, -1, pos) for src, dst, pos in history if dst in revived]
+    return reference_restrict(
+        root, live | revived, graph_edges + orphan_edges + revived_edges
+    )

@@ -429,6 +429,22 @@ def test_check_convergence_samples_beyond_the_exhaustive_bound():
     assert 0 < report.schedules <= 6
 
 
+@pytest.mark.parametrize(
+    "replicas, schedules, most",
+    [(3, None, 6), (4, 5, 5), (8, None, 32)],
+)
+def test_state_folds_follow_the_schedule_count(replicas, schedules, most):
+    # every replica order up to 7 replicas unless a sample size is given
+    combo = ComboSpec("graph", "or", "state", "skip", "shortest", None)
+    report = check_convergence(combo, n_replicas=replicas, n_schedules=schedules)
+    assert report.passed, report.summary()
+    assert report.scenarios == 2
+    if schedules is None and replicas <= 7:
+        assert report.schedules == most * report.scenarios
+    else:
+        assert 0 < report.schedules <= most * report.scenarios
+
+
 def test_monotone_combo_never_moves_a_survivor():
     combo = ComboSpec("graph", "or", "op", "reappear", "several", None)
     report = check_convergence(combo, n_ops=5, scenarios=3)

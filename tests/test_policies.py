@@ -2,14 +2,17 @@
 
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import treecrdt.policies as policies
+from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import SeveralBlowup
+from treecrdt.graph import GraphTree, TreeOp
 from treecrdt.harness import Simulation, parse_scenario
 from treecrdt.lookup import LookupTree
 from treecrdt.policies import (
@@ -22,6 +25,9 @@ from treecrdt.policies import (
     map_to_tree,
 )
 from treecrdt.render import sort_key
+from treecrdt.sets import ADD, make_set
+
+from helpers import reference_connect
 
 ROOT = "root"
 
@@ -206,7 +212,7 @@ def test_reappear_builds_each_revived_edge_once(monkeypatch):
     history += history_of(*((bottom, o) for o in orphans))
     revived = []
 
-    @dataclass(frozen=True)
+    @dataclass
     class CountedEdgeInfo(EdgeInfo):
         def __post_init__(self):
             if self.weight == -1:
@@ -226,6 +232,112 @@ def test_root_policy_keeps_orphan_component_internal_edges():
     history = history_of((ROOT, "d"), ("d", "a"), ("a", "b"))
     g = connect(nodes, edges, history, "root", ROOT)
     assert {(e.src, e.dst) for e in g.edges} == {(ROOT, "a"), ("a", "b")}
+
+
+@st.composite
+def connect_inputs(draw):
+    """Live nodes, edges and a history over a few names, some of them dead.
+
+    Edges may run into the root, out of dead nodes, or repeat an identity
+    (src, dst, pos) with another weight; the history holds every edge and
+    some removed ones, in any order.
+    """
+    names = ["a", "b", "c", "d", "e"][: draw(st.integers(2, 5))]
+    nodes = set(draw(st.lists(st.sampled_from(names), unique=True)))
+    ends = st.sampled_from(names + [ROOT])
+    triples = st.tuples(ends, ends, st.sampled_from((None, 1)))
+    raw = draw(st.lists(st.tuples(triples, st.integers(0, 3)), max_size=12))
+    edges = [E(s, d, weight=w, pos=p) for (s, d, p), w in raw]
+    for i, w in draw(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 3)), max_size=3)):
+        if i < len(edges):
+            edges.append(E(edges[i].src, edges[i].dst, weight=w, pos=edges[i].pos))
+    removed = draw(st.lists(triples, max_size=6))
+    history = draw(st.permutations([(e.src, e.dst, e.pos) for e in edges] + removed))
+    return nodes, edges, history
+
+
+def listed(edges):
+    return [(e.src, e.dst, e.weight, e.pos) for e in edges]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(inputs=connect_inputs())
+@example(
+    inputs=(
+        {"a", "b"},
+        [E("m", "a", 1), E("m", "a", 2), E("a", "b", 2), E("a", "b", 2), E("b", ROOT)],
+        history_of((ROOT, "m"), ("m", "a"), ("a", "b")),
+    )
+)
+def test_connect_matches_the_reference_walk(inputs):
+    nodes, edges, history = inputs
+    for policy in CONNECT_POLICIES:
+        g = connect(nodes, edges, history, policy, ROOT)
+        want_nodes, want_edges = reference_connect(nodes, edges, history, policy, ROOT)
+        assert g.nodes == want_nodes, policy
+        assert listed(g.edges) == listed(want_edges), policy
+
+
+def test_colliding_edges_keep_the_heaviest_then_the_first():
+    first, later = E(ROOT, "a", 2), E(ROOT, "a", 2)
+    g = RootedGraph(ROOT, {ROOT, "a"}, [E(ROOT, "a", 1), first, later, E(ROOT, "a", 0)])
+    assert len(g.edges) == 1 and g.edges[0] is first
+
+
+@pytest.mark.parametrize("policy", ["root", "compact"])
+def test_root_and_compact_walk_each_node_once(monkeypatch, policy):
+    # a live chain a1..a20, and a live chain b1..b20 whose dead parent m
+    # hung under a20: both policies rewire b1 and reach all 41 nodes
+    chain_a = [ROOT] + [f"a{i}" for i in range(1, 21)]
+    chain_b = [f"b{i}" for i in range(1, 21)]
+    live = set(chain_a[1:] + chain_b)
+    edges = [E(s, d) for s, d in zip(chain_a, chain_a[1:])]
+    edges += [E("m", "b1")] + [E(s, d) for s, d in zip(chain_b, chain_b[1:])]
+    history = [(e.src, e.dst, None) for e in edges] + [("a20", "m", None)]
+    dequeued = 0
+
+    class CountedDeque(deque):
+        def popleft(self):
+            nonlocal dequeued
+            dequeued += 1
+            return super().popleft()
+
+    monkeypatch.setattr(policies, "deque", CountedDeque)
+    g = connect(live, edges, history, policy, ROOT)
+    assert len(g.nodes) == 41
+    assert dequeued == len(g.nodes)
+
+
+@pytest.mark.parametrize("map_policy", MAP_POLICIES)
+def test_a_forged_element_that_decodes_to_a_real_edge_changes_nothing(map_policy):
+    # the string "ju" decodes as the edge j -> u on an unpositioned edge tree
+    tree = GraphTree("or", "op", "skip", map_policy, repr_name="edge")
+    clock = ReplicaClock("r1", seed=0)
+    tree.gen_add("j", ROOT, clock)
+    tree.gen_add("u", "j", clock)
+    forged = make_set("or", "op").gen_add("ju", ReplicaClock("r2", seed=0))
+    tree.apply_remote(TreeOp(ADD, "u", "j", (), (forged,)))
+    assert "ju" in tree.edges.lookup()
+    assert tree.lookup().dump() == "root\n  j\n    u"
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, want",
+    [
+        # an edge into the root is ignored
+        ({"a"}, [E(ROOT, "a"), E("a", ROOT)], {"a": (ROOT, "a")}),
+        # a second in-edge
+        ({"a", "b"}, [E(ROOT, "a"), E(ROOT, "b"), E("a", "b")], None),
+        # a non-root node with no in-edge
+        ({"a", "b"}, [E(ROOT, "a")], None),
+    ],
+)
+def test_already_tree_takes_each_nodes_one_in_edge(nodes, edges, want):
+    choice = policies._already_tree(RootedGraph(ROOT, nodes | {ROOT}, edges))
+    if want is None:
+        assert choice is None
+    else:
+        assert {n: (e.src, e.dst) for n, e in choice.items()} == want
 
 
 # --- mapping policies ---
