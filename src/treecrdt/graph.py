@@ -41,6 +41,13 @@ ROOT = "root"
 # the one-parent policies that rank edges need per-edge metadata
 WEIGHT_NEEDS = {"newest": ("lww", "or"), "highest": ("c", "or")}
 
+# positioned elements whose set kind must be 2p, because each is added once
+ADD_ONCE = {
+    ("graph", "node"): "positioned nodes are add-once, so 2p",
+    ("edge", "edge"): "positioned edges are add-once, so 2p",
+    ("word", "edge"): "positioned path steps are add-once, so 2p",
+}
+
 
 def check_weight_combo(kind: str, map_policy: str) -> None:
     need = WEIGHT_NEEDS.get(map_policy)
@@ -108,6 +115,8 @@ class ReplicatedTree:
     An engine names its sets in ``SETS`` (merged, copied, stamped and
     printed), takes its codec for a positioning mode from ``CODECS``, and
     supplies ``_build_lookup()``, the uncached builder of its visible tree.
+    It sets ``repr_name`` before this ``__init__`` runs; a combo is legal
+    exactly when its engine constructs.
 
     The visible tree is a function of ``state()``: equal payloads show
     equal trees, which the memo and the checker's observation cache rely
@@ -127,6 +136,8 @@ class ReplicatedTree:
             raise IllegalCombo(f"unknown positioning mode {pi_mode!r}")
         self.codec = self.CODECS[pi_mode]
         self.codec.check_kind(kind)
+        if kind != "2p" and (self.repr_name, pi_mode) in ADD_ONCE:
+            raise IllegalCombo(ADD_ONCE[(self.repr_name, pi_mode)])
         if connect_policy not in CONNECT_POLICIES:
             raise IllegalCombo(f"unknown connection policy {connect_policy!r}")
         self.pi_mode = pi_mode
@@ -228,20 +239,25 @@ class GraphTree(ReplicatedTree):
         kind: str,
         flavor: str,
         connect_policy: str = "skip",
-        map_policy: str = "shortest",
+        map_policy: Optional[str] = "shortest",
         repr_name: str = "graph",
         pi_mode: Optional[str] = None,
     ):
         if repr_name not in ("graph", "edge"):
             raise IllegalCombo(f"unknown representation {repr_name!r}")
+        self.repr_name = repr_name
+        # the sets come first, so an unknown kind or flavor is named first
+        self.nodes = make_set(kind, flavor) if repr_name == "graph" else None
+        self.edges = make_set(kind, flavor)
+        if map_policy is None:
+            raise IllegalCombo(f"{repr_name} trees need a mapping policy")
+        if pi_mode == "node" and repr_name != "graph":
+            raise IllegalCombo("node positions pair with the graph representation")
         super().__init__(kind, flavor, connect_policy, pi_mode)
         if map_policy not in MAP_POLICIES:
             raise IllegalCombo(f"unknown mapping policy {map_policy!r}")
         check_weight_combo(kind, map_policy)
-        self.repr_name = repr_name
         self.map_policy = map_policy
-        self.nodes = make_set(kind, flavor) if repr_name == "graph" else None
-        self.edges = make_set(kind, flavor)
         # an edge tree has no node set to hold the root
         self._root_rule = (
             "the root is always present"

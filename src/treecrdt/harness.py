@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -25,14 +24,6 @@ from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
 
 REPRS = ("graph", "edge", "word")
 PI_MODES = (None, "node", "edge", "wootr")
-
-# positioned elements whose set kind must be 2p, because each is added once
-ADD_ONCE = {
-    ("graph", "node"): "positioned nodes are add-once, so 2p",
-    ("edge", "edge"): "positioned edges are add-once, so 2p",
-    ("word", "edge"): "positioned path steps are add-once, so 2p",
-}
-
 
 # --- combos ---
 
@@ -86,42 +77,23 @@ def parse_combo(tokens: List[str]) -> ComboSpec:
 
 
 def make_tree(combo: ComboSpec) -> Any:
-    """Build the tree a combo describes, or raise IllegalCombo."""
-    if combo.repr_name not in REPRS:
-        raise IllegalCombo(f"unknown representation {combo.repr_name!r}")
-    if combo.kind not in KINDS:
-        raise IllegalCombo(f"unknown set kind {combo.kind!r}")
-    if combo.flavor not in FLAVORS:
-        raise IllegalCombo(f"unknown flavor {combo.flavor!r}")
-    if combo.pi_mode not in PI_MODES:
-        raise IllegalCombo(f"unknown positioning mode {combo.pi_mode!r}")
-    r, k, f = combo.repr_name, combo.kind, combo.flavor
-    cp, mp, pi = combo.connect_policy, combo.map_policy, combo.pi_mode
-    if r == "word":
-        if mp is not None:
-            raise IllegalCombo("word trees have no mapping stage")
-    elif mp is None:
-        raise IllegalCombo(f"{r} trees need a mapping policy")
-    elif pi == "node" and r != "graph":
-        raise IllegalCombo("node positions pair with the graph representation")
-    if k != "2p" and (r, pi) in ADD_ONCE:
-        raise IllegalCombo(ADD_ONCE[(r, pi)])
-    if r == "word":
-        return WordTree(k, f, cp, pi)
-    return GraphTree(k, f, cp, mp, repr_name=r, pi_mode=pi)
+    """Build the tree a combo describes; its engine refuses an illegal one."""
+    c = combo
+    if c.repr_name != "word":
+        return GraphTree(c.kind, c.flavor, c.connect_policy, c.map_policy, c.repr_name, c.pi_mode)
+    if c.map_policy is not None:
+        raise IllegalCombo("word trees have no mapping stage")
+    return WordTree(c.kind, c.flavor, c.connect_policy, c.pi_mode)
 
 
 def legal_combos() -> List[ComboSpec]:
     """Every combination of choices that builds, in a stable order."""
     out = []
     for repr_name in REPRS:
-        maps: Tuple[Optional[str], ...] = (
-            (None,) if repr_name == "word" else MAP_POLICIES
-        )
         for kind in KINDS:
             for flavor in FLAVORS:
                 for connect in CONNECT_POLICIES:
-                    for mp in maps:
+                    for mp in MAP_POLICIES + (None,):
                         for pi in PI_MODES:
                             combo = ComboSpec(repr_name, kind, flavor, connect, mp, pi)
                             try:
@@ -563,16 +535,13 @@ def oracle_membership(kind: str, history: List[SetOp], e: Any) -> bool:
     raise ValueError(kind)
 
 
-def _set_histories(combo: ComboSpec, ops: Iterable[TreeOp]) -> Dict[str, List[SetOp]]:
-    """SetOps delivered so far, grouped by the payload set they touch."""
-    out = {
-        "paths" if combo.repr_name == "word" else "nodes": [
-            sub for op in ops for sub in op.node_ops
-        ],
-        "edges": [sub for op in ops for sub in op.edge_ops],
-    }
+def _set_histories(tree: Any, ops: List[TreeOp]) -> Dict[str, List[SetOp]]:
+    """SetOps delivered so far, grouped by the payload set they touch: node
+    or path sub-ops go to the tree's first set, edge sub-ops to its second."""
+    node_subs = [sub for op in ops for sub in op.node_ops]
+    edge_subs = [sub for op in ops for sub in op.edge_ops]
     # an edge tree sends no node ops, a word tree no edge ops
-    return {name: history for name, history in out.items() if history}
+    return {name: subs for name, subs in zip(tree.SETS, (node_subs, edge_subs)) if subs}
 
 
 def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[str]:
@@ -582,7 +551,7 @@ def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[st
     ops were delivered, not on the order they were delivered in.
     """
     problems = []
-    for name, history in _set_histories(combo, ops).items():
+    for name, history in _set_histories(tree, ops).items():
         payload = getattr(tree, name)
         shown = payload.lookup()
         by_element: Dict[Any, List[SetOp]] = {}
@@ -668,6 +637,17 @@ def sampled_extensions(
             done.add(pick)
         out.append(tuple(order))
     return sorted(set(out))
+
+
+def schedule_orders(
+    deps: List[Set[int]], n_schedules: Optional[int], seed_text: str
+) -> List[Tuple[int, ...]]:
+    """Every order of the items when no sample size is given and there are
+    at most 7, else a sample of n_schedules (32 by default) seeded by
+    seed_text."""
+    if n_schedules is None and len(deps) <= 7:
+        return linear_extensions(deps)
+    return sampled_extensions(deps, n_schedules or 32, random.Random(seed_text))
 
 
 # --- convergence checking ---
@@ -867,12 +847,8 @@ def _check_op_schedules(
     distinct ``state()``.
     """
     envelopes = sim.envelopes
-    deps = causal_deps(envelopes)
-    if len(envelopes) <= 7 and n_schedules is None:
-        orders = linear_extensions(deps)
-    else:
-        rng = random.Random(f"schedules/{sim.combo.label()}/{scn.seed}")
-        orders = sampled_extensions(deps, 32 if n_schedules is None else n_schedules, rng)
+    seed_text = f"schedules/{sim.combo.label()}/{scn.seed}"
+    orders = schedule_orders(causal_deps(envelopes), n_schedules, seed_text)
     texts: Dict[Any, str] = {}
     finals: Dict[str, Tuple[int, ...]] = {}
     for order in orders:
@@ -908,20 +884,16 @@ def _check_state_schedules(
     report: ConvergenceReport,
     cache: ObservationCache,
 ) -> None:
-    """Merge the replicas in every order (a sample of n_schedules, 32 by
-    default, when it is given or there are over 7 replicas), starting from a
-    copy of the first.  Every fold holds every local op, so its version
+    """Merge the replicas in each order of ``schedule_orders``, starting
+    from a copy of the first.  Every fold holds every local op, so its version
     vector is the made counts; its observation and its final payload text
     are looked up by ``state()`` as in ``_check_op_schedules``."""
     made = VectorClock(Counter(origin for origin, _ in sim.local_ops))
     texts: Dict[Any, str] = {}
     finals: Dict[str, Tuple[str, ...]] = {}
-    if n_schedules is None and len(sim.rids) <= 7:
-        perms = itertools.permutations(sim.rids)
-    else:
-        rng = random.Random(f"folds/{sim.combo.label()}/{scn.seed}")
-        orders = sampled_extensions([set()] * len(sim.rids), n_schedules or 32, rng)
-        perms = [tuple(sim.rids[i] for i in order) for order in orders]
+    seed_text = f"folds/{sim.combo.label()}/{scn.seed}"
+    orders = schedule_orders([set()] * len(sim.rids), n_schedules, seed_text)
+    perms = [tuple(sim.rids[i] for i in order) for order in orders]
     for perm in perms:
         acc = sim.replicas[perm[0]].tree.copy()
         clock = ReplicaClock(f"fold-{'-'.join(perm)}", scn.seed)

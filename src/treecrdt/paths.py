@@ -37,31 +37,42 @@ def check_atom(atom: Any) -> None:
 def path_images(paths: Iterable[Path], policy: str) -> Dict[Path, Optional[Path]]:
     """Map each live path to where the policy shows it; None when dropped.
 
-    A path is an orphan when some proper prefix of it is not live.  Skip
-    drops orphans, reappear keeps them in place, root keeps only the run of
-    atoms after the last dead prefix, and compact hangs that run below the
-    image of the longest live prefix before it.  Shorter paths are resolved
-    first, so a compact image can reuse the already-computed image of its
-    live prefix.
+    Paths are resolved shortest first.  A path whose parent is live takes
+    its parent's image plus its last atom, or no image when its parent has
+    none.  A path whose parent is dead is an orphan: skip drops it,
+    reappear keeps it in place, root hangs its last atom alone below the
+    root, and compact hangs that atom below the image of the longest live
+    prefix of its parent.
     """
     if policy not in CONNECT_POLICIES:
         raise IllegalCombo(f"unknown connection policy {policy!r}")
     live = {as_path(p) for p in paths} | {EPSILON}
-    out: Dict[Path, Optional[Path]] = {}
-    for p in sorted(live, key=Path.order_key):
-        dead = {k for k in range(len(p)) if Path(p[:k]) not in live}
-        if not dead:
-            out[p] = p
+    out: Dict[Path, Optional[Path]] = {EPSILON: EPSILON}
+    # each dead prefix met under compact -> its longest live prefix
+    anchors: Dict[tuple, tuple] = {}
+    for p in sorted(live, key=len)[1:]:
+        up = p[:-1]
+        if up in out:
+            img = out[up]
+            # a relocated image is shorter than its path, so an image as
+            # long as the parent is the parent itself
+            if img is not None:
+                img = p if len(img) == len(up) else Path(img + p[-1:])
         elif policy == "skip":
-            out[p] = None
+            img = None
         elif policy == "reappear":
-            out[p] = p
+            img = p
         elif policy == "root":
-            out[p] = Path(p[max(dead):])
+            img = Path(p[-1:])
         else:
-            j = max(dead)
-            m = max(k for k in range(j) if k not in dead)
-            out[p] = Path(out[Path(p[:m])] + p[j:])
+            dead = []
+            while up not in out and up not in anchors:
+                dead.append(up)
+                up = up[:-1]
+            anchor = anchors.get(up, up)
+            anchors.update(dict.fromkeys(dead, anchor))
+            img = Path(out[anchor] + p[-1:])
+        out[p] = img
     return out
 
 
@@ -83,10 +94,10 @@ class WordTree(ReplicatedTree):
         connect_policy: str = "skip",
         pi_mode: Optional[str] = None,
     ):
-        if pi_mode not in STEP_CODECS:
+        self.paths = make_set(kind, flavor)
+        if pi_mode == "node":
             raise IllegalCombo("word trees take positions on steps, not nodes")
         super().__init__(kind, flavor, connect_policy, pi_mode)
-        self.paths = make_set(kind, flavor)
 
     # --- lookup pipeline ---
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Any, Dict, FrozenSet, Optional, Set
 
 from .clocks import LamportStamp, ReplicaClock, Tag
-from .errors import KindMismatch, PreconditionViolation
+from .errors import IllegalCombo, KindMismatch, PreconditionViolation
 from .render import render, sorted_elements
 
 KINDS = ("g", "2p", "lww", "c", "or")
@@ -66,7 +66,7 @@ class SetCrdt:
 
     def __init__(self, flavor: str):
         if flavor not in FLAVORS:
-            raise KindMismatch(f"unknown flavor {flavor!r}")
+            raise IllegalCombo(f"unknown flavor {flavor!r}")
         self.flavor = flavor
         self.version = next_version()
 
@@ -548,5 +548,5 @@ _CLASSES = {
 
 def make_set(kind: str, flavor: str) -> SetCrdt:
     if kind not in _CLASSES:
-        raise KindMismatch(f"unknown set kind {kind!r}")
+        raise IllegalCombo(f"unknown set kind {kind!r}")
     return _CLASSES[kind](flavor)

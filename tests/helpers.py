@@ -292,3 +292,30 @@ def reference_connect(nodes: set, edges: Iterable[EdgeInfo], history, policy: st
     return reference_restrict(
         root, live | revived, graph_edges + orphan_edges + revived_edges
     )
+
+
+def reference_path_images(paths: Iterable[Path], policy: str) -> Dict[Path, Optional[Path]]:
+    """Each live path's image by probing every prefix of every path.
+
+    A path is an orphan when some proper prefix of it is not live.  Skip
+    drops orphans, reappear keeps them in place, root keeps only the run of
+    atoms after the last dead prefix, and compact hangs that run below the
+    image of the longest live prefix before it.
+    """
+    live = {Path(p) for p in paths} | {EPSILON}
+    out: Dict[Path, Optional[Path]] = {}
+    for p in sorted(live, key=Path.order_key):
+        dead = {k for k in range(len(p)) if Path(p[:k]) not in live}
+        if not dead:
+            out[p] = p
+        elif policy == "skip":
+            out[p] = None
+        elif policy == "reappear":
+            out[p] = p
+        elif policy == "root":
+            out[p] = Path(p[max(dead):])
+        else:
+            j = max(dead)
+            m = max(k for k in range(j) if k not in dead)
+            out[p] = Path(out[Path(p[:m])] + p[j:])
+    return out

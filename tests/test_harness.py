@@ -1,16 +1,20 @@
 """Simulator and convergence-checker tests, including a planted-bug check."""
 
+import hashlib
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from treecrdt import harness
+from treecrdt import cli, harness
 from treecrdt.clocks import ReplicaClock, VectorClock
 from treecrdt.errors import IllegalCombo, ScenarioError
 from treecrdt.graph import GraphTree
 from treecrdt.lookup import LookupTree
 from treecrdt.paths import WordTree
+from treecrdt.policies import CONNECT_POLICIES, MAP_POLICIES
+from treecrdt.sets import FLAVORS, KINDS
 from treecrdt.harness import (
     ComboSpec,
     ConvergenceReport,
@@ -28,7 +32,10 @@ from treecrdt.harness import (
     parse_scenario,
     random_scenario,
     run_scenario,
+    PI_MODES,
+    REPRS,
     sampled_extensions,
+    schedule_orders,
     serialize_scenario,
     witness_map,
     witness_moves,
@@ -102,6 +109,89 @@ def test_combo_labels_round_trip():
 def test_illegal_combos_rejected(combo):
     with pytest.raises(IllegalCombo):
         make_tree(combo)
+
+
+CANDIDATES = list(
+    itertools.product(
+        REPRS, KINDS, FLAVORS, CONNECT_POLICIES, MAP_POLICIES + (None,), PI_MODES
+    )
+)
+
+
+def build_directly(c: ComboSpec):
+    """The combo's engine built by hand; a word tree takes no mapping policy."""
+    if c.repr_name == "word":
+        return WordTree(c.kind, c.flavor, c.connect_policy, c.pi_mode)
+    return GraphTree(c.kind, c.flavor, c.connect_policy, c.map_policy, c.repr_name, c.pi_mode)
+
+
+def builds(make, combo: ComboSpec) -> bool:
+    try:
+        make(combo)
+    except IllegalCombo:
+        return False
+    return True
+
+
+def test_an_engine_constructs_exactly_the_combos_make_tree_builds():
+    assert len(CANDIDATES) == 2880
+    direct = 0
+    for choices in CANDIDATES:
+        combo = ComboSpec(*choices)
+        word_map = combo.repr_name == "word" and combo.map_policy is not None
+        ok = not word_map and builds(build_directly, combo)
+        assert ok == builds(make_tree, combo), combo.label()
+        direct += ok
+    assert direct == 784
+
+
+def test_legal_combo_order_digest():
+    labels = "\n".join(c.label() for c in legal_combos())
+    assert hashlib.sha256(labels.encode()).hexdigest() == (
+        "a16008221180f1a2562738318794b10da263e3c2e3d721b57b52afc7c576a67d"
+    )
+
+
+# combos with one fault each, and the text that refuses them
+ONE_FAULT_COMBOS = [
+    ("graph zz op skip shortest plain", "unknown set kind 'zz'"),
+    ("graph or zz skip shortest plain", "unknown flavor 'zz'"),
+    ("river or op skip shortest plain", "unknown representation 'river'"),
+    ("graph or op skip shortest zz", "unknown positioning mode 'zz'"),
+    ("word or op skip - zz", "unknown positioning mode 'zz'"),
+    ("graph or op melt shortest plain", "unknown connection policy 'melt'"),
+    ("graph or op skip zz plain", "unknown mapping policy 'zz'"),
+    ("graph or op skip - plain", "graph trees need a mapping policy"),
+    ("edge or op skip - plain", "edge trees need a mapping policy"),
+    ("word or op skip shortest plain", "word trees have no mapping stage"),
+    ("word or op skip - node", "word trees take positions on steps, not nodes"),
+    ("edge 2p op skip shortest node", "node positions pair with the graph representation"),
+    ("graph or op skip shortest node", "positioned nodes are add-once, so 2p"),
+    ("edge or op skip shortest edge", "positioned edges are add-once, so 2p"),
+    ("word or op skip - edge", "positioned path steps are add-once, so 2p"),
+]
+
+
+@pytest.mark.parametrize("label, text", ONE_FAULT_COMBOS)
+def test_one_fault_combo_is_refused_with_its_text(label, text):
+    combo = parse_combo(label.split())
+    makers = [make_tree]
+    if combo.repr_name != "word" or combo.map_policy is None:
+        makers.append(build_directly)
+    for make in makers:
+        with pytest.raises(IllegalCombo) as exc:
+            make(combo)
+        assert str(exc.value) == text
+
+
+@pytest.mark.parametrize("label, text", ONE_FAULT_COMBOS)
+def test_run_refuses_a_one_fault_combo_with_exit_2(capsys, tmp_path, label, text):
+    path = tmp_path / "bad.scn"
+    path.write_text(f"combo {label}\nsync\n")
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": {text}\n")
 
 
 def test_monotone_classification():
@@ -385,6 +475,21 @@ def test_sampled_extensions_are_valid_and_deterministic():
         for i in order:
             assert deps[i] <= seen
             seen.add(i)
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_unconstrained_schedule_orders_are_the_permutations(monkeypatch, r):
+    # every order is listed, so no generator is seeded
+    monkeypatch.setattr(harness.random, "Random", None)
+    orders = schedule_orders([set()] * r, None, "unused")
+    assert orders == list(itertools.permutations(range(r)))
+
+
+def test_schedule_orders_sample_32_beyond_7_items_or_the_given_count():
+    deps = [set()] * 8
+    assert schedule_orders(deps, None, "s") == sampled_extensions(deps, 32, random.Random("s"))
+    few = [set()] * 3
+    assert schedule_orders(few, 4, "s") == sampled_extensions(few, 4, random.Random("s"))
 
 
 # --- convergence checking ---

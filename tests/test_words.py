@@ -18,7 +18,7 @@ from treecrdt.policies import CONNECT_POLICIES
 from treecrdt.render import Path
 from treecrdt.sets import FLAVORS, KINDS
 
-from helpers import REPLICAS, TreeGroup, is_prefix_closed, parse_path
+from helpers import REPLICAS, TreeGroup, is_prefix_closed, parse_path, reference_path_images
 
 P = Path  # Path("abcd") splits into single-character atoms
 
@@ -140,6 +140,30 @@ def test_policy_properties(live):
         out = shown_paths(live, policy)
         assert is_prefix_closed(out)
         assert skip_oracle <= out
+
+
+@given(st.sets(st.lists(st.sampled_from("abc"), min_size=1, max_size=7).map(Path), max_size=16))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_path_images_match_the_prefix_probing_formula(live):
+    for policy in CONNECT_POLICIES:
+        assert path_images(live, policy) == reference_path_images(live, policy)
+
+
+@pytest.mark.parametrize("policy", CONNECT_POLICIES)
+def test_path_images_build_a_few_paths_per_path_on_a_deep_chain(monkeypatch, policy):
+    # a 400-deep chain of live paths whose link at depth 200 is dead
+    chain = [Path(f"c{i}" for i in range(k)) for k in range(1, 401)]
+    del chain[199]
+    built = 0
+
+    def counted_init(self, *args):
+        nonlocal built
+        built += 1
+
+    monkeypatch.setattr(Path, "__init__", counted_init)
+    images = path_images(chain, policy)
+    assert len(images) == 400
+    assert built <= 2 * len(images)
 
 
 def test_path_literals_round_trip():
