@@ -7,22 +7,22 @@ supplies only its sets, how the visible tree is built from them, and how
 ops are generated and applied.
 
 ``GraphTree`` is the engine over an edge set, plus a node set unless it is
-an edge tree.  An edge codec (``edges``) decides how an edge is stored for
-the tree's positioning mode.  Its visible tree is set lookup, then a
-connection policy that resolves orphans, then a mapping policy that
-resolves multiple parents.  The policies that revive or rewire orphans
-read the history from the edge set itself: ``ever()`` keeps every edge
-ever added.
+an edge tree.  The codec of its positioning mode, from the one ``CODECS``
+table in ``edges``, decides how an edge is stored.  Its visible tree is
+set lookup, then a connection policy that resolves orphans, then a
+mapping policy that resolves multiple parents.  The policies that revive
+or rewire orphans read the history from the edge set itself: ``ever()``
+keeps every edge ever added.
 """
 
 from __future__ import annotations
 
 from copy import copy as shallow_copy
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
-from .edges import EDGE_CODECS
+from .edges import CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
 from .lookup import LookupTree
 from .policies import (
@@ -113,10 +113,11 @@ class ReplicatedTree:
     """One tree CRDT: replicated set CRDTs, a lookup, and their sync.
 
     An engine names its sets in ``SETS`` (merged, copied, stamped and
-    printed), takes its codec for a positioning mode from ``CODECS``, and
-    supplies ``_build_lookup()``, the uncached builder of its visible tree.
-    It sets ``repr_name`` before this ``__init__`` runs; a combo is legal
-    exactly when its engine constructs.
+    printed) and supplies ``_build_lookup()``, the uncached builder of its
+    visible tree, ``_add()``, an add whose position is already checked, and
+    the position lists its codec (from ``CODECS``) reads.  It sets
+    ``repr_name`` before this ``__init__`` runs; a combo is legal exactly
+    when its engine constructs.
 
     The visible tree is a function of ``state()``: equal payloads show
     equal trees, which the memo and the checker's observation cache rely
@@ -125,7 +126,7 @@ class ReplicatedTree:
     versions, so that input changes only when a set does.
     """
 
-    CODECS: Dict[Optional[str], Any] = {}
+    CODECS: Dict[Optional[str], Any] = CODECS
     SETS: Tuple[str, ...] = ()
     map_policy: Optional[str] = None
     _memo_key: Any = None
@@ -166,10 +167,17 @@ class ReplicatedTree:
         """The positions of m's children, one per child, in no order."""
         return self.codec.sibling_positions(self, m)
 
+    def gen_add(self, n: Any, m: Any, clock: ReplicaClock, pos: Any = None) -> TreeOp:
+        """Add n under m.  A positioned tree places n at pos among m's
+        children: a fresh ``Upi``, or for sequence elements the (prev, next)
+        pair to insert between (both ends when omitted)."""
+        self.codec.check_position(self, m, pos)
+        return self._add(n, m, clock, pos)
+
     def gen_insert(self, n: Any, m: Any, index: int, clock: ReplicaClock) -> TreeOp:
         """Add n so it lands at index among m's children."""
         pos = self.codec.position_at(self.sibling_positions(m), index, clock)
-        return self.gen_add(n, m, clock, pos)
+        return self._add(n, m, clock, pos)
 
     def merge(self, other: "ReplicatedTree", clock: Optional[ReplicaClock] = None) -> None:
         # refuse a replica of another combo before anything changes
@@ -224,12 +232,11 @@ class GraphTree(ReplicatedTree):
     Two choices configure it, and a combo fixes both.  ``repr_name``
     "graph" keeps a node set of the same kind as the edge set; "edge"
     derives the nodes from edge targets, so a node is in the tree exactly
-    when some edge points at it.  ``pi_mode`` picks the edge codec
-    (``edges.EDGE_CODECS``) that turns a set element into (parent, child,
-    position) and back, and answers every position-dependent question.
+    when some edge points at it.  ``pi_mode`` picks the codec (``CODECS``)
+    that turns a set element into (parent, child, position) and back, and
+    answers every position-dependent question.
     """
 
-    CODECS = EDGE_CODECS
     SETS = ("nodes", "edges")
     root = ROOT
     several_cap = DEFAULT_SEVERAL_CAP
@@ -285,12 +292,17 @@ class GraphTree(ReplicatedTree):
     def _has_edge_into(self, m: Any) -> bool:
         return any(self.codec.decode(e)[1] == m for e in self.edges.lookup())
 
+    def live_positions(self, m: Any) -> list:
+        """Positions of the live edges out of m."""
+        return [pos for src, _, pos in map(self.codec.decode, self.edges.lookup()) if src == m]
+
+    def ever_positions(self) -> Iterable[Any]:
+        """Positions of every edge ever added."""
+        return (pos for _, _, pos in map(self.codec.decode, self.edges.ever()))
+
     # --- generation ---
 
-    def gen_add(self, n: Any, m: Any, clock: ReplicaClock, pos: Any = None) -> TreeOp:
-        """Add n under m.  A positioned tree places n at pos among m's
-        children: a fresh ``Upi``, or for sequence elements the (prev, next)
-        pair to insert between (both ends when omitted)."""
+    def _add(self, n: Any, m: Any, clock: ReplicaClock, pos: Any) -> TreeOp:
         node = self.codec.node(n, pos)
         if node == self.root:
             raise PreconditionViolation(self._root_rule)
@@ -303,7 +315,6 @@ class GraphTree(ReplicatedTree):
                 raise PreconditionViolation(f"{render(node)} is already in the tree")
             if m != self.root and m not in present:
                 raise PreconditionViolation(f"parent {render(m)} is not in the tree")
-        self.codec.check_position(self, m, pos)
         edge = self.codec.encode(m, node, pos)
         if self.kind == "2p":
             # both set adds must succeed together, so check before mutating

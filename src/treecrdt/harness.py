@@ -290,8 +290,6 @@ class Simulation:
             return tree.gen_add(n, parent, clock)
         if verb == "insert":
             n, m, idx = args
-            if pi is None:
-                raise PreconditionViolation("insert needs a positioned tree")
             return tree.gen_insert(n, resolve(tree, m), int(idx), clock)
         if verb == "rmv":
             (n,) = args

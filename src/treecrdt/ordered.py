@@ -1,4 +1,4 @@
-"""Ordered trees: the position element types and the step codecs.
+"""Ordered trees: the position element types and the positioning modes.
 
 Positions order the children of one parent.  They live on nodes (a node is
 a ``PositionedNode``, so the tree is add-once), on edges (a dense unique
@@ -6,10 +6,10 @@ a ``PositionedNode``, so the tree is add-once), on edges (a dense unique
 elements (``WootrTriple``) whose structural identity folds concurrent
 insertions at the same place into a single child.
 
-This module holds what the graph and the word engine share about each
-positioning mode (``Unordered``, ``UpiPositions``, ``WootrPositions``) and
-the step codecs that configure the word engine (``paths.WordTree``); the
-edge codecs of the graph engine are in ``edges``.
+This module holds one codec per positioning mode that both engines share
+(``Unordered``, ``UpiPositions``, ``WootrPositions``); each stores a child
+as a graph edge element and as a word path step.  The graph-only node mode
+and the one ``CODECS`` table both engines read are in ``edges``.
 """
 
 from __future__ import annotations
@@ -83,13 +83,12 @@ class SeqPos:
         return (self.rank, self.element.render())
 
 
-def rank_siblings(groups: Iterable[List[Instance]], element_of) -> None:
+def rank_siblings(groups: Iterable[List[Instance]]) -> None:
     """Give each instance its sequence element's rank among its siblings."""
     for kids in groups:
-        rank = {w: i for i, w in enumerate(wootr_order(element_of(k) for k in kids))}
+        rank = {w: i for i, w in enumerate(wootr_order(k.pos for k in kids))}
         for k in kids:
-            w = element_of(k)
-            k.pos = SeqPos(rank[w], w)
+            k.pos = SeqPos(rank[k.pos], k.pos)
 
 
 class Unordered:
@@ -97,8 +96,10 @@ class Unordered:
 
     A codec answers, for one positioning mode, every question the engines
     ask that depends on positions: which set kinds work, where an insert
-    at a sibling index goes, whether a requested position is usable, and
-    how the instances of a freshly built lookup tree are relabelled.
+    at a sibling index goes, whether a requested position is usable, how a
+    child is stored as a graph edge (``node``, ``encode``, ``decode``) or a
+    word step (``step``, ``split``), and how the instances of a freshly
+    built lookup tree are relabelled.  The engine lists the positions it holds.
     """
 
     def check_kind(self, kind: str) -> None:
@@ -113,12 +114,36 @@ class Unordered:
         if pos is not None:
             raise PreconditionViolation("this tree does not order siblings")
 
+    def sibling_positions(self, tree: Any, parent: Any) -> list:
+        """The positions of parent's children, one per child, in no order."""
+        return tree.live_positions(parent)
+
     def finish(self, lt: LookupTree) -> None:
         """Rewrite the instances of a freshly built lookup tree in place."""
 
+    def node(self, n: Any, pos: Any) -> Any:
+        """The tree node a new child n at position pos is stored as."""
+        return n
+
+    def encode(self, m: Any, n: Any, pos: Any) -> Any:
+        """The edge element that puts node n under m at pos."""
+        return (m, n)
+
+    def decode(self, e: Any) -> Tuple[Any, Any, Any]:
+        """The (parent, child, position) an edge element stands for."""
+        return e[0], e[1], None
+
+    def step(self, atom: Any, pos: Any) -> Any:
+        """The path step that puts atom at pos below its parent path."""
+        return atom
+
+    def split(self, step: Any) -> Tuple[Any, Any]:
+        """The (atom, position) a path step stands for."""
+        return step, None
+
 
 class UpiPositions(Unordered):
-    """Dense unique identifiers; each new child takes a fresh one."""
+    """Dense unique identifiers, on (parent, child, Upi) edges or ``PathStep`` steps."""
 
     def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Upi:
         return upi_at(siblings, index, clock)
@@ -131,11 +156,26 @@ class UpiPositions(Unordered):
 
     def used_positions(self, tree: Any) -> Iterable[Upi]:
         """Every position the tree's payload has ever held."""
-        raise NotImplementedError
+        return tree.ever_positions()
+
+    def encode(self, m: Any, n: Any, pos: Upi) -> Tuple:
+        return (m, n, pos)
+
+    def decode(self, e: Tuple) -> Tuple[Any, Any, Any]:
+        return e
+
+    def step(self, atom: Any, pos: Upi) -> PathStep:
+        return PathStep(pos, atom)
+
+    def split(self, step: PathStep) -> Tuple[Any, Upi]:
+        return step.atom, step.upi
 
 
 class WootrPositions(Unordered):
-    """Sequence elements; a position is the (prev, next) pair to insert between."""
+    """Sequence elements; a position is the (prev, next) pair to insert between.
+
+    The stored ``WootrTriple`` is the position: a step, or an edge's child.
+    """
 
     def check_kind(self, kind: str) -> None:
         check_wootr_kind(kind)
@@ -147,61 +187,26 @@ class WootrPositions(Unordered):
         return line[index], line[index + 1]
 
     def check_position(self, tree: Any, parent: Any, pos: Any) -> None:
-        prev, nxt = pos or WHOLE_LINE
+        if pos is None:  # both ends, which every sibling line holds in order
+            return
+        if not isinstance(pos, tuple) or len(pos) != 2:
+            raise PreconditionViolation("a sequence position is a (prev, next) pair")
+        prev, nxt = pos
         line = wootr_line(self.sibling_positions(tree, parent))
         if prev not in line or nxt not in line or line.index(prev) >= line.index(nxt):
             raise PreconditionViolation("prev must precede next under this parent")
 
-
-# --- step codecs: one word-path step per positioning mode ---
-
-
-class PlainSteps(Unordered):
-    """A step is the bare atom."""
-
-    def step(self, atom: Any, pos: Any) -> Any:
-        return atom
-
-    def position_of(self, step: Any) -> Any:
-        return None
-
-    def sibling_positions(self, tree: Any, parent: Any) -> list:
-        """Positions of the live paths one step below parent."""
-        return [self.position_of(q[-1]) for q in tree.live_paths() if q[:-1] == parent]
-
-
-class UpiSteps(UpiPositions, PlainSteps):
-    """A step is a ``PathStep``: the atom and its position."""
-
-    def step(self, atom: Any, pos: Upi) -> PathStep:
-        return PathStep(pos, atom)
-
-    def position_of(self, step: PathStep) -> Upi:
-        return step.upi
-
-    def used_positions(self, tree: Any) -> Iterable[Upi]:
-        return (step.upi for q in tree.paths.ever() for step in q)
-
     def finish(self, lt: LookupTree) -> None:
-        for inst in lt.instances.values():
-            step = inst.key[-1]
-            inst.label = render(step.atom)
-            inst.pos = step.upi
+        rank_siblings(lt.kids.values())
 
+    def encode(self, m: Any, n: Any, pos: Any) -> Tuple:
+        return (m, self.step(n, pos))
 
-class WootrSteps(WootrPositions, PlainSteps):
-    """A step is a ``WootrTriple`` naming the atom and its neighbours."""
+    def decode(self, e: Tuple) -> Tuple[Any, Any, Any]:
+        return e[0], e[1].atom, e[1]
 
     def step(self, atom: Any, pos: Any) -> WootrTriple:
         return WootrTriple(atom, *(pos or WHOLE_LINE))
 
-    def position_of(self, step: WootrTriple) -> WootrTriple:
-        return step
-
-    def finish(self, lt: LookupTree) -> None:
-        for inst in lt.instances.values():
-            inst.label = render(inst.key[-1].atom)
-        rank_siblings(lt.kids.values(), lambda k: k.key[-1])
-
-
-STEP_CODECS = {None: PlainSteps(), "edge": UpiSteps(), "wootr": WootrSteps()}
+    def split(self, step: WootrTriple) -> Tuple[Any, WootrTriple]:
+        return step.atom, step

@@ -2,10 +2,10 @@
 
 A node's identity is its full path from the root, so the same atom may
 label children of different parents.  ``WordTree`` is a
-``graph.ReplicatedTree`` whose one payload part is the path set; a step
-codec (``ordered``) decides what one path step is for the tree's
-positioning mode.  The visible tree is the live path set repaired into a
-prefix-closed set by a connection policy.
+``graph.ReplicatedTree`` whose one payload part is the path set; the codec
+of its positioning mode, from the one ``CODECS`` table in ``edges``,
+decides what one path step is.  The visible tree is the live path set
+repaired into a prefix-closed set by a connection policy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .clocks import ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
 from .graph import ReplicatedTree, TreeOp
 from .lookup import LookupTree
-from .ordered import STEP_CODECS
 from .policies import CONNECT_POLICIES, MONOTONE_CONNECT
 from .render import Path, render
 from .sets import ADD, RMV, make_set
@@ -79,11 +78,10 @@ def path_images(paths: Iterable[Path], policy: str) -> Dict[Path, Optional[Path]
 class WordTree(ReplicatedTree):
     """Replicated tree over a single set CRDT of root paths.
 
-    ``pi_mode`` picks the step codec (``ordered.STEP_CODECS``): a path
-    step is a bare atom, a positioned ``PathStep``, or a ``WootrTriple``.
+    ``pi_mode`` picks the codec (``CODECS``) that makes a path step a
+    bare atom, a positioned ``PathStep``, or a ``WootrTriple``.
     """
 
-    CODECS = STEP_CODECS
     SETS = ("paths",)
     repr_name = "word"
 
@@ -104,6 +102,16 @@ class WordTree(ReplicatedTree):
     def live_paths(self) -> Set[Path]:
         return {as_path(p) for p in self.paths.lookup()}
 
+    def live_positions(self, parent: Any) -> list:
+        """Positions of the live paths one step below parent."""
+        split = self.codec.split
+        return [split(q[-1])[1] for q in self.live_paths() if q[:-1] == parent]
+
+    def ever_positions(self) -> Iterable[Any]:
+        """Positions of every step of every path ever added."""
+        split = self.codec.split
+        return (split(step)[1] for q in self.paths.ever() for step in q)
+
     def _build_lookup(self) -> LookupTree:
         """The visible tree, one instance per shown path.
 
@@ -115,6 +123,7 @@ class WordTree(ReplicatedTree):
         ghost, a dead prefix shown only to hold its descendants.
         """
         live = self.live_paths()
+        split = self.codec.split
         plain_order = self.pi_mode is None and self.connect_policy in ("skip", "reappear")
         lt = LookupTree(root_label="/", ordered=plain_order)
         if self.connect_policy == "reappear":
@@ -127,7 +136,8 @@ class WordTree(ReplicatedTree):
                     shown.add(q)
                     q = q.parent()
             for p in sorted(shown, key=Path.order_key):
-                lt.add_instance(p, p, Path(p[:-1]), label=render(p[-1]), ghost=p in ghosts)
+                atom, pos = split(p[-1])
+                lt.add_instance(p, p, Path(p[:-1]), label=render(atom), ghost=p in ghosts, pos=pos)
         else:
             images = path_images(live, self.connect_policy)
             # each instance remembers the first live path it shows, so moves
@@ -138,25 +148,19 @@ class WordTree(ReplicatedTree):
                 if img:
                     sources.setdefault(img, src)
             for img in sorted(sources, key=Path.order_key):
-                lt.add_instance(img, sources[img], Path(img[:-1]), label=render(img[-1]))
+                atom, pos = split(img[-1])
+                lt.add_instance(img, sources[img], Path(img[:-1]), label=render(atom), pos=pos)
         self.codec.finish(lt)
         return lt
 
     # --- generation ---
 
-    def gen_add(
-        self, atom: str, parent: Any, clock: ReplicaClock, pos: Any = None
-    ) -> TreeOp:
-        """Add the step atom below parent.  A positioned tree places it at
-        pos among the parent's steps: a fresh ``Upi``, or for sequence
-        elements the (prev, next) pair to insert between (both ends when
-        omitted)."""
+    def _add(self, atom: str, parent: Any, clock: ReplicaClock, pos: Any) -> TreeOp:
         check_atom(atom)
         p = Path(parent)
         lt = self.lookup()
         if p != EPSILON and p not in lt.instances:
             raise PreconditionViolation(f"{p.render()} is not in the tree")
-        self.codec.check_position(self, p, pos)
         pn = p.child(self.codec.step(atom, pos))
         inst = lt.instances.get(pn)
         # a ghost only displays a dead path, so adding there regrows it

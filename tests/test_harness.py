@@ -359,6 +359,18 @@ def test_run_scenario_flavor_guards():
     assert "violation: merge needs the state flavor" in run_scenario(combo, s)
 
 
+@pytest.mark.parametrize(
+    "combo, parent",
+    [
+        (ComboSpec("graph", "or", "op", "skip", "shortest", None), "root"),
+        (ComboSpec("word", "or", "op", "skip", None, None), "/"),
+    ],
+)
+def test_run_scenario_insert_needs_a_positioned_tree(combo, parent):
+    s = Scenario(combo=combo, replicas=2, seed=1, script=[("r1", "insert", "x", parent, "0")])
+    assert "violation: insert needs a positioned tree" in run_scenario(combo, s)
+
+
 def test_random_scenario_is_deterministic():
     combo = ComboSpec("edge", "or", "op", "reappear", "several", None)
     a = random_scenario(combo, seed=5)

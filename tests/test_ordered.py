@@ -3,6 +3,7 @@
 import pytest
 
 from helpers import TreeGroup
+from treecrdt import ordered, wootr
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
@@ -464,3 +465,72 @@ def test_positions_must_match_the_positioning_mode():
         with pytest.raises(PreconditionViolation, match="needs a position identifier"):
             tree.gen_add("x", "root", c)
     assert GraphTree("or", "op").lookup().dump() == "root"
+
+
+# --- one codec per positioning mode ---
+
+
+@pytest.mark.parametrize("mode", [None, "node", "edge", "wootr"])
+def test_one_codec_per_mode_stores_both_element_forms(mode):
+    assert GraphTree.CODECS is WordTree.CODECS
+    codec = GraphTree.CODECS[mode]
+    c = ReplicaClock("r1")
+    pos = {None: None, "node": fresh_upi(c), "edge": fresh_upi(c), "wootr": (BEGIN, END)}[mode]
+    # the position each element stores; node mode keeps it on the node
+    stored = {"edge": pos, "wootr": WootrTriple("x", BEGIN, END)}.get(mode)
+    child = codec.node("x", pos)
+    assert child == (PositionedNode("x", pos) if mode == "node" else "x")
+    assert codec.decode(codec.encode("p", child, pos)) == ("p", child, stored)
+    if mode == "node":
+        with pytest.raises(IllegalCombo):
+            WordTree("2p", "op", pi_mode=mode)
+    else:
+        assert codec.split(codec.step("x", pos)) == ("x", stored)
+
+
+WOOTR_TREES = {
+    "graph": lambda: GraphTree("or", "op", pi_mode="wootr"),
+    "edge": lambda: GraphTree("or", "op", repr_name="edge", pi_mode="wootr"),
+    "word": lambda: WordTree("or", "op", pi_mode="wootr"),
+}
+
+
+def top(tree):
+    return EPSILON if isinstance(tree, WordTree) else tree.root
+
+
+@pytest.mark.parametrize("make", WOOTR_TREES.values(), ids=WOOTR_TREES)
+@pytest.mark.parametrize(
+    "pos", [("x",), 5, (BEGIN, END, END), ()], ids=["one", "int", "three", "empty"]
+)
+def test_malformed_wootr_position_is_refused(make, pos):
+    c = ReplicaClock("r1")
+    t = make()
+    t.gen_add("a", top(t), c)
+    before = t.state()
+    with pytest.raises(PreconditionViolation, match=r"a sequence position is a \(prev, next\) pair"):
+        t.gen_add("b", top(t), c, pos)
+    assert t.state() == before
+
+
+@pytest.mark.parametrize("make", WOOTR_TREES.values(), ids=WOOTR_TREES)
+def test_wootr_sibling_line_is_built_once_per_insert(make, monkeypatch):
+    calls = []
+
+    def counted(elements, order=wootr.wootr_order):
+        calls.append(1)
+        return order(elements)
+
+    monkeypatch.setattr(wootr, "wootr_order", counted)
+    monkeypatch.setattr(ordered, "wootr_order", counted)
+    c = ReplicaClock("r1")
+    t = make()
+    t.gen_add("a", top(t), c)
+    t.lookup()
+    calls.clear()
+    t.gen_insert("b", top(t), 1, c)
+    assert len(calls) == 1
+    t.lookup()
+    calls.clear()
+    t.gen_add("c", top(t), c)
+    assert calls == []
