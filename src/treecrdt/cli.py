@@ -123,12 +123,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not report.passed:
             failures.append(report)
     for report in failures:
-        for detail in (
-            report.divergences
-            + report.oracle_mismatches
-            + report.validity_violations
-            + report.monotonic_violations
-        ):
+        for detail in report.findings:
             lines.append(f"--- {report.combo.label()}")
             lines.append(detail)
     verdict = (

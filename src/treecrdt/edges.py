@@ -6,7 +6,8 @@ set element and back into (parent, child, position): a plain (parent,
 child) pair, a (parent, child, Upi) triple, a (parent, WootrTriple) pair
 whose element names the child, or a (parent, PositionedNode) pair whose
 child carries its own position.  ``paths.WordTree`` takes a path step
-from the same codec and refuses node positions.
+from the same codec (a bare atom, a ``PositionedNode`` or a
+``WootrTriple``) and refuses node positions.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class NodePositions(UpiPositions):
                 # keep any mapping-policy suffix after the node's own text
                 inst.label = render(node.element) + inst.label[len(render(node)):]
                 inst.pos = node.upi
+        lt.sort_siblings()
 
 
 CODECS = {

@@ -282,10 +282,10 @@ class GraphTree(ReplicatedTree):
             nodes = {info.dst for info in infos}
         history = map(self.codec.decode, self.edges.ever())
         g = connect(nodes, infos, history, self.connect_policy, self.root)
-        lt = map_to_tree(g, self.map_policy, self.several_cap)
         # every mapping policy adds each parent's children in node order,
-        # which is the dump order of instances without a position
-        lt.ordered = self.pi_mode is None
+        # the display order of instances without a position; the codec of
+        # a positioned tree puts them in position order
+        lt = map_to_tree(g, self.map_policy, self.several_cap)
         self.codec.finish(lt)
         return lt
 

@@ -148,9 +148,7 @@ def parse_scenario(text: str) -> Scenario:
                 script.append(("sync",))
             else:
                 verb = tokens[1] if len(tokens) > 1 else ""
-                if verb == "sync":
-                    script.append(("sync",))
-                elif verb in ARITY:
+                if verb in ARITY:
                     if len(tokens) != 2 + ARITY[verb]:
                         raise ScenarioError(
                             f"{verb} takes {ARITY[verb]} argument(s): {line!r}"
@@ -663,13 +661,19 @@ class ConvergenceReport:
     parent_moves: int = 0
 
     @property
-    def passed(self) -> bool:
-        return not (
+    def findings(self) -> List[str]:
+        """Every finding: the divergences, then the oracle, validity and
+        monotonic ones."""
+        return (
             self.divergences
-            or self.oracle_mismatches
-            or self.validity_violations
-            or self.monotonic_violations
+            + self.oracle_mismatches
+            + self.validity_violations
+            + self.monotonic_violations
         )
+
+    @property
+    def passed(self) -> bool:
+        return not self.findings
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"

@@ -34,23 +34,18 @@ class Instance:
 class LookupTree:
     """A rooted tree of node instances with a canonical textual dump.
 
-    Each instance is also kept in its parent's list of children, in the
-    order it was added.  Once a build has added its instances, the tree is
-    read-only but for the codec's ``finish``, which may set an instance's
-    ``label`` and ``pos`` but never its ``parent``, so the lists stay valid.
-
-    ``ordered`` says that every list of children is already in
-    ``Instance.order_key`` order, so ``dump`` and ``children`` read it as
-    it is instead of sorting it.  Only a builder that adds each sibling
-    group in that order may set it, and while it is set ``finish`` must not
-    reorder siblings: it must leave ``pos``, which ``order_key`` reads, as
-    it is.  A tree built by hand leaves it unset and is sorted on every read.
+    Each instance is also kept in its parent's list of children.  A lookup
+    build hands back every list in display order, so ``children`` and
+    ``dump`` read it as it is: a builder that adds a sibling group in
+    another order puts it in order once, with ``sort_siblings`` or, for
+    sequence positions, its codec's ``finish``.  Once a build is done the
+    tree is read-only.  A tree built by hand shows its siblings in the
+    order they were added.
     """
 
     root_label: str = "root"
     instances: Dict[InstanceKey, Instance] = field(default_factory=dict)
     kids: Dict[InstanceKey, List[Instance]] = field(default_factory=dict, repr=False)
-    ordered: bool = field(default=False, repr=False, compare=False)
 
     def add_instance(
         self,
@@ -73,11 +68,14 @@ class LookupTree:
         )
         self.kids.setdefault(parent, []).append(inst)
 
+    def sort_siblings(self) -> None:
+        """Put every sibling group in ``Instance.order_key`` order."""
+        for group in self.kids.values():
+            if len(group) > 1:
+                group.sort(key=Instance.order_key)
+
     def children(self, key: InstanceKey) -> List[Instance]:
-        group = self.kids.get(key, ())
-        if self.ordered:
-            return list(group)
-        return sorted(group, key=Instance.order_key)
+        return list(self.kids.get(key, ()))
 
     def nodes_present(self) -> set:
         return {inst.node for inst in self.instances.values()}
@@ -109,17 +107,9 @@ class LookupTree:
 
     def dump(self) -> str:
         kids = self.kids
-
-        def last_first(group: List[Instance]) -> List[Instance]:
-            if len(group) < 2:
-                return group
-            if self.ordered:
-                return group[::-1]
-            return sorted(group, key=Instance.order_key)[::-1]
-
         lines = [self.root_label]
         # depth-first with an explicit stack, so siblings are pushed last-first
-        stack = [(inst, 1) for inst in last_first(kids.get((), []))]
+        stack = [(inst, 1) for inst in reversed(kids.get((), []))]
         while stack:
             inst, depth = stack.pop()
             label = inst.label
@@ -130,7 +120,7 @@ class LookupTree:
             lines.append("  " * depth + label)
             group = kids.get(inst.key)
             if group:
-                stack.extend((kid, depth + 1) for kid in last_first(group))
+                stack.extend((kid, depth + 1) for kid in reversed(group))
         return "\n".join(lines)
 
     def __eq__(self, other: Any) -> bool:

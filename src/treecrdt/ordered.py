@@ -2,9 +2,9 @@
 
 Positions order the children of one parent.  They live on nodes (a node is
 a ``PositionedNode``, so the tree is add-once), on edges (a dense unique
-``Upi`` per edge or per word-path ``PathStep``), or are recursive sequence
-elements (``WootrTriple``) whose structural identity folds concurrent
-insertions at the same place into a single child.
+``Upi`` per edge, or per word-path step, which is a ``PositionedNode`` too),
+or are recursive sequence elements (``WootrTriple``) whose structural
+identity folds concurrent insertions at the same place into a single child.
 
 This module holds one codec per positioning mode that both engines share
 (``Unordered``, ``UpiPositions``, ``WootrPositions``); each stores a child
@@ -15,17 +15,16 @@ and the one ``CODECS`` table both engines read are in ``edges``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Tuple
+from typing import Any, Iterable, Tuple
 
 from .clocks import ReplicaClock
 from .errors import PreconditionViolation
-from .lookup import Instance, LookupTree
+from .lookup import LookupTree
 from .positions import Upi, upi_at
 from .render import cached_on_self, render, sort_key
 from .wootr import (
     BEGIN,
     END,
-    WootrElement,
     WootrTriple,
     check_wootr_kind,
     wootr_line,
@@ -38,7 +37,8 @@ WHOLE_LINE = (BEGIN, END)
 
 @dataclass(frozen=True)
 class PositionedNode:
-    """A node paired with the position that orders it among its siblings."""
+    """A node, or a word-path step, paired with the position that orders
+    it among its siblings."""
 
     element: Any
     upi: Upi
@@ -52,45 +52,6 @@ class PositionedNode:
         return (self.upi.canon_key(), sort_key(self.element))
 
 
-@dataclass(frozen=True)
-class PathStep:
-    """One positioned step of a word path."""
-
-    upi: Upi
-    atom: Any
-
-    @cached_on_self
-    def render(self) -> str:
-        return f"{render(self.atom)}@{self.upi.render()}"
-
-    @cached_on_self
-    def canon_key(self):
-        return (self.upi.canon_key(), sort_key(self.atom))
-
-
-@dataclass(frozen=True)
-class SeqPos:
-    """A sequence element paired with its rank in the recovered order."""
-
-    rank: int
-    element: WootrElement
-
-    def render(self) -> str:
-        return self.element.render()
-
-    @cached_on_self
-    def canon_key(self):
-        return (self.rank, self.element.render())
-
-
-def rank_siblings(groups: Iterable[List[Instance]]) -> None:
-    """Give each instance its sequence element's rank among its siblings."""
-    for kids in groups:
-        rank = {w: i for i, w in enumerate(wootr_order(k.pos for k in kids))}
-        for k in kids:
-            k.pos = SeqPos(rank[k.pos], k.pos)
-
-
 class Unordered:
     """Positioning mode of trees whose siblings carry no order.
 
@@ -99,7 +60,8 @@ class Unordered:
     at a sibling index goes, whether a requested position is usable, how a
     child is stored as a graph edge (``node``, ``encode``, ``decode``) or a
     word step (``step``, ``split``), and how the instances of a freshly
-    built lookup tree are relabelled.  The engine lists the positions it holds.
+    built lookup tree are relabelled and put in sibling order.  The engine
+    lists the positions it holds.
     """
 
     def check_kind(self, kind: str) -> None:
@@ -119,7 +81,8 @@ class Unordered:
         return tree.live_positions(parent)
 
     def finish(self, lt: LookupTree) -> None:
-        """Rewrite the instances of a freshly built lookup tree in place."""
+        """Rewrite the instances of a freshly built lookup tree in place,
+        and put each sibling group in order if the engine could not."""
 
     def node(self, n: Any, pos: Any) -> Any:
         """The tree node a new child n at position pos is stored as."""
@@ -143,7 +106,8 @@ class Unordered:
 
 
 class UpiPositions(Unordered):
-    """Dense unique identifiers, on (parent, child, Upi) edges or ``PathStep`` steps."""
+    """Dense unique identifiers, on (parent, child, Upi) edges or
+    ``PositionedNode`` steps."""
 
     def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Upi:
         return upi_at(siblings, index, clock)
@@ -164,11 +128,14 @@ class UpiPositions(Unordered):
     def decode(self, e: Tuple) -> Tuple[Any, Any, Any]:
         return e
 
-    def step(self, atom: Any, pos: Upi) -> PathStep:
-        return PathStep(pos, atom)
+    def finish(self, lt: LookupTree) -> None:
+        lt.sort_siblings()
 
-    def split(self, step: PathStep) -> Tuple[Any, Upi]:
-        return step.atom, step.upi
+    def step(self, atom: Any, pos: Upi) -> PositionedNode:
+        return PositionedNode(atom, pos)
+
+    def split(self, step: PositionedNode) -> Tuple[Any, Upi]:
+        return step.element, step.upi
 
 
 class WootrPositions(Unordered):
@@ -197,7 +164,10 @@ class WootrPositions(Unordered):
             raise PreconditionViolation("prev must precede next under this parent")
 
     def finish(self, lt: LookupTree) -> None:
-        rank_siblings(lt.kids.values())
+        for kids in lt.kids.values():
+            if len(kids) > 1:
+                rank = {w: i for i, w in enumerate(wootr_order(k.pos for k in kids))}
+                kids.sort(key=lambda k: rank[k.pos])
 
     def encode(self, m: Any, n: Any, pos: Any) -> Tuple:
         return (m, self.step(n, pos))

@@ -79,7 +79,7 @@ class WordTree(ReplicatedTree):
     """Replicated tree over a single set CRDT of root paths.
 
     ``pi_mode`` picks the codec (``CODECS``) that makes a path step a
-    bare atom, a positioned ``PathStep``, or a ``WootrTriple``.
+    bare atom, a ``PositionedNode``, or a ``WootrTriple``.
     """
 
     SETS = ("paths",)
@@ -116,16 +116,17 @@ class WordTree(ReplicatedTree):
         """The visible tree, one instance per shown path.
 
         Under skip and reappear an instance's node is its own path, so with
-        bare-atom steps the siblings come in dump order and the tree is
-        built ``ordered``.  Under reappear every live path is its own image,
-        so that build needs no ``path_images``: it walks up from each live
-        path to the first path already shown, and each path it passes is a
-        ghost, a dead prefix shown only to hold its descendants.
+        bare-atom steps the siblings come in display order.  Under root and
+        compact its node is the first live path it shows, so that build
+        sorts them, and the codec of a positioned tree sorts them by
+        position.  Under reappear every live path is its own image, so that
+        build needs no ``path_images``: it walks up from each live path to
+        the first path already shown, and each path it passes is a ghost, a
+        dead prefix shown only to hold its descendants.
         """
         live = self.live_paths()
         split = self.codec.split
-        plain_order = self.pi_mode is None and self.connect_policy in ("skip", "reappear")
-        lt = LookupTree(root_label="/", ordered=plain_order)
+        lt = LookupTree(root_label="/")
         if self.connect_policy == "reappear":
             shown = live - {EPSILON}
             ghosts = set()
@@ -150,6 +151,8 @@ class WordTree(ReplicatedTree):
             for img in sorted(sources, key=Path.order_key):
                 atom, pos = split(img[-1])
                 lt.add_instance(img, sources[img], Path(img[:-1]), label=render(atom), pos=pos)
+            if self.pi_mode is None and self.connect_policy != "skip":
+                lt.sort_siblings()
         self.codec.finish(lt)
         return lt
 

@@ -41,10 +41,7 @@ class EdgeInfo:
     _identity: Any = field(default=None, init=False, repr=False, compare=False)
 
     def identity(self):
-        try:
-            key = self._identity
-        except AttributeError:  # a subclass without slots leaves it unset
-            key = None
+        key = self._identity
         if key is None:
             key = self._identity = (sort_key(self.dst), sort_key(self.src), sort_key(self.pos))
         return key

@@ -66,6 +66,7 @@ def test_run_malformed_scenario_exits_2(capsys, tmp_path):
         ("graph or op skip shortest plain", "r1 deliver r9", "unknown replica 'r9'"),
         ("graph or op skip shortest plain", "r1 add a", "line 2"),
         ("word or op skip - edge", "r1 insert a / x", "line 2"),
+        ("graph or op skip shortest plain", "r7 sync now please", "line 2"),
     ],
 )
 def test_run_malformed_action_exits_2(capsys, tmp_path, combo, line, message):

@@ -1,6 +1,7 @@
 """Replica reads: the memoized lookup, the one-pass dump, cached canonical keys."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,13 +10,13 @@ from treecrdt.errors import SeveralBlowup
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario
 from treecrdt.lookup import Instance, LookupTree
-from treecrdt.ordered import PathStep, PositionedNode, SeqPos
+from treecrdt.ordered import PositionedNode
 from treecrdt.paths import WordTree
 from treecrdt.policies import EdgeInfo
 from treecrdt.positions import Upi
 from treecrdt.render import Path, render, sort_key
 from treecrdt.sets import ADD
-from treecrdt.wootr import BEGIN, END, WootrTriple
+from treecrdt.wootr import BEGIN, END, WootrTriple, wootr_order
 
 from helpers import parse_path
 from test_combo_digests import LONG_SCRIPT_DIGESTS
@@ -167,18 +168,21 @@ def test_instance_order_is_unchanged_by_the_one_pass_grouping():
         pos = Upi(((rng.randrange(5), "r1", i),)) if rng.random() < 0.5 else None
         lt.add_instance((name,), name, parent, pos=pos)
         names.append(name)
+    lt.sort_siblings()
+    for key, group in scan_groups(lt).items():
+        assert lt.children(key) == sorted(group, key=Instance.order_key)
     assert lt.dump() == reference_dump(lt)
 
 
-def test_dump_orders_only_instances_with_a_sibling(monkeypatch):
+def test_sort_siblings_orders_only_instances_with_a_sibling(monkeypatch):
     rng = random.Random(8)
     lt = LookupTree()
     keys = [()]
     for i in range(300):
         lt.add_instance((i,), i, rng.choice(keys))
         keys.append((i,))
-    expected = reference_dump(lt)
-    with_sibling = sum(len(group) for group in scan_groups(lt).values() if len(group) > 1)
+    groups = scan_groups(lt)
+    with_sibling = sum(len(group) for group in groups.values() if len(group) > 1)
     assert 0 < with_sibling < len(lt.instances)
     calls = 0
     order_key = Instance.order_key
@@ -189,8 +193,10 @@ def test_dump_orders_only_instances_with_a_sibling(monkeypatch):
         return order_key(inst)
 
     monkeypatch.setattr(Instance, "order_key", counted)
-    assert lt.dump() == expected
+    lt.sort_siblings()
     assert calls == with_sibling
+    for key, group in groups.items():
+        assert lt.children(key) == sorted(group, key=order_key)
 
 
 def scan_groups(lt: LookupTree) -> dict:
@@ -215,55 +221,52 @@ def final_lookups(seed: int):
             yield lt
 
 
-def assert_ordered_lists_sorted(lt: LookupTree) -> int:
-    """An ``ordered`` tree needs no sort; returns its sibling-group count."""
-    if not lt.ordered:
-        return 0
-    for group in lt.kids.values():
-        assert group == sorted(group, key=Instance.order_key)
+def assert_siblings_in_reference_order(lt: LookupTree) -> Counter:
+    """Every sibling group holds the instances a scan finds under its
+    parent, in their reference order: ``wootr_order`` of the positions for
+    sequence positions, else ``Instance.order_key`` order.  Returns how
+    many groups of two or more of each kind the tree has."""
+    groups = scan_groups(lt)
+    assert lt.kids.keys() == groups.keys()
+    found = Counter()
+    for key, group in lt.kids.items():
+        assert sorted(map(id, group)) == sorted(map(id, groups[key]))
+        assert lt.children(key) == group
+        positions = [inst.pos for inst in group]
+        if any(isinstance(pos, WootrTriple) for pos in positions):
+            assert positions == wootr_order(positions)
+            kind = "wootr"
+        else:
+            assert group == sorted(group, key=Instance.order_key)
+            kind = "order_key"
+        found[kind] += len(group) > 1
     assert lt.dump() == reference_dump(lt)
-    return sum(len(group) > 1 for group in lt.kids.values())
+    return found
 
 
-def test_grouped_children_match_a_scan_in_every_combo():
-    ordered_groups = 0
-    for lt in final_lookups(42):
-        groups = scan_groups(lt)
-        assert lt.kids == groups
-        for key in [(), *lt.instances]:
-            scanned = [i for i in lt.instances.values() if i.parent == key]
-            assert lt.children(key) == sorted(scanned, key=Instance.order_key)
-        ordered_groups += assert_ordered_lists_sorted(lt)
-    assert ordered_groups > 0
-
-
-def test_ordered_builds_add_siblings_in_dump_order():
-    assert sum(map(assert_ordered_lists_sorted, final_lookups(43))) > 0
+@pytest.mark.parametrize("seed", [42, 43])
+def test_every_combo_builds_siblings_in_reference_order(seed):
+    found = sum(map(assert_siblings_in_reference_order, final_lookups(seed)), Counter())
+    assert found["wootr"] > 0 and found["order_key"] > 0
 
 
 # the three op-flavor combos of the replay benchmark
 @pytest.mark.parametrize("label", LONG_SCRIPT_DIGESTS)
-def test_long_scripts_keep_ordered_trees_in_dump_order(label):
+def test_long_scripts_keep_siblings_in_reference_order(label):
     combo = parse_combo(label.split())
     scn = random_scenario(combo, seed=7, n_ops=300)
     sim = Simulation(combo, scn.replicas, scn.seed)
-    groups = 0
+    found = Counter()
     for action in scn.script:
         sim.execute(action)
         for rep in sim.replicas.values():
-            groups += assert_ordered_lists_sorted(rep.tree.lookup())
-    assert groups > 0
+            found += assert_siblings_in_reference_order(rep.tree.lookup())
+    assert sum(found.values()) > 0
 
 
-def test_dump_of_an_ordered_build_calls_no_order_key(monkeypatch):
-    combo = parse_combo("edge lww op root newest plain".split())
-    scn = random_scenario(combo, seed=7, n_ops=300)
-    sim = Simulation(combo, scn.replicas, scn.seed)
-    sim.run(scn.script)
-    lt = sim.replicas["r1"].tree.lookup()
-    assert lt.ordered
-    assert sum(len(group) > 1 for group in lt.kids.values()) >= 5
-    expected = reference_dump(lt)
+def test_dump_and_children_call_no_order_key(monkeypatch):
+    trees = list(final_lookups(42))
+    assert sum(len(group) > 1 for lt in trees for group in lt.kids.values()) > 0
     calls = 0
     order_key = Instance.order_key
 
@@ -273,7 +276,10 @@ def test_dump_of_an_ordered_build_calls_no_order_key(monkeypatch):
         return order_key(inst)
 
     monkeypatch.setattr(Instance, "order_key", counted)
-    assert lt.dump() == expected
+    for lt in trees:
+        lt.dump()
+        for key in [(), *lt.instances]:
+            lt.children(key)
     assert calls == 0
 
 
@@ -284,13 +290,11 @@ def cached_elements():
         upi,
         w,
         PositionedNode("n", upi),
-        PathStep(upi, "s"),
-        SeqPos(2, w),
-        Path(("a", PathStep(upi, "b"), w)),
+        Path(("a", PositionedNode("b", upi), w)),
     ]
 
 
-@pytest.mark.parametrize("make", range(6))
+@pytest.mark.parametrize("make", range(len(cached_elements())))
 def test_cached_canonical_keys_do_not_change_identity(make):
     cached, fresh = cached_elements()[make], cached_elements()[make]
     text, key = render(cached), sort_key(cached)

@@ -7,10 +7,10 @@ from treecrdt import ordered, wootr
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
-from treecrdt.ordered import PathStep, PositionedNode, SeqPos
+from treecrdt.ordered import PositionedNode
 from treecrdt.paths import EPSILON, WordTree
 from treecrdt.positions import UPI_MAX, UPI_MIN, upi_between
-from treecrdt.wootr import BEGIN, END, WootrTriple
+from treecrdt.wootr import BEGIN, END, WootrTriple, wootr_order
 
 
 def fresh_upi(clock):
@@ -63,6 +63,17 @@ def test_node_pi_insert_orders_siblings():
     t.gen_insert("c", t.root, 2, c)
     kids = t.lookup().children(())
     assert [k.label for k in kids] == ["a", "b", "c", "d"]
+
+
+def test_node_pi_node_without_a_position_shows_after_positioned_siblings():
+    # a forged plain node sorts before a PositionedNode by node, which is
+    # the order the mapping policy adds siblings in
+    c = ReplicaClock("r1")
+    t = GraphTree("2p", "op", pi_mode="node")
+    t.gen_add("x", t.root, c, fresh_upi(c))
+    t.nodes.local_add(5, c)
+    t.edges.local_add((t.root, 5), c)
+    assert [k.label for k in t.lookup().children(())] == ["x", "5"]
 
 
 def test_node_pi_insert_below_a_child():
@@ -285,8 +296,8 @@ def test_wootr_graph_insert_ranks_siblings():
     t.gen_insert("r", t.root, 1, c)
     kids = t.lookup().children(())
     assert [k.label for k in kids] == ["p", "r", "q"]
-    assert [k.pos.rank for k in kids] == [0, 1, 2]
-    assert all(isinstance(k.pos, SeqPos) for k in kids)
+    assert all(isinstance(k.pos, WootrTriple) for k in kids)
+    assert [k.pos for k in kids] == wootr_order(k.pos for k in kids)
 
 
 def test_wootr_graph_remove_subtree():
@@ -343,7 +354,7 @@ def test_wootr_word_sibling_order_and_convergence():
     g.add("r2", "c", EPSILON)
     g.sync()
     t1 = g.trees["r1"]
-    line = [BEGIN, *(k.pos.element for k in t1.lookup().children(())), END]
+    line = [BEGIN, *(k.pos for k in t1.lookup().children(())), END]
     op = t1.gen_add("b", EPSILON, g.clocks["r1"], (line[1], line[2]))
     g.log.append(("r1", op))
     g.sync()

@@ -212,7 +212,7 @@ def test_reappear_builds_each_revived_edge_once(monkeypatch):
     history += history_of(*((bottom, o) for o in orphans))
     revived = []
 
-    @dataclass
+    @dataclass(slots=True)
     class CountedEdgeInfo(EdgeInfo):
         def __post_init__(self):
             if self.weight == -1:

@@ -270,6 +270,24 @@ def test_rmv_under_compact_removes_the_relocated_sources():
     assert r1.lookup().dump() == "/\n  a"
 
 
+@pytest.mark.parametrize("policy", ["root", "compact"])
+def test_relocated_path_shows_in_the_order_of_the_path_behind_it(policy):
+    # z dies concurrently with the add of zx, so zx shows at /x; its
+    # instance's node is zx itself, which sorts after the sibling y
+    r1 = WordTree("or", "op", policy)
+    r2 = WordTree("or", "op", policy)
+    c1, c2 = fresh_clock("r1"), fresh_clock("r2")
+    for atom in ("z", "y"):
+        r2.apply_remote(r1.gen_add(atom, EPSILON, c1))
+    rmv_z = r1.gen_rmv(P("z"), c1)
+    add_zx = r2.gen_add("x", P("z"), c2)
+    r2.apply_remote(rmv_z)
+    r1.apply_remote(add_zx)
+    for tree in (r1, r2):
+        assert tree.live_paths() == {P("y"), P("zx")}
+        assert tree.lookup().dump() == "/\n  y\n  x"
+
+
 # --- the worked example as a causal three-replica history ---
 
 
