@@ -100,10 +100,15 @@ class ReplicaClock:
     counter: int = 0
     tag_seq: int = 0
     delivered: VectorClock = field(default_factory=VectorClock)
-    rng: random.Random = field(init=False)
+    _rng: Optional[random.Random] = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.rng = random.Random(f"{self.seed}/{self.replica_id}")
+    @property
+    def rng(self) -> random.Random:
+        """The replica's random source, seeded on first use: most clocks
+        never draw, and seeding a string-keyed generator is not free."""
+        if self._rng is None:
+            self._rng = random.Random(f"{self.seed}/{self.replica_id}")
+        return self._rng
 
     def next_stamp(self) -> LamportStamp:
         self.counter += 1

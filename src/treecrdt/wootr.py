@@ -11,7 +11,8 @@ elements first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Set, Tuple
+from functools import lru_cache
+from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .clocks import ReplicaClock
 from .errors import IllegalCombo, InvalidInterval, PreconditionViolation
@@ -127,15 +128,27 @@ def _integrate(seq: List[WootrElement], e: WootrTriple) -> None:
 
 
 def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
-    """The given live triples in sequence order.
+    """The given live triples in sequence order, as a fresh list.
 
     Integrates the whole reference closure shallow-first, so the place of
     a deleted previous or next element is recovered before it is needed,
     then filters the result back down to the live elements.  Raises
     ``InvalidInterval`` for a triple whose previous element does not
     precede its next one.
+
+    The order is memoized per live set, in a memo of fixed size: a lookup
+    build orders every sibling group again, though an insert or a merge
+    changes one or two of them.  A triple's identity is structural, so an
+    equal set of distinct triple objects finds the same entry.
     """
-    live = {e for e in elements if isinstance(e, WootrTriple)}
+    return list(_order_live(frozenset(e for e in elements if isinstance(e, WootrTriple))))
+
+
+@lru_cache(maxsize=128)
+def _order_live(live: FrozenSet[WootrTriple]) -> Tuple[WootrTriple, ...]:
+    # safe to memoize: the closure is sorted by (depth, text), so the result
+    # does not depend on the set's iteration order, and lru_cache stores no
+    # exception, so a bad window raises InvalidInterval on every call
     depths: Dict[WootrElement, int] = {}
     universe = sorted(
         wootr_closure(live), key=lambda t: (wootr_depth(t, depths), t.render())
@@ -143,7 +156,7 @@ def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
     seq: List[WootrElement] = [BEGIN, END]
     for e in universe:
         _integrate(seq, e)
-    return [e for e in seq[1:-1] if e in live]
+    return tuple(e for e in seq[1:-1] if e in live)
 
 
 def check_wootr_kind(kind: str) -> None:

@@ -37,6 +37,19 @@ def test_observe_advances_past_received_stamp():
     assert clock.next_stamp() == LamportStamp(11, "r1")
 
 
+def test_rng_is_seeded_on_first_read_and_kept():
+    clock = ReplicaClock("r1", seed=7)
+    assert clock._rng is None
+    expected = random.Random("7/r1")
+    assert [clock.rng.random() for _ in range(3)] == [expected.random() for _ in range(3)]
+    assert clock.rng is clock.rng
+    # the generator is not part of a clock's value
+    drawn, fresh = ReplicaClock("r1", seed=7), ReplicaClock("r1", seed=7)
+    drawn.rng.random()
+    assert drawn == fresh
+    assert repr(drawn) == repr(fresh)
+
+
 def test_fresh_tags_unique_across_replicas():
     a, b = ReplicaClock("r1"), ReplicaClock("r2")
     tags = [a.fresh_tag(), a.fresh_tag(), b.fresh_tag(), b.fresh_tag()]

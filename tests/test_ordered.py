@@ -1,5 +1,7 @@
 """Ordered trees: positions on nodes, on edges, and as sequence elements."""
 
+import random
+
 import pytest
 
 from helpers import TreeGroup
@@ -7,6 +9,7 @@ from treecrdt import ordered, wootr
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
 from treecrdt.graph import GraphTree
+from treecrdt.harness import Simulation, parse_combo
 from treecrdt.ordered import PositionedNode
 from treecrdt.paths import EPSILON, WordTree
 from treecrdt.positions import UPI_MAX, UPI_MIN, upi_between
@@ -545,3 +548,46 @@ def test_wootr_sibling_line_is_built_once_per_insert(make, monkeypatch):
     calls.clear()
     t.gen_add("c", top(t), c)
     assert calls == []
+
+
+def _sibling_script(seed=20, inserts=40):
+    """A fixed 3-replica state script: 3 parents, then inserts at random
+    sibling indices with a pairwise merge after every few of them."""
+    rng = random.Random(seed)
+    rids = ("r1", "r2", "r3")
+    script = [("r1", "add", p, "root") for p in ("p1", "p2", "p3")]
+    script += [("r2", "merge", "r1"), ("r3", "merge", "r1")]
+    # no removals, so a replica's siblings are exactly the names it knows
+    known = {r: {p: set() for p in ("p1", "p2", "p3")} for r in rids}
+    for n in range(inserts):
+        r, p = rng.choice(rids), rng.choice(("p1", "p2", "p3"))
+        name = f"x{n}"
+        script.append((r, "insert", name, p, str(rng.randint(0, len(known[r][p])))))
+        known[r][p].add(name)
+        if n % 4 == 3:
+            r, src = rng.sample(rids, 2)
+            script.append((r, "merge", src))
+            for p, names in known[src].items():
+                known[r][p] |= names
+    return script
+
+
+def test_wootr_order_runs_once_per_distinct_sibling_set(monkeypatch):
+    # a lookup build orders every sibling group again, though an insert or a
+    # merge changes one or two groups; the memo orders each live set once
+    calls, distinct = [], set()
+
+    def counted(elements, order=wootr.wootr_order):
+        live = frozenset(elements)
+        calls.append(1)
+        distinct.add(live)
+        return order(live)
+
+    monkeypatch.setattr(wootr, "wootr_order", counted)
+    monkeypatch.setattr(ordered, "wootr_order", counted)
+    wootr._order_live.cache_clear()
+    sim = Simulation(parse_combo("graph or state skip shortest wootr".split()))
+    assert all(record.violation is None for record in sim.run(_sibling_script()))
+    ordered_sets = wootr._order_live.cache_info().misses
+    assert ordered_sets <= len(distinct)
+    assert ordered_sets < len(calls) / 2

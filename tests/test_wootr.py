@@ -25,6 +25,7 @@ from treecrdt.wootr import (
     END,
     WootrSequence,
     WootrTriple,
+    _order_live,
     wootr_closure,
     wootr_depth,
     wootr_order,
@@ -378,9 +379,9 @@ def test_every_delivery_order_matches_tombstone_reference():
     assert texts == {"dbc"}
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 10**6))
-def test_random_histories_match_tombstone_reference(seed):
+def _two_replica_history(seed):
+    """Two op replicas of a random history with removals, synced at the end;
+    each insert goes between two live neighbours, so triples nest."""
     rng = random.Random(seed)
     replicas = ("r1", "r2")
     clocks = {r: ReplicaClock(r, seed) for r in replicas}
@@ -419,5 +420,41 @@ def test_random_histories_match_tombstone_reference(seed):
     for _, op in log:
         if op.verb == ADD:
             ref.deliver(op.element)
+    return seqs, ref
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6))
+def test_random_histories_match_tombstone_reference(seed):
+    seqs, ref = _two_replica_history(seed)
     assert seqs["r1"].text() == seqs["r2"].text()
     assert ref.order(seqs["r1"].elements.lookup()) == seqs["r1"].order()
+
+
+# --- the order is memoized per live set ---
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_memoized_order_changes_no_result(seed):
+    seqs, ref = _two_replica_history(seed)
+    live = seqs["r1"].elements.lookup()
+    expected = wootr_order(live)
+    assert expected == ref.order(live)
+    _order_live.cache_clear()
+    got = wootr_order(live)
+    assert got == expected
+    # a triple's identity is structural: unpickled copies find the entry
+    copies = pickle.loads(pickle.dumps(list(live)))
+    assert all(c is not e for c in copies for e in live)
+    assert wootr_order(copies) == expected
+    # each call hands out a fresh list
+    got.reverse()
+    got.append(X)
+    assert wootr_order(live) == expected
+    # an exception is never memoized
+    at = expected[0] if expected else X
+    bad = WootrTriple("z", at, at)
+    for _ in range(2):
+        with pytest.raises(InvalidInterval):
+            wootr_order([*live, bad])
