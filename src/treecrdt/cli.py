@@ -10,6 +10,7 @@ from typing import List, Optional
 from .demos import DEMOS
 from .errors import IllegalCombo, ScenarioError
 from .harness import (
+    PI_MODES,
     REPRS,
     check_convergence,
     check_sizes,
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--flavor", choices=FLAVORS)
     check_p.add_argument("--connect", choices=CONNECT_POLICIES)
     check_p.add_argument("--map", dest="map_policy", choices=MAP_POLICIES + ("-",))
-    check_p.add_argument("--pi", choices=("plain", "node", "edge", "wootr"))
+    check_p.add_argument("--pi", choices=tuple(pi or "plain" for pi in PI_MODES))
     check_p.add_argument("--seed", type=int, default=42)
     check_p.add_argument("--ops", type=int, default=5)
     check_p.add_argument("--replicas", type=int, default=3)
@@ -81,22 +82,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _match(args: argparse.Namespace):
-    combos = legal_combos()
-    if args.repr_name:
-        combos = [c for c in combos if c.repr_name == args.repr_name]
-    if args.kind:
-        combos = [c for c in combos if c.kind == args.kind]
-    if args.flavor:
-        combos = [c for c in combos if c.flavor == args.flavor]
-    if args.connect:
-        combos = [c for c in combos if c.connect_policy == args.connect]
-    if args.map_policy:
-        wanted = None if args.map_policy == "-" else args.map_policy
-        combos = [c for c in combos if c.map_policy == wanted]
-    if args.pi:
-        wanted = None if args.pi == "plain" else args.pi
-        combos = [c for c in combos if c.pi_mode == wanted]
-    return combos
+    # a combo's label spells its fields in flag order, "-" and "plain" included
+    flags = (args.repr_name, args.kind, args.flavor, args.connect, args.map_policy, args.pi)
+    return [
+        c
+        for c in legal_combos()
+        if all(flag is None or flag == token for flag, token in zip(flags, c.label().split()))
+    ]
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

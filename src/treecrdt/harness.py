@@ -17,7 +17,7 @@ from .errors import (
 from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
 from .ordered import PositionedNode
-from .paths import WordTree
+from .paths import WordTree, check_atom
 from .policies import CONNECT_POLICIES, MAP_POLICIES, MONOTONE_CONNECT, MONOTONE_MAP
 from .render import Path, render, sort_key, sorted_elements
 from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
@@ -276,6 +276,11 @@ class Simulation:
         pi = self.combo.pi_mode
         if self.combo.repr_name == "word":
             resolve = self._resolve_path
+            if verb in ("add", "insert"):
+                try:
+                    check_atom(args[0])
+                except ValueError as exc:
+                    raise ScenarioError(str(exc)) from None
         else:
             resolve = self._resolve_node
         if verb == "add":

@@ -3,6 +3,8 @@
 State-based payloads converge by merge; op-based payloads converge by applying
 every op exactly once in causal order.  Local generation both mutates the local
 payload and returns the op, so one history can drive either flavor.
+`SetCrdt` owns the four entry points that change a payload, and `copy`; each
+kind writes only its payload rules, its reads and its canonical text.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ _NO_TAGS: FrozenSet[Tag] = frozenset()
 def next_version() -> int:
     """A payload version never handed out before in this process.
 
-    Every set takes a new version when it is built and on each mutation,
-    so equal versions mean the same set in the same state, and a lookup
-    cached under them is current.
+    Every set takes a new version when it is built or copied and after each
+    accepted `local_add`, `local_rmv`, `apply` or `merge`, and a refused one
+    keeps it.  So equal versions mean the same set in the same state, and a
+    lookup cached under them is current.
     """
     return next(_VERSIONS)
 
@@ -60,7 +63,14 @@ class SetOp:
 
 
 class SetCrdt:
-    """Common surface: lookup, checked generation, unchecked generation, sync."""
+    """Common surface: lookup, checked generation, unchecked generation, sync.
+
+    `local_add`, `local_rmv`, `apply` and `merge` refuse a wrong flavor or
+    a peer of another kind or flavor, run the kind's payload rule (`_add`,
+    `_rmv`, `_apply`, `_merge`), which raises before it changes anything,
+    and only then give the set a new version.  So a refused mutation changes
+    neither state nor version.
+    """
 
     kind: str = ""
 
@@ -96,21 +106,47 @@ class SetCrdt:
         Tree types call this directly: their preconditions are evaluated on
         the lookup tree, which can disagree with raw set membership.
         """
-        raise NotImplementedError
+        op = self._add(e, clock)
+        self.version = next_version()
+        return op
 
     def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
-        raise NotImplementedError
+        op = self._rmv(e, clock)
+        self.version = next_version()
+        return op
 
     def apply(self, op: SetOp) -> None:
         """Apply a remote op; op-based flavor only, exactly once, causal order."""
-        raise NotImplementedError
+        if self.flavor != "op":
+            raise KindMismatch("apply requires the op-based flavor")
+        self._apply(op)
+        self.version = next_version()
 
     def merge(self, other: "SetCrdt") -> None:
         """Fold another replica's state into this one; state-based flavor only."""
-        raise NotImplementedError
+        if self.flavor != "state":
+            raise KindMismatch("merge requires the state-based flavor")
+        if self.kind != other.kind or self.flavor != other.flavor:
+            raise KindMismatch(
+                f"cannot merge {other.kind}/{other.flavor} into {self.kind}/{self.flavor}"
+            )
+        self._merge(other)
+        self.version = next_version()
 
     def copy(self) -> "SetCrdt":
-        raise NotImplementedError
+        """An equal set under a fresh version that shares no container with this one.
+
+        Each payload container is a set, or a dict whose values are tag sets
+        or immutables, so copying one level deep is enough.
+        """
+        dup = type(self)(self.flavor)
+        for name, value in vars(self).items():
+            if isinstance(value, set):
+                setattr(dup, name, set(value))
+            elif isinstance(value, dict):
+                inner = {k: set(v) if isinstance(v, set) else v for k, v in value.items()}
+                setattr(dup, name, inner)
+        return dup
 
     def state(self) -> Any:
         """A hashable, exact copy of the payload: equal exactly when the payloads are."""
@@ -128,20 +164,6 @@ class SetCrdt:
     def _canonical_lines(self) -> list:
         raise NotImplementedError
 
-    def _touch(self) -> None:
-        """Give the payload a new version; every mutation calls this before it changes anything."""
-        self.version = next_version()
-
-    def _check_peer(self, other: "SetCrdt") -> None:
-        if self.kind != other.kind or self.flavor != other.flavor:
-            raise KindMismatch(
-                f"cannot merge {other.kind}/{other.flavor} into {self.kind}/{self.flavor}"
-            )
-
-    def _require_flavor(self, flavor: str, what: str) -> None:
-        if self.flavor != flavor:
-            raise KindMismatch(f"{what} requires the {flavor}-based flavor")
-
 
 class GSet(SetCrdt):
     """Grow-only set: adds union together and nothing is ever removed."""
@@ -157,31 +179,20 @@ class GSet(SetCrdt):
 
     ever = lookup  # nothing is ever removed
 
-    def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
+    def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
         self.elements.add(e)
         return SetOp(ADD, e)
 
-    def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
+    def _rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
         raise PreconditionViolation("grow-only sets do not support removal")
 
-    def apply(self, op: SetOp) -> None:
-        self._require_flavor("op", "apply")
+    def _apply(self, op: SetOp) -> None:
         if op.verb != ADD:
             raise PreconditionViolation("grow-only sets do not support removal")
-        self._touch()
         self.elements.add(op.element)
 
-    def merge(self, other: SetCrdt) -> None:
-        self._require_flavor("state", "merge")
-        self._check_peer(other)
-        self._touch()
+    def _merge(self, other: SetCrdt) -> None:
         self.elements |= other.elements
-
-    def copy(self) -> "GSet":
-        dup = GSet(self.flavor)
-        dup.elements = set(self.elements)
-        return dup
 
     def state(self) -> Any:
         return frozenset(self.elements)
@@ -206,43 +217,28 @@ class TwoPhaseSet(SetCrdt):
     def ever(self) -> Set[Any]:
         return set(self.added)
 
-    def gen_add(self, e: Any, clock: ReplicaClock) -> SetOp:
+    def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
         if e in self.added or e in self.removed:
             raise PreconditionViolation(f"{render(e)} was already added once")
-        return self.local_add(e, clock)
-
-    def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
-        if e in self.added or e in self.removed:
-            raise PreconditionViolation(f"{render(e)} was already added once")
-        self._touch()
         self.added.add(e)
         return SetOp(ADD, e)
 
-    def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
+    # _add refuses every second add, so a membership check would repeat it
+    gen_add = SetCrdt.local_add
+
+    def _rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
         self.removed.add(e)
         return SetOp(RMV, e)
 
-    def apply(self, op: SetOp) -> None:
-        self._require_flavor("op", "apply")
-        self._touch()
+    def _apply(self, op: SetOp) -> None:
         if op.verb == ADD:
             self.added.add(op.element)
         else:
             self.removed.add(op.element)
 
-    def merge(self, other: SetCrdt) -> None:
-        self._require_flavor("state", "merge")
-        self._check_peer(other)
-        self._touch()
+    def _merge(self, other: SetCrdt) -> None:
         self.added |= other.added
         self.removed |= other.removed
-
-    def copy(self) -> "TwoPhaseSet":
-        dup = TwoPhaseSet(self.flavor)
-        dup.added = set(self.added)
-        dup.removed = set(self.removed)
-        return dup
 
     def state(self) -> Any:
         return (frozenset(self.added), frozenset(self.removed))
@@ -270,37 +266,25 @@ class LwwSet(SetCrdt):
     def ever(self) -> Set[Any]:
         return set(self.entries)
 
-    def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
+    def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
         stamp = clock.next_stamp()
         self.entries[e] = (stamp, True)
         return SetOp(ADD, e, stamp=stamp)
 
-    def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
+    def _rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
         stamp = clock.next_stamp()
         self.entries[e] = (stamp, False)
         return SetOp(RMV, e, stamp=stamp)
 
-    def apply(self, op: SetOp) -> None:
-        self._require_flavor("op", "apply")
-        self._touch()
+    def _apply(self, op: SetOp) -> None:
         current = self.entries.get(op.element)
         if current is None or current[0] < op.stamp:
             self.entries[op.element] = (op.stamp, op.verb == ADD)
 
-    def merge(self, other: SetCrdt) -> None:
-        self._require_flavor("state", "merge")
-        self._check_peer(other)
-        self._touch()
+    def _merge(self, other: SetCrdt) -> None:
         for e, pair in other.entries.items():
             if e not in self.entries or self.entries[e][0] < pair[0]:
                 self.entries[e] = pair
-
-    def copy(self) -> "LwwSet":
-        dup = LwwSet(self.flavor)
-        dup.entries = dict(self.entries)
-        return dup
 
     def state(self) -> Any:
         return frozenset(self.entries.items())
@@ -354,53 +338,32 @@ class CounterSet(SetCrdt):
             return set(self.pos) | set(self.neg)
         return set(self.counts)
 
-    def _shift(self, e: Any, delta: int, clock: ReplicaClock) -> None:
-        if self.flavor == "op":
+    def _settle(self, e: Any, balance: int, clock: ReplicaClock) -> int:
+        """Move e's balance to exactly `balance`; returns the delta that took."""
+        delta = balance - self.count(e)
+        if delta and self.flavor == "op":
             self.counts[e] = self.counts.get(e, 0) + delta
-            return
-        pool = self.pos if delta > 0 else self.neg
-        bucket = pool.setdefault(e, set())
-        for _ in range(abs(delta)):
-            bucket.add(clock.fresh_tag())
+        elif delta:
+            pool = self.pos if delta > 0 else self.neg
+            pool.setdefault(e, set()).update(clock.fresh_tag() for _ in range(abs(delta)))
+        return delta
 
-    def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
-        delta = 1 - self.count(e)
-        if delta:
-            self._shift(e, delta, clock)
-        return SetOp(ADD, e, delta=delta)
+    def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
+        return SetOp(ADD, e, delta=self._settle(e, 1, clock))
 
-    def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
-        delta = -self.count(e)
-        if delta:
-            self._shift(e, delta, clock)
-        return SetOp(RMV, e, delta=delta)
+    def _rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
+        return SetOp(RMV, e, delta=self._settle(e, 0, clock))
 
-    def apply(self, op: SetOp) -> None:
-        self._require_flavor("op", "apply")
-        self._touch()
+    def _apply(self, op: SetOp) -> None:
         # a zero delta changes no balance, so it must not name the element
         if op.delta:
             self.counts[op.element] = self.counts.get(op.element, 0) + op.delta
 
-    def merge(self, other: SetCrdt) -> None:
-        self._require_flavor("state", "merge")
-        self._check_peer(other)
-        self._touch()
+    def _merge(self, other: SetCrdt) -> None:
         for e, tags in other.pos.items():
             self.pos.setdefault(e, set()).update(tags)
         for e, tags in other.neg.items():
             self.neg.setdefault(e, set()).update(tags)
-
-    def copy(self) -> "CounterSet":
-        dup = CounterSet(self.flavor)
-        if self.flavor == "state":
-            dup.pos = {e: set(t) for e, t in self.pos.items()}
-            dup.neg = {e: set(t) for e, t in self.neg.items()}
-        else:
-            dup.counts = dict(self.counts)
-        return dup
 
     def state(self) -> Any:
         if self.flavor == "state":
@@ -459,16 +422,14 @@ class ObservedRemoveSet(SetCrdt):
     def ever(self) -> Set[Any]:
         return set(self.tags)
 
-    def local_add(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
+    def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
         tag = clock.fresh_tag()
         stamp = clock.next_stamp()
         self.tags.setdefault(e, set()).add(tag)
         self.stamps[tag] = stamp
         return SetOp(ADD, e, stamp=stamp, tag=tag)
 
-    def local_rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
-        self._touch()
+    def _rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
         observed = frozenset(self.live_tags(e))
         if self.flavor == "state":
             self.removed.setdefault(e, set()).update(observed)
@@ -481,9 +442,7 @@ class ObservedRemoveSet(SetCrdt):
         if e in self.tags:
             self.tags[e] -= tags
 
-    def apply(self, op: SetOp) -> None:
-        self._require_flavor("op", "apply")
-        self._touch()
+    def _apply(self, op: SetOp) -> None:
         if op.verb == ADD:
             self.tags.setdefault(op.element, set()).add(op.tag)
             if op.stamp is not None:
@@ -491,23 +450,12 @@ class ObservedRemoveSet(SetCrdt):
         else:
             self._drop_tags(op.element, op.tags)
 
-    def merge(self, other: SetCrdt) -> None:
-        self._require_flavor("state", "merge")
-        self._check_peer(other)
-        self._touch()
+    def _merge(self, other: SetCrdt) -> None:
         for e, tags in other.tags.items():
             self.tags.setdefault(e, set()).update(tags)
         for e, tags in other.removed.items():
             self.removed.setdefault(e, set()).update(tags)
         self.stamps.update(other.stamps)
-
-    def copy(self) -> "ObservedRemoveSet":
-        dup = ObservedRemoveSet(self.flavor)
-        dup.tags = {e: set(t) for e, t in self.tags.items()}
-        dup.stamps = dict(self.stamps)
-        if self.flavor == "state":
-            dup.removed = {e: set(t) for e, t in self.removed.items()}
-        return dup
 
     def state(self) -> Any:
         removed = _frozen_buckets(self.removed) if self.flavor == "state" else None

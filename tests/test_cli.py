@@ -67,6 +67,8 @@ def test_run_malformed_scenario_exits_2(capsys, tmp_path):
         ("graph or op skip shortest plain", "r1 add a", "line 2"),
         ("word or op skip - edge", "r1 insert a / x", "line 2"),
         ("graph or op skip shortest plain", "r7 sync now please", "line 2"),
+        ("word or op skip - plain", "r1 add a/b /", "'a/b'"),
+        ("word 2p op skip - edge", "r1 insert a/b / 0", "'a/b'"),
     ],
 )
 def test_run_malformed_action_exits_2(capsys, tmp_path, combo, line, message):

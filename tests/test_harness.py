@@ -284,6 +284,24 @@ def test_execute_rejects_an_unknown_source_replica(flavor, verb):
         sim.execute(("r1", verb, "r9"))
 
 
+@pytest.mark.parametrize(
+    "combo, action",
+    [
+        (ComboSpec("word", "or", "op", "skip", None, None), ("r1", "add", "a/b", "/")),
+        (ComboSpec("word", "2p", "op", "skip", None, "edge"), ("r1", "insert", "a/b", "/", "0")),
+    ],
+)
+def test_a_malformed_word_atom_touches_neither_tree_nor_clock(combo, action):
+    refused, untouched = Simulation(combo, 1), Simulation(combo, 1)
+    with pytest.raises(ScenarioError, match="'a/b'"):
+        refused.execute(action)
+    # the same action with a good atom draws the same position and stamps
+    good = action[:2] + ("a",) + action[3:]
+    for sim in (refused, untouched):
+        sim.execute(good)
+    assert refused.replicas["r1"].tree.canonical() == untouched.replicas["r1"].tree.canonical()
+
+
 # --- transcripts ---
 
 

@@ -194,6 +194,99 @@ def test_merge_across_kinds_rejected():
         s.merge(make_set("2p", "state"))
 
 
+# --- versions and copies ---
+
+
+def with_history(kind, flavor):
+    """A set holding a, and b added and removed where the kind allows it."""
+    s = make_set(kind, flavor)
+    c = clock()
+    s.local_add("a", c)
+    s.local_add("b", c)
+    if kind != "g":
+        s.local_rmv("b", c)
+    return s
+
+
+def accepted_mutations(kind, flavor, e):
+    """Each mutation of e the kind and flavor accept, by name.
+
+    They run under another replica's clock, so every tag and stamp is new.
+    """
+    peer = make_set(kind, flavor)
+    peer_op = peer.local_add(e, clock("r3"))
+    out = {}
+    if kind != "2p":  # a two-phase set refuses a second add
+        out["re-add"] = lambda s: s.local_add(e, clock("r2"))
+    if kind != "g":
+        out["rmv"] = lambda s: s.local_rmv(e, clock("r2"))
+    if flavor == "op":
+        out["apply"] = lambda s: s.apply(peer_op)
+    else:
+        out["merge"] = lambda s: s.merge(peer)
+    return out
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_copy_shares_no_container_with_its_original(kind, flavor):
+    for e in ("a", "b"):
+        for name, mutate in accepted_mutations(kind, flavor, e).items():
+            for mutated_side in (0, 1):
+                original = with_history(kind, flavor)
+                pair = [original, original.copy()]
+                assert pair[0].state() == pair[1].state()
+                other = pair[1 - mutated_side]
+                before = (other.state(), other.canonical())
+                mutate(pair[mutated_side])
+                assert (other.state(), other.canonical()) == before, (e, name, mutated_side)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_accepted_mutation_gives_a_new_version(kind, flavor):
+    s = with_history(kind, flavor)
+    seen = {s.version}
+    dup = s.copy()
+    assert dup.version not in seen
+    seen.add(dup.version)
+    mutations = dict(accepted_mutations(kind, flavor, "a"))
+    mutations["add"] = lambda s: s.local_add("z", clock("r2"))
+    for name, mutate in mutations.items():
+        mutate(s)
+        assert s.version not in seen, name
+        seen.add(s.version)
+
+
+def refused_mutations(kind, flavor):
+    """(name, mutation, error) for each mutation the kind and flavor refuse."""
+    other_kind = "or" if kind == "g" else "g"
+    out = [("merge another kind", lambda s: s.merge(make_set(other_kind, flavor)), KindMismatch)]
+    if flavor == "state":
+        out.append(("apply", lambda s: s.apply(SetOp(ADD, "c")), KindMismatch))
+        out.append(("merge another flavor", lambda s: s.merge(make_set(kind, "op")), KindMismatch))
+    else:
+        out.append(("merge", lambda s: s.merge(make_set(kind, "op")), KindMismatch))
+    if kind == "2p":
+        out.append(("re-add", lambda s: s.local_add("b", clock("r2")), PreconditionViolation))
+    if kind == "g":
+        out.append(("rmv", lambda s: s.local_rmv("a", clock("r2")), PreconditionViolation))
+        if flavor == "op":
+            out.append(("apply rmv", lambda s: s.apply(SetOp(RMV, "a")), PreconditionViolation))
+    return out
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_refused_mutation_keeps_version_and_state(kind, flavor):
+    for name, mutate, error in refused_mutations(kind, flavor):
+        s = with_history(kind, flavor)
+        before = (s.version, s.state())
+        with pytest.raises(error):
+            mutate(s)
+        assert (s.version, s.state()) == before, name
+
+
 # --- canonical text ---
 
 
