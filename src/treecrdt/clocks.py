@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 ReplicaId = str
 
@@ -31,40 +33,10 @@ class Tag:
         return f"{self.origin}.{self.seq}"
 
 
-class VectorClock:
-    """Per-origin delivery counts with entrywise merge and partial-order compare."""
-
-    def __init__(self, counts: Optional[Dict[ReplicaId, int]] = None):
-        self.counts: Dict[ReplicaId, int] = dict(counts or {})
-
-    def get(self, origin: ReplicaId) -> int:
-        return self.counts.get(origin, 0)
-
-    def increment(self, origin: ReplicaId) -> None:
-        self.counts[origin] = self.get(origin) + 1
-
-    def merge(self, other: "VectorClock") -> None:
-        for origin, count in other.counts.items():
-            if count > self.get(origin):
-                self.counts[origin] = count
-
-    def dominates(self, other: "VectorClock") -> bool:
-        """True iff self >= other entrywise (absent entries read as zero)."""
-        return all(self.get(o) >= c for o, c in other.counts.items())
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self.counts)
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        return {o: c for o, c in self.counts.items() if c} == {
-            o: c for o, c in other.counts.items() if c
-        }
-
-    def __repr__(self) -> str:
-        inner = ",".join(f"{o}:{c}" for o, c in sorted(self.counts.items()))
-        return f"VectorClock({inner})"
+# A version vector counts the ops delivered from each origin.  Counter is
+# one: |= is the entrywise join, >= is dominance, an absent origin reads as
+# 0, and == ignores zero counts.
+VectorClock = Counter
 
 
 @dataclass(frozen=True)
@@ -72,7 +44,7 @@ class Envelope:
     """An op in flight: payload plus origin, causal dependencies, and stamp.
 
     deps snapshots the sender's delivered clock at generation time, so
-    deps.get(origin) counts the sender's own earlier ops and doubles as the
+    deps[origin] counts the sender's own earlier ops and doubles as the
     per-origin sequence number minus one.
     """
 
@@ -83,12 +55,12 @@ class Envelope:
 
     @property
     def seq(self) -> int:
-        return self.deps.get(self.origin) + 1
+        return self.deps[self.origin] + 1
 
 
 def deliverable(env: Envelope, delivered: VectorClock) -> bool:
     """True iff all causal dependencies are met and origin FIFO order holds."""
-    return delivered.dominates(env.deps) and delivered.get(env.origin) == env.seq - 1
+    return delivered >= env.deps and delivered[env.origin] == env.seq - 1
 
 
 @dataclass
@@ -100,15 +72,13 @@ class ReplicaClock:
     counter: int = 0
     tag_seq: int = 0
     delivered: VectorClock = field(default_factory=VectorClock)
-    _rng: Optional[random.Random] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
+    @cached_property
     def rng(self) -> random.Random:
         """The replica's random source, seeded on first use: most clocks
-        never draw, and seeding a string-keyed generator is not free."""
-        if self._rng is None:
-            self._rng = random.Random(f"{self.seed}/{self.replica_id}")
-        return self._rng
+        never draw, and seeding a string-keyed generator is not free.  It is
+        not a field, so it is no part of the clock's repr or equality."""
+        return random.Random(f"{self.seed}/{self.replica_id}")
 
     def next_stamp(self) -> LamportStamp:
         self.counter += 1
@@ -131,12 +101,12 @@ class ReplicaClock:
             deps=self.delivered.copy(),
             stamp=self.next_stamp(),
         )
-        self.delivered.increment(self.replica_id)
+        self.delivered[self.replica_id] += 1
         return env
 
     def accept(self, env: Envelope) -> None:
         """Record delivery of a remote envelope."""
-        self.delivered.increment(env.origin)
+        self.delivered[env.origin] += 1
         self.observe(env.stamp)
 
 
@@ -167,7 +137,7 @@ class DeliveryBuffer:
         while True:
             first = None
             for origin in origins:
-                for i in waiting.get((origin, delivered.get(origin) + 1), ()):
+                for i in waiting.get((origin, delivered[origin] + 1), ()):
                     if i not in taken and deliverable(self.pending[i], delivered):
                         if first is None or i < first:
                             first = i
@@ -179,5 +149,5 @@ class DeliveryBuffer:
         self.pending = [
             env
             for i, env in enumerate(self.pending)
-            if i not in taken and env.seq > delivered.get(env.origin)
+            if i not in taken and env.seq > delivered[env.origin]
         ]

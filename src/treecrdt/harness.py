@@ -269,7 +269,7 @@ class Simulation:
             self.envelopes.append(env)
             self.outbox[rid].append(env)
         else:
-            rep.clock.delivered.increment(rid)
+            rep.clock.delivered[rid] += 1
 
     def _gen(self, rep: SimReplica, verb: str, args: Tuple[str, ...]) -> TreeOp:
         tree, clock = rep.tree, rep.clock
@@ -319,21 +319,21 @@ class Simulation:
             raise PreconditionViolation("merge needs the state flavor")
         rep, peer = self.replicas[rid], self.replicas[src]
         rep.tree.merge(peer.tree, rep.clock)
-        rep.clock.delivered.merge(peer.clock.delivered)
+        rep.clock.delivered |= peer.clock.delivered
 
     def known_ops(self, known: VectorClock) -> List[TreeOp]:
         """The local ops a state with version vector known reflects: the first
-        ``known.get(origin)`` made by each origin, in the order they were made.
+        ``known[origin]`` made by each origin, in the order they were made.
 
         In both flavors a replica's knowledge is its version vector
         ``clock.delivered``: delivery and local ops advance it, and a state
         merge joins the peer's into it.
         """
-        made: Dict[str, int] = {}
+        made: VectorClock = Counter()
         out = []
         for origin, op in self.local_ops:
-            made[origin] = made.get(origin, 0) + 1
-            if made[origin] <= known.get(origin):
+            made[origin] += 1
+            if made[origin] <= known[origin]:
                 out.append(op)
         return out
 
@@ -601,7 +601,7 @@ def causal_deps(envelopes: List[Envelope]) -> List[Set[int]]:
         before = {
             j
             for j, f in enumerate(envelopes)
-            if f is not e and e.deps.get(f.origin) >= f.seq
+            if f is not e and e.deps[f.origin] >= f.seq
         }
         deps.append(before)
     return deps
@@ -740,7 +740,7 @@ def _observe(
     and are computed on every call; a state whose lookup blew up has no
     witness, so prev_witness stays the one to compare with.
     """
-    key = (tree.state(), tuple(map(known.get, sim.rids)))
+    key = (tree.state(), tuple(known[rid] for rid in sim.rids))
     seen = cache.get(key)
     if seen is None:
         seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
@@ -864,7 +864,7 @@ def _check_op_schedules(
         witness = None
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
-            known.increment(envelopes[i].origin)
+            known[envelopes[i].origin] += 1
             where = f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}"
             witness = _observe(sim, observer, known, witness, cache, report, where)
         finals.setdefault(_final_text(observer, texts), order)
@@ -895,7 +895,7 @@ def _check_state_schedules(
     from a copy of the first.  Every fold holds every local op, so its version
     vector is the made counts; its observation and its final payload text
     are looked up by ``state()`` as in ``_check_op_schedules``."""
-    made = VectorClock(Counter(origin for origin, _ in sim.local_ops))
+    made = Counter(origin for origin, _ in sim.local_ops)
     texts: Dict[Any, str] = {}
     finals: Dict[str, Tuple[str, ...]] = {}
     seed_text = f"folds/{sim.combo.label()}/{scn.seed}"
@@ -903,10 +903,9 @@ def _check_state_schedules(
     perms = [tuple(sim.rids[i] for i in order) for order in orders]
     for perm in perms:
         acc = sim.replicas[perm[0]].tree.copy()
-        clock = ReplicaClock(f"fold-{'-'.join(perm)}", scn.seed)
         for rid in perm[1:]:
-            acc.merge(sim.replicas[rid].tree, clock)
-        acc.merge(sim.replicas[perm[0]].tree, clock)
+            acc.merge(sim.replicas[rid].tree)
+        acc.merge(sim.replicas[perm[0]].tree)
         finals.setdefault(_final_text(acc, texts), perm)
         report.schedules += 1
         where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"

@@ -444,7 +444,8 @@ class ObservedRemoveSet(SetCrdt):
 
     def _apply(self, op: SetOp) -> None:
         if op.verb == ADD:
-            self.tags.setdefault(op.element, set()).add(op.tag)
+            added = {op.tag}  # an unhashable tag raises here, before any change
+            self.tags.setdefault(op.element, set()).update(added)
             if op.stamp is not None:
                 self.stamps[op.tag] = op.stamp
         else:

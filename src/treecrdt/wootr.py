@@ -22,12 +22,8 @@ from .sets import SetCrdt, SetOp, make_set
 WOOTR_KINDS = ("lww", "c", "or")
 
 
-class WootrElement:
-    """Base for sequence elements: the two ends and atom triples."""
-
-
 @dataclass(frozen=True)
-class WootrBound(WootrElement):
+class WootrBound:
     """One of the two fixed ends of every sequence."""
 
     side: str
@@ -44,12 +40,12 @@ END = WootrBound("end")
 
 
 @dataclass(frozen=True)
-class WootrTriple(WootrElement):
+class WootrTriple:
     """An atom placed between two other elements."""
 
     atom: Any
-    prev: WootrElement
-    next: WootrElement
+    prev: WootrBound | WootrTriple
+    next: WootrBound | WootrTriple
 
     def __post_init__(self):
         # the dataclass's own field hash, computed once: uncached, every
@@ -72,7 +68,7 @@ class WootrTriple(WootrElement):
         return self.render()
 
 
-def wootr_depth(e: WootrElement, memo: Dict[WootrElement, int]) -> int:
+def wootr_depth(e: WootrBound | WootrTriple, memo: Dict[WootrTriple, int]) -> int:
     """Nesting depth; references always point at shallower elements."""
     if not isinstance(e, WootrTriple):
         return 0
@@ -81,7 +77,7 @@ def wootr_depth(e: WootrElement, memo: Dict[WootrElement, int]) -> int:
     return memo[e]
 
 
-def wootr_closure(elements: Iterable[WootrElement]) -> Set[WootrTriple]:
+def wootr_closure(elements: Iterable[WootrBound | WootrTriple]) -> Set[WootrTriple]:
     """Every triple reachable through prev/next references."""
     seen: Set[WootrTriple] = set()
     stack = [e for e in elements if isinstance(e, WootrTriple)]
@@ -102,7 +98,7 @@ def _hint(e: WootrTriple) -> Tuple:
     return (sort_key(e.atom), e.render())
 
 
-def _integrate(seq: List[WootrElement], e: WootrTriple) -> None:
+def _integrate(seq: List[WootrBound | WootrTriple], e: WootrTriple) -> None:
     """Place e between its two neighbours in the sequence."""
     index = {x: i for i, x in enumerate(seq)}
     lpos, rpos = index.get(e.prev), index.get(e.next)
@@ -127,7 +123,7 @@ def _integrate(seq: List[WootrElement], e: WootrTriple) -> None:
     seq.insert(rpos, e)
 
 
-def wootr_order(elements: Iterable[WootrElement]) -> List[WootrTriple]:
+def wootr_order(elements: Iterable[WootrBound | WootrTriple]) -> List[WootrTriple]:
     """The given live triples in sequence order, as a fresh list.
 
     Integrates the whole reference closure shallow-first, so the place of
@@ -149,11 +145,11 @@ def _order_live(live: FrozenSet[WootrTriple]) -> Tuple[WootrTriple, ...]:
     # safe to memoize: the closure is sorted by (depth, text), so the result
     # does not depend on the set's iteration order, and lru_cache stores no
     # exception, so a bad window raises InvalidInterval on every call
-    depths: Dict[WootrElement, int] = {}
+    depths: Dict[WootrTriple, int] = {}
     universe = sorted(
         wootr_closure(live), key=lambda t: (wootr_depth(t, depths), t.render())
     )
-    seq: List[WootrElement] = [BEGIN, END]
+    seq: List[WootrBound | WootrTriple] = [BEGIN, END]
     for e in universe:
         _integrate(seq, e)
     return tuple(e for e in seq[1:-1] if e in live)
@@ -168,7 +164,7 @@ def check_wootr_kind(kind: str) -> None:
         )
 
 
-def wootr_line(elements: Iterable[WootrElement]) -> List[WootrElement]:
+def wootr_line(elements: Iterable[WootrBound | WootrTriple]) -> List[WootrBound | WootrTriple]:
     """The live triples in sequence order between the two ends."""
     return [BEGIN, *wootr_order(elements), END]
 
@@ -185,7 +181,7 @@ class WootrSequence:
     def order(self) -> List[WootrTriple]:
         return wootr_order(self.elements.lookup())
 
-    def line(self) -> List[WootrElement]:
+    def line(self) -> List[WootrBound | WootrTriple]:
         """The current sequence with its two ends, for picking neighbours."""
         return wootr_line(self.elements.lookup())
 
@@ -193,7 +189,11 @@ class WootrSequence:
         return "".join(render(e.atom) for e in self.order())
 
     def gen_insert(
-        self, atom: Any, prev: WootrElement, nxt: WootrElement, clock: ReplicaClock
+        self,
+        atom: Any,
+        prev: WootrBound | WootrTriple,
+        nxt: WootrBound | WootrTriple,
+        clock: ReplicaClock,
     ) -> SetOp:
         line = self.line()
         if prev not in line or nxt not in line or line.index(prev) >= line.index(nxt):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from treecrdt import clocks
 from treecrdt.clocks import (
     DeliveryBuffer,
+    Envelope,
     LamportStamp,
     ReplicaClock,
     Tag,
@@ -39,7 +40,7 @@ def test_observe_advances_past_received_stamp():
 
 def test_rng_is_seeded_on_first_read_and_kept():
     clock = ReplicaClock("r1", seed=7)
-    assert clock._rng is None
+    assert "rng" not in vars(clock)
     expected = random.Random("7/r1")
     assert [clock.rng.random() for _ in range(3)] == [expected.random() for _ in range(3)]
     assert clock.rng is clock.rng
@@ -60,14 +61,16 @@ def test_fresh_tags_unique_across_replicas():
 def test_vector_clock_merge_is_entrywise_max():
     left = VectorClock({"r1": 2, "r2": 1})
     right = VectorClock({"r2": 3, "r3": 1})
-    left.merge(right)
-    assert left.counts == {"r1": 2, "r2": 3, "r3": 1}
+    left |= right
+    assert dict(left) == {"r1": 2, "r2": 3, "r3": 1}
 
 
 def test_vector_clock_dominates_reads_absent_as_zero():
-    assert VectorClock({"r1": 1}).dominates(VectorClock())
-    assert not VectorClock().dominates(VectorClock({"r1": 1}))
-    assert VectorClock({"r1": 1}).dominates(VectorClock({"r1": 1}))
+    assert VectorClock({"r1": 1}) >= VectorClock()
+    assert not VectorClock() >= VectorClock({"r1": 1})
+    assert VectorClock({"r1": 1}) >= VectorClock({"r1": 1})
+    assert VectorClock()["r1"] == 0
+    assert VectorClock({"r1": 0}) == VectorClock()
 
 
 @given(
@@ -76,9 +79,9 @@ def test_vector_clock_dominates_reads_absent_as_zero():
 )
 def test_vector_clock_merge_commutes(a, b):
     left = VectorClock(a)
-    left.merge(VectorClock(b))
+    left |= VectorClock(b)
     right = VectorClock(b)
-    right.merge(VectorClock(a))
+    right |= VectorClock(a)
     assert left == right
 
 
@@ -88,6 +91,9 @@ def test_envelope_seq_counts_own_prior_ops():
     second = clock.wrap("p2")
     assert first.seq == 1
     assert second.seq == 2
+    # deps with no entry for the origin
+    env = Envelope("p", "r1", VectorClock({"r2": 3}), LamportStamp(4, "r1"))
+    assert env.seq == 1
 
 
 def test_deliverable_requires_fifo_and_deps():
@@ -97,8 +103,13 @@ def test_deliverable_requires_fifo_and_deps():
     receiver = VectorClock()
     assert deliverable(first, receiver)
     assert not deliverable(second, receiver)
-    receiver.increment("r1")
+    receiver["r1"] += 1
     assert deliverable(second, receiver)
+    # a vector with no entry for an origin reads it as 0
+    assert deliverable(first, VectorClock({"r2": 5}))
+    follow = Envelope("p2", "r2", VectorClock({"r1": 1}), LamportStamp(2, "r2"))
+    assert not deliverable(follow, VectorClock({"r2": 0}))
+    assert deliverable(follow, VectorClock({"r1": 1}))
 
 
 def test_buffer_drains_out_of_order_arrivals():
@@ -180,7 +191,7 @@ class ScanBuffer:
         while progress:
             progress = False
             for env in list(self.pending):
-                if env.seq <= delivered.get(env.origin):
+                if env.seq <= delivered[env.origin]:
                     self.pending.remove(env)
                 elif deliverable(env, delivered):
                     self.pending.remove(env)

@@ -791,7 +791,7 @@ def test_known_ops_of_a_delivery_prefix_are_its_ops():
     for order in linear_extensions(causal_deps(sim.envelopes)):
         known = VectorClock()
         for pos, i in enumerate(order, start=1):
-            known.increment(sim.envelopes[i].origin)
+            known[sim.envelopes[i].origin] += 1
             prefix = Counter(sim.envelopes[j].payload for j in order[:pos])
             assert Counter(sim.known_ops(known)) == prefix
 

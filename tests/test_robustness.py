@@ -31,7 +31,7 @@ def test_buffer_drops_an_envelope_delivered_twice():
             seen.append(ready.payload)
     assert seen == [0, 1]
     assert buf.pending == []
-    assert receiver.delivered.get("r1") == 2
+    assert receiver.delivered["r1"] == 2
 
 
 def test_replayed_envelope_does_not_stall_sync():

@@ -273,6 +273,9 @@ def refused_mutations(kind, flavor):
         out.append(("rmv", lambda s: s.local_rmv("a", clock("r2")), PreconditionViolation))
         if flavor == "op":
             out.append(("apply rmv", lambda s: s.apply(SetOp(RMV, "a")), PreconditionViolation))
+    if kind == "or" and flavor == "op":
+        forged = SetOp(ADD, "x", tag=["t"])
+        out.append(("apply unhashable tag", lambda s: s.apply(forged), TypeError))
     return out
 
 
@@ -281,10 +284,10 @@ def refused_mutations(kind, flavor):
 def test_a_refused_mutation_keeps_version_and_state(kind, flavor):
     for name, mutate, error in refused_mutations(kind, flavor):
         s = with_history(kind, flavor)
-        before = (s.version, s.state())
+        before = (s.version, s.state(), s.ever())
         with pytest.raises(error):
             mutate(s)
-        assert (s.version, s.state()) == before, name
+        assert (s.version, s.state(), s.ever()) == before, name
 
 
 # --- canonical text ---
