@@ -20,6 +20,7 @@ from treecrdt.harness import (
     random_scenario,
     run_scenario,
 )
+from treecrdt.demos import DEMOS
 from treecrdt.sets import ObservedRemoveSet
 
 EXPECTED = {
@@ -52,6 +53,21 @@ def combo_digests():
 
 def test_every_combo_transcript_and_payload_is_unchanged():
     assert combo_digests() == EXPECTED
+
+
+DEMO_DIGESTS = {
+    "cycle": "f9736c9928a648381e302a6c8bf60cb8df867aefdc8b7a8d20b1b60287ab4ebf",
+    "orphan-policies": "b26140bc07f15e798ca38cc62fdb517ccef72c7e1f95869ffcbe06d1e4e3247c",
+    "wootr-abc": "e5a1c7c35c72b0124dc5e22aa641cea821c9776a3b21c5992880e02c455968b4",
+    "word-example": "ed775fd2b48f993230ea870247f7b764896040381d4bca6288c12954c2c1b8be",
+}
+
+
+def test_demo_digests():
+    """Pin the text of every demo, so a change to the simulator or a tree
+    that alters what a demo prints shows up here."""
+    found = {name: hashlib.sha256(demo().encode()).hexdigest() for name, demo in DEMOS.items()}
+    assert found == DEMO_DIGESTS
 
 
 # the three op-flavor combos of the replay benchmark, over ~360-action scripts
