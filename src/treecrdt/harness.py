@@ -338,15 +338,16 @@ class Simulation:
         return out
 
     def sync_all(self) -> None:
-        # a state merge carries everything its source knows, so two rounds
-        # spread every op; a delivery may wait on another origin's ops
-        op = self.combo.flavor == "op"
-        exchange = self.deliver_from if op else self.merge_with
-        for _ in range(len(self.rids) if op else 2):
-            for rid in self.rids:
-                for src in self.rids:
-                    if src != rid:
-                        exchange(rid, src)
+        # one pass is enough.  State: the first replica merges every peer
+        # before any other merges it, and each other replica merges the
+        # first replica first, so it takes in the join.  Op: each replica
+        # is handed every origin's whole outbox, and the drain after the
+        # last hand-off delivers whatever waited on another origin's ops
+        exchange = self.deliver_from if self.combo.flavor == "op" else self.merge_with
+        for rid in self.rids:
+            for src in self.rids:
+                if src != rid:
+                    exchange(rid, src)
         if any(rep.buffer.pending for rep in self.replicas.values()):
             raise AssertionError("undeliverable envelopes after sync")
 
@@ -905,7 +906,6 @@ def _check_state_schedules(
         acc = sim.replicas[perm[0]].tree.copy()
         for rid in perm[1:]:
             acc.merge(sim.replicas[rid].tree)
-        acc.merge(sim.replicas[perm[0]].tree)
         finals.setdefault(_final_text(acc, texts), perm)
         report.schedules += 1
         where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Any, FrozenSet, Iterable, List, Set, Tuple
 
 from .clocks import ReplicaClock
 from .errors import IllegalCombo, InvalidInterval, PreconditionViolation
@@ -27,6 +27,7 @@ class WootrBound:
     """One of the two fixed ends of every sequence."""
 
     side: str
+    depth = 0  # not a field, so no part of equality, hashing or repr
 
     def render(self) -> str:
         return "^" if self.side == "begin" else "$"
@@ -48,9 +49,12 @@ class WootrTriple:
     next: WootrBound | WootrTriple
 
     def __post_init__(self):
-        # the dataclass's own field hash, computed once: uncached, every
-        # hash would walk the whole reference DAG once per path through it
+        # the field hash and the nesting depth, each computed once: uncached,
+        # either walks the reference DAG once per path through it; a neighbour
+        # that is not an element reads as depth 0 (ordering refuses it)
         object.__setattr__(self, "_hash", hash((self.atom, self.prev, self.next)))
+        depth = max(getattr(self.prev, "depth", 0), getattr(self.next, "depth", 0))
+        object.__setattr__(self, "depth", 1 + depth)
 
     def __hash__(self) -> int:
         return self._hash
@@ -66,15 +70,6 @@ class WootrTriple:
 
     def canon_key(self):
         return self.render()
-
-
-def wootr_depth(e: WootrBound | WootrTriple, memo: Dict[WootrTriple, int]) -> int:
-    """Nesting depth; references always point at shallower elements."""
-    if not isinstance(e, WootrTriple):
-        return 0
-    if e not in memo:
-        memo[e] = 1 + max(wootr_depth(e.prev, memo), wootr_depth(e.next, memo))
-    return memo[e]
 
 
 def wootr_closure(elements: Iterable[WootrBound | WootrTriple]) -> Set[WootrTriple]:
@@ -144,11 +139,11 @@ def wootr_order(elements: Iterable[WootrBound | WootrTriple]) -> List[WootrTripl
 def _order_live(live: FrozenSet[WootrTriple]) -> Tuple[WootrTriple, ...]:
     # safe to memoize: the closure is sorted by (depth, text), so the result
     # does not depend on the set's iteration order, and lru_cache stores no
-    # exception, so a bad window raises InvalidInterval on every call
-    depths: Dict[WootrTriple, int] = {}
-    universe = sorted(
-        wootr_closure(live), key=lambda t: (wootr_depth(t, depths), t.render())
-    )
+    # exception, so a bad window raises InvalidInterval on every call.  Sort
+    # keys are computed in list order, so sorting by depth first renders
+    # each text after the texts it embeds, and no render recurses deeply
+    universe = sorted(wootr_closure(live), key=lambda t: t.depth)
+    universe.sort(key=lambda t: (t.depth, t.render()))
     seq: List[WootrBound | WootrTriple] = [BEGIN, END]
     for e in universe:
         _integrate(seq, e)

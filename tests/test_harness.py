@@ -22,6 +22,7 @@ from treecrdt.harness import (
     Simulation,
     _check_one,
     _check_op_schedules,
+    _check_state_schedules,
     causal_deps,
     check_convergence,
     legal_combos,
@@ -578,6 +579,55 @@ def test_state_folds_follow_the_schedule_count(replicas, schedules, most):
         assert report.schedules == most * report.scenarios
     else:
         assert 0 < report.schedules <= most * report.scenarios
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("flavor", ["op", "state"])
+def test_a_sync_is_one_pass(monkeypatch, flavor, n):
+    combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
+    sim = Simulation(combo, n, seed=0)
+    # the last replica adds first; each earlier one hears from every later
+    # one and adds under the newest node, so an op of r1 waits on the ops
+    # of every other origin
+    exchange = "deliver" if flavor == "op" else "merge"
+    parent = "root"
+    for k in reversed(range(n)):
+        rid = sim.rids[k]
+        for src in sim.rids[k + 1 :]:
+            assert sim.apply((rid, exchange, src)) is None
+        assert sim.apply((rid, "add", f"n{k}", parent)) is None
+        assert sim.apply((rid, "add", f"m{k}", "root")) is None
+        parent = f"n{k}"
+    exchanges = []
+    for name in ("deliver_from", "merge_with"):
+
+        def spied(self, rid, src, method=getattr(Simulation, name)):
+            exchanges.append((rid, src))
+            return method(self, rid, src)
+
+        monkeypatch.setattr(Simulation, name, spied)
+    assert sim.apply(("sync",)) is None
+    assert exchanges == [(rid, src) for rid in sim.rids for src in sim.rids if src != rid]
+    made = Counter(origin for origin, _ in sim.local_ops)
+    for rep in sim.replicas.values():
+        assert not rep.buffer.pending
+        assert rep.clock.delivered == made
+    assert len({rep.tree.state() for rep in sim.replicas.values()}) == 1
+    if flavor == "state":
+        # a fold starts from a copy of its first replica and merges each other once
+        merges = []
+        merge = GraphTree.merge
+
+        def counted(tree, other, clock=None):
+            merges.append(other)
+            return merge(tree, other, clock)
+
+        monkeypatch.setattr(GraphTree, "merge", counted)
+        report = ConvergenceReport(combo=combo)
+        scn = Scenario(combo=combo, replicas=n, seed=0, script=[])
+        _check_state_schedules(scn, sim, None, report, {})
+        assert report.passed and report.schedules == len(list(itertools.permutations(sim.rids)))
+        assert len(merges) == report.schedules * (n - 1)
 
 
 def test_monotone_combo_never_moves_a_survivor():

@@ -27,7 +27,6 @@ from treecrdt.wootr import (
     WootrTriple,
     _order_live,
     wootr_closure,
-    wootr_depth,
     wootr_order,
 )
 
@@ -219,7 +218,18 @@ def test_deep_nested_history_hashes_in_linear_time():
     with deadline():
         assert len(set(history)) == 60
         assert wootr_closure([history[-1]]) == set(history)
-        assert wootr_depth(history[-1], {}) == 60
+        assert history[-1].depth == 60
+
+
+def test_typing_at_the_end_orders_a_deep_chain():
+    # each triple goes after the one before it, so the chain nests once per
+    # element: neither its depth nor its text may be found by recursion
+    chain = [WootrTriple(0, BEGIN, END)]
+    for n in range(1, 1500):
+        chain.append(WootrTriple(n, chain[-1], END))
+    assert chain[-1].depth == 1500
+    with deadline():
+        assert wootr_order(reversed(chain)) == chain
 
 
 def test_order_hashes_each_triple_at_most_once():
