@@ -4,7 +4,9 @@
 set CRDTs as its payload, a lookup memoized per payload state, merge, copy,
 the canonical payload text, and insertion at a sibling index.  An engine
 supplies only its sets, how the visible tree is built from them, and how
-ops are generated and applied.
+ops are generated and applied.  The graph engine also patches the tree it
+showed last when a change only adds history leaves or drops whole shown
+subtrees.
 
 ``GraphTree`` is the engine over an edge set, plus a node set unless it is
 an edge tree.  The codec of its positioning mode, from the one ``CODECS``
@@ -17,14 +19,16 @@ keeps every edge ever added.
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy as shallow_copy
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
 from .edges import CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
-from .lookup import LookupTree
+from .lookup import Instance, LookupTree
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -33,7 +37,7 @@ from .policies import (
     connect,
     map_to_tree,
 )
-from .render import render, sorted_elements
+from .render import render, sort_key, sorted_elements
 from .sets import ADD, RMV, SetOp, make_set
 
 ROOT = "root"
@@ -73,10 +77,9 @@ def edge_weights(edge_set, kind: str, map_policy: str, live: list) -> Dict[Any, 
     return {}
 
 
-def edge_infos(edge_set, kind: str, map_policy: str, codec) -> list:
-    """The live edges, decoded by the codec, with their mapping-policy rank,
-    in no order: ``connect`` sorts what it keeps."""
-    live = edge_set.lookup()
+def edge_infos(edge_set, kind: str, map_policy: str, codec, live: set) -> list:
+    """The live edges of edge_set, decoded by the codec, with their
+    mapping-policy rank, in no order: ``connect`` sorts what it keeps."""
     weights = edge_weights(edge_set, kind, map_policy, live)
     return [
         EdgeInfo(src, dst, weights.get(e, 0), pos)
@@ -119,11 +122,23 @@ class ReplicatedTree:
     ``repr_name`` before this ``__init__`` runs; a combo is legal exactly
     when its engine constructs.
 
+    An engine whose memoized tree may be patched keeps this class's
+    ``_build_lookup`` and supplies its three steps instead: ``_read()``,
+    the parts of the payload a lookup reads; ``_build(*reads)``, which
+    builds the tree from them and returns it with its basis, what a later
+    patch needs to know of it (None when no patch may start from it); and
+    ``_patch(basis, *reads)``, the tree of the payload just read made from
+    the last one, or None when the change is more than its patch rule
+    allows.  ``_build_lookup()`` stays the from-scratch oracle that every
+    patched tree must equal.
+
     The visible tree is a function of ``state()``: equal payloads show
-    equal trees, which the memo and the checker's observation cache rely
-    on.  A subclass customises the tree in ``_build_lookup`` and folds any
-    extra input it reads into ``state()``; the memo is keyed on the set
-    versions, so that input changes only when a set does.
+    equal trees, which the memo, its patches and the checker's observation
+    cache rely on.  A subclass customises the tree by overriding
+    ``_build_lookup``, and then gets a full build on every change, never a
+    patch; it folds any extra input it reads into ``state()``, and the memo
+    is keyed on the set versions, so that input changes only when a set
+    does.
     """
 
     CODECS: Dict[Optional[str], Any] = CODECS
@@ -131,6 +146,7 @@ class ReplicatedTree:
     map_policy: Optional[str] = None
     _memo_key: Any = None
     _memo_tree: Optional[LookupTree] = None
+    _basis: Any = None
 
     def __init__(self, kind: str, flavor: str, connect_policy: str, pi_mode: Optional[str]):
         if pi_mode not in self.CODECS:
@@ -153,15 +169,40 @@ class ReplicatedTree:
     def lookup(self) -> LookupTree:
         """The visible tree of the current payload.
 
-        The result is a shared, read-only snapshot: it is built once per
+        The result is a shared, read-only snapshot: it is made once per
         payload state, post-processing included, and handed to every caller
-        until the payload changes, so callers must not mutate it.
+        until the payload changes, so callers must not mutate it.  When a
+        set version changes, an engine that keeps this class's
+        ``_build_lookup`` patches the last tree if its rule allows
+        (``_refresh``), else builds the tree from scratch; the two give
+        equal trees.
         """
         key = tuple(part.version for _, part in self._sets())
         if key != self._memo_key:
-            self._memo_tree = self._build_lookup()
+            # a subclass that builds its own tree gets a full build every time
+            own = type(self)._build_lookup is not ReplicatedTree._build_lookup
+            self._memo_tree = self._build_lookup() if own else self._refresh()
             self._memo_key = key
         return self._memo_tree
+
+    def _build_lookup(self) -> LookupTree:
+        """The visible tree built from scratch, with no memo and no patch."""
+        return self._build(*self._read())[0]
+
+    def _refresh(self) -> LookupTree:
+        """The visible tree of a changed payload: the memoized tree patched
+        when the engine's rule allows, else a full build from the same
+        reads.  The basis is detached while a patch runs, so a patch that
+        raises leaves none behind."""
+        reads = self._read()
+        basis, self._basis = self._basis, None
+        if basis is not None:
+            lt = self._patch(basis, *reads)
+            if lt is not None:
+                self._basis = basis
+                return lt
+        lt, self._basis = self._build(*reads)
+        return lt
 
     def sibling_positions(self, m: Any) -> list:
         """The positions of m's children, one per child, in no order."""
@@ -204,11 +245,12 @@ class ReplicatedTree:
         return tuple(part.state() for _, part in self._sets())
 
     def copy(self) -> "ReplicatedTree":
-        """An independent replica with the same payload and an empty memo."""
+        """An independent replica with the same payload, an empty memo and
+        no basis to patch from."""
         dup = shallow_copy(self)
         for name, part in self._sets():
             setattr(dup, name, part.copy())
-        dup._memo_key = dup._memo_tree = None
+        dup._memo_key = dup._memo_tree = dup._basis = None
         return dup
 
     def canonical(self) -> str:
@@ -274,20 +316,121 @@ class GraphTree(ReplicatedTree):
 
     # --- lookup pipeline ---
 
-    def _build_lookup(self) -> LookupTree:
-        infos = edge_infos(self.edges, self.kind, self.map_policy, self.codec)
-        if self.nodes is not None:
-            nodes = self.nodes.lookup()
-        else:
-            nodes = {info.dst for info in infos}
-        history = map(self.codec.decode, self.edges.ever())
-        g = connect(nodes, infos, history, self.connect_policy, self.root)
+    def _read(self) -> Tuple[set, Optional[set], set]:
+        """The live edges, the live nodes (None in an edge tree) and every
+        edge ever added."""
+        nodes = None if self.nodes is None else self.nodes.lookup()
+        return self.edges.lookup(), nodes, self.edges.ever()
+
+    def _build(self, live: set, nodes: Optional[set], ever: set) -> Tuple[LookupTree, Any]:
+        infos = edge_infos(self.edges, self.kind, self.map_policy, self.codec, live)
+        # an edge tree's nodes are the targets of its live edges
+        shown = nodes if nodes is not None else {info.dst for info in infos}
+        history = map(self.codec.decode, ever)
+        g = connect(shown, infos, history, self.connect_policy, self.root)
         # every mapping policy adds each parent's children in node order,
         # the display order of instances without a position; the codec of
         # a positioned tree puts them in position order
         lt = map_to_tree(g, self.map_policy, self.several_cap)
         self.codec.finish(lt)
-        return lt
+        # each node but the root has an in-edge, so with one edge per node
+        # the rooted graph was already a tree; only such a tree of
+        # unpositioned siblings patches, and its first patch makes the
+        # indexes that patches read
+        if self.pi_mode is not None or len(g.edges) != len(g.nodes) - 1:
+            return lt, None
+        return lt, SimpleNamespace(live=live, nodes=nodes, ever=ever, index=None)
+
+    def _patch(self, basis, live: set, nodes: Optional[set], ever: set) -> Optional[LookupTree]:
+        """The last tree without the removed nodes' instances and with one
+        new instance per added node, or None when the change may do more.
+
+        The last rooted graph was a tree (``map_to_tree`` took its
+        ``_already_tree`` shortcut).  The patch holds when every new edge
+        gives an added node its one live in-edge, from the root, a live
+        shown node or another added node; no added node was the source of
+        a history edge; every new history edge is live; every lost edge led
+        to a removed node; and the removed nodes are shown as whole
+        subtrees, each hung from the root or a live node.  Then no orphan,
+        anchor, revival or choice among parents changes, whatever the
+        policies and the edge weights: a removed subtree held every node a
+        live edge, a rewired orphan or a revived ancestor hung from it.  So
+        the new rooted graph is the old one less those subtrees plus the
+        added nodes, and still a tree.
+        """
+        decode, root, old = self.codec.decode, self.root, self._memo_tree
+        new_history = ever - basis.ever
+        if not new_history <= live:
+            return None
+        if basis.index is None:
+            keys = {inst.node: inst.key for inst in old.instances.values()}
+            indeg = Counter(dst for _, dst, _ in map(decode, basis.live))
+            sources = {src for src, _, _ in map(decode, basis.ever)}
+            basis.index = keys, indeg, sources
+        keys, indeg, sources = basis.index
+        in_edge = {}
+        for src, dst, _ in map(decode, live - basis.live):
+            if dst in in_edge or dst in indeg or dst == root:
+                return None
+            in_edge[dst] = src
+        lost = Counter(dst for _, dst, _ in map(decode, basis.live - live))
+        if nodes is None:
+            added = in_edge.keys()
+            removed = {n for n, k in lost.items() if indeg[n] == k}
+            if len(removed) != len(lost):
+                return None
+        else:
+            added, removed = nodes - basis.nodes, basis.nodes - nodes
+            if added != in_edge.keys() or not removed >= lost.keys():
+                return None
+        if not sources.isdisjoint(added):
+            return None
+        # the index now describes the new payload; a failed patch drops it
+        indeg.update(added)
+        indeg.subtract(lost)
+        for n in lost:
+            if not indeg[n]:
+                del indeg[n]
+
+        def is_live(n: Any) -> bool:
+            return n == root or (n in indeg if nodes is None else n in nodes)
+
+        gone = {keys.get(n) for n in removed}
+        if None in gone:
+            return None
+        instances = old.instances
+        for key in gone:
+            parent = instances[key].parent
+            if parent not in gone and parent and not is_live(instances[parent].node):
+                return None
+            if any(kid.key not in gone for kid in old.kids.get(key, ())):
+                return None
+        # place added nodes parents first (todo grows as a node is placed),
+        # in node order, so the instance order does not depend on hashing
+        todo, waiting = [], {}
+        for n in sorted(in_edge, key=sort_key):
+            src = in_edge[n]
+            if src in in_edge:
+                waiting.setdefault(src, []).append(n)
+            elif src == root:
+                todo.append(((), n))
+            elif src in keys and is_live(src):
+                todo.append((keys[src], n))
+            else:
+                return None
+        several = self.map_policy == "several"
+        new = []
+        for parent, n in todo:
+            key = keys[n] = parent + ((n, None),) if several else (n,)
+            new.append(Instance(key, n, parent, render(n)))
+            todo.extend((key, kid) for kid in waiting.pop(n, ()))
+        if waiting:  # added nodes whose in-edges only join one another
+            return None
+        sources.update(src for src, _, _ in map(decode, new_history))
+        basis.live, basis.nodes, basis.ever = live, nodes, ever
+        for n in removed:
+            del keys[n]
+        return old.edited(gone, new)
 
     def _has_edge_into(self, m: Any) -> bool:
         return any(self.codec.decode(e)[1] == m for e in self.edges.lookup())

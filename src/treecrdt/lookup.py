@@ -1,14 +1,17 @@
 """The client-visible tree: instances, deterministic dumps, and validation.
 
 ``LookupTree`` is what a replica shows its client.  ``graph.ReplicatedTree``
-builds one per payload state, keyed on the versions of its set CRDTs, and
-hands it to every caller until a set changes.
+makes one per payload state, keyed on the versions of its set CRDTs, and
+hands it to every caller until a set changes.  It builds the tree from
+scratch, or, for the graph engine, when a change only adds leaves or drops
+whole subtrees, patches the tree it showed last (``edited``).
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from .render import render, sort_key
 
@@ -41,6 +44,10 @@ class LookupTree:
     sequence positions, its codec's ``finish``.  Once a build is done the
     tree is read-only.  A tree built by hand shows its siblings in the
     order they were added.
+
+    A patched tree is made with ``edited`` from the tree of an earlier
+    payload state.  It shares the instances it keeps with that tree, so
+    neither may be changed once a build or a patch hands it out.
     """
 
     root_label: str = "root"
@@ -73,6 +80,41 @@ class LookupTree:
         for group in self.kids.values():
             if len(group) > 1:
                 group.sort(key=Instance.order_key)
+
+    def edited(self, removed: Iterable[InstanceKey], added: Iterable[Instance]) -> "LookupTree":
+        """A new tree: this one without the removed instances (whole
+        subtrees: the children of each are removed too), plus the added
+        instances, whose parents it keeps or which come earlier in added.
+        This tree is left as it is.
+
+        Each added instance takes its place in its sibling group by
+        ``Instance.order_key``, so this tree must show its siblings in that
+        order, as ``sort_siblings`` puts them.  It joins the end of the
+        instance order.
+        """
+        instances = dict(self.instances)
+        kids = dict(self.kids)
+        groups: Dict[InstanceKey, List[Instance]] = {}
+        removed = set(removed)
+        for key in removed:
+            gone = instances.pop(key)
+            kids.pop(key, None)
+            parent = gone.parent
+            if parent not in removed:
+                group = groups[parent] if parent in groups else kids[parent]
+                groups[parent] = [inst for inst in group if inst is not gone]
+        for inst in added:
+            instances[inst.key] = inst
+            group = groups.get(inst.parent)
+            if group is None:
+                group = groups[inst.parent] = list(kids.get(inst.parent, ()))
+            insort(group, inst, key=Instance.order_key)
+        for parent, group in groups.items():
+            if group:
+                kids[parent] = group
+            else:
+                del kids[parent]
+        return LookupTree(self.root_label, instances, kids)
 
     def children(self, key: InstanceKey) -> List[Instance]:
         return list(self.kids.get(key, ()))

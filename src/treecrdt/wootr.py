@@ -59,6 +59,34 @@ class WootrTriple:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: Any) -> bool:
+        # identity first, then the cached hash, then the fields, with an
+        # explicit stack and each pair of triples compared once: a
+        # recursive compare of equal chains built apart goes one call deep
+        # per level, and once per path through a shared reference
+        if self is other:
+            return True
+        if other.__class__ is not WootrTriple:
+            return NotImplemented
+        if self._hash != other._hash:
+            return False
+        stack = [(self, other)]
+        seen = set()
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not WootrTriple or b.__class__ is not WootrTriple:
+                if a != b:
+                    return False
+                continue
+            if a._hash != b._hash or a.atom != b.atom:
+                return False
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                stack += ((a.prev, b.prev), (a.next, b.next))
+        return True
+
     def __reduce__(self):
         # unpickling rebuilds the triple, so its hash is the loading
         # process's, whatever that process's hash seed

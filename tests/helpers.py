@@ -9,6 +9,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import PreconditionViolation
 from treecrdt.harness import oracle_membership
+from treecrdt.lookup import LookupTree
 from treecrdt.paths import EPSILON, check_atom
 from treecrdt.policies import EdgeInfo, get_connected
 from treecrdt.render import Path, sort_key
@@ -41,6 +42,22 @@ def gen_insert_at(seq: WootrSequence, atom: Any, index: int, clock: ReplicaClock
 
 def gen_remove(seq: WootrSequence, e: WootrTriple, clock: ReplicaClock) -> SetOp:
     return seq.elements.gen_rmv(e, clock)
+
+
+def same_tree(a: LookupTree, b: LookupTree) -> bool:
+    """Whether two lookup trees agree on everything a reader can see.
+
+    That is every field of every instance, the key of every sibling group
+    (no group is empty) and the instances in each group, in order.  A word
+    tree's instance order counts too: the scenario generator picks a path
+    from it.
+    """
+    if a.root_label != b.root_label or a.instances != b.instances:
+        return False
+    if a.kids != b.kids or not all(a.kids.values()) or not all(b.kids.values()):
+        return False
+    # a word tree's root is the empty path, shown as "/"
+    return a.root_label != "/" or list(a.instances) == list(b.instances)
 
 
 class SetGroup:

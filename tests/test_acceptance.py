@@ -9,7 +9,7 @@ from typing import List, Set
 
 import pytest
 
-from helpers import TombstoneSequence, gen_remove
+from helpers import TombstoneSequence, gen_remove, same_tree
 from treecrdt.cli import main
 from treecrdt.clocks import ReplicaClock
 from treecrdt.demos import CYCLE_SCRIPT, DEMOS, WORD_SCRIPT
@@ -291,15 +291,17 @@ def test_criterion_06_edge_and_graph_representations_agree():
 
 
 def _steps_match_build(combo: ComboSpec, seed: int) -> None:
+    """After every action, each replica's memoized lookup, patched or
+    built, is the same tree as a build from scratch."""
     scn = random_scenario(combo, seed=seed, n_ops=8)
     sim = Simulation(combo, scn.replicas, scn.seed)
     for action in scn.script:
         record = sim.execute(action)
         assert record.violation is None, (combo.label(), action, record.violation)
         for rep in sim.replicas.values():
-            memo = rep.tree.lookup().dump()
-            built = rep.tree._build_lookup().dump()
-            assert memo == built, (combo.label(), seed, action, memo, built)
+            memo = rep.tree.lookup()
+            built = rep.tree._build_lookup()
+            assert same_tree(memo, built), (combo.label(), seed, action, memo.dump(), built.dump())
 
 
 def test_criterion_08_incremental_lookup_equals_batch():
@@ -316,6 +318,14 @@ def test_criterion_08_incremental_lookup_equals_batch():
         _steps_match_build(combo, seed)
         histories += 1
     assert histories == 500
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_criterion_08_every_combo_memo_equals_a_fresh_build(seed):
+    combos = legal_combos()
+    assert len(combos) == 784
+    for combo in combos:
+        _steps_match_build(combo, seed)
 
 
 # --- criterion 9: tombstone-free sequences converge and match a keeper ---

@@ -706,23 +706,30 @@ def test_schedule_observers_build_each_distinct_state_once(monkeypatch):
         )
         for prefix in prefixes
     }
-    builds = []
-    build = GraphTree._build_lookup
+    # an observer's lookup is a full build or a patch of its last tree
+    made = Counter()
+    build, patch = GraphTree._build, GraphTree._patch
 
-    def counted(tree):
-        if id(tree) not in replicas:
-            builds.append(tree)
-        return build(tree)
+    def counted_build(tree, *reads):
+        made["build"] += id(tree) not in replicas
+        return build(tree, *reads)
 
-    monkeypatch.setattr(GraphTree, "_build_lookup", counted)
+    def counted_patch(tree, basis, *reads):
+        lt = patch(tree, basis, *reads)
+        made["patch"] += lt is not None and id(tree) not in replicas
+        return lt
+
+    monkeypatch.setattr(GraphTree, "_build", counted_build)
+    monkeypatch.setattr(GraphTree, "_patch", counted_patch)
     report = ConvergenceReport(combo=combo)
     _check_op_schedules(scn, sim, None, report, {})
     assert report.schedules == len(orders)
     # the orders share prefixes, and prefixes share states, so observing
-    # every delivery, or every prefix, would build more
+    # every delivery, or every prefix, would make more trees
     assert len(prefixes) < len(orders) * len(sim.envelopes)
     assert len(states) < len(prefixes)
-    assert len(builds) == len(states)
+    assert made["build"] + made["patch"] == len(states)
+    assert made["patch"] > 0
 
 
 def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):

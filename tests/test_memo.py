@@ -18,7 +18,7 @@ from treecrdt.render import Path, render, sort_key
 from treecrdt.sets import ADD
 from treecrdt.wootr import BEGIN, END, WootrTriple, wootr_order
 
-from helpers import parse_path
+from helpers import parse_path, same_tree
 from test_combo_digests import LONG_SCRIPT_DIGESTS
 
 
@@ -260,8 +260,99 @@ def test_long_scripts_keep_siblings_in_reference_order(label):
     for action in scn.script:
         sim.execute(action)
         for rep in sim.replicas.values():
-            found += assert_siblings_in_reference_order(rep.tree.lookup())
+            lt = rep.tree.lookup()
+            found += assert_siblings_in_reference_order(lt)
+            assert same_tree(lt, rep.tree._build_lookup()), (label, action)
     assert sum(found.values()) > 0
+
+
+# (full builds, patches tried in vain, patched lookups) over the scripts
+# above, counted after every action
+LONG_SCRIPT_LOOKUPS = {
+    "graph or op compact highest plain": (19, 16, 465),
+    "edge lww op root newest plain": (379, 20, 92),
+    "word or op reappear - plain": (523, 0, 0),
+}
+
+
+def count_lookups(monkeypatch) -> Counter:
+    """Count the full builds, the patches tried in vain and the patched
+    lookups that trees make from here on."""
+    made = Counter()
+    build, patch, word_build = GraphTree._build, GraphTree._patch, WordTree._build_lookup
+
+    def counted_build(tree, *reads):
+        made["build"] += 1
+        return build(tree, *reads)
+
+    def counted_patch(tree, basis, *reads):
+        lt = patch(tree, basis, *reads)
+        made["patch" if lt is not None else "fail"] += 1
+        return lt
+
+    def counted_word_build(tree):
+        made["build"] += 1
+        return word_build(tree)
+
+    monkeypatch.setattr(GraphTree, "_build", counted_build)
+    monkeypatch.setattr(GraphTree, "_patch", counted_patch)
+    monkeypatch.setattr(WordTree, "_build_lookup", counted_word_build)
+    return made
+
+
+@pytest.mark.parametrize("label", LONG_SCRIPT_DIGESTS)
+def test_long_scripts_patch_most_lookups(monkeypatch, label):
+    combo = parse_combo(label.split())
+    scn = random_scenario(combo, seed=7, n_ops=300)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    made = count_lookups(monkeypatch)
+    for action in scn.script:
+        sim.execute(action)
+        for rep in sim.replicas.values():
+            rep.tree.lookup()
+    builds, failed, patched = LONG_SCRIPT_LOOKUPS[label]
+    assert (made["build"], made["fail"], made["patch"]) == (builds, failed, patched)
+    # a lookup after a version change tries a patch unless it is the
+    # replica's first or the last tree came from a graph that was no tree;
+    # the edge script re-adds shown names under second parents, so its
+    # graph is no tree for most of the script, and a word tree builds its
+    # own lookup, so it never patches
+    assert patched > 0.8 * (failed + patched) or combo.repr_name == "word"
+    assert patched > 0.8 * (builds + patched) or combo.repr_name != "graph"
+
+
+class PlainTree(GraphTree):
+    """A subclass that keeps the engine's own build."""
+
+
+def test_only_the_engine_build_is_patched(monkeypatch):
+    source, clock = GraphTree("or", "op"), ReplicaClock("r1")
+    ops = [
+        source.gen_add(n, parent, clock)
+        for n, parent in (("a", "root"), ("b", "a"), ("c", "a"), ("d", "root"))
+    ]
+    made = count_lookups(monkeypatch)
+    builds = []
+    build = LabelledTree._build_lookup
+
+    def counted(tree):
+        builds.append(tree)
+        return build(tree)
+
+    monkeypatch.setattr(LabelledTree, "_build_lookup", counted)
+    shown = {
+        LabelledTree(): "root\n  a#0\n    b#1\n    c#2\n  d#3",
+        PlainTree("or", "op"): "root\n  a\n    b\n    c\n  d",
+    }
+    for tree, dump in shown.items():
+        for op in ops:
+            tree.apply_remote(op)
+            assert tree.lookup() is tree.lookup()
+        assert tree.lookup().dump() == dump
+    # the override is built on every change and never patched; the
+    # subclass that keeps the engine's build patches all but the first
+    assert len(builds) == len(ops)
+    assert made == Counter(build=len(ops) + 1, patch=len(ops) - 1)
 
 
 def test_dump_and_children_call_no_order_key(monkeypatch):

@@ -232,6 +232,27 @@ def test_typing_at_the_end_orders_a_deep_chain():
         assert wootr_order(reversed(chain)) == chain
 
 
+def test_equal_deep_chains_built_apart_compare_equal():
+    # no triple is shared between the two chains, so equality must walk
+    # every level, and a recursive compare would go 1,500 calls deep
+    def chain(atoms):
+        line = [WootrTriple(atoms[0], BEGIN, END)]
+        for atom in atoms[1:]:
+            line.append(WootrTriple(atom, line[-1], END))
+        return line
+
+    a, b = chain(range(1500)), chain(range(1500))
+    other = chain([*range(1499), "z"])
+    with deadline():
+        assert a[-1] is not b[-1] and a[-1] == b[-1]
+        assert {a[-1]} & {b[-1]} == {a[-1]}
+        assert a[-1] != other[-1] and other[-1] != b[-1]
+        # a nested history refers to each triple along many paths, and
+        # each pair of triples is compared once
+        assert nested_history(60)[-1] == nested_history(60)[-1]
+    assert a[0] != BEGIN and a[0] != "a" and a[0] == WootrTriple(0, BEGIN, END)
+
+
 def test_order_hashes_each_triple_at_most_once():
     # hashing a triple hashes its atom once and reads its neighbours' hashes
     CountingAtom.hashes = 0
