@@ -11,7 +11,7 @@ from typing import Any, Dict, Iterator, List, Set, Tuple
 ReplicaId = str
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class LamportStamp:
     """Totally ordered logical timestamp; ties on the counter break by origin."""
 
@@ -22,7 +22,7 @@ class LamportStamp:
         return f"{self.counter}@{self.origin}"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, slots=True, order=True)
 class Tag:
     """Globally unique identifier minted by one replica."""
 
@@ -39,7 +39,7 @@ class Tag:
 VectorClock = Counter
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Envelope:
     """An op in flight: payload plus origin, causal dependencies, and stamp.
 

@@ -4,9 +4,8 @@
 set CRDTs as its payload, a lookup memoized per payload state, merge, copy,
 the canonical payload text, and insertion at a sibling index.  An engine
 supplies only its sets, how the visible tree is built from them, and how
-ops are generated and applied.  The graph engine also patches the tree it
-showed last when a change only adds history leaves or drops whole shown
-subtrees.
+ops are generated and applied.  Both engines also patch the tree they
+showed last when a change only adds leaves or drops whole shown subtrees.
 
 ``GraphTree`` is the engine over an edge set, plus a node set unless it is
 an edge tree.  The codec of its positioning mode, from the one ``CODECS``
@@ -87,7 +86,7 @@ def edge_infos(edge_set, kind: str, map_policy: str, codec, live: set) -> list:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeOp:
     """One tree-level add or remove with its underlying set ops."""
 
@@ -116,21 +115,21 @@ class ReplicatedTree:
     """One tree CRDT: replicated set CRDTs, a lookup, and their sync.
 
     An engine names its sets in ``SETS`` (merged, copied, stamped and
-    printed) and supplies ``_build_lookup()``, the uncached builder of its
-    visible tree, ``_add()``, an add whose position is already checked, and
-    the position lists its codec (from ``CODECS``) reads.  It sets
-    ``repr_name`` before this ``__init__`` runs; a combo is legal exactly
-    when its engine constructs.
+    printed) and supplies the three steps of its lookup, ``_add()``, an add
+    whose position is already checked, and the position lists its codec
+    (from ``CODECS``) reads.  It sets ``repr_name`` before this
+    ``__init__`` runs; a combo is legal exactly when its engine constructs.
 
-    An engine whose memoized tree may be patched keeps this class's
-    ``_build_lookup`` and supplies its three steps instead: ``_read()``,
-    the parts of the payload a lookup reads; ``_build(*reads)``, which
-    builds the tree from them and returns it with its basis, what a later
-    patch needs to know of it (None when no patch may start from it); and
-    ``_patch(basis, *reads)``, the tree of the payload just read made from
-    the last one, or None when the change is more than its patch rule
-    allows.  ``_build_lookup()`` stays the from-scratch oracle that every
-    patched tree must equal.
+    The steps of a lookup are ``_read()``, the parts of the payload a
+    lookup reads; ``_build(*reads)``, which builds the tree from them and
+    returns it with its basis, what a later patch needs to know of it
+    (None when no patch may start from it); and ``_patch(basis, *reads)``,
+    the tree of the payload just read made from the last one, or None when
+    the change is more than its patch rule allows.  ``_build_lookup()``
+    is the from-scratch oracle that every patched tree must equal.  The
+    graph engine patches unpositioned graph and edge trees, the word
+    engine unpositioned word trees under skip and reappear; every other
+    tree gets a full build on every change.
 
     The visible tree is a function of ``state()``: equal payloads show
     equal trees, which the memo, its patches and the checker's observation

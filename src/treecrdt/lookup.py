@@ -3,15 +3,16 @@
 ``LookupTree`` is what a replica shows its client.  ``graph.ReplicatedTree``
 makes one per payload state, keyed on the versions of its set CRDTs, and
 hands it to every caller until a set changes.  It builds the tree from
-scratch, or, for the graph engine, when a change only adds leaves or drops
-whole subtrees, patches the tree it showed last (``edited``).
+scratch or, when a change only adds leaves or drops whole subtrees,
+patches the tree it showed last (``edited``): unpositioned graph and edge
+trees patch, and so do unpositioned word trees under skip and reappear.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from .render import render, sort_key
 
@@ -81,7 +82,12 @@ class LookupTree:
             if len(group) > 1:
                 group.sort(key=Instance.order_key)
 
-    def edited(self, removed: Iterable[InstanceKey], added: Iterable[Instance]) -> "LookupTree":
+    def edited(
+        self,
+        removed: Iterable[InstanceKey],
+        added: List[Instance],
+        order: Optional[Callable[[InstanceKey], Any]] = None,
+    ) -> "LookupTree":
         """A new tree: this one without the removed instances (whole
         subtrees: the children of each are removed too), plus the added
         instances, whose parents it keeps or which come earlier in added.
@@ -90,7 +96,8 @@ class LookupTree:
         Each added instance takes its place in its sibling group by
         ``Instance.order_key``, so this tree must show its siblings in that
         order, as ``sort_siblings`` puts them.  It joins the end of the
-        instance order.
+        instance order, or, given ``order``, a key on instance keys that
+        this tree's instance order follows, takes its place by that key.
         """
         instances = dict(self.instances)
         kids = dict(self.kids)
@@ -114,6 +121,12 @@ class LookupTree:
                 kids[parent] = group
             else:
                 del kids[parent]
+        if order is not None and added:
+            keys = list(instances)
+            del keys[-len(added):]
+            for inst in added:
+                insort(keys, inst.key, key=order)
+            instances = dict(zip(keys, map(instances.__getitem__, keys)))
         return LookupTree(self.root_label, instances, kids)
 
     def children(self, key: InstanceKey) -> List[Instance]:

@@ -5,17 +5,20 @@ label children of different parents.  ``WordTree`` is a
 ``graph.ReplicatedTree`` whose one payload part is the path set; the codec
 of its positioning mode, from the one ``CODECS`` table in ``edges``,
 decides what one path step is.  The visible tree is the live path set
-repaired into a prefix-closed set by a connection policy.
+repaired into a prefix-closed set by a connection policy; under skip and
+reappear a change that only adds leaves or drops whole shown subtrees
+patches the tree shown last.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set
+from types import SimpleNamespace
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from .clocks import ReplicaClock
 from .errors import IllegalCombo, PreconditionViolation
 from .graph import ReplicatedTree, TreeOp
-from .lookup import LookupTree
+from .lookup import Instance, LookupTree
 from .policies import CONNECT_POLICIES, MONOTONE_CONNECT
 from .render import Path, render
 from .sets import ADD, RMV, make_set
@@ -79,7 +82,11 @@ class WordTree(ReplicatedTree):
     """Replicated tree over a single set CRDT of root paths.
 
     ``pi_mode`` picks the codec (``CODECS``) that makes a path step a
-    bare atom, a ``PositionedNode``, or a ``WootrTriple``.
+    bare atom, a ``PositionedNode``, or a ``WootrTriple``.  Its lookup
+    reads the live paths (``_read``) and builds the tree from them
+    (``_build``); a tree of bare atoms under skip or reappear is patched
+    from the last one when the change allows (``_patch``), and
+    ``_build_lookup`` stays the from-scratch build.
     """
 
     SETS = ("paths",)
@@ -112,8 +119,12 @@ class WordTree(ReplicatedTree):
         split = self.codec.split
         return (split(step)[1] for q in self.paths.ever() for step in q)
 
-    def _build_lookup(self) -> LookupTree:
-        """The visible tree, one instance per shown path.
+    def _read(self) -> Tuple[Set[Path]]:
+        """The live paths."""
+        return (self.live_paths(),)
+
+    def _build(self, live: Set[Path]) -> Tuple[LookupTree, Any]:
+        """The visible tree, one instance per shown path, and its basis.
 
         Under skip and reappear an instance's node is its own path, so with
         bare-atom steps the siblings come in display order.  Under root and
@@ -122,9 +133,10 @@ class WordTree(ReplicatedTree):
         position.  Under reappear every live path is its own image, so that
         build needs no ``path_images``: it walks up from each live path to
         the first path already shown, and each path it passes is a ghost, a
-        dead prefix shown only to hold its descendants.
+        dead prefix shown only to hold its descendants.  Only a skip or
+        reappear tree of bare-atom steps patches; its first patch that adds
+        a path makes the index that such patches read.
         """
-        live = self.live_paths()
         split = self.codec.split
         lt = LookupTree(root_label="/")
         if self.connect_policy == "reappear":
@@ -154,7 +166,53 @@ class WordTree(ReplicatedTree):
             if self.pi_mode is None and self.connect_policy != "skip":
                 lt.sort_siblings()
         self.codec.finish(lt)
-        return lt
+        if self.pi_mode is not None or self.connect_policy not in MONOTONE_CONNECT:
+            return lt, None
+        return lt, SimpleNamespace(live=live, blocked=None)
+
+    def _patch(self, basis, live: Set[Path]) -> Optional[LookupTree]:
+        """The last tree without the removed paths' instances and with one
+        new instance per added path, or None when the change may do more.
+
+        Under skip and reappear each shown live path is shown as itself.
+        The patch holds when each added path hangs from the root, a live
+        path the last tree shows or another added path; no added path is
+        shown already (a ghost, which the add makes live) or is a proper
+        prefix of a live path the last tree dropped (which the add would
+        bring back); and the removed paths are shown as whole subtrees,
+        each hung from the root or a live path (so no ghost is left holding
+        nothing).  Then every other path keeps its instance, ghost mark
+        included.  A patch keeps the set of dropped live paths as it was,
+        so the index of their prefixes holds for the next patch too.
+        """
+        old = self._memo_tree
+        shown, kids = old.instances, old.kids
+        added, removed = live - basis.live, basis.live - live
+        for p in removed:
+            inst = shown.get(p)
+            if inst is None:
+                return None
+            up = inst.parent
+            if up and up not in live and up not in removed:
+                return None
+            if any(kid.key not in removed for kid in kids.get(p, ())):
+                return None
+        new = []
+        if added:
+            if basis.blocked is None:
+                basis.blocked = {
+                    q[:k] for q in basis.live if q not in shown for k in range(1, len(q))
+                }
+            # parents first, so an added parent is placed before its children
+            for p in sorted(added, key=Path.order_key):
+                up = p.parent()
+                if p in shown or p in basis.blocked:
+                    return None
+                if up and up not in added and (up not in live or up not in shown):
+                    return None
+                new.append(Instance(p, p, up, render(p[-1])))
+        basis.live = live
+        return old.edited(removed, new, order=Path.order_key)
 
     # --- generation ---
 

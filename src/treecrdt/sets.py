@@ -38,7 +38,7 @@ def next_version() -> int:
     return next(_VERSIONS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetOp:
     """One generated add or remove, with whatever metadata its kind needs."""
 
@@ -417,7 +417,10 @@ class ObservedRemoveSet(SetCrdt):
         return max(readings) if readings else None
 
     def lookup(self) -> Set[Any]:
-        return {e for e in self.tags if self.live_tags(e)}
+        if self.flavor == "state":
+            return {e for e in self.tags if self.live_tags(e)}
+        # an op-flavor bucket holds only live tags
+        return {e for e, tags in self.tags.items() if tags}
 
     def ever(self) -> Set[Any]:
         return set(self.tags)

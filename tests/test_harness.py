@@ -690,8 +690,15 @@ def _replayed(sim, order):
     return tree
 
 
-def test_schedule_observers_build_each_distinct_state_once(monkeypatch):
-    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+@pytest.mark.parametrize(
+    "combo",
+    [
+        ComboSpec("graph", "or", "op", "skip", "shortest", None),
+        ComboSpec("word", "or", "op", "reappear", None, None),
+    ],
+    ids=lambda c: c.label(),
+)
+def test_schedule_observers_build_each_distinct_state_once(monkeypatch, combo):
     scn = random_scenario(combo, seed=42)
     sim = Simulation(combo, scn.replicas, scn.seed)
     sim.run(scn.script)
@@ -706,21 +713,23 @@ def test_schedule_observers_build_each_distinct_state_once(monkeypatch):
         )
         for prefix in prefixes
     }
-    # an observer's lookup is a full build or a patch of its last tree
+    # an observer's lookup is a full build or a patch of its last tree,
+    # in either engine
     made = Counter()
-    build, patch = GraphTree._build, GraphTree._patch
+    for engine in (GraphTree, WordTree):
+        build, patch = engine._build, engine._patch
 
-    def counted_build(tree, *reads):
-        made["build"] += id(tree) not in replicas
-        return build(tree, *reads)
+        def counted_build(tree, *reads, build=build):
+            made["build"] += id(tree) not in replicas
+            return build(tree, *reads)
 
-    def counted_patch(tree, basis, *reads):
-        lt = patch(tree, basis, *reads)
-        made["patch"] += lt is not None and id(tree) not in replicas
-        return lt
+        def counted_patch(tree, basis, *reads, patch=patch):
+            lt = patch(tree, basis, *reads)
+            made["patch"] += lt is not None and id(tree) not in replicas
+            return lt
 
-    monkeypatch.setattr(GraphTree, "_build", counted_build)
-    monkeypatch.setattr(GraphTree, "_patch", counted_patch)
+        monkeypatch.setattr(engine, "_build", counted_build)
+        monkeypatch.setattr(engine, "_patch", counted_patch)
     report = ConvergenceReport(combo=combo)
     _check_op_schedules(scn, sim, None, report, {})
     assert report.schedules == len(orders)

@@ -4,11 +4,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import SeveralBlowup
 from treecrdt.graph import GraphTree
-from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario
+from treecrdt.harness import (
+    ComboSpec,
+    Simulation,
+    legal_combos,
+    parse_combo,
+    random_scenario,
+)
 from treecrdt.lookup import Instance, LookupTree
 from treecrdt.ordered import PositionedNode
 from treecrdt.paths import WordTree
@@ -271,32 +279,32 @@ def test_long_scripts_keep_siblings_in_reference_order(label):
 LONG_SCRIPT_LOOKUPS = {
     "graph or op compact highest plain": (19, 16, 465),
     "edge lww op root newest plain": (379, 20, 92),
-    "word or op reappear - plain": (523, 0, 0),
+    "word or op reappear - plain": (81, 78, 442),
 }
 
 
 def count_lookups(monkeypatch) -> Counter:
     """Count the full builds, the patches tried in vain and the patched
-    lookups that trees make from here on."""
+    lookups that trees of both engines make from here on."""
     made = Counter()
-    build, patch, word_build = GraphTree._build, GraphTree._patch, WordTree._build_lookup
 
-    def counted_build(tree, *reads):
-        made["build"] += 1
-        return build(tree, *reads)
+    def counted(engine):
+        build, patch = engine._build, engine._patch
 
-    def counted_patch(tree, basis, *reads):
-        lt = patch(tree, basis, *reads)
-        made["patch" if lt is not None else "fail"] += 1
-        return lt
+        def counted_build(tree, *reads):
+            made["build"] += 1
+            return build(tree, *reads)
 
-    def counted_word_build(tree):
-        made["build"] += 1
-        return word_build(tree)
+        def counted_patch(tree, basis, *reads):
+            lt = patch(tree, basis, *reads)
+            made["patch" if lt is not None else "fail"] += 1
+            return lt
 
-    monkeypatch.setattr(GraphTree, "_build", counted_build)
-    monkeypatch.setattr(GraphTree, "_patch", counted_patch)
-    monkeypatch.setattr(WordTree, "_build_lookup", counted_word_build)
+        monkeypatch.setattr(engine, "_build", counted_build)
+        monkeypatch.setattr(engine, "_patch", counted_patch)
+
+    counted(GraphTree)
+    counted(WordTree)
     return made
 
 
@@ -315,9 +323,8 @@ def test_long_scripts_patch_most_lookups(monkeypatch, label):
     # a lookup after a version change tries a patch unless it is the
     # replica's first or the last tree came from a graph that was no tree;
     # the edge script re-adds shown names under second parents, so its
-    # graph is no tree for most of the script, and a word tree builds its
-    # own lookup, so it never patches
-    assert patched > 0.8 * (failed + patched) or combo.repr_name == "word"
+    # graph is no tree for most of the script
+    assert patched > 0.8 * (failed + patched)
     assert patched > 0.8 * (builds + patched) or combo.repr_name != "graph"
 
 
@@ -353,6 +360,127 @@ def test_only_the_engine_build_is_patched(monkeypatch):
     # subclass that keeps the engine's build patches all but the first
     assert len(builds) == len(ops)
     assert made == Counter(build=len(ops) + 1, patch=len(ops) - 1)
+
+
+# one action on a word tree: the replica, what it does, and the numbers
+# that pick its path, its atom and its peer
+WORD_STEPS = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from(["add", "add", "rmv", "readd", "exchange", "sync"]),
+    st.integers(0, 63),
+    st.sampled_from("abc"),
+    st.integers(1, 2),
+)
+
+
+def word_action(sim: Simulation, step) -> tuple:
+    """The Simulation action a drawn step stands for.  Paths are picked
+    among every shown path, inner paths and ghosts included, so removals
+    cut inner paths, adds land under paths a peer has removed, and a
+    readd adds a ghost's own path again."""
+    r, verb, pick, atom, hop = step
+    rid = sim.rids[r]
+    if verb == "sync":
+        return ("sync",)
+    if verb == "exchange":
+        peer = sim.rids[(r + hop) % len(sim.rids)]
+        return (rid, "deliver" if sim.combo.flavor == "op" else "merge", peer)
+    insts = list(sim.replicas[rid].tree.lookup().instances.values())
+    if verb == "readd":
+        ghosts = [inst for inst in insts if inst.ghost]
+        if ghosts:
+            inst = ghosts[pick % len(ghosts)]
+            return (rid, "add", inst.label, render(Path(inst.parent)))
+        verb = "add"
+    if verb == "rmv" and insts:
+        return (rid, "rmv", render(insts[pick % len(insts)].key))
+    parents = [Path()] + [inst.key for inst in insts]
+    return (rid, "add", atom, render(parents[pick % len(parents)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["or", "lww", "c", "2p", "g"]),
+    st.sampled_from(["op", "state"]),
+    st.sampled_from(["skip", "reappear"]),
+    st.lists(WORD_STEPS, min_size=10, max_size=40),
+)
+def test_patched_word_trees_equal_a_fresh_build(kind, flavor, connect, steps):
+    combo = ComboSpec("word", kind, flavor, connect, None, None)
+    sim = Simulation(combo, 3, 0)
+    # every replica starts from the same inner paths to cut and grow under
+    sim.run(
+        [("r1", "add", "a", "/"), ("r1", "add", "b", "/a"), ("r1", "add", "c", "/a/b"), ("sync",)]
+    )
+    for step in steps:
+        action = word_action(sim, step)
+        sim.apply(action)
+        assert_lookups_are_builds(sim, action)
+
+
+def assert_lookups_are_builds(sim: Simulation, action) -> None:
+    """Each replica's memoized lookup is the tree a fresh build makes."""
+    for rep in sim.replicas.values():
+        assert same_tree(rep.tree.lookup(), rep.tree._build_lookup()), action
+
+
+# r1 cuts /a while r2 grows /a/b/x, so r1 then holds a live path below dead
+# ones: a ghost under reappear, a dropped path under skip
+CUT_AND_GROW = [
+    ("r1", "add", "a", "/"),
+    ("r1", "add", "b", "/a"),
+    ("sync",),
+    ("r1", "rmv", "/a"),
+    ("r2", "add", "x", "/a/b"),
+    ("r1", "deliver", "r2"),
+]
+WORD_EDGE_SCRIPTS = {
+    # regrow the dead prefixes: a re-add of a ghost, or of a prefix of a
+    # dropped path, which brings the dropped path back
+    "regrow": CUT_AND_GROW + [("r1", "add", "a", "/"), ("r1", "add", "b", "/a")],
+    # grow below a path r1 drops, remove a live path under a ghost, and
+    # remove the paths r1 drops
+    "under_dead": CUT_AND_GROW
+    + [
+        ("r2", "add", "y", "/a/b/x"),
+        ("r1", "deliver", "r2"),
+        ("r1", "rmv", "/a/b/x"),
+        ("r2", "rmv", "/a/b/x"),
+        ("r1", "deliver", "r2"),
+    ],
+}
+
+
+@pytest.mark.parametrize("script", WORD_EDGE_SCRIPTS)
+@pytest.mark.parametrize("connect", ["skip", "reappear"])
+@pytest.mark.parametrize("flavor", ["op", "state"])
+@pytest.mark.parametrize("kind", ["or", "lww", "c"])
+def test_word_patch_edge_cases_equal_a_fresh_build(kind, flavor, connect, script):
+    sim = Simulation(ComboSpec("word", kind, flavor, connect, None, None), 3, 0)
+    for action in WORD_EDGE_SCRIPTS[script]:
+        if flavor == "state" and action[1:2] == ("deliver",):
+            action = (action[0], "merge") + action[2:]
+        sim.execute(action)
+        assert_lookups_are_builds(sim, action)
+
+
+def test_only_unpositioned_skip_and_reappear_word_trees_patch(monkeypatch):
+    made = count_lookups(monkeypatch)
+    tried = Counter()
+    for combo in legal_combos():
+        if combo.repr_name != "word":
+            continue
+        made.clear()
+        scn = random_scenario(combo, seed=42, n_ops=12)
+        sim = Simulation(combo, scn.replicas, scn.seed)
+        for action in scn.script:
+            sim.execute(action)
+        patchable = combo.pi_mode is None and combo.connect_policy in ("skip", "reappear")
+        assert made["build"] > 0
+        if not patchable:
+            assert made["patch"] == made["fail"] == 0, combo.label()
+        tried[patchable] += made["patch"] + made["fail"]
+    assert tried[True] > 0
 
 
 def test_dump_and_children_call_no_order_key(monkeypatch):
