@@ -5,7 +5,8 @@ set CRDTs as its payload, a lookup memoized per payload state, merge, copy,
 the canonical payload text, and insertion at a sibling index.  An engine
 supplies only its sets, how the visible tree is built from them, and how
 ops are generated and applied.  Both engines also patch the tree they
-showed last when a change only adds leaves or drops whole shown subtrees.
+showed last when their payload diff and the rule of ``LookupTree.edited``
+allow.
 
 ``GraphTree`` is the engine over an edge set, plus a node set unless it is
 an edge tree.  The codec of its positioning mode, from the one ``CODECS``
@@ -124,12 +125,13 @@ class ReplicatedTree:
     lookup reads; ``_build(*reads)``, which builds the tree from them and
     returns it with its basis, what a later patch needs to know of it
     (None when no patch may start from it); and ``_patch(basis, *reads)``,
-    the tree of the payload just read made from the last one, or None when
-    the change is more than its patch rule allows.  ``_build_lookup()``
-    is the from-scratch oracle that every patched tree must equal.  The
-    graph engine patches unpositioned graph and edge trees, the word
-    engine unpositioned word trees under skip and reappear; every other
-    tree gets a full build on every change.
+    which hands the payload diff to ``LookupTree.edited`` as removed keys
+    and added instances.  Each returns None when the change may do more:
+    ``_patch`` by its payload diff, ``edited`` by the one patch rule.
+    ``_build_lookup()`` is the from-scratch oracle that every patched tree
+    must equal.  The graph engine patches unpositioned graph and edge
+    trees, the word engine unpositioned word trees under skip and
+    reappear; every other tree gets a full build on every change.
 
     The visible tree is a function of ``state()``: equal payloads show
     equal trees, which the memo, its patches and the checker's observation
@@ -202,6 +204,18 @@ class ReplicatedTree:
                 return lt
         lt, self._basis = self._build(*reads)
         return lt
+
+    @staticmethod
+    def subtree_nodes(lt: LookupTree, n: Any) -> Set[Any]:
+        """Nodes of every instance-subtree of n; removing one copy removes all."""
+        kids = lt.kids
+        nodes: Set[Any] = set()
+        stack = [inst.key for inst in lt.instances_of(n)]
+        while stack:
+            key = stack.pop()
+            nodes.add(lt.instances[key].node)
+            stack.extend(child.key for child in kids.get(key, ()))
+        return nodes
 
     def sibling_positions(self, m: Any) -> list:
         """The positions of m's children, one per child, in no order."""
@@ -341,21 +355,19 @@ class GraphTree(ReplicatedTree):
         return lt, SimpleNamespace(live=live, nodes=nodes, ever=ever, index=None)
 
     def _patch(self, basis, live: set, nodes: Optional[set], ever: set) -> Optional[LookupTree]:
-        """The last tree without the removed nodes' instances and with one
-        new instance per added node, or None when the change may do more.
+        """The last tree less the removed nodes, plus the added ones, when
+        every new history edge is live, every new edge gives an added node
+        its one live in-edge, no added node was the source of a history
+        edge and every lost edge led to a removed node; ``edited`` checks
+        the rest.
 
         The last rooted graph was a tree (``map_to_tree`` took its
-        ``_already_tree`` shortcut).  The patch holds when every new edge
-        gives an added node its one live in-edge, from the root, a live
-        shown node or another added node; no added node was the source of
-        a history edge; every new history edge is live; every lost edge led
-        to a removed node; and the removed nodes are shown as whole
-        subtrees, each hung from the root or a live node.  Then no orphan,
-        anchor, revival or choice among parents changes, whatever the
-        policies and the edge weights: a removed subtree held every node a
-        live edge, a rewired orphan or a revived ancestor hung from it.  So
-        the new rooted graph is the old one less those subtrees plus the
-        added nodes, and still a tree.
+        ``_already_tree`` shortcut).  Under this diff and the rule of
+        ``edited``, no orphan, anchor, revival or choice among parents
+        changes, whatever the policies and the edge weights: a removed
+        subtree held every node a live edge, a rewired orphan or a revived
+        ancestor hung from it.  So the new rooted graph is the old one less
+        those subtrees plus the added nodes, and still a tree.
         """
         decode, root, old = self.codec.decode, self.root, self._memo_tree
         new_history = ever - basis.ever
@@ -390,46 +402,30 @@ class GraphTree(ReplicatedTree):
         for n in lost:
             if not indeg[n]:
                 del indeg[n]
-
-        def is_live(n: Any) -> bool:
-            return n == root or (n in indeg if nodes is None else n in nodes)
-
-        gone = {keys.get(n) for n in removed}
-        if None in gone:
-            return None
-        instances = old.instances
-        for key in gone:
-            parent = instances[key].parent
-            if parent not in gone and parent and not is_live(instances[parent].node):
-                return None
-            if any(kid.key not in gone for kid in old.kids.get(key, ())):
-                return None
         # place added nodes parents first (todo grows as a node is placed),
-        # in node order, so the instance order does not depend on hashing
+        # in node order, so the instance order does not depend on hashing;
+        # a cycle of added nodes and what hangs from it are never placed,
+        # and no policy shows them: an edge from a live node is no orphan
         todo, waiting = [], {}
         for n in sorted(in_edge, key=sort_key):
             src = in_edge[n]
             if src in in_edge:
                 waiting.setdefault(src, []).append(n)
-            elif src == root:
-                todo.append(((), n))
-            elif src in keys and is_live(src):
-                todo.append((keys[src], n))
             else:
-                return None
+                todo.append(n)
         several = self.map_policy == "several"
         new = []
-        for parent, n in todo:
+        for n in todo:
+            src = in_edge[n]
+            # an unshown source gets a key no instance has; edited refuses it
+            parent = () if src == root else keys.get(src, (src,))
             key = keys[n] = parent + ((n, None),) if several else (n,)
             new.append(Instance(key, n, parent, render(n)))
-            todo.extend((key, kid) for kid in waiting.pop(n, ()))
-        if waiting:  # added nodes whose in-edges only join one another
-            return None
+            todo.extend(waiting.pop(n, ()))
         sources.update(src for src, _, _ in map(decode, new_history))
         basis.live, basis.nodes, basis.ever = live, nodes, ever
-        for n in removed:
-            del keys[n]
-        return old.edited(gone, new)
+        is_live = indeg.__contains__ if nodes is None else nodes.__contains__
+        return old.edited({keys.pop(n, None) for n in removed}, new, is_live)
 
     def _has_edge_into(self, m: Any) -> bool:
         return any(self.codec.decode(e)[1] == m for e in self.edges.lookup())
@@ -499,18 +495,6 @@ class GraphTree(ReplicatedTree):
             )
         edge_ops = tuple(self.edges.local_rmv(e, clock) for e in removed_edges)
         return TreeOp(RMV, n, None, node_ops, edge_ops)
-
-    @staticmethod
-    def subtree_nodes(lt: LookupTree, n: Any) -> Set[Any]:
-        """Nodes of every instance-subtree of n; removing one copy removes all."""
-        kids = lt.kids
-        nodes: Set[Any] = set()
-        stack = [inst.key for inst in lt.instances_of(n)]
-        while stack:
-            key = stack.pop()
-            nodes.add(lt.instances[key].node)
-            stack.extend(child.key for child in kids.get(key, ()))
-        return nodes
 
     # --- synchronization ---
 

@@ -3,9 +3,10 @@
 ``LookupTree`` is what a replica shows its client.  ``graph.ReplicatedTree``
 makes one per payload state, keyed on the versions of its set CRDTs, and
 hands it to every caller until a set changes.  It builds the tree from
-scratch or, when a change only adds leaves or drops whole subtrees,
-patches the tree it showed last (``edited``): unpositioned graph and edge
-trees patch, and so do unpositioned word trees under skip and reappear.
+scratch or patches the tree it showed last with ``edited``, which holds
+the one patch rule: a change may only add leaves or drop whole subtrees.
+Unpositioned graph and edge trees patch, and so do unpositioned word
+trees under skip and reappear.
 """
 
 from __future__ import annotations
@@ -47,8 +48,10 @@ class LookupTree:
     order they were added.
 
     A patched tree is made with ``edited`` from the tree of an earlier
-    payload state.  It shares the instances it keeps with that tree, so
-    neither may be changed once a build or a patch hands it out.
+    payload state, when the change only drops whole subtrees hung from
+    live nodes and adds instances below live ones (its rule).  It shares
+    the instances it keeps with that tree, so neither may be changed once
+    a build or a patch hands it out.
     """
 
     root_label: str = "root"
@@ -86,12 +89,18 @@ class LookupTree:
         self,
         removed: Iterable[InstanceKey],
         added: List[Instance],
+        is_live: Callable[[Any], bool],
         order: Optional[Callable[[InstanceKey], Any]] = None,
-    ) -> "LookupTree":
-        """A new tree: this one without the removed instances (whole
-        subtrees: the children of each are removed too), plus the added
-        instances, whose parents it keeps or which come earlier in added.
-        This tree is left as it is.
+    ) -> Optional["LookupTree"]:
+        """This tree without the removed instances and with the added ones,
+        or None when the patch rule does not hold; this tree is left as it
+        is.  Every removed instance must be shown, with all its children
+        removed too, and hang from the root, another removed instance or an
+        instance whose node ``is_live``.  No added instance may be shown
+        already, and each must hang from the root, an earlier added one or
+        a kept instance whose node ``is_live``.  So no instance is left
+        below a removed one, and no node shown only to hold its descendants
+        (a ghost, or a dead node a policy revives) loses or gains one.
 
         Each added instance takes its place in its sibling group by
         ``Instance.order_key``, so this tree must show its siblings in that
@@ -99,22 +108,35 @@ class LookupTree:
         instance order, or, given ``order``, a key on instance keys that
         this tree's instance order follows, takes its place by that key.
         """
-        instances = dict(self.instances)
+        shown = self.instances
+        instances = dict(shown)
         kids = dict(self.kids)
         groups: Dict[InstanceKey, List[Instance]] = {}
         removed = set(removed)
         for key in removed:
-            gone = instances.pop(key)
-            kids.pop(key, None)
+            gone = instances.pop(key, None)
+            if gone is None or any(kid.key not in removed for kid in kids.pop(key, ())):
+                return None
             parent = gone.parent
             if parent not in removed:
+                if parent and not is_live(instances[parent].node):
+                    return None
                 group = groups[parent] if parent in groups else kids[parent]
                 groups[parent] = [inst for inst in group if inst is not gone]
         for inst in added:
-            instances[inst.key] = inst
-            group = groups.get(inst.parent)
+            key, parent = inst.key, inst.parent
+            if key in shown or key in instances:
+                return None
+            # a parent in instances is kept when shown, else added earlier
+            if parent and (
+                parent not in instances
+                or parent in shown and not is_live(instances[parent].node)
+            ):
+                return None
+            instances[key] = inst
+            group = groups.get(parent)
             if group is None:
-                group = groups[inst.parent] = list(kids.get(inst.parent, ()))
+                group = groups[parent] = list(kids.get(parent, ()))
             insort(group, inst, key=Instance.order_key)
         for parent, group in groups.items():
             if group:

@@ -134,8 +134,8 @@ class WordTree(ReplicatedTree):
         build needs no ``path_images``: it walks up from each live path to
         the first path already shown, and each path it passes is a ghost, a
         dead prefix shown only to hold its descendants.  Only a skip or
-        reappear tree of bare-atom steps patches; its first patch that adds
-        a path makes the index that such patches read.
+        reappear tree of bare-atom steps patches, from a basis of the live
+        paths and the proper prefixes of those it drops.
         """
         split = self.codec.split
         lt = LookupTree(root_label="/")
@@ -168,51 +168,27 @@ class WordTree(ReplicatedTree):
         self.codec.finish(lt)
         if self.pi_mode is not None or self.connect_policy not in MONOTONE_CONNECT:
             return lt, None
-        return lt, SimpleNamespace(live=live, blocked=None)
+        blocked = {q[:k] for q in live if q not in lt.instances for k in range(1, len(q))}
+        return lt, SimpleNamespace(live=live, blocked=blocked)
 
     def _patch(self, basis, live: Set[Path]) -> Optional[LookupTree]:
-        """The last tree without the removed paths' instances and with one
-        new instance per added path, or None when the change may do more.
+        """The last tree less the removed paths, plus the added ones, when
+        no added path is a proper prefix of a live path the last tree
+        dropped (the add would bring it back); ``edited`` checks the rest.
 
-        Under skip and reappear each shown live path is shown as itself.
-        The patch holds when each added path hangs from the root, a live
-        path the last tree shows or another added path; no added path is
-        shown already (a ghost, which the add makes live) or is a proper
-        prefix of a live path the last tree dropped (which the add would
-        bring back); and the removed paths are shown as whole subtrees,
-        each hung from the root or a live path (so no ghost is left holding
-        nothing).  Then every other path keeps its instance, ghost mark
-        included.  A patch keeps the set of dropped live paths as it was,
-        so the index of their prefixes holds for the next patch too.
+        Under skip and reappear each shown live path is shown as itself, so
+        every other path keeps its instance, ghost mark included.  A patch
+        keeps the set of dropped live paths as it was, so the index of
+        their prefixes holds for the next patch too.
         """
         old = self._memo_tree
-        shown, kids = old.instances, old.kids
         added, removed = live - basis.live, basis.live - live
-        for p in removed:
-            inst = shown.get(p)
-            if inst is None:
-                return None
-            up = inst.parent
-            if up and up not in live and up not in removed:
-                return None
-            if any(kid.key not in removed for kid in kids.get(p, ())):
-                return None
-        new = []
-        if added:
-            if basis.blocked is None:
-                basis.blocked = {
-                    q[:k] for q in basis.live if q not in shown for k in range(1, len(q))
-                }
-            # parents first, so an added parent is placed before its children
-            for p in sorted(added, key=Path.order_key):
-                up = p.parent()
-                if p in shown or p in basis.blocked:
-                    return None
-                if up and up not in added and (up not in live or up not in shown):
-                    return None
-                new.append(Instance(p, p, up, render(p[-1])))
+        if not basis.blocked.isdisjoint(added):
+            return None
+        # parents first, so an added parent is placed before its children
+        new = [Instance(p, p, p.parent(), render(p[-1])) for p in sorted(added, key=Path.order_key)]
         basis.live = live
-        return old.edited(removed, new, order=Path.order_key)
+        return old.edited(removed, new, live.__contains__, order=Path.order_key)
 
     # --- generation ---
 
@@ -246,7 +222,7 @@ class WordTree(ReplicatedTree):
     def _doomed_paths(self, lt: LookupTree, p: Path) -> List[Path]:
         """The set elements behind every shown path extending p."""
         if self.connect_policy in MONOTONE_CONNECT:
-            doomed = {Path(key) for key in lt.instances if Path(key).starts_with(p)}
+            doomed = self.subtree_nodes(lt, p)
         else:
             images = path_images(self.live_paths(), self.connect_policy)
             doomed = {
