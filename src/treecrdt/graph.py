@@ -29,6 +29,7 @@ from .clocks import LamportStamp, ReplicaClock
 from .edges import CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
 from .lookup import Instance, LookupTree
+from .ordered import UNDRAWN
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -116,10 +117,12 @@ class ReplicatedTree:
     """One tree CRDT: replicated set CRDTs, a lookup, and their sync.
 
     An engine names its sets in ``SETS`` (merged, copied, stamped and
-    printed) and supplies the three steps of its lookup, ``_add()``, an add
-    whose position is already checked, and the position lists its codec
-    (from ``CODECS``) reads.  It sets ``repr_name`` before this
-    ``__init__`` runs; a combo is legal exactly when its engine constructs.
+    printed) and supplies the three steps of its lookup, the two halves of
+    an add whose position is already checked (``_admit()``, which refuses
+    it before anything changes, and ``_commit()``, which makes it), and the
+    position lists its codec (from ``CODECS``) reads.  It sets
+    ``repr_name`` before this ``__init__`` runs; a combo is legal exactly
+    when its engine constructs.
 
     The steps of a lookup are ``_read()``, the parts of the payload a
     lookup reads; ``_build(*reads)``, which builds the tree from them and
@@ -226,12 +229,19 @@ class ReplicatedTree:
         children: a fresh ``Upi``, or for sequence elements the (prev, next)
         pair to insert between (both ends when omitted)."""
         self.codec.check_position(self, m, pos)
-        return self._add(n, m, clock, pos)
+        self._admit(n, m, pos)
+        return self._commit(n, m, clock, pos)
 
     def gen_insert(self, n: Any, m: Any, index: int, clock: ReplicaClock) -> TreeOp:
-        """Add n so it lands at index among m's children."""
-        pos = self.codec.position_at(self.sibling_positions(m), index, clock)
-        return self._add(n, m, clock, pos)
+        """Add n so it lands at index among m's children.  The add is
+        checked before its position is drawn, so a refused insert takes
+        nothing from the clock."""
+        siblings = self.sibling_positions(m)
+        pos = self.codec.choose(siblings, index)
+        self._admit(n, m, pos)
+        if pos is UNDRAWN:
+            pos = self.codec.position_at(siblings, index, clock)
+        return self._commit(n, m, clock, pos)
 
     def merge(self, other: "ReplicatedTree", clock: Optional[ReplicaClock] = None) -> None:
         # refuse a replica of another combo before anything changes
@@ -440,7 +450,7 @@ class GraphTree(ReplicatedTree):
 
     # --- generation ---
 
-    def _add(self, n: Any, m: Any, clock: ReplicaClock, pos: Any) -> TreeOp:
+    def _admit(self, n: Any, m: Any, pos: Any) -> None:
         node = self.codec.node(n, pos)
         if node == self.root:
             raise PreconditionViolation(self._root_rule)
@@ -464,8 +474,11 @@ class GraphTree(ReplicatedTree):
                 raise PreconditionViolation(
                     f"edge {render(edge)} was already added once"
                 )
+
+    def _commit(self, n: Any, m: Any, clock: ReplicaClock, pos: Any) -> TreeOp:
+        node = self.codec.node(n, pos)
         node_ops = () if self.nodes is None else (self.nodes.local_add(node, clock),)
-        edge_op = self.edges.local_add(edge, clock)
+        edge_op = self.edges.local_add(self.codec.encode(m, node, pos), clock)
         return TreeOp(ADD, node, m, node_ops, (edge_op,))
 
     def gen_rmv(self, n: Any, clock: ReplicaClock) -> TreeOp:

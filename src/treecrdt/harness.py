@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock
 from .errors import (
@@ -435,29 +435,43 @@ def random_scenario(
     fresh_only: bool = False,
 ) -> Scenario:
     """A deterministic mostly-legal script built against a live simulation."""
-    rng = random.Random(f"scenario/{combo.label()}/{seed}")
     sim = Simulation(combo, replicas, seed)
-    script: List[Tuple[str, ...]] = []
+    script = list(_generate(sim, seed, n_ops, final_sync, fresh_only))
+    return Scenario(combo=combo, replicas=replicas, seed=seed, script=script)
+
+
+def _generate(
+    sim: Simulation, seed: int, n_ops: int, final_sync: bool, fresh_only: bool = False
+) -> Iterator[Tuple[str, ...]]:
+    """Pick random actions against sim, apply each, and yield each one that
+    took effect once sim has applied it: the script of ``random_scenario``.
+
+    A refused action changes nothing in sim, its clocks included, so sim
+    ends as a replay of the yielded script on a fresh simulation ends.
+    """
+    rng = random.Random(f"scenario/{sim.combo.label()}/{seed}")
     fresh = iter(NAME_POOL)
     done = 0
+    last: Optional[Tuple[str, ...]] = None
     for _ in range(n_ops * 30):
         if done >= n_ops:
             break
-        if done and script and script[-1] != ("sync",) and rng.random() < 0.18:
+        if done and last != ("sync",) and rng.random() < 0.18:
             sim.sync_all()
-            script.append(("sync",))
+            last = ("sync",)
+            yield last
             continue
         rid = rng.choice(sim.rids)
         action = _random_action(sim, rid, rng, fresh, fresh_only)
         if action is None:
             continue
         if sim.apply(action) is None:
-            script.append(action)
             done += 1
-    if final_sync and script and script[-1] != ("sync",):
-        sim.apply(("sync",))
-        script.append(("sync",))
-    return Scenario(combo=combo, replicas=replicas, seed=seed, script=script)
+            last = action
+            yield action
+    if final_sync and last not in (None, ("sync",)):
+        sim.sync_all()
+        yield ("sync",)
 
 
 def _random_action(
@@ -724,11 +738,12 @@ def _observe(
     prev_witness: Optional[Dict],
     cache: ObservationCache,
     report: ConvergenceReport,
-    where: str,
+    where: Callable[[], str],
 ) -> Optional[Dict]:
     """Check one state of a replica, an observer or a fold, add what is found
-    to report under where, and return the witness to compare the next state
-    with.
+    to report under the text where() makes, and return the witness to
+    compare the next state with.  where is called only when there is
+    something to add.
 
     known is the version vector of the ops the tree holds.  The validity
     text (or the ``SeveralBlowup``), the oracle findings and the witness
@@ -746,15 +761,18 @@ def _observe(
     if seen is None:
         seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
     findings, witness = seen
-    for name, msg in findings:
-        getattr(report, name).append(f"{where}: {msg}")
+    if findings:
+        at = where()
+        for name, msg in findings:
+            getattr(report, name).append(f"{at}: {msg}")
     if witness is None:
         return prev_witness
     if prev_witness is not None:
         moves = witness_moves(prev_witness, witness)
         report.parent_moves += len(moves)
-        if sim.combo.is_monotone():
-            report.monotonic_violations += [f"{where}: {msg}" for msg in moves]
+        if moves and sim.combo.is_monotone():
+            at = where()
+            report.monotonic_violations += [f"{at}: {msg}" for msg in moves]
     return witness
 
 
@@ -786,21 +804,20 @@ def check_convergence(
     scenarios: int = 2,
     factory: Optional[Callable[[ComboSpec], Any]] = None,
 ) -> ConvergenceReport:
-    """Drive seeded scenarios and compare every legal delivery schedule."""
+    """Drive seeded scenarios and compare every legal delivery schedule.
+
+    Each scenario is checked on the run that generates it, or, given a
+    factory, on a run of the factory's trees that applies each generated
+    action in step; both report what ``_check_one`` reports on a replay of
+    the ``random_scenario`` script.
+    """
     make_tree(combo)
     check_sizes(n_ops, n_replicas, n_schedules)
     report = ConvergenceReport(combo=combo)
     first_failure: Optional[Scenario] = None
     for k in range(scenarios):
-        scn = random_scenario(
-            combo,
-            seed + k,
-            n_ops,
-            n_replicas,
-            final_sync=combo.flavor == "op",
-        )
         before = len(report.divergences)
-        _check_one(combo, scn, n_schedules, report, factory)
+        scn = _check_generated(combo, seed + k, n_ops, n_replicas, n_schedules, report, factory)
         report.scenarios += 1
         if first_failure is None and len(report.divergences) > before:
             first_failure = scn
@@ -811,6 +828,39 @@ def check_convergence(
     return report
 
 
+def _check_generated(
+    combo: ComboSpec,
+    seed: int,
+    n_ops: int,
+    n_replicas: int,
+    n_schedules: Optional[int],
+    report: ConvergenceReport,
+    factory: Optional[Callable[[ComboSpec], Any]],
+) -> Scenario:
+    """Generate the scenario ``random_scenario`` makes, check it as it is
+    generated, and return it.
+
+    The generating simulation is observed after each action it keeps and
+    then checked, unless a factory is given: then a simulation of the
+    factory's trees applies each kept action in step, and is the one
+    checked, as on a replay.  Generation always runs on ``make_tree``
+    trees, so a factory's trees never change the script.
+    """
+    gen = Simulation(combo, n_replicas, seed)
+    sim = gen if factory is None else Simulation(combo, n_replicas, seed, factory)
+    scn = Scenario(combo=combo, replicas=n_replicas, seed=seed)
+    actions = _generate(gen, seed, n_ops, final_sync=combo.flavor == "op")
+
+    def applied() -> Iterator[Tuple[int, Tuple[str, ...]]]:
+        for step, action in enumerate(actions, start=1):
+            scn.script.append(action)
+            if sim is gen or sim.apply(action) is None:
+                yield step, action
+
+    _check_run(scn, sim, applied(), n_schedules, report)
+    return scn
+
+
 def _check_one(
     combo: ComboSpec,
     scn: Scenario,
@@ -818,19 +868,42 @@ def _check_one(
     report: ConvergenceReport,
     factory: Optional[Callable[[ComboSpec], Any]],
 ) -> None:
+    """Replay scn's script on a fresh simulation and check the run."""
     sim = Simulation(combo, scn.replicas, scn.seed, factory)
+    applied = (
+        (step, action)
+        for step, action in enumerate(scn.script, start=1)
+        if sim.apply(action) is None
+    )
+    _check_run(scn, sim, applied, n_schedules, report)
+
+
+def _check_run(
+    scn: Scenario,
+    sim: Simulation,
+    applied: Iterable[Tuple[int, Tuple[str, ...]]],
+    n_schedules: Optional[int],
+    report: ConvergenceReport,
+) -> None:
+    """Observe each replica an action touched, for each (step, action) that
+    applied yields once sim has taken the action in, then check the
+    delivery schedules or the state folds of the run."""
     cache: ObservationCache = {}
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
-    for step, action in enumerate(scn.script, start=1):
-        if sim.apply(action) is not None:
-            continue
+    label = sim.combo.label()
+    for step, action in applied:
         for rid in sim.rids if action[0] == "sync" else [action[0]]:
             rep = sim.replicas[rid]
-            where = f"{combo.label()} seed={scn.seed} step={step} replica={rid}"
             witnesses[rid] = _observe(
-                sim, rep.tree, rep.clock.delivered, witnesses[rid], cache, report, where
+                sim,
+                rep.tree,
+                rep.clock.delivered,
+                witnesses[rid],
+                cache,
+                report,
+                lambda: f"{label} seed={scn.seed} step={step} replica={rid}",
             )
-    if combo.flavor == "op":
+    if sim.combo.flavor == "op":
         _check_op_schedules(scn, sim, n_schedules, report, cache)
     else:
         _check_state_schedules(scn, sim, n_schedules, report, cache)
@@ -866,8 +939,15 @@ def _check_op_schedules(
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(envelopes[i].payload)
             known[envelopes[i].origin] += 1
-            where = f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}"
-            witness = _observe(sim, observer, known, witness, cache, report, where)
+            witness = _observe(
+                sim,
+                observer,
+                known,
+                witness,
+                cache,
+                report,
+                lambda: f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}",
+            )
         finals.setdefault(_final_text(observer, texts), order)
         report.schedules += 1
     if len(finals) > 1:
@@ -908,8 +988,15 @@ def _check_state_schedules(
             acc.merge(sim.replicas[rid].tree)
         finals.setdefault(_final_text(acc, texts), perm)
         report.schedules += 1
-        where = f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}"
-        _observe(sim, acc, made, None, cache, report, where)
+        _observe(
+            sim,
+            acc,
+            made,
+            None,
+            cache,
+            report,
+            lambda: f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}",
+        )
     if len(finals) > 1:
         report.divergences.append(_disagreement(scn, "folds", finals))
 

@@ -20,7 +20,7 @@ from typing import Any, Iterable, Tuple
 from .clocks import ReplicaClock
 from .errors import PreconditionViolation
 from .lookup import LookupTree
-from .positions import Upi, upi_at
+from .positions import Upi, upi_at, upi_bounds
 from .render import cached_on_self, render, sort_key
 from .wootr import (
     BEGIN,
@@ -33,6 +33,10 @@ from .wootr import (
 
 # the neighbours of an element placed with no position given
 WHOLE_LINE = (BEGIN, END)
+
+# stands in for a position not yet drawn from a clock: a drawn position
+# holds a fresh tag, so no element holds it, and none holds this either
+UNDRAWN = object()
 
 
 @dataclass(frozen=True)
@@ -69,6 +73,12 @@ class Unordered:
 
     def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Any:
         """The position that lands a new child at index among siblings."""
+        return self.choose(siblings, index)
+
+    def choose(self, siblings: list, index: int) -> Any:
+        """``position_at`` before any draw: the position when choosing it
+        takes nothing from the clock, else ``UNDRAWN``.  It refuses what
+        ``position_at`` refuses."""
         raise PreconditionViolation("insert needs a positioned tree")
 
     def check_position(self, tree: Any, parent: Any, pos: Any) -> None:
@@ -112,6 +122,10 @@ class UpiPositions(Unordered):
     def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Upi:
         return upi_at(siblings, index, clock)
 
+    def choose(self, siblings: list, index: int) -> Any:
+        upi_bounds(siblings, index)
+        return UNDRAWN
+
     def check_position(self, tree: Any, parent: Any, pos: Any) -> None:
         if not isinstance(pos, Upi):
             raise PreconditionViolation("a positioned tree needs a position identifier")
@@ -147,7 +161,7 @@ class WootrPositions(Unordered):
     def check_kind(self, kind: str) -> None:
         check_wootr_kind(kind)
 
-    def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Tuple:
+    def choose(self, siblings: list, index: int) -> Tuple:
         line = wootr_line(siblings)
         if not 0 <= index <= len(line) - 2:
             raise PreconditionViolation(f"index {index} is outside the sibling sequence")

@@ -192,7 +192,7 @@ class WordTree(ReplicatedTree):
 
     # --- generation ---
 
-    def _add(self, atom: str, parent: Any, clock: ReplicaClock, pos: Any) -> TreeOp:
+    def _admit(self, atom: str, parent: Any, pos: Any) -> None:
         check_atom(atom)
         p = Path(parent)
         lt = self.lookup()
@@ -203,6 +203,10 @@ class WordTree(ReplicatedTree):
         # a ghost only displays a dead path, so adding there regrows it
         if inst is not None and not inst.ghost:
             raise PreconditionViolation(f"{pn.render()} is already in the tree")
+
+    def _commit(self, atom: str, parent: Any, clock: ReplicaClock, pos: Any) -> TreeOp:
+        p = Path(parent)
+        pn = p.child(self.codec.step(atom, pos))
         op = self.paths.local_add(pn, clock)
         return TreeOp(ADD, pn, p, (op,))
 

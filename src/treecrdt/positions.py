@@ -83,11 +83,16 @@ def upi_between(
         i += 1
 
 
-def upi_at(siblings: Sequence[Upi], index: int, clock: ReplicaClock) -> Upi:
-    """Allocate a position that lands at `index` among the given siblings."""
+def upi_bounds(siblings: Sequence[Upi], index: int) -> Tuple[Upi, Upi]:
+    """The two positions a new one at `index` among the siblings falls between."""
     ordered = sorted(siblings)
     if not 0 <= index <= len(ordered):
         raise PreconditionViolation(f"index {index} outside sibling range 0..{len(ordered)}")
     left = ordered[index - 1] if index > 0 else UPI_MIN
     right = ordered[index] if index < len(ordered) else UPI_MAX
-    return upi_between(left, right, clock)
+    return left, right
+
+
+def upi_at(siblings: Sequence[Upi], index: int, clock: ReplicaClock) -> Upi:
+    """Allocate a position that lands at `index` among the given siblings."""
+    return upi_between(*upi_bounds(siblings, index), clock)

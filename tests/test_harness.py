@@ -1,5 +1,6 @@
 """Simulator and convergence-checker tests, including a planted-bug check."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -9,7 +10,7 @@ import pytest
 
 from treecrdt import cli, harness
 from treecrdt.clocks import ReplicaClock, VectorClock
-from treecrdt.errors import IllegalCombo, ScenarioError
+from treecrdt.errors import IllegalCombo, PreconditionViolation, ScenarioError
 from treecrdt.graph import GraphTree
 from treecrdt.lookup import LookupTree
 from treecrdt.paths import WordTree
@@ -20,7 +21,10 @@ from treecrdt.harness import (
     ConvergenceReport,
     Scenario,
     Simulation,
+    _check_generated,
     _check_one,
+    _generate,
+    _shrink,
     _check_op_schedules,
     _check_state_schedules,
     causal_deps,
@@ -896,3 +900,93 @@ def test_full_matrix_sample_across_pi_modes():
     for combo in sample:
         report = check_convergence(combo, n_ops=3, scenarios=1)
         assert report.passed, report.summary()
+
+
+# --- checking a scenario on the run that generates it ---
+
+
+def _clock_state(clock):
+    """What a clock has spent.  Reading the rng of a clock that never drew
+    gives its seeded state, so an rng never read counts as no state."""
+    return clock.counter, clock.tag_seq, dict(clock.delivered), clock.rng.getstate()
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_a_generated_script_replays_to_the_generators_clocks(seed):
+    """A refused action spends no clock state, so replaying the script a
+    generator kept ends with the clocks the generator ended with."""
+    mismatched = []
+    for combo in legal_combos():
+        gen = Simulation(combo, seed=seed)
+        script = list(_generate(gen, seed, n_ops=5, final_sync=True))
+        replay = Simulation(combo, seed=seed)
+        for action in script:
+            assert replay.apply(action) is None
+        for rid in gen.rids:
+            if _clock_state(gen.replicas[rid].clock) != _clock_state(replay.replicas[rid].clock):
+                mismatched.append(f"{combo.label()} {rid}")
+    assert mismatched == []
+
+
+def test_a_refused_insert_draws_no_position():
+    tree, clock = make_tree(parse_combo("graph or op skip shortest edge".split())), ReplicaClock("r1")
+    tree.gen_insert("a", "root", 0, clock)
+    spent = _clock_state(clock)
+    with pytest.raises(PreconditionViolation, match="already in the tree"):
+        tree.gen_insert("a", "root", 1, clock)
+    with pytest.raises(PreconditionViolation, match="not in the tree"):
+        tree.gen_insert("b", "x", 0, clock)
+    assert _clock_state(clock) == spent
+
+
+def _replayed_report(combo, seed, factory=None, scenarios=2):
+    """``check_convergence`` with the CLI defaults as a replay: each
+    scenario's ``random_scenario`` script checked by ``_check_one``."""
+    report = ConvergenceReport(combo=combo)
+    first_failure = None
+    for k in range(scenarios):
+        scn = random_scenario(combo, seed + k, final_sync=combo.flavor == "op")
+        before = len(report.divergences)
+        _check_one(combo, scn, None, report, factory)
+        report.scenarios += 1
+        if first_failure is None and len(report.divergences) > before:
+            first_failure = scn
+    if first_failure is not None:
+        report.divergences = [_shrink(combo, first_failure, None, factory, report.divergences[0])]
+    return report
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_checking_the_generating_run_reports_what_a_replay_reports(seed):
+    """Every field of every report, finding texts included: at check seed
+    7, edge 2p op reappear zero plain reports the monotone moves of the
+    zero-policy defect, which a fix of it removes."""
+    differ, failed = [], 0
+    for combo in legal_combos():
+        report = check_convergence(combo, seed=seed)
+        failed += not report.passed
+        if dataclasses.astuple(report) != dataclasses.astuple(_replayed_report(combo, seed)):
+            differ.append(combo.label())
+    assert differ == []
+    assert failed == (1 if seed == 7 else 0)
+
+
+def test_a_factorys_run_reports_what_its_replay_reports():
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    factory = lambda combo: ArrivalOrderTree()
+    for seed in (42, 44):
+        report = check_convergence(combo, seed=seed, scenarios=4, factory=factory)
+        assert report.divergences
+        expected = _replayed_report(combo, seed, factory, scenarios=4)
+        assert dataclasses.astuple(report) == dataclasses.astuple(expected)
+
+
+@pytest.mark.parametrize("seed", [42, 43, 44, 45])
+def test_observing_the_generating_run_keeps_its_script(seed):
+    differ = []
+    for combo in legal_combos():
+        report = ConvergenceReport(combo=combo)
+        checked = _check_generated(combo, seed, 5, 3, 1, report, None)
+        if checked != random_scenario(combo, seed, final_sync=combo.flavor == "op"):
+            differ.append(combo.label())
+    assert differ == []
