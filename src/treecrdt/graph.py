@@ -104,14 +104,6 @@ class TreeOp:
         ]
         return max(stamps) if stamps else None
 
-    def canonical(self) -> str:
-        if self.verb == ADD:
-            head = f"tree add {render(self.node)} under {render(self.parent)}"
-        else:
-            head = f"tree rmv {render(self.node)}"
-        subs = [sub.canonical() for sub in self.node_ops + self.edge_ops]
-        return " ; ".join([head] + subs)
-
 
 class ReplicatedTree:
     """One tree CRDT: replicated set CRDTs, a lookup, and their sync.
@@ -131,18 +123,19 @@ class ReplicatedTree:
     which hands the payload diff to ``LookupTree.edited`` as removed keys
     and added instances.  Each returns None when the change may do more:
     ``_patch`` by its payload diff, ``edited`` by the one patch rule.
-    ``_build_lookup()`` is the from-scratch oracle that every patched tree
-    must equal.  The graph engine patches unpositioned graph and edge
-    trees, the word engine unpositioned word trees under skip and
-    reappear; every other tree gets a full build on every change.
+    ``lookup()`` is the one path through them: read, then patch when a
+    basis is kept, else build.  ``_build_lookup()`` is the from-scratch
+    oracle that every patched tree must equal.  The graph engine patches
+    unpositioned graph and edge trees, the word engine unpositioned word
+    trees under skip and reappear; every other tree gets a full build on
+    every change.
 
     The visible tree is a function of ``state()``: equal payloads show
     equal trees, which the memo, its patches and the checker's observation
     cache rely on.  A subclass customises the tree by overriding
-    ``_build_lookup``, and then gets a full build on every change, never a
-    patch; it folds any extra input it reads into ``state()``, and the memo
-    is keyed on the set versions, so that input changes only when a set
-    does.
+    ``_build`` and returning no basis, so its tree is never patched; it
+    folds any extra input it reads into ``state()``, and the memo is keyed
+    on the set versions, so that input changes only when a set does.
     """
 
     CODECS: Dict[Optional[str], Any] = CODECS
@@ -175,38 +168,23 @@ class ReplicatedTree:
 
         The result is a shared, read-only snapshot: it is made once per
         payload state, post-processing included, and handed to every caller
-        until the payload changes, so callers must not mutate it.  When a
-        set version changes, an engine that keeps this class's
-        ``_build_lookup`` patches the last tree if its rule allows
-        (``_refresh``), else builds the tree from scratch; the two give
-        equal trees.
+        until the payload changes, so callers must not mutate it.  A patch
+        and a build give equal trees.  The basis is detached while a patch
+        runs, so a patch that raises leaves none behind.
         """
         key = tuple(part.version for _, part in self._sets())
         if key != self._memo_key:
-            # a subclass that builds its own tree gets a full build every time
-            own = type(self)._build_lookup is not ReplicatedTree._build_lookup
-            self._memo_tree = self._build_lookup() if own else self._refresh()
-            self._memo_key = key
+            reads = self._read()
+            basis, self._basis = self._basis, None
+            lt = None if basis is None else self._patch(basis, *reads)
+            if lt is None:
+                lt, basis = self._build(*reads)
+            self._memo_tree, self._basis, self._memo_key = lt, basis, key
         return self._memo_tree
 
     def _build_lookup(self) -> LookupTree:
         """The visible tree built from scratch, with no memo and no patch."""
         return self._build(*self._read())[0]
-
-    def _refresh(self) -> LookupTree:
-        """The visible tree of a changed payload: the memoized tree patched
-        when the engine's rule allows, else a full build from the same
-        reads.  The basis is detached while a patch runs, so a patch that
-        raises leaves none behind."""
-        reads = self._read()
-        basis, self._basis = self._basis, None
-        if basis is not None:
-            lt = self._patch(basis, *reads)
-            if lt is not None:
-                self._basis = basis
-                return lt
-        lt, self._basis = self._build(*reads)
-        return lt
 
     @staticmethod
     def subtree_nodes(lt: LookupTree, n: Any) -> Set[Any]:

@@ -485,7 +485,9 @@ def _random_action(
         return None
     if combo.repr_name == "word":
         root = "/"
-        names = [_atom_path(lt, i) for i in lt.instances.values() if not i.ghost]
+        # the order every word build adds its instances in
+        shown = [lt.instances[p] for p in sorted(lt.instances, key=Path.order_key)]
+        names = [_atom_path(lt, i) for i in shown if not i.ghost]
     else:
         root = "root"
         names = sorted(
@@ -1015,18 +1017,16 @@ def _shrink(
     scn: Scenario,
     n_schedules: Optional[int],
     factory: Optional[Callable[[ComboSpec], Any]],
-    first: str,
+    detail: str,
 ) -> str:
-    """Greedy script minimization keeping the first divergence reproducible."""
+    """Greedy script minimization keeping the first divergence reproducible,
+    starting from detail, the one scn's own check reported first."""
 
     def divergence(candidate: Scenario) -> Optional[str]:
         probe = ConvergenceReport(combo=combo)
         _check_one(combo, candidate, n_schedules, probe, factory)
         return probe.divergences[0] if probe.divergences else None
 
-    detail = divergence(scn)
-    if detail is None:
-        return first
     changed = True
     while changed:
         changed = False

@@ -1,12 +1,13 @@
 """The client-visible tree: instances, deterministic dumps, and validation.
 
-``LookupTree`` is what a replica shows its client.  ``graph.ReplicatedTree``
-makes one per payload state, keyed on the versions of its set CRDTs, and
-hands it to every caller until a set changes.  It builds the tree from
-scratch or patches the tree it showed last with ``edited``, which holds
-the one patch rule: a change may only add leaves or drop whole subtrees.
-Unpositioned graph and edge trees patch, and so do unpositioned word
-trees under skip and reappear.
+``LookupTree`` is what a replica shows its client.
+``graph.ReplicatedTree.lookup`` makes one per payload state, keyed on the
+versions of its set CRDTs, and hands it to every caller until a set
+changes.  It has one path: read the payload, patch the tree it showed
+last when a basis for that is kept, else build from scratch.  A patch
+goes through ``edited``, which holds the one patch rule: a change may
+only add leaves or drop whole subtrees.  Unpositioned graph and edge
+trees patch, and so do unpositioned word trees under skip and reappear.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class LookupTree:
         removed: Iterable[InstanceKey],
         added: List[Instance],
         is_live: Callable[[Any], bool],
-        order: Optional[Callable[[InstanceKey], Any]] = None,
     ) -> Optional["LookupTree"]:
         """This tree without the removed instances and with the added ones,
         or None when the patch rule does not hold; this tree is left as it
@@ -105,8 +105,7 @@ class LookupTree:
         Each added instance takes its place in its sibling group by
         ``Instance.order_key``, so this tree must show its siblings in that
         order, as ``sort_siblings`` puts them.  It joins the end of the
-        instance order, or, given ``order``, a key on instance keys that
-        this tree's instance order follows, takes its place by that key.
+        instance order, which no reader relies on.
         """
         shown = self.instances
         instances = dict(shown)
@@ -143,12 +142,6 @@ class LookupTree:
                 kids[parent] = group
             else:
                 del kids[parent]
-        if order is not None and added:
-            keys = list(instances)
-            del keys[-len(added):]
-            for inst in added:
-                insort(keys, inst.key, key=order)
-            instances = dict(zip(keys, map(instances.__getitem__, keys)))
         return LookupTree(self.root_label, instances, kids)
 
     def children(self, key: InstanceKey) -> List[Instance]:

@@ -71,14 +71,11 @@ class Unordered:
     def check_kind(self, kind: str) -> None:
         """Refuse a set kind this positioning mode cannot work with."""
 
-    def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Any:
-        """The position that lands a new child at index among siblings."""
-        return self.choose(siblings, index)
-
     def choose(self, siblings: list, index: int) -> Any:
-        """``position_at`` before any draw: the position when choosing it
-        takes nothing from the clock, else ``UNDRAWN``.  It refuses what
-        ``position_at`` refuses."""
+        """The position that lands a new child at index among siblings,
+        before any draw: the position itself when choosing it takes
+        nothing from the clock, else ``UNDRAWN`` for the codec's
+        ``position_at`` to draw.  An index it cannot place is refused here."""
         raise PreconditionViolation("insert needs a positioned tree")
 
     def check_position(self, tree: Any, parent: Any, pos: Any) -> None:

@@ -82,11 +82,10 @@ class WordTree(ReplicatedTree):
     """Replicated tree over a single set CRDT of root paths.
 
     ``pi_mode`` picks the codec (``CODECS``) that makes a path step a
-    bare atom, a ``PositionedNode``, or a ``WootrTriple``.  Its lookup
-    reads the live paths (``_read``) and builds the tree from them
-    (``_build``); a tree of bare atoms under skip or reappear is patched
-    from the last one when the change allows (``_patch``), and
-    ``_build_lookup`` stays the from-scratch build.
+    bare atom, a ``PositionedNode``, or a ``WootrTriple``.  Its part of
+    the one lookup path is reading the live paths (``_read``), building
+    the tree from them (``_build``) and, for bare atoms under skip or
+    reappear, patching the last tree (``_patch``).
     """
 
     SETS = ("paths",)
@@ -188,7 +187,7 @@ class WordTree(ReplicatedTree):
         # parents first, so an added parent is placed before its children
         new = [Instance(p, p, p.parent(), render(p[-1])) for p in sorted(added, key=Path.order_key)]
         basis.live = live
-        return old.edited(removed, new, live.__contains__, order=Path.order_key)
+        return old.edited(removed, new, live.__contains__)
 
     # --- generation ---
 

@@ -235,6 +235,3 @@ class WootrSequence:
         dup = WootrSequence(self.kind, self.flavor)
         dup.elements = self.elements.copy()
         return dup
-
-    def canonical(self) -> str:
-        return self.elements.canonical()

@@ -48,16 +48,11 @@ def same_tree(a: LookupTree, b: LookupTree) -> bool:
     """Whether two lookup trees agree on everything a reader can see.
 
     That is every field of every instance, the key of every sibling group
-    (no group is empty) and the instances in each group, in order.  A word
-    tree's instance order counts too: the scenario generator picks a path
-    from it.
+    (no group is empty) and the instances in each group, in order.
     """
     if a.root_label != b.root_label or a.instances != b.instances:
         return False
-    if a.kids != b.kids or not all(a.kids.values()) or not all(b.kids.values()):
-        return False
-    # a word tree's root is the empty path, shown as "/"
-    return a.root_label != "/" or list(a.instances) == list(b.instances)
+    return a.kids == b.kids and all(a.kids.values()) and all(b.kids.values())
 
 
 class SetGroup:

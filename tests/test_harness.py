@@ -678,12 +678,12 @@ class ArrivalOrderTree(GraphTree):
     def state(self):
         return super().state() + (tuple(self.arrivals),)
 
-    def _build_lookup(self):
-        lt = super()._build_lookup()
+    def _build(self, *reads):
+        lt, _ = super()._build(*reads)
         for inst in lt.instances.values():
             if inst.node in self.arrivals:
                 inst.label += f"#{self.arrivals.index(inst.node)}"
-        return lt
+        return lt, None
 
 
 def _replayed(sim, order):
@@ -826,6 +826,9 @@ def test_shrink_checks_the_minimized_script_once(monkeypatch):
         "minimized scenario:\n" + serialize_scenario(minimized)
     )
     assert [scn for scn, _ in checked].count(minimized) == 1
+    # the shrink starts from the divergence the generating run reported
+    generated = [random_scenario(combo, 42 + k, final_sync=True) for k in range(4)]
+    assert not any(scn in generated for scn, _ in checked)
 
 
 @pytest.mark.parametrize("flavor", ["op", "state"])

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from treecrdt.graph import GraphTree
 from treecrdt.harness import (
     ComboSpec,
     Simulation,
+    _random_action,
     legal_combos,
     parse_combo,
     random_scenario,
@@ -122,12 +124,12 @@ class LabelledTree(GraphTree):
     def state(self):
         return super().state() + (tuple(self.arrivals),)
 
-    def _build_lookup(self):
-        lt = super()._build_lookup()
+    def _build(self, *reads):
+        lt, _ = super()._build(*reads)
         for inst in lt.instances.values():
             if inst.node in self.arrivals:
                 inst.label += f"#{self.arrivals.index(inst.node)}"
-        return lt
+        return lt, None
 
 
 def test_post_processing_subclass_never_sees_its_own_edits():
@@ -275,6 +277,32 @@ def test_long_scripts_keep_siblings_in_reference_order(label):
     assert sum(found.values()) > 0
 
 
+@pytest.mark.parametrize("seed", [42, 43])
+def test_word_builds_add_instances_in_the_order_the_generator_reads(seed):
+    """Every word build adds its instances in ``Path.order_key`` order, the
+    order ``_random_action`` reads, so it draws from a patched lookup,
+    whose instance order differs, what it draws from a fresh build."""
+    reordered = 0
+    for combo in legal_combos():
+        if combo.repr_name != "word":
+            continue
+        scn = random_scenario(combo, seed)
+        sim = Simulation(combo, scn.replicas, scn.seed)
+        for step, action in enumerate(scn.script):
+            sim.execute(action)
+            for rid, rep in sim.replicas.items():
+                built = rep.tree._build_lookup()
+                assert list(built.instances) == sorted(built.instances, key=Path.order_key)
+                reordered += list(rep.tree.lookup().instances) != list(built.instances)
+                draws = []
+                # a copy has no memo, so its lookup is a fresh build
+                for tree in (rep.tree, rep.tree.copy()):
+                    one = SimpleNamespace(combo=combo, replicas={rid: SimpleNamespace(tree=tree)})
+                    draws.append(_random_action(one, rid, random.Random(step), iter(())))
+                assert draws[0] == draws[1], (combo.label(), action)
+    assert reordered > 0
+
+
 # (full builds, patches tried in vain, patched lookups) over the scripts
 # above, counted after every action
 LONG_SCRIPT_LOOKUPS = {
@@ -341,13 +369,13 @@ def test_only_the_engine_build_is_patched(monkeypatch):
     ]
     made = count_lookups(monkeypatch)
     builds = []
-    build = LabelledTree._build_lookup
+    build = LabelledTree._build
 
-    def counted(tree):
+    def counted(tree, *reads):
         builds.append(tree)
-        return build(tree)
+        return build(tree, *reads)
 
-    monkeypatch.setattr(LabelledTree, "_build_lookup", counted)
+    monkeypatch.setattr(LabelledTree, "_build", counted)
     shown = {
         LabelledTree(): "root\n  a#0\n    b#1\n    c#2\n  d#3",
         PlainTree("or", "op"): "root\n  a\n    b\n    c\n  d",
@@ -357,8 +385,9 @@ def test_only_the_engine_build_is_patched(monkeypatch):
             tree.apply_remote(op)
             assert tree.lookup() is tree.lookup()
         assert tree.lookup().dump() == dump
-    # the override is built on every change and never patched; the
-    # subclass that keeps the engine's build patches all but the first
+    # the build that keeps no basis runs on every change and is never
+    # patched; the subclass that keeps the engine's build patches all but
+    # the first
     assert len(builds) == len(ops)
     assert made == Counter(build=len(ops) + 1, patch=len(ops) - 1)
 
@@ -395,27 +424,25 @@ REFUSED_EDITS = {
 }
 
 
-@pytest.mark.parametrize("order", [None, sort_key], ids=["appended", "ordered"])
 @pytest.mark.parametrize("case", REFUSED_EDITS)
-def test_edited_refuses_each_change_the_patch_rule_does_not_allow(case, order):
+def test_edited_refuses_each_change_the_patch_rule_does_not_allow(case):
     lt = hand_built_tree()
     removed, added = REFUSED_EDITS[case]
-    assert lt.edited(removed, added, is_live, order=order) is None
+    assert lt.edited(removed, added, is_live) is None
     assert same_tree(lt, hand_built_tree())
 
 
-@pytest.mark.parametrize("order", [None, sort_key], ids=["appended", "ordered"])
-def test_edited_drops_whole_subtrees_and_adds_below_live_nodes(order):
+def test_edited_drops_whole_subtrees_and_adds_below_live_nodes():
     lt = hand_built_tree()
     # b hangs from a live node and g from the root, c and h from removed
     # ones; y hangs from an earlier added instance
     removed = [("c",), ("b",), ("h",), ("g",)]
     added = [fresh("x", ()), fresh("e", ("a",)), fresh("y", ("x",)), fresh("f", ("d",))]
-    patched = lt.edited(removed, added, is_live, order=order)
+    patched = lt.edited(removed, added, is_live)
     assert patched.dump() == "root\n  a\n    e\n  d\n    f\n  x\n    y"
     patched.validate()
     names = [key[0] for key in patched.instances]
-    assert names == (["a", "d", "x", "e", "y", "f"] if order is None else sorted(names))
+    assert names == ["a", "d", "x", "e", "y", "f"]
     assert same_tree(lt, hand_built_tree())
 
 
