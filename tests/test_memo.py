@@ -26,7 +26,7 @@ from treecrdt.paths import WordTree
 from treecrdt.policies import EdgeInfo
 from treecrdt.positions import Upi
 from treecrdt.render import Path, render, sort_key
-from treecrdt.sets import ADD
+from treecrdt.sets import ADD, KINDS
 from treecrdt.wootr import BEGIN, END, WootrTriple, wootr_order
 
 from helpers import parse_path, same_tree
@@ -277,29 +277,48 @@ def test_long_scripts_keep_siblings_in_reference_order(label):
     assert sum(found.values()) > 0
 
 
-@pytest.mark.parametrize("seed", [42, 43])
-def test_word_builds_add_instances_in_the_order_the_generator_reads(seed):
-    """Every word build adds its instances in ``Path.order_key`` order, the
-    order ``_random_action`` reads, so it draws from a patched lookup,
-    whose instance order differs, what it draws from a fresh build."""
-    reordered = 0
+def word_steps(kind: str, seed: int):
+    """Each word combo of one set kind, stepped through its random
+    scenario: yields the combo, the step number, the action just executed
+    and each replica's id and tree after it."""
     for combo in legal_combos():
-        if combo.repr_name != "word":
+        if combo.repr_name != "word" or combo.kind != kind:
             continue
         scn = random_scenario(combo, seed)
         sim = Simulation(combo, scn.replicas, scn.seed)
         for step, action in enumerate(scn.script):
             sim.execute(action)
             for rid, rep in sim.replicas.items():
-                built = rep.tree._build_lookup()
-                assert list(built.instances) == sorted(built.instances, key=Path.order_key)
-                reordered += list(rep.tree.lookup().instances) != list(built.instances)
-                draws = []
-                # a copy has no memo, so its lookup is a fresh build
-                for tree in (rep.tree, rep.tree.copy()):
-                    one = SimpleNamespace(combo=combo, replicas={rid: SimpleNamespace(tree=tree)})
-                    draws.append(_random_action(one, rid, random.Random(step), iter(())))
-                assert draws[0] == draws[1], (combo.label(), action)
+                yield combo, step, action, rid, rep.tree
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+@pytest.mark.parametrize("kind", KINDS)
+def test_word_builds_add_instances_in_the_order_the_generator_reads(kind, seed):
+    """Every word build adds its instances in ``Path.order_key`` order, the
+    order ``_random_action`` reads them in."""
+    for combo, _, action, _, tree in word_steps(kind, seed):
+        built = tree._build_lookup()
+        assert list(built.instances) == sorted(built.instances, key=Path.order_key), (
+            combo.label(),
+            action,
+        )
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+@pytest.mark.parametrize("kind", KINDS)
+def test_random_action_draws_from_a_patched_lookup_what_it_draws_from_a_build(kind, seed):
+    """``_random_action`` draws the same action from a patched lookup, whose
+    instance order differs, as from a fresh build."""
+    reordered = 0
+    for combo, step, action, rid, tree in word_steps(kind, seed):
+        reordered += list(tree.lookup().instances) != list(tree._build_lookup().instances)
+        draws = []
+        # a copy has no memo, so its lookup is a fresh build
+        for each in (tree, tree.copy()):
+            one = SimpleNamespace(combo=combo, replicas={rid: SimpleNamespace(tree=each)})
+            draws.append(_random_action(one, rid, random.Random(step), iter(())))
+        assert draws[0] == draws[1], (combo.label(), action)
     assert reordered > 0
 
 
