@@ -3,10 +3,10 @@
 ``ReplicatedTree`` is what every tree CRDT here has in common: one or more
 set CRDTs as its payload, a lookup memoized per payload state, merge, copy,
 the canonical payload text, and insertion at a sibling index.  An engine
-supplies only its sets, how the visible tree is built from them, and how
-ops are generated and applied.  Both engines also patch the tree they
-showed last when their payload diff and the rule of ``LookupTree.edited``
-allow.
+supplies only its sets, how the visible tree is built from them, how ops
+are generated and applied, and the names scenario scripts give its nodes
+(``resolve``, ``names``).  Both engines also patch the tree they showed
+last when their payload diff and the rule of ``LookupTree.edited`` allow.
 
 ``GraphTree`` is the engine over an edge set, plus a node set unless it is
 an edge tree.  The codec of its positioning mode, from the one ``CODECS``
@@ -29,7 +29,7 @@ from .clocks import LamportStamp, ReplicaClock
 from .edges import CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
 from .lookup import Instance, LookupTree
-from .ordered import UNDRAWN
+from .ordered import UNDRAWN, PositionedNode
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -425,6 +425,24 @@ class GraphTree(ReplicatedTree):
     def ever_positions(self) -> Iterable[Any]:
         """Positions of every edge ever added."""
         return (pos for _, _, pos in map(self.codec.decode, self.edges.ever()))
+
+    # --- script names ---
+
+    def resolve(self, name: str) -> Any:
+        """The node a script name stands for: under node positions the least
+        shown node of that element, else the name itself, as "root" is."""
+        if self.pi_mode != "node" or name == self.root:
+            return name
+        shown = self.lookup().nodes_present()
+        named = [v for v in shown if isinstance(v, PositionedNode) and v.element == name]
+        if not named:
+            raise PreconditionViolation(f"{name} is not in the tree")
+        return min(named, key=sort_key)
+
+    def names(self) -> list:
+        """The script name of each shown node, in node order."""
+        shown = self.lookup().nodes_present()
+        return sorted_elements({v.element if isinstance(v, PositionedNode) else v for v in shown})
 
     # --- generation ---
 

@@ -16,10 +16,9 @@ from .errors import (
 )
 from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
-from .ordered import PositionedNode
 from .paths import WordTree, check_atom
 from .policies import CONNECT_POLICIES, MAP_POLICIES, MONOTONE_CONNECT, MONOTONE_MAP
-from .render import Path, render, sort_key, sorted_elements
+from .render import render, sorted_elements
 from .sets import ADD, FLAVORS, KINDS, RMV, SetOp
 
 REPRS = ("graph", "edge", "word")
@@ -121,6 +120,23 @@ class Scenario:
 ARITY = {"add": 2, "rmv": 1, "insert": 3, "deliver": 1, "merge": 1}
 
 
+def check_action(action: Tuple[str, ...]) -> None:
+    """Refuse an action that is not ``sync``, a known verb with its
+    arguments, or an insert at an integer sibling index."""
+    if action == ("sync",):
+        return
+    verb = action[1] if len(action) > 1 else ""
+    if verb not in ARITY:
+        raise ScenarioError(f"unknown action {' '.join(action)!r}")
+    if len(action) != 2 + ARITY[verb]:
+        raise ScenarioError(f"{verb} takes {ARITY[verb]} argument(s): {' '.join(action)!r}")
+    if verb == "insert":
+        try:
+            int(action[4])
+        except ValueError as exc:
+            raise ScenarioError(f"{' '.join(action)!r}: {exc}") from None
+
+
 def parse_scenario(text: str) -> Scenario:
     combo: Optional[ComboSpec] = None
     replicas = 3
@@ -144,20 +160,9 @@ def parse_scenario(text: str) -> Scenario:
                     replicas = int(tokens[1])
                     if replicas < 1:
                         raise ScenarioError(f"a scenario needs at least 1 replica: {line!r}")
-            elif head == "sync" and len(tokens) == 1:
-                script.append(("sync",))
             else:
-                verb = tokens[1] if len(tokens) > 1 else ""
-                if verb in ARITY:
-                    if len(tokens) != 2 + ARITY[verb]:
-                        raise ScenarioError(
-                            f"{verb} takes {ARITY[verb]} argument(s): {line!r}"
-                        )
-                    if verb == "insert":
-                        int(tokens[4])  # the sibling index
-                    script.append(tuple(tokens))
-                else:
-                    raise ScenarioError(f"unknown action {line!r}")
+                check_action(tuple(tokens))
+                script.append(tuple(tokens))
         except (IndexError, ValueError) as exc:
             raise ScenarioError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
         except ScenarioError as exc:
@@ -226,38 +231,6 @@ class Simulation:
         self.handed: Dict[Tuple[str, str], int] = {}
         self.steps = 0
 
-    # --- name resolution ---
-
-    def _resolve_node(self, tree: Any, name: str) -> Any:
-        if name == "root":
-            return tree.root
-        if self.combo.pi_mode == "node":
-            pairs = sorted(
-                (
-                    v
-                    for v in tree.lookup().nodes_present()
-                    if isinstance(v, PositionedNode) and v.element == name
-                ),
-                key=sort_key,
-            )
-            if not pairs:
-                raise PreconditionViolation(f"{name} is not in the tree")
-            return pairs[0]
-        return name
-
-    def _resolve_path(self, tree: Any, text: str) -> Path:
-        atoms = [a for a in text.split("/") if a]
-        lt = tree.lookup()
-        key: Tuple = ()
-        for atom in atoms:
-            match = next(
-                (k for k in lt.children(key) if k.label == atom), None
-            )
-            if match is None:
-                raise PreconditionViolation(f"{text} is not in the tree")
-            key = match.key
-        return Path(key)
-
     # --- actions ---
 
     def local(self, rid: str, verb: str, args: Tuple[str, ...]) -> None:
@@ -272,32 +245,25 @@ class Simulation:
             rep.clock.delivered[rid] += 1
 
     def _gen(self, rep: SimReplica, verb: str, args: Tuple[str, ...]) -> TreeOp:
+        """The op of an add, insert or rmv that ``check_action`` let through."""
         tree, clock = rep.tree, rep.clock
-        pi = self.combo.pi_mode
-        if self.combo.repr_name == "word":
-            resolve = self._resolve_path
-            if verb in ("add", "insert"):
-                try:
-                    check_atom(args[0])
-                except ValueError as exc:
-                    raise ScenarioError(str(exc)) from None
-        else:
-            resolve = self._resolve_node
+        if self.combo.repr_name == "word" and verb in ("add", "insert"):
+            try:
+                check_atom(args[0])
+            except ValueError as exc:
+                raise ScenarioError(str(exc)) from None
         if verb == "add":
             n, m = args
-            parent = resolve(tree, m)
+            parent = tree.resolve(m)
             # a UPI-positioned child needs a fresh position: add at the tail
-            if pi in ("node", "edge"):
+            if self.combo.pi_mode in ("node", "edge"):
                 tail = len(tree.sibling_positions(parent))
                 return tree.gen_insert(n, parent, tail, clock)
             return tree.gen_add(n, parent, clock)
         if verb == "insert":
             n, m, idx = args
-            return tree.gen_insert(n, resolve(tree, m), int(idx), clock)
-        if verb == "rmv":
-            (n,) = args
-            return tree.gen_rmv(resolve(tree, n), clock)
-        raise ScenarioError(f"unknown action {verb!r}")
+            return tree.gen_insert(n, tree.resolve(m), int(idx), clock)
+        return tree.gen_rmv(tree.resolve(args[0]), clock)
 
     def deliver_from(self, rid: str, src: str) -> None:
         if self.combo.flavor != "op":
@@ -358,6 +324,7 @@ class Simulation:
         and None when it took effect.
         """
         try:
+            check_action(action)
             if action[0] == "sync":
                 self.sync_all()
             else:
@@ -389,7 +356,8 @@ class Simulation:
         return [self.execute(tuple(action)) for action in script]
 
     def final_dumps(self) -> Dict[str, str]:
-        return {rid: rep.tree.lookup().dump() for rid, rep in self.replicas.items()}
+        """Each replica's dump, or its blowup, as ``shown`` gives it."""
+        return {rid: shown(rep.tree) for rid, rep in self.replicas.items()}
 
 
 def run_scenario(combo: ComboSpec, s: Scenario) -> str:
@@ -414,9 +382,9 @@ def run_scenario(combo: ComboSpec, s: Scenario) -> str:
             for _, dump in record.dumps:
                 lines.extend("  " + ln for ln in dump.splitlines())
     lines.append("final")
-    for rid in sim.rids:
+    for rid, dump in sim.final_dumps().items():
         lines.append(f"  replica {rid}")
-        lines.extend("    " + ln for ln in shown(sim.replicas[rid].tree).splitlines())
+        lines.extend("    " + ln for ln in dump.splitlines())
     return "\n".join(lines) + "\n"
 
 
@@ -477,26 +445,12 @@ def _generate(
 def _random_action(
     sim: Simulation, rid: str, rng: random.Random, fresh, fresh_only: bool = False
 ) -> Optional[Tuple[str, ...]]:
-    tree = sim.replicas[rid].tree
     combo = sim.combo
     try:
-        lt = tree.lookup()
+        names = sim.replicas[rid].tree.names()
     except SeveralBlowup:
         return None
-    if combo.repr_name == "word":
-        root = "/"
-        # the order every word build adds its instances in
-        shown = [lt.instances[p] for p in sorted(lt.instances, key=Path.order_key)]
-        names = [_atom_path(lt, i) for i in shown if not i.ghost]
-    else:
-        root = "root"
-        names = sorted(
-            {
-                v.element if isinstance(v, PositionedNode) else v
-                for v in lt.nodes_present()
-            },
-            key=sort_key,
-        )
+    root = "/" if combo.repr_name == "word" else "root"
     roll = rng.random()
     if names and roll < 0.25:
         return (rid, "rmv", rng.choice(names))
@@ -512,15 +466,6 @@ def _random_action(
     if combo.pi_mode is not None and rng.random() < 0.4:
         return (rid, "insert", node, parent, str(rng.randrange(3)))
     return (rid, "add", node, parent)
-
-
-def _atom_path(lt: LookupTree, inst) -> str:
-    atoms = []
-    key = inst.key
-    while key != ():
-        atoms.append(lt.instances[key].label)
-        key = lt.instances[key].parent
-    return "/" + "/".join(reversed(atoms))
 
 
 # --- oracles and per-step checks ---

@@ -189,6 +189,33 @@ class WordTree(ReplicatedTree):
         basis.live = live
         return old.edited(removed, new, live.__contains__)
 
+    # --- script names ---
+
+    def resolve(self, text: str) -> Path:
+        """The shown path "/a/b" names: from the root, at each atom the
+        first child in sibling order with that label, ghosts included."""
+        lt = self.lookup()
+        key: Tuple = ()
+        for atom in filter(None, text.split("/")):
+            match = next((kid for kid in lt.children(key) if kid.label == atom), None)
+            if match is None:
+                raise PreconditionViolation(f"{text} is not in the tree")
+            key = match.key
+        return Path(key)
+
+    def names(self) -> List[str]:
+        """The script name of each shown path but the ghosts, the labels on
+        its way from the root, in ``Path.order_key`` order."""
+        lt = self.lookup()
+        named, out = {EPSILON: ""}, []
+        # a parent's key is shorter than its children's, so it comes first
+        for key in sorted(lt.instances, key=Path.order_key):
+            inst = lt.instances[key]
+            named[key] = name = named[inst.parent] + "/" + inst.label
+            if not inst.ghost:
+                out.append(name)
+        return out
+
     # --- generation ---
 
     def _admit(self, atom: str, parent: Any, pos: Any) -> None:

@@ -10,9 +10,10 @@ import pytest
 
 from treecrdt import cli, harness
 from treecrdt.clocks import ReplicaClock, VectorClock
-from treecrdt.errors import IllegalCombo, PreconditionViolation, ScenarioError
+from treecrdt.errors import IllegalCombo, PreconditionViolation, ScenarioError, SeveralBlowup
 from treecrdt.graph import GraphTree
 from treecrdt.lookup import LookupTree
+from treecrdt.ordered import PositionedNode
 from treecrdt.paths import WordTree
 from treecrdt.policies import CONNECT_POLICIES, MAP_POLICIES
 from treecrdt.sets import FLAVORS, KINDS
@@ -290,6 +291,25 @@ def test_execute_rejects_an_unknown_source_replica(flavor, verb):
 
 
 @pytest.mark.parametrize(
+    "action, message",
+    [
+        (("r1", "deliver"), "deliver takes 1 argument"),
+        (("r1", "add", "x"), "add takes 2 argument"),
+        (("r1", "insert", "x", "root", "z"), "invalid literal"),
+        (("r1", "frobnicate", "x"), "unknown action"),
+        (("sync", "now"), "unknown action"),
+        (("r1",), "unknown action"),
+        ((), "unknown action"),
+    ],
+)
+def test_execute_refuses_a_malformed_action_as_the_parser_does(action, message):
+    sim = Simulation(ComboSpec("graph", "or", "op", "skip", "shortest", None), 2, 1)
+    with pytest.raises(ScenarioError, match=message):
+        sim.execute(action)
+    assert sim.local_ops == [] and sim.envelopes == []
+
+
+@pytest.mark.parametrize(
     "combo, action",
     [
         (ComboSpec("word", "or", "op", "skip", None, None), ("r1", "add", "a/b", "/")),
@@ -422,6 +442,26 @@ def test_concurrent_cycle_under_several_keeps_every_path():
     assert lt.dump() == "root\n  x\n    y/x\n  y\n    x/y"
 
 
+def test_final_dumps_record_a_blowup_as_execute_does():
+    combo = ComboSpec("graph", "g", "state", "skip", "several", None)
+    sim = Simulation(combo, 2, 1)
+    for rep in sim.replicas.values():
+        rep.tree.several_cap = 3
+    script = [
+        ("r1", "add", "a", "root"),
+        ("r1", "add", "b", "root"),
+        ("r2", "merge", "r1"),
+        ("r1", "add", "c", "a"),
+        ("r2", "add", "c", "b"),
+        ("r1", "add", "d", "c"),
+        ("sync",),
+    ]
+    records = sim.run(script)
+    blowup = "blowup: all-paths mapping exceeded the instance cap of 3"
+    assert records[-1].dumps == [("r1", blowup), ("r2", blowup)]
+    assert sim.final_dumps() == {"r1": blowup, "r2": blowup}
+
+
 def test_concurrent_cycle_under_zero_keeps_only_root():
     combo = ComboSpec("graph", "g", "state", "skip", "zero", None)
     sim = Simulation(combo, 2, 3)
@@ -429,6 +469,54 @@ def test_concurrent_cycle_under_zero_keeps_only_root():
         assert sim.execute(action).violation is None
     for rep in sim.replicas.values():
         assert rep.tree.lookup().dump() == "root"
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_every_name_a_replica_lists_resolves_to_what_it_names(seed):
+    """After each step of each combo's random scenario, every replica
+    resolves each name it lists to a node it shows under that name.
+
+    A word name resolves through the first sibling of each label, so a
+    name that runs through a label two shown siblings share (positioned
+    steps allow that) may be refused; every other name resolves."""
+    resolved = 0
+    for combo in legal_combos():
+        scn = random_scenario(combo, seed)
+        sim = Simulation(combo, scn.replicas, scn.seed)
+        for action in scn.script:
+            sim.apply(action)
+            for rep in sim.replicas.values():
+                try:
+                    lt = rep.tree.lookup()
+                except SeveralBlowup:
+                    continue
+                if combo.repr_name == "word":
+                    shared = Counter(label_path(lt, key) for key in lt.instances)
+                for name in rep.tree.names():
+                    where = (combo.label(), action, name)
+                    if combo.repr_name != "word":
+                        got = rep.tree.resolve(name)
+                        assert got in lt.nodes_present(), where
+                        element = got.element if isinstance(got, PositionedNode) else got
+                        assert element == name, where
+                    else:
+                        steps = name.split("/")[1:]
+                        prefixes = ("/" + "/".join(steps[:k]) for k in range(1, len(steps) + 1))
+                        if any(shared[p] > 1 for p in prefixes):
+                            continue
+                        got = rep.tree.resolve(name)
+                        assert got in lt.instances and label_path(lt, got) == name, where
+                    resolved += 1
+    assert resolved > 0
+
+
+def label_path(lt, key) -> str:
+    """The labels from the root down to the shown instance at key."""
+    labels = []
+    while key:
+        labels.append(lt.instances[key].label)
+        key = lt.instances[key].parent
+    return "/" + "/".join(reversed(labels))
 
 
 # --- membership oracle ---

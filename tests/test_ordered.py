@@ -13,6 +13,7 @@ from treecrdt.harness import Simulation, parse_combo
 from treecrdt.ordered import PositionedNode
 from treecrdt.paths import EPSILON, WordTree
 from treecrdt.positions import UPI_MAX, UPI_MIN, upi_between
+from treecrdt.render import sort_key
 from treecrdt.wootr import BEGIN, END, WootrTriple, wootr_order
 
 
@@ -35,6 +36,21 @@ def test_node_pi_concurrent_same_element_keeps_both():
     lines = dumps["r1"].splitlines()
     assert len(lines) == 3
     assert all(ln.strip().startswith("x @") for ln in lines[1:])
+
+
+def test_node_pi_names_a_shared_element_once_and_resolves_it_to_the_least_node():
+    g = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"))
+    for r in ("r1", "r2"):
+        g.add(r, "x", "root", pos=fresh_upi(g.clocks[r]))
+    g.sync()
+    tree = g.trees["r1"]
+    both = tree.lookup().nodes_present()
+    assert len(both) == 2 and {v.element for v in both} == {"x"}
+    assert tree.names() == ["x"]
+    assert tree.resolve("x") == min(both, key=sort_key)
+    assert tree.resolve("root") == "root"
+    with pytest.raises(PreconditionViolation, match="y is not in the tree"):
+        tree.resolve("y")
 
 
 def test_node_pi_kind_is_add_once():
@@ -240,6 +256,17 @@ def test_edge_pi_word_insert_index():
     t.gen_insert("c", EPSILON, 2, c)
     kids = t.lookup().children(())
     assert [k.label for k in kids] == ["a", "b", "c"]
+
+
+def test_edge_pi_word_name_resolves_through_the_first_sibling_of_its_label():
+    c = ReplicaClock("r1")
+    t = WordTree("2p", "op", pi_mode="edge")
+    t.gen_insert("c", EPSILON, 0, c)
+    t.gen_insert("c", EPSILON, 1, c)
+    first, second = (kid.key for kid in t.lookup().children(()))
+    t.gen_insert("e", second, 0, c)
+    assert t.names() == ["/c", "/c", "/c/e"]
+    assert t.resolve("/c") == first
 
 
 def test_edge_pi_word_rejects_reused_position():

@@ -461,6 +461,23 @@ def test_reappear_cache_marks_unmarks_and_prunes_ghosts():
         assert_memo_fresh(tree)
 
 
+def test_names_leave_ghosts_out_and_resolve_walks_through_them():
+    r1 = WordTree("or", "op", "reappear")
+    r2 = WordTree("or", "op", "reappear")
+    c1, c2 = fresh_clock("r1"), fresh_clock("r2")
+    for op in (r1.gen_add("a", EPSILON, c1), r1.gen_add("b", P("a"), c1)):
+        r2.apply_remote(op)
+    r2.gen_add("c", P("ab"), c2)  # concurrent with the removal
+    r2.apply_remote(r1.gen_rmv(P("ab"), c1))
+    assert r2.lookup().dump() == "/\n  a\n    b ~\n      c"
+    assert r2.names() == ["/a", "/a/b/c"]
+    assert r2.resolve("/a/b/c") == P("abc")
+    assert r2.resolve("/a/b") == P("ab")  # a ghost still holds its descendants
+    assert r2.resolve("/") == EPSILON
+    with pytest.raises(PreconditionViolation, match="/a/c is not in the tree"):
+        r2.resolve("/a/c")
+
+
 @pytest.mark.parametrize("policy", ("skip", "reappear"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_incremental_matches_batch_stepwise(kind, policy):
