@@ -142,6 +142,7 @@ def parse_scenario(text: str) -> Scenario:
     replicas = 3
     seed = 42
     script: List[Tuple[str, ...]] = []
+    headers: Set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,6 +150,10 @@ def parse_scenario(text: str) -> Scenario:
         tokens = line.split()
         head = tokens[0]
         try:
+            if head in ("combo", "replicas", "seed"):
+                if head in headers:
+                    raise ScenarioError(f"a scenario has one {head} line: {line!r}")
+                headers.add(head)
             if head == "combo":
                 combo = parse_combo(tokens[1:])
             elif head in ("replicas", "seed"):

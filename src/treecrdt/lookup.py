@@ -53,11 +53,17 @@ class LookupTree:
     live nodes and adds instances below live ones (its rule).  It shares
     the instances it keeps with that tree, so neither may be changed once
     a build or a patch hands it out.
+
+    ``blocks`` holds the dump text of each subtree hung from the root, by
+    the key of its top instance, filled as ``dump`` renders it.  ``edited``
+    carries over the blocks that still hold; ``add_instance`` and
+    ``sort_siblings`` clear them.
     """
 
     root_label: str = "root"
     instances: Dict[InstanceKey, Instance] = field(default_factory=dict)
     kids: Dict[InstanceKey, List[Instance]] = field(default_factory=dict, repr=False)
+    blocks: Dict[InstanceKey, str] = field(default_factory=dict, compare=False, repr=False)
 
     def add_instance(
         self,
@@ -79,9 +85,11 @@ class LookupTree:
             pos=pos,
         )
         self.kids.setdefault(parent, []).append(inst)
+        self.blocks.clear()
 
     def sort_siblings(self) -> None:
         """Put every sibling group in ``Instance.order_key`` order."""
+        self.blocks.clear()
         for group in self.kids.values():
             if len(group) > 1:
                 group.sort(key=Instance.order_key)
@@ -106,6 +114,10 @@ class LookupTree:
         ``Instance.order_key``, so this tree must show its siblings in that
         order, as ``sort_siblings`` puts them.  It joins the end of the
         instance order, which no reader relies on.
+
+        A kept subtree keeps its depth, labels and sibling order, so the new
+        tree takes every dump block of this one except those of the
+        subtrees that lose or gain an instance.
         """
         shown = self.instances
         instances = dict(shown)
@@ -142,7 +154,22 @@ class LookupTree:
                 kids[parent] = group
             else:
                 del kids[parent]
-        return LookupTree(self.root_label, instances, kids)
+        blocks = dict(self.blocks)
+        if blocks:
+            # walk up from each touched instance to the root, or to the first
+            # instance an earlier walk reached
+            tops: Dict[InstanceKey, InstanceKey] = {(): ()}
+            touched = [(key, shown) for key in removed]
+            touched += [(inst.key, instances) for inst in added]
+            for key, chain in touched:
+                walk = []
+                while key not in tops:
+                    walk.append(key)
+                    key = chain[key].parent
+                top = tops[key] or walk[-1]
+                tops.update(dict.fromkeys(walk, top))
+                blocks.pop(top, None)
+        return LookupTree(self.root_label, instances, kids, blocks)
 
     def children(self, key: InstanceKey) -> List[Instance]:
         return list(self.kids.get(key, ()))
@@ -176,10 +203,21 @@ class LookupTree:
             rooted.update(walk)
 
     def dump(self) -> str:
+        blocks = self.blocks
+        parts = [self.root_label]
+        for top in self.kids.get((), ()):
+            block = blocks.get(top.key)
+            if block is None:
+                block = blocks[top.key] = self._block(top)
+            parts.append(block)
+        return "\n".join(parts)
+
+    def _block(self, top: Instance) -> str:
+        """The dump lines of the subtree of ``top``, a child of the root."""
         kids = self.kids
-        lines = [self.root_label]
+        lines = []
         # depth-first with an explicit stack, so siblings are pushed last-first
-        stack = [(inst, 1) for inst in reversed(kids.get((), []))]
+        stack = [(top, 1)]
         while stack:
             inst, depth = stack.pop()
             label = inst.label

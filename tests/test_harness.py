@@ -282,6 +282,25 @@ def test_scenario_parse_checks_the_replicas_and_seed_lines(line, message):
 
 
 @pytest.mark.parametrize(
+    "header, line",
+    [
+        ("combo", "combo word g state skip - plain"),
+        ("replicas", "replicas 2"),
+        ("seed", "seed 9"),
+    ],
+)
+def test_scenario_parse_refuses_a_second_header_line(header, line):
+    """A repeated header is refused, not read as the last copy: with a
+    second combo and replicas line, ``r3`` would name no replica."""
+    text = (
+        "combo graph or op skip shortest plain\nreplicas 3\nseed 4\n"
+        f"r3 add a root\n{line}\n"
+    )
+    with pytest.raises(ScenarioError, match=f"line 5: a scenario has one {header} line"):
+        parse_scenario(text)
+
+
+@pytest.mark.parametrize(
     "flavor, verb", [("op", "deliver"), ("state", "merge")]
 )
 def test_execute_rejects_an_unknown_source_replica(flavor, verb):

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from functools import partial
 from types import SimpleNamespace
+from typing import Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -158,15 +159,112 @@ def test_dump_does_not_scan_per_node(monkeypatch):
     }
 
 
-def test_dump_handles_trees_deeper_than_the_recursion_limit():
+def deep_chain(n: int) -> LookupTree:
+    """root > 0 > 1 > ... > n - 1, built by hand."""
     lt = LookupTree()
     parent = ()
-    for i in range(3000):
+    for i in range(n):
         lt.add_instance((i,), i, parent)
         parent = (i,)
-    lines = lt.dump().splitlines()
+    return lt
+
+
+def test_dump_handles_trees_deeper_than_the_recursion_limit():
+    lines = deep_chain(3000).dump().splitlines()
     assert len(lines) == 3001
     assert lines[-1] == "  " * 3000 + "2999"
+
+
+def test_dump_blocks_hold_one_copy_of_the_text():
+    """One block per subtree hung from the root, not one per instance, so a
+    deep chain keeps its text once, before and after a patch."""
+    lt = deep_chain(3000)
+    text = lt.dump()
+    assert sum(map(len, lt.blocks.values())) <= len(text)
+    patched = lt.edited([], [Instance((3000,), 3000, (2999,), "3000")], is_live)
+    assert not patched.blocks
+    text = patched.dump()
+    assert text.endswith("\n" + "  " * 3001 + "3000")
+    assert sum(map(len, patched.blocks.values())) <= len(text)
+
+
+@pytest.mark.parametrize("change", ["add_instance", "sort_siblings"])
+def test_a_change_by_hand_after_a_dump_shows_in_the_next_dump(change):
+    lt = LookupTree()
+    for name, up in ("b", ""), ("z", "b"), ("y", "b"), ("a", ""):
+        lt.add_instance((name,), name, (up,) if up else ())
+    assert lt.dump() == "root\n  b\n    z\n    y\n  a"
+    if change == "add_instance":
+        lt.add_instance(("x",), "x", ("b",))
+    else:
+        lt.sort_siblings()
+    assert lt.dump() == reference_dump(lt) != "root\n  b\n    z\n    y\n  a"
+
+
+# the three op-flavor combos of the replay benchmark
+@pytest.mark.parametrize("label", LONG_SCRIPT_DIGESTS)
+def test_long_scripts_dump_what_a_fresh_build_dumps(monkeypatch, label):
+    """Each replica's tree is dumped after every action, so a patch starts
+    from the dump blocks of the tree it edits, and most patches carry some."""
+    carried = []
+    edited = LookupTree.edited
+
+    def counted(lt, *change):
+        patched = edited(lt, *change)
+        if patched is not None:
+            carried.append(len(patched.blocks))
+        return patched
+
+    monkeypatch.setattr(LookupTree, "edited", counted)
+    combo = parse_combo(label.split())
+    scn = random_scenario(combo, seed=7, n_ops=300)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    for action in scn.script:
+        sim.execute(action)
+        for rep in sim.replicas.values():
+            lt = rep.tree.lookup()
+            built = rep.tree._build_lookup()
+            assert lt.dump() == reference_dump(lt) == built.dump(), (label, action)
+    assert sum(map(bool, carried)) > len(carried) / 2
+
+
+def wide_tree(n: int) -> Tuple[GraphTree, ReplicaClock]:
+    """An op OR graph tree of n nodes: n / 4 nodes under the root, each
+    with three leaves, shown and dumped once."""
+    tree, clock = GraphTree("or", "op"), ReplicaClock("r1")
+    for i in range(n // 4):
+        # straight to the sets, so the setup reads no lookup per add
+        tree._commit(f"t{i}", "root", clock, None)
+        for j in range(3):
+            tree._commit(f"t{i}x{j}", f"t{i}", clock, None)
+    tree.lookup().dump()
+    return tree, clock
+
+
+def test_a_dump_after_a_patched_add_renders_only_the_touched_subtree(monkeypatch):
+    rendered = 0
+    block = LookupTree._block
+
+    def counted(lt, top):
+        nonlocal rendered
+        text = block(lt, top)
+        rendered += text.count("\n") + 1
+        return text
+
+    monkeypatch.setattr(LookupTree, "_block", counted)
+    made = count_lookups(monkeypatch)
+    counts = []
+    for n in (1000, 4000):
+        tree, clock = wide_tree(n)
+        rendered = 0
+        tree.gen_add("new", "t1x2", clock)
+        lt = tree.lookup()
+        assert lt.dump() == reference_dump(lt)
+        assert len(lt.instances) == n + 1
+        counts.append(rendered)
+    # t1, its three leaves and the new one, at either size
+    assert counts == [5, 5]
+    assert made == Counter(build=2, patch=2)
 
 
 def test_instance_order_is_unchanged_by_the_one_pass_grouping():
