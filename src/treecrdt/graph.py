@@ -478,6 +478,16 @@ class GraphTree(ReplicatedTree):
         return TreeOp(ADD, node, m, node_ops, (edge_op,))
 
     def gen_rmv(self, n: Any, clock: ReplicaClock) -> TreeOp:
+        """Remove n and every node shown below it.
+
+        The node ops remove the removed nodes in element order
+        (``sorted_elements``).  The edge ops remove every live edge into a
+        removed node, in an edge tree also the edges into a hidden target,
+        in element order.  Each op takes its stamp and tag from the clock
+        in that order, so the order is part of the op.  Only the edges
+        chosen are sorted, which gives the same order as sorting every
+        live edge and keeping those.
+        """
         if self.kind == "g":
             raise PreconditionViolation("grow-only trees cannot remove")
         if n == self.root:
@@ -492,11 +502,10 @@ class GraphTree(ReplicatedTree):
             if n not in lt.nodes_present():
                 raise PreconditionViolation(f"{render(n)} is not in the tree")
             removed_nodes = self.subtree_nodes(lt, n)
-        removed_edges = [
-            e
-            for e in sorted_elements(self.edges.lookup())
-            if self.codec.decode(e)[1] in removed_nodes
-        ]
+        decode = self.codec.decode
+        removed_edges = sorted_elements(
+            e for e in self.edges.lookup() if decode(e)[1] in removed_nodes
+        )
         node_ops = ()
         if self.nodes is not None:
             node_ops = tuple(

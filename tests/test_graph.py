@@ -6,7 +6,7 @@ import random
 import pytest
 from helpers import REPLICAS, TreeGroup
 from treecrdt.clocks import LamportStamp, ReplicaClock
-from treecrdt.errors import IllegalCombo, PreconditionViolation
+from treecrdt.errors import IllegalCombo, PreconditionViolation, SeveralBlowup
 from treecrdt.graph import GraphTree, edge_weights
 from treecrdt.harness import (
     Simulation,
@@ -16,6 +16,7 @@ from treecrdt.harness import (
     random_scenario,
     sampled_extensions,
 )
+from treecrdt.render import sorted_elements
 from treecrdt.sets import ADD, FLAVORS, KINDS, SetOp, make_set
 
 
@@ -438,3 +439,49 @@ def test_edge_set_ever_is_every_edge_added(combo):
             observer.apply_remote(sim.envelopes[i].payload)
             delivered = [sim.envelopes[j].payload for j in order[:pos]]
             assert decoded_ever(observer) == decoded_adds(observer, delivered)
+
+
+@pytest.mark.parametrize("repr_name", ["graph", "edge"])
+def test_rmv_ops_come_in_element_order(repr_name):
+    """After each combo's random scenario, a removal of each shown node (in
+    an edge tree also of each hidden edge target) on a copy of each replica
+    removes the nodes it takes in element order, and the live edges into
+    them in the order of all live edges sorted by element."""
+    removals = 0
+    for combo in legal_combos():
+        if combo.repr_name != repr_name or combo.kind == "g":
+            continue
+        scn = random_scenario(combo, 42)
+        sim = Simulation(combo, scn.replicas, scn.seed)
+        for action in scn.script:
+            sim.apply(action)
+        for rid, rep in sim.replicas.items():
+            try:
+                lt = rep.tree.lookup()
+            except SeveralBlowup:
+                continue
+            decode = rep.tree.codec.decode
+            live = rep.tree.edges.lookup()
+            into = {decode(e)[1] for e in live}
+            targets = [rep.tree.resolve(name) for name in rep.tree.names()]
+            if repr_name == "edge":
+                targets += sorted_elements(into - lt.nodes_present())
+            for n in targets:
+                where = (combo.label(), rid, n)
+                tree = rep.tree.copy()
+                if repr_name == "edge" and n not in into:
+                    # shown from the history alone: no live edge to remove
+                    with pytest.raises(PreconditionViolation):
+                        tree.gen_rmv(n, ReplicaClock(rid))
+                    continue
+                op = tree.gen_rmv(n, ReplicaClock(rid))
+                removed = tree.subtree_nodes(lt, n)
+                if repr_name == "edge":
+                    removed.add(n)
+                else:
+                    elements = [sub.element for sub in op.node_ops]
+                    assert elements == sorted_elements(removed), where
+                expected = [e for e in sorted_elements(live) if decode(e)[1] in removed]
+                assert [sub.element for sub in op.edge_ops] == expected, where
+                removals += 1
+    assert removals > 0

@@ -529,6 +529,26 @@ def test_every_name_a_replica_lists_resolves_to_what_it_names(seed):
     assert resolved > 0
 
 
+# a name runs through the first sibling of each label, so a node below a
+# later sibling of the same label has no name that reaches it; this waits
+# for unambiguous word names (ROADMAP item 9)
+@pytest.mark.xfail(raises=PreconditionViolation, strict=True)
+@pytest.mark.parametrize(
+    "label, unreachable",
+    [("word 2p state root - edge", "/c/e"), ("word 2p op compact - edge", "/c/d")],
+)
+def test_every_listed_word_name_resolves(label, unreachable):
+    combo = parse_combo(label.split())
+    scn = random_scenario(combo, 42)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    for action in scn.script:
+        sim.apply(action)
+    for rep in sim.replicas.values():
+        assert unreachable in rep.tree.names()
+        for name in rep.tree.names():
+            rep.tree.resolve(name)
+
+
 def label_path(lt, key) -> str:
     """The labels from the root down to the shown instance at key."""
     labels = []
