@@ -130,6 +130,25 @@ def random_set_script(seed: int, n_steps: int = 12, elements="abc"):
     return script
 
 
+def reference_lookup(s) -> set:
+    """A set's live elements, recomputed from its whole payload, one rule per kind."""
+    if s.kind == "g":
+        return set(s.elements)
+    if s.kind == "2p":
+        return s.added - s.removed
+    if s.kind == "lww":
+        return {e for e, (_, visible) in s.entries.items() if visible}
+    if s.kind == "c" and s.flavor == "state":
+        pos, neg = s.pos, s.neg
+        return {e for e in {*pos, *neg} if len(pos.get(e, ())) > len(neg.get(e, ()))}
+    if s.kind == "c":
+        return {e for e, count in s.counts.items() if count > 0}
+    if s.flavor == "state":
+        return {e for e, tags in s.tags.items() if tags - s.removed.get(e, set())}
+    # an op-flavor OR bucket holds only live tags
+    return {e for e, tags in s.tags.items() if tags}
+
+
 def oracle_membership_ops(kind: str, ops: List[SetOp], e: Any) -> bool:
     """Decide membership of e from the op history alone, one rule per kind."""
     return oracle_membership(kind, ops, e)

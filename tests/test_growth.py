@@ -17,6 +17,7 @@ from typing import Any, Callable, Tuple
 import pytest
 from treecrdt.clocks import ReplicaClock
 from treecrdt.harness import make_tree, parse_combo
+from treecrdt.sets import CounterSet, LwwSet, ObservedRemoveSet, make_set
 
 SIZES = (500, 1000, 2000)
 
@@ -48,6 +49,27 @@ def remove_a_leaf(label: str) -> Callable[[int], Callable[[], Any]]:
     return generate
 
 
+def filled_set(kind: str, flavor: str, n: int):
+    """A set of the kind and flavor holding n elements, added at replica r1."""
+    s, clock = make_set(kind, flavor), ReplicaClock("r1")
+    for i in range(n):
+        s.local_add(f"e{i}", clock)
+    return s
+
+
+def sync_then_read(kind: str, flavor: str) -> Callable[[int], Callable[[], Any]]:
+    """Apply one remote add (op flavor) or merge a one-element peer (state
+    flavor) into ``filled_set(kind, flavor, n)``, then read it."""
+
+    def generate(n: int) -> Callable[[], Any]:
+        s, peer = filled_set(kind, flavor, n), make_set(kind, flavor)
+        op = peer.local_add("new", ReplicaClock("r2"))
+        sync = (lambda: s.apply(op)) if flavor == "op" else (lambda: s.merge(peer))
+        return lambda: (sync(), s.lookup())
+
+    return generate
+
+
 @dataclass(frozen=True)
 class Growth:
     stage: str
@@ -63,6 +85,10 @@ GROWTH = [
     Growth("gen_rmv graph", remove_a_leaf("graph or op skip shortest plain"), SORT_KEY, 0.1),
     Growth("gen_rmv edge", remove_a_leaf("edge or op skip shortest plain"), SORT_KEY, 0.1),
     Growth("gen_rmv word", remove_a_leaf("word or op skip - plain"), SORT_KEY, 0.1),
+    Growth("apply or", sync_then_read("or", "op"), (ObservedRemoveSet, "_is_live"), 0.1),
+    Growth("apply lww", sync_then_read("lww", "op"), (LwwSet, "_is_live"), 0.1),
+    Growth("apply c", sync_then_read("c", "op"), (CounterSet, "_is_live"), 0.1),
+    Growth("merge or", sync_then_read("or", "state"), (ObservedRemoveSet, "_is_live"), 0.1),
 ]
 
 

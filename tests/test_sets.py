@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import SetGroup, oracle_membership_ops, random_set_script, run_set_history
+from helpers import (
+    SetGroup,
+    oracle_membership_ops,
+    random_set_script,
+    reference_lookup,
+    run_set_history,
+)
 from treecrdt.clocks import LamportStamp, ReplicaClock, Tag
 from treecrdt.errors import KindMismatch, PreconditionViolation
 from treecrdt.sets import ADD, FLAVORS, RMV, KINDS, SetOp, make_set
@@ -173,6 +179,31 @@ def test_orset_state_lookup_needs_an_unremoved_tag():
     assert s.lookup() == set()
 
 
+def tombstone_peer(kind, shown):
+    """A state peer whose payload names a only as removed.
+
+    A 2P peer removed a without adding it; an OR peer holds a removed
+    bucket with the tags `shown` holds for a, and no tags for it.
+    """
+    peer = make_set(kind, "state")
+    if kind == "2p":
+        peer.local_rmv("a", clock("r2"))
+    else:
+        peer.removed["a"] = set(shown.tags["a"])
+    return peer
+
+
+@pytest.mark.parametrize("kind", ["2p", "or"])
+def test_merge_drops_an_element_the_peer_removed_but_never_added(kind):
+    shown = make_set(kind, "state")
+    shown.local_add("a", clock())
+    peer = tombstone_peer(kind, shown)
+    assert "a" not in peer.ever()
+    shown.merge(peer)
+    assert shown.lookup() == reference_lookup(shown) == set()
+    assert not shown.contains("a")
+
+
 # --- flavor and kind guards ---
 
 
@@ -237,9 +268,10 @@ def test_a_copy_shares_no_container_with_its_original(kind, flavor):
                 pair = [original, original.copy()]
                 assert pair[0].state() == pair[1].state()
                 other = pair[1 - mutated_side]
-                before = (other.state(), other.canonical())
+                before = (other.state(), other.canonical(), other.lookup())
                 mutate(pair[mutated_side])
-                assert (other.state(), other.canonical()) == before, (e, name, mutated_side)
+                after = (other.state(), other.canonical(), other.lookup())
+                assert after == before, (e, name, mutated_side)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -452,16 +484,29 @@ def copied_live_tags(s, e):
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10 ** 6))
-def test_orset_reads_match_a_copying_reference(flavor, seed):
-    group = SetGroup("or", flavor)
-    for step in random_set_script(seed, n_steps=20) + [("sync",)]:
+@given(seed=st.integers(0, 10 ** 6), copied=st.sets(st.integers(0, 20)))
+def test_reads_match_a_reference_lookup(kind, flavor, seed, copied):
+    """After every step, copy and sync, reads agree with a full recompute.
+
+    At each step index in `copied`, the acting replica (r1 at a sync)
+    carries on with a copy of its set.
+    """
+    group = SetGroup(kind, flavor)
+    for i, step in enumerate(random_set_script(seed, n_steps=20) + [("sync",)]):
         if step[0] == "sync":
             group.sync()
         else:
             group.local(*step)
+        if i in copied:
+            replica = "r1" if step[0] == "sync" else step[0]
+            group.states[replica] = group.states[replica].copy()
         for s in group.states.values():
-            live = {e: copied_live_tags(s, e) for e in "abc"}
-            assert {e: set(s.live_tags(e)) for e in "abc"} == live
-            assert s.lookup() == {e for e in s.tags if live[e]}
+            live = reference_lookup(s)
+            assert s.lookup() == live
+            assert {e for e in "abc" if s.contains(e)} == live
+            if kind == "or":
+                assert {e: set(s.live_tags(e)) for e in "abc"} == {
+                    e: copied_live_tags(s, e) for e in "abc"
+                }
