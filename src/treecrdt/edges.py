@@ -12,7 +12,7 @@ from the same codec (a bare atom, a ``PositionedNode`` or a
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Tuple
+from typing import Any, List, Tuple
 
 from .errors import PreconditionViolation
 from .lookup import LookupTree
@@ -30,9 +30,6 @@ class NodePositions(UpiPositions):
 
     def node(self, n: Any, pos: Upi) -> PositionedNode:
         return PositionedNode(n, pos)
-
-    def used_positions(self, tree: Any) -> Iterable[Upi]:
-        return (node.upi for _, node in tree.edges.ever())
 
     def sibling_positions(self, tree: Any, m: Any) -> List[Upi]:
         """Positions of m's children in the visible tree."""

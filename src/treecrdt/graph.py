@@ -2,7 +2,7 @@
 
 ``ReplicatedTree`` is what every tree CRDT here has in common: one or more
 set CRDTs as its payload, a lookup memoized per payload state, merge, copy,
-the canonical payload text, and insertion at a sibling index.  An engine
+the canonical payload text, and each add, placed by its codec.  An engine
 supplies only its sets, how the visible tree is built from them, how ops
 are generated and applied, and the names scenario scripts give its nodes
 (``resolve``, ``names``).  Both engines also patch the tree they showed
@@ -23,7 +23,7 @@ from collections import Counter
 from copy import copy as shallow_copy
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any, Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock
 from .edges import CODECS
@@ -110,11 +110,12 @@ class ReplicatedTree:
 
     An engine names its sets in ``SETS`` (merged, copied, stamped and
     printed) and supplies the three steps of its lookup, the two halves of
-    an add whose position is already checked (``_admit()``, which refuses
-    it before anything changes, and ``_commit()``, which makes it), and the
-    position lists its codec (from ``CODECS``) reads.  It sets
-    ``repr_name`` before this ``__init__`` runs; a combo is legal exactly
-    when its engine constructs.
+    an add at the position its codec (from ``CODECS``) chose
+    (``_admit()``, which refuses it before anything changes, and
+    ``_commit()``, which makes it), and the positions of a node's live
+    children (``live_positions``) that the codec places a new child among.
+    No caller passes a position.  It sets ``repr_name`` before this
+    ``__init__`` runs; a combo is legal exactly when its engine constructs.
 
     The steps of a lookup are ``_read()``, the parts of the payload a
     lookup reads; ``_build(*reads)``, which builds the tree from them and
@@ -198,27 +199,25 @@ class ReplicatedTree:
             stack.extend(child.key for child in kids.get(key, ()))
         return nodes
 
-    def sibling_positions(self, m: Any) -> list:
-        """The positions of m's children, one per child, in no order."""
-        return self.codec.sibling_positions(self, m)
+    def gen_add(self, n: Any, m: Any, clock: ReplicaClock) -> TreeOp:
+        """Add n under m with no index: a UPI tree draws a position after
+        m's last child, a WOOTR tree puts n between both ends of the
+        sequence, and an unordered tree stores no position."""
+        return self.gen_insert(n, m, None, clock)
 
-    def gen_add(self, n: Any, m: Any, clock: ReplicaClock, pos: Any = None) -> TreeOp:
-        """Add n under m.  A positioned tree places n at pos among m's
-        children: a fresh ``Upi``, or for sequence elements the (prev, next)
-        pair to insert between (both ends when omitted)."""
-        self.codec.check_position(self, m, pos)
-        self._admit(n, m, pos)
-        return self._commit(n, m, clock, pos)
-
-    def gen_insert(self, n: Any, m: Any, index: int, clock: ReplicaClock) -> TreeOp:
-        """Add n so it lands at index among m's children.  The add is
-        checked before its position is drawn, so a refused insert takes
-        nothing from the clock."""
-        siblings = self.sibling_positions(m)
-        pos = self.codec.choose(siblings, index)
+    def gen_insert(self, n: Any, m: Any, index: Optional[int], clock: ReplicaClock) -> TreeOp:
+        """Add n so it lands at index among m's children, or with no index
+        where ``gen_add`` puts it.  The codec alone places the child, and
+        the add is checked before its position is drawn, so a refused add
+        takes nothing from the clock."""
+        codec, siblings, pos = self.codec, (), None
+        if index is not None or codec.draws:
+            siblings = codec.sibling_positions(self, m)
+            index = len(siblings) if index is None else index
+            pos = codec.choose(siblings, index)
         self._admit(n, m, pos)
         if pos is UNDRAWN:
-            pos = self.codec.position_at(siblings, index, clock)
+            pos = codec.position_at(siblings, index, clock)
         return self._commit(n, m, clock, pos)
 
     def merge(self, other: "ReplicatedTree", clock: Optional[ReplicaClock] = None) -> None:
@@ -415,16 +414,14 @@ class GraphTree(ReplicatedTree):
         is_live = indeg.__contains__ if nodes is None else nodes.__contains__
         return old.edited({keys.pop(n, None) for n in removed}, new, is_live)
 
-    def _has_edge_into(self, m: Any) -> bool:
-        return any(self.codec.decode(e)[1] == m for e in self.edges.lookup())
+    def _holds(self, m: Any) -> bool:
+        """Whether a live edge points at m, or a policy shows m (reappear revives it)."""
+        into = any(self.codec.decode(e)[1] == m for e in self.edges.lookup())
+        return into or m in self.lookup().nodes_present()
 
     def live_positions(self, m: Any) -> list:
         """Positions of the live edges out of m."""
         return [pos for src, _, pos in map(self.codec.decode, self.edges.lookup()) if src == m]
-
-    def ever_positions(self) -> Iterable[Any]:
-        """Positions of every edge ever added."""
-        return (pos for _, _, pos in map(self.codec.decode, self.edges.ever()))
 
     # --- script names ---
 
@@ -451,7 +448,7 @@ class GraphTree(ReplicatedTree):
         if node == self.root:
             raise PreconditionViolation(self._root_rule)
         if self.nodes is None:
-            if m != self.root and not self._has_edge_into(m):
+            if m != self.root and not self._holds(m):
                 raise PreconditionViolation(f"no edge into {render(m)}")
         else:
             present = self.lookup().nodes_present()
@@ -493,7 +490,7 @@ class GraphTree(ReplicatedTree):
         if n == self.root:
             raise PreconditionViolation(self._root_rule)
         if self.nodes is None:
-            if not self._has_edge_into(n):
+            if not self._holds(n):
                 raise PreconditionViolation(f"no edge into {render(n)}")
             # a hidden target still loses the edges into it
             removed_nodes = {n} | self.subtree_nodes(self.lookup(), n)

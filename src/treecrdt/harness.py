@@ -259,12 +259,7 @@ class Simulation:
                 raise ScenarioError(str(exc)) from None
         if verb == "add":
             n, m = args
-            parent = tree.resolve(m)
-            # a UPI-positioned child needs a fresh position: add at the tail
-            if self.combo.pi_mode in ("node", "edge"):
-                tail = len(tree.sibling_positions(parent))
-                return tree.gen_insert(n, parent, tail, clock)
-            return tree.gen_add(n, parent, clock)
+            return tree.gen_add(n, tree.resolve(m), clock)
         if verb == "insert":
             n, m, idx = args
             return tree.gen_insert(n, tree.resolve(m), int(idx), clock)
@@ -408,6 +403,7 @@ def random_scenario(
     fresh_only: bool = False,
 ) -> Scenario:
     """A deterministic mostly-legal script built against a live simulation."""
+    check_sizes(n_ops, replicas, None)
     sim = Simulation(combo, replicas, seed)
     script = list(_generate(sim, seed, n_ops, final_sync, fresh_only))
     return Scenario(combo=combo, replicas=replicas, seed=seed, script=script)
@@ -737,14 +733,18 @@ def _final_text(tree: Any, texts: Dict[Any, str]) -> str:
     return text
 
 
-def check_sizes(n_ops: int, n_replicas: int, n_schedules: Optional[int]) -> None:
-    """Refuse a check that has no replica, a negative op count, or no order."""
+def check_sizes(
+    n_ops: int, n_replicas: int, n_schedules: Optional[int], scenarios: int = 1
+) -> None:
+    """Refuse a check with no replica, order or scenario, or a negative op count."""
     if n_replicas < 1:
         raise ValueError(f"a check needs at least 1 replica, not {n_replicas}")
     if n_ops < 0:
         raise ValueError(f"the op count cannot be negative, not {n_ops}")
     if n_schedules is not None and n_schedules < 1:
         raise ValueError(f"a check samples at least 1 schedule, not {n_schedules}")
+    if scenarios < 1:
+        raise ValueError(f"a check runs at least 1 scenario, not {scenarios}")
 
 
 def check_convergence(
@@ -764,7 +764,7 @@ def check_convergence(
     the ``random_scenario`` script.
     """
     make_tree(combo)
-    check_sizes(n_ops, n_replicas, n_schedules)
+    check_sizes(n_ops, n_replicas, n_schedules, scenarios)
     report = ConvergenceReport(combo=combo)
     first_failure: Optional[Scenario] = None
     for k in range(scenarios):

@@ -15,7 +15,7 @@ and the one ``CODECS`` table both engines read are in ``edges``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Tuple
+from typing import Any, Tuple
 
 from .clocks import ReplicaClock
 from .errors import PreconditionViolation
@@ -31,7 +31,7 @@ from .wootr import (
     wootr_order,
 )
 
-# the neighbours of an element placed with no position given
+# the neighbours of a sequence element added with no index
 WHOLE_LINE = (BEGIN, END)
 
 # stands in for a position not yet drawn from a clock: a drawn position
@@ -60,13 +60,16 @@ class Unordered:
     """Positioning mode of trees whose siblings carry no order.
 
     A codec answers, for one positioning mode, every question the engines
-    ask that depends on positions: which set kinds work, where an insert
-    at a sibling index goes, whether a requested position is usable, how a
-    child is stored as a graph edge (``node``, ``encode``, ``decode``) or a
-    word step (``step``, ``split``), and how the instances of a freshly
-    built lookup tree are relabelled and put in sibling order.  The engine
-    lists the positions it holds.
+    ask that depends on positions: which set kinds work, where an add or
+    an insert at a sibling index goes, how a child is stored as a graph
+    edge (``node``, ``encode``, ``decode``) or a word step (``step``,
+    ``split``), and how the instances of a freshly built lookup tree are
+    relabelled and put in sibling order.  The engine lists the positions
+    it holds (``live_positions``); a position is never passed in.
     """
+
+    # a position drawn from the clock goes among siblings, after the last one given no index
+    draws = False
 
     def check_kind(self, kind: str) -> None:
         """Refuse a set kind this positioning mode cannot work with."""
@@ -77,11 +80,6 @@ class Unordered:
         nothing from the clock, else ``UNDRAWN`` for the codec's
         ``position_at`` to draw.  An index it cannot place is refused here."""
         raise PreconditionViolation("insert needs a positioned tree")
-
-    def check_position(self, tree: Any, parent: Any, pos: Any) -> None:
-        """Refuse a position a new child of parent may not take."""
-        if pos is not None:
-            raise PreconditionViolation("this tree does not order siblings")
 
     def sibling_positions(self, tree: Any, parent: Any) -> list:
         """The positions of parent's children, one per child, in no order."""
@@ -116,22 +114,14 @@ class UpiPositions(Unordered):
     """Dense unique identifiers, on (parent, child, Upi) edges or
     ``PositionedNode`` steps."""
 
+    draws = True
+
     def position_at(self, siblings: list, index: int, clock: ReplicaClock) -> Upi:
         return upi_at(siblings, index, clock)
 
     def choose(self, siblings: list, index: int) -> Any:
         upi_bounds(siblings, index)
         return UNDRAWN
-
-    def check_position(self, tree: Any, parent: Any, pos: Any) -> None:
-        if not isinstance(pos, Upi):
-            raise PreconditionViolation("a positioned tree needs a position identifier")
-        if pos in self.used_positions(tree):
-            raise PreconditionViolation("position identifier is not fresh")
-
-    def used_positions(self, tree: Any) -> Iterable[Upi]:
-        """Every position the tree's payload has ever held."""
-        return tree.ever_positions()
 
     def encode(self, m: Any, n: Any, pos: Upi) -> Tuple:
         return (m, n, pos)
@@ -163,16 +153,6 @@ class WootrPositions(Unordered):
         if not 0 <= index <= len(line) - 2:
             raise PreconditionViolation(f"index {index} is outside the sibling sequence")
         return line[index], line[index + 1]
-
-    def check_position(self, tree: Any, parent: Any, pos: Any) -> None:
-        if pos is None:  # both ends, which every sibling line holds in order
-            return
-        if not isinstance(pos, tuple) or len(pos) != 2:
-            raise PreconditionViolation("a sequence position is a (prev, next) pair")
-        prev, nxt = pos
-        line = wootr_line(self.sibling_positions(tree, parent))
-        if prev not in line or nxt not in line or line.index(prev) >= line.index(nxt):
-            raise PreconditionViolation("prev must precede next under this parent")
 
     def finish(self, lt: LookupTree) -> None:
         for kids in lt.kids.values():

@@ -113,11 +113,6 @@ class WordTree(ReplicatedTree):
         split = self.codec.split
         return [split(q[-1])[1] for q in self.live_paths() if q[:-1] == parent]
 
-    def ever_positions(self) -> Iterable[Any]:
-        """Positions of every step of every path ever added."""
-        split = self.codec.split
-        return (split(step)[1] for q in self.paths.ever() for step in q)
-
     def _read(self) -> Tuple[Set[Path]]:
         """The live paths."""
         return (self.live_paths(),)

@@ -164,17 +164,17 @@ class TreeGroup:
         self.log: List[Tuple[str, Any]] = []
         self.applied = {r: 0 for r in replicas}
 
-    def add(self, replica: str, *args, **kw):
-        return self._gen(replica, ADD, args, kw)
+    def add(self, replica: str, *args):
+        return self._gen(replica, ADD, args)
 
     def rmv(self, replica: str, *args):
-        return self._gen(replica, RMV, args, {})
+        return self._gen(replica, RMV, args)
 
-    def _gen(self, replica: str, verb: str, args, kw):
+    def _gen(self, replica: str, verb: str, args):
         tree = self.trees[replica]
         try:
             if verb == ADD:
-                op = tree.gen_add(*args, self.clocks[replica], **kw)
+                op = tree.gen_add(*args, self.clocks[replica])
             else:
                 op = tree.gen_rmv(*args, self.clocks[replica])
         except PreconditionViolation:

@@ -13,8 +13,10 @@ from treecrdt.harness import (
     causal_deps,
     legal_combos,
     linear_extensions,
+    parse_combo,
     random_scenario,
     sampled_extensions,
+    shown,
 )
 from treecrdt.render import sorted_elements
 from treecrdt.sets import ADD, FLAVORS, KINDS, SetOp, make_set
@@ -446,8 +448,9 @@ def test_rmv_ops_come_in_element_order(repr_name):
     """After each combo's random scenario, a removal of each shown node (in
     an edge tree also of each hidden edge target) on a copy of each replica
     removes the nodes it takes in element order, and the live edges into
-    them in the order of all live edges sorted by element."""
-    removals = 0
+    them in the order of all live edges sorted by element.  An edge tree
+    removes a node that only the history shows, as a graph tree does."""
+    removals = revived = 0
     for combo in legal_combos():
         if combo.repr_name != repr_name or combo.kind == "g":
             continue
@@ -469,11 +472,8 @@ def test_rmv_ops_come_in_element_order(repr_name):
             for n in targets:
                 where = (combo.label(), rid, n)
                 tree = rep.tree.copy()
-                if repr_name == "edge" and n not in into:
-                    # shown from the history alone: no live edge to remove
-                    with pytest.raises(PreconditionViolation):
-                        tree.gen_rmv(n, ReplicaClock(rid))
-                    continue
+                # shown from the history alone: no live edge points at n
+                revived += n not in into
                 op = tree.gen_rmv(n, ReplicaClock(rid))
                 removed = tree.subtree_nodes(lt, n)
                 if repr_name == "edge":
@@ -485,3 +485,25 @@ def test_rmv_ops_come_in_element_order(repr_name):
                 assert [sub.element for sub in op.edge_ops] == expected, where
                 removals += 1
     assert removals > 0
+    assert revived > 0 or repr_name == "graph"
+
+
+@pytest.mark.parametrize("repr_name", ["graph", "edge"])
+def test_a_node_the_history_revives_can_be_removed_and_added_below(repr_name):
+    """Reappear shows a removed node again while a concurrent add hangs a
+    child from it; both representations remove it and add below it."""
+    combo = parse_combo(f"{repr_name} or state reappear shortest plain".split())
+    sim = Simulation(combo, replicas=2)
+    script = [
+        ("r1", "add", "a", "root"),
+        ("r2", "merge", "r1"),
+        ("r1", "rmv", "a"),
+        ("r2", "add", "b", "a"),
+        ("sync",),
+    ]
+    assert all(record.violation is None for record in sim.run(script))
+    assert set(sim.final_dumps().values()) == {"root\n  a\n    b"}
+    assert sim.apply(("r1", "add", "c", "a")) is None
+    assert shown(sim.replicas["r1"].tree) == "root\n  a\n    b\n    c"
+    assert sim.apply(("r1", "rmv", "a")) is None
+    assert shown(sim.replicas["r1"].tree) == "root"

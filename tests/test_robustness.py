@@ -13,7 +13,6 @@ from treecrdt.errors import KindMismatch
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, parse_combo, random_scenario, shown
 from treecrdt.paths import EPSILON, WordTree
-from treecrdt.positions import Upi
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -53,13 +52,8 @@ def test_replayed_envelope_does_not_stall_sync():
 
 
 def grown(tree, clock_id="r1"):
-    clock = ReplicaClock(clock_id)
-    if isinstance(tree, WordTree):
-        tree.gen_add("a", parse_path("/"), clock)
-    elif tree.pi_mode == "edge":
-        tree.gen_add("a", "root", clock, Upi(((5, clock_id, 1),)))
-    else:
-        tree.gen_add("a", "root", clock)
+    root = parse_path("/") if isinstance(tree, WordTree) else "root"
+    tree.gen_add("a", root, ReplicaClock(clock_id))
     return tree
 
 
