@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .demos import DEMOS
-from .errors import IllegalCombo, ScenarioError
+from .errors import IllegalCombo, ScenarioError, WalkBlowup
 from .harness import (
     PI_MODES,
     REPRS,
@@ -46,11 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     check_p.add_argument("--seed", type=int, default=42)
     check_p.add_argument("--ops", type=int, default=5)
     check_p.add_argument("--replicas", type=int, default=3)
-    check_p.add_argument(
-        "--schedules",
-        type=int,
-        help="sample this many delivery orders instead of exhausting them",
-    )
     check_p.add_argument("--out", help="write the report to this file instead of stdout")
 
     demo_p = sub.add_parser("demo", help="print a built-in demonstration")
@@ -97,23 +92,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print("treecrdt check: no legal combo matches those flags", file=sys.stderr)
         return 2
     try:
-        check_sizes(args.ops, args.replicas, args.schedules)
+        check_sizes(args.ops, args.replicas)
     except ValueError as exc:
         print(f"treecrdt check: {exc}", file=sys.stderr)
         return 2
+    try:
+        reports = [
+            check_convergence(c, n_ops=args.ops, n_replicas=args.replicas, seed=args.seed)
+            for c in combos
+        ]
+    except WalkBlowup as exc:
+        print(f"treecrdt check: {exc}", file=sys.stderr)
+        return 2
     lines = [f"checking {len(combos)} combos seed={args.seed} ops={args.ops}"]
-    failures = []
-    for combo in combos:
-        report = check_convergence(
-            combo,
-            n_ops=args.ops,
-            n_replicas=args.replicas,
-            n_schedules=args.schedules,
-            seed=args.seed,
-        )
-        lines.append(report.summary())
-        if not report.passed:
-            failures.append(report)
+    lines += [report.summary() for report in reports]
+    failures = [report for report in reports if not report.passed]
     for report in failures:
         for detail in report.findings:
             lines.append(f"--- {report.combo.label()}")

@@ -21,6 +21,10 @@ class SeveralBlowup(TreeCrdtError):
         self.cap = cap
 
 
+class WalkBlowup(TreeCrdtError):
+    """A scenario has more delivered sets than the convergence walk may visit."""
+
+
 class InvalidInterval(TreeCrdtError):
     """A position or sequence interval is empty or reversed."""
 

@@ -445,7 +445,7 @@ class GraphTree(ReplicatedTree):
 
     def _admit(self, n: Any, m: Any, pos: Any) -> None:
         node = self.codec.node(n, pos)
-        if node == self.root:
+        if n == self.root:
             raise PreconditionViolation(self._root_rule)
         if self.nodes is None:
             if m != self.root and not self._holds(m):

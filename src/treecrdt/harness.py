@@ -7,12 +7,13 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock
+from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock, deliverable
 from .errors import (
     IllegalCombo,
     PreconditionViolation,
     ScenarioError,
     SeveralBlowup,
+    WalkBlowup,
 )
 from .graph import GraphTree, TreeOp
 from .lookup import LookupTree
@@ -403,7 +404,7 @@ def random_scenario(
     fresh_only: bool = False,
 ) -> Scenario:
     """A deterministic mostly-legal script built against a live simulation."""
-    check_sizes(n_ops, replicas, None)
+    check_sizes(n_ops, replicas)
     sim = Simulation(combo, replicas, seed)
     script = list(_generate(sim, seed, n_ops, final_sync, fresh_only))
     return Scenario(combo=combo, replicas=replicas, seed=seed, script=script)
@@ -554,7 +555,7 @@ def witness_moves(before: Dict[Any, Tuple], after: Dict[Any, Tuple]) -> List[str
     ]
 
 
-# --- delivery schedules ---
+# --- delivery orders: the brute-force reference of the walk below ---
 
 
 def causal_deps(envelopes: List[Envelope]) -> List[Set[int]]:
@@ -571,6 +572,7 @@ def causal_deps(envelopes: List[Envelope]) -> List[Set[int]]:
 
 
 def linear_extensions(deps: List[Set[int]]) -> List[Tuple[int, ...]]:
+    """Every order of the items that puts each after its deps."""
     n = len(deps)
     out: List[Tuple[int, ...]] = []
 
@@ -584,34 +586,6 @@ def linear_extensions(deps: List[Set[int]]) -> List[Tuple[int, ...]]:
 
     rec((), set())
     return out
-
-
-def sampled_extensions(
-    deps: List[Set[int]], count: int, rng: random.Random
-) -> List[Tuple[int, ...]]:
-    n = len(deps)
-    out = []
-    for _ in range(count):
-        done: Set[int] = set()
-        order: List[int] = []
-        while len(order) < n:
-            ready = [i for i in range(n) if i not in done and deps[i] <= done]
-            pick = rng.choice(ready)
-            order.append(pick)
-            done.add(pick)
-        out.append(tuple(order))
-    return sorted(set(out))
-
-
-def schedule_orders(
-    deps: List[Set[int]], n_schedules: Optional[int], seed_text: str
-) -> List[Tuple[int, ...]]:
-    """Every order of the items when no sample size is given and there are
-    at most 7, else a sample of n_schedules (32 by default) seeded by
-    seed_text."""
-    if n_schedules is None and len(deps) <= 7:
-        return linear_extensions(deps)
-    return sampled_extensions(deps, n_schedules or 32, random.Random(seed_text))
 
 
 # --- convergence checking ---
@@ -682,6 +656,7 @@ def _check_state(
 def _observe(
     sim: Simulation,
     tree: Any,
+    state: Any,
     known: VectorClock,
     prev_witness: Optional[Dict],
     cache: ObservationCache,
@@ -693,18 +668,18 @@ def _observe(
     compare the next state with.  where is called only when there is
     something to add.
 
-    known is the version vector of the ops the tree holds.  The validity
-    text (or the ``SeveralBlowup``), the oracle findings and the witness
-    depend only on the payload state and on which ops were delivered, so
-    they are kept in the scenario's cache under the key (``tree.state()``,
-    known's counts in ``sim.rids`` order); ``sim.known_ops(known)`` lists
-    the delivered ops only on a miss.  The key is the exact payload, never
+    state is ``tree.state()``, and known the version vector of the ops the
+    tree holds.  The validity text (or the ``SeveralBlowup``), the oracle
+    findings and the witness depend only on the payload state and on which
+    ops were delivered, so they are kept in the scenario's cache under the
+    key (state, known's counts in ``sim.rids`` order);
+    ``sim.known_ops(known)`` lists the delivered ops only on a miss.  The key is the exact payload, never
     the delivered set alone, so two replicas that know the same ops but
     hold different payloads are both checked.  Moves depend on prev_witness
     and are computed on every call; a state whose lookup blew up has no
     witness, so prev_witness stays the one to compare with.
     """
-    key = (tree.state(), tuple(known[rid] for rid in sim.rids))
+    key = (state, tuple(known[rid] for rid in sim.rids))
     seen = cache.get(key)
     if seen is None:
         seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
@@ -733,16 +708,12 @@ def _final_text(tree: Any, texts: Dict[Any, str]) -> str:
     return text
 
 
-def check_sizes(
-    n_ops: int, n_replicas: int, n_schedules: Optional[int], scenarios: int = 1
-) -> None:
-    """Refuse a check with no replica, order or scenario, or a negative op count."""
+def check_sizes(n_ops: int, n_replicas: int, scenarios: int = 1) -> None:
+    """Refuse a check with no replica or scenario, or a negative op count."""
     if n_replicas < 1:
         raise ValueError(f"a check needs at least 1 replica, not {n_replicas}")
     if n_ops < 0:
         raise ValueError(f"the op count cannot be negative, not {n_ops}")
-    if n_schedules is not None and n_schedules < 1:
-        raise ValueError(f"a check samples at least 1 schedule, not {n_schedules}")
     if scenarios < 1:
         raise ValueError(f"a check runs at least 1 scenario, not {scenarios}")
 
@@ -751,12 +722,11 @@ def check_convergence(
     combo: ComboSpec,
     n_ops: int = 5,
     n_replicas: int = 3,
-    n_schedules: Optional[int] = None,
     seed: int = 42,
     scenarios: int = 2,
     factory: Optional[Callable[[ComboSpec], Any]] = None,
 ) -> ConvergenceReport:
-    """Drive seeded scenarios and compare every legal delivery schedule.
+    """Drive seeded scenarios and check every delivery order of each.
 
     Each scenario is checked on the run that generates it, or, given a
     factory, on a run of the factory's trees that applies each generated
@@ -764,19 +734,17 @@ def check_convergence(
     the ``random_scenario`` script.
     """
     make_tree(combo)
-    check_sizes(n_ops, n_replicas, n_schedules, scenarios)
+    check_sizes(n_ops, n_replicas, scenarios)
     report = ConvergenceReport(combo=combo)
     first_failure: Optional[Scenario] = None
     for k in range(scenarios):
         before = len(report.divergences)
-        scn = _check_generated(combo, seed + k, n_ops, n_replicas, n_schedules, report, factory)
+        scn = _check_generated(combo, seed + k, n_ops, n_replicas, report, factory)
         report.scenarios += 1
         if first_failure is None and len(report.divergences) > before:
             first_failure = scn
     if first_failure is not None:
-        report.divergences = [
-            _shrink(combo, first_failure, n_schedules, factory, report.divergences[0])
-        ]
+        report.divergences = [_shrink(combo, first_failure, factory, report.divergences[0])]
     return report
 
 
@@ -785,7 +753,6 @@ def _check_generated(
     seed: int,
     n_ops: int,
     n_replicas: int,
-    n_schedules: Optional[int],
     report: ConvergenceReport,
     factory: Optional[Callable[[ComboSpec], Any]],
 ) -> Scenario:
@@ -809,14 +776,13 @@ def _check_generated(
             if sim is gen or sim.apply(action) is None:
                 yield step, action
 
-    _check_run(scn, sim, applied(), n_schedules, report)
+    _check_run(scn, sim, applied(), report)
     return scn
 
 
 def _check_one(
     combo: ComboSpec,
     scn: Scenario,
-    n_schedules: Optional[int],
     report: ConvergenceReport,
     factory: Optional[Callable[[ComboSpec], Any]],
 ) -> None:
@@ -827,145 +793,143 @@ def _check_one(
         for step, action in enumerate(scn.script, start=1)
         if sim.apply(action) is None
     )
-    _check_run(scn, sim, applied, n_schedules, report)
+    _check_run(scn, sim, applied, report)
 
 
 def _check_run(
     scn: Scenario,
     sim: Simulation,
     applied: Iterable[Tuple[int, Tuple[str, ...]]],
-    n_schedules: Optional[int],
     report: ConvergenceReport,
 ) -> None:
     """Observe each replica an action touched, for each (step, action) that
-    applied yields once sim has taken the action in, then check the
-    delivery schedules or the state folds of the run."""
+    applied yields once sim has taken the action in, then walk the run's
+    delivered sets and, in the op flavor, compare each replica with the set
+    of every envelope."""
     cache: ObservationCache = {}
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
     label = sim.combo.label()
     for step, action in applied:
         for rid in sim.rids if action[0] == "sync" else [action[0]]:
-            rep = sim.replicas[rid]
+            tree = sim.replicas[rid].tree
             witnesses[rid] = _observe(
                 sim,
-                rep.tree,
-                rep.clock.delivered,
+                tree,
+                tree.state(),
+                sim.replicas[rid].clock.delivered,
                 witnesses[rid],
                 cache,
                 report,
                 lambda: f"{label} seed={scn.seed} step={step} replica={rid}",
             )
-    if sim.combo.flavor == "op":
-        _check_op_schedules(scn, sim, n_schedules, report, cache)
-    else:
-        _check_state_schedules(scn, sim, n_schedules, report, cache)
-
-
-def _check_op_schedules(
-    scn: Scenario,
-    sim: Simulation,
-    n_schedules: Optional[int],
-    report: ConvergenceReport,
-    cache: ObservationCache,
-) -> None:
-    """Replay every delivery order, or a sample, on a fresh observer each.
-
-    Each order is replayed in full on a fresh replica, so the check never
-    relies on ``copy()``, and every delivery is observed (see
-    ``_observe``) under the observer's own version vector.  Orders that
-    share a prefix reach the same states, and a state another order or a
-    replica already reached is a hit in the scenario's cache: each distinct
-    state is checked once, not each delivery or each prefix.  Each order's
-    and each replica's final payload text is likewise computed once per
-    distinct ``state()``.
-    """
-    envelopes = sim.envelopes
-    seed_text = f"schedules/{sim.combo.label()}/{scn.seed}"
-    orders = schedule_orders(causal_deps(envelopes), n_schedules, seed_text)
-    texts: Dict[Any, str] = {}
-    finals: Dict[str, Tuple[int, ...]] = {}
-    for order in orders:
-        observer = sim.factory(sim.combo)
-        known = VectorClock()
-        witness = None
-        for pos, i in enumerate(order, start=1):
-            observer.apply_remote(envelopes[i].payload)
-            known[envelopes[i].origin] += 1
-            witness = _observe(
-                sim,
-                observer,
-                known,
-                witness,
-                cache,
-                report,
-                lambda: f"{sim.combo.label()} seed={scn.seed} order={order} delivery={pos}",
-            )
-        finals.setdefault(_final_text(observer, texts), order)
-        report.schedules += 1
-    if len(finals) > 1:
-        report.divergences.append(_disagreement(scn, "schedules", finals))
+    top = _walk(scn, sim, report, cache)
+    if top is None or sim.combo.flavor == "state":
         return
-    if finals:
-        shape = next(iter(finals))
-        for rid, rep in sim.replicas.items():
-            here = _final_text(rep.tree, texts)
-            if here != shape:
-                report.divergences.append(
-                    f"seed={scn.seed}: replica {rid} disagrees with schedules:"
-                    f"\n--- replica\n{here}\n--- schedules\n{shape}"
-                )
-                return
-
-
-def _check_state_schedules(
-    scn: Scenario,
-    sim: Simulation,
-    n_schedules: Optional[int],
-    report: ConvergenceReport,
-    cache: ObservationCache,
-) -> None:
-    """Merge the replicas in each order of ``schedule_orders``, starting
-    from a copy of the first.  Every fold holds every local op, so its version
-    vector is the made counts; its observation and its final payload text
-    are looked up by ``state()`` as in ``_check_op_schedules``."""
-    made = Counter(origin for origin, _ in sim.local_ops)
     texts: Dict[Any, str] = {}
-    finals: Dict[str, Tuple[str, ...]] = {}
-    seed_text = f"folds/{sim.combo.label()}/{scn.seed}"
-    orders = schedule_orders([set()] * len(sim.rids), n_schedules, seed_text)
-    perms = [tuple(sim.rids[i] for i in order) for order in orders]
-    for perm in perms:
-        acc = sim.replicas[perm[0]].tree.copy()
-        for rid in perm[1:]:
-            acc.merge(sim.replicas[rid].tree)
-        finals.setdefault(_final_text(acc, texts), perm)
-        report.schedules += 1
-        _observe(
-            sim,
-            acc,
-            made,
-            None,
-            cache,
-            report,
-            lambda: f"{sim.combo.label()} seed={scn.seed} fold={'-'.join(perm)}",
-        )
-    if len(finals) > 1:
-        report.divergences.append(_disagreement(scn, "folds", finals))
+    shape = _final_text(top, texts)
+    for rid, rep in sim.replicas.items():
+        here = _final_text(rep.tree, texts)
+        if here != shape:
+            report.divergences.append(
+                f"seed={scn.seed}: replica {rid} disagrees with schedules:"
+                f"\n--- replica\n{here}\n--- schedules\n{shape}"
+            )
+            return
 
 
-def _disagreement(scn: Scenario, what: str, finals: Dict[str, Tuple]) -> str:
-    """The first two distinct final trees and the orders that produced them."""
-    a, b = sorted(finals)[:2]
+# the most delivered sets the walk of one scenario may visit; none of CI's
+# 100-op op scenarios on 4 replicas has more than 7,451
+WALK_CAP = 100_000
+
+
+def _walk(
+    scn: Scenario, sim: Simulation, report: ConvergenceReport, cache: ObservationCache
+) -> Optional[Any]:
+    """Walk the lattice of delivered sets level by level, and return the
+    tree of the set that holds everything, or None after a divergence.
+
+    An op-flavor set is the per-origin delivered counts, and a step applies
+    an origin's next envelope once it is ``deliverable``.  A state-flavor
+    set is a subset of the replicas, and a step merges one more of them
+    into the join of the others, starting from an empty tree.  A causal
+    delivery order passes only through these sets, so when every way into
+    each set gives one ``state()``, every order does.  Each edge is
+    stepped and observed once (``_observe``, with moves along op edges
+    only), and a set reached again must give the state it recorded.
+
+    A set keeps the tree of the first path that reached it and is named by
+    that path.  Every step out of it but the last takes a ``copy()``, and
+    the tree itself must still give its recorded state before it takes the
+    last step, so a copy that shares mutable state is caught.  Only two
+    levels are alive at a time.
+    """
+    op = sim.combo.flavor == "op"
+    what, label = ("schedules" if op else "folds"), sim.combo.label()
+    index = {id(env): j for j, env in enumerate(sim.envelopes)}
+    boxes = [sim.outbox[rid] for rid in sim.rids]
+    start = sim.factory(sim.combo)
+    # each set of a level: its tree, state(), first path, version vector and
+    # (op flavor only) witness
+    level = {(0,) * len(sim.rids): (start, start.state(), (), VectorClock(), None)}
+    sets = 1
+    while True:
+        report.schedules += len(level)
+        nxt: Dict[Tuple[int, ...], Tuple] = {}
+        for key, (tree, state, path, known, witness) in level.items():
+            if op:
+                ready = [(i, box[key[i]]) for i, box in enumerate(boxes) if key[i] < len(box)]
+                steps = [(i, env) for i, env in ready if deliverable(env, known)]
+            else:
+                steps = [(i, sim.replicas[rid]) for i, rid in enumerate(sim.rids) if not key[i]]
+            for n, (i, step) in enumerate(steps, start=1):
+                if n < len(steps):
+                    child = tree.copy()
+                elif tree.state() == state:
+                    child = tree
+                else:
+                    report.divergences.append(
+                        f"seed={scn.seed}: {what} {path} changed as a copy of it took a step:"
+                        f"\n{shown(tree, payload=True)}"
+                    )
+                    return None
+                if op:
+                    child.apply_remote(step.payload)
+                    grown, route = known + VectorClock({step.origin: 1}), path + (index[id(step)],)
+                else:
+                    child.merge(step.tree)
+                    grown, route = known | step.clock.delivered, path + (step.rid,)
+                to, now = key[:i] + (key[i] + 1,) + key[i + 1 :], child.state()
+                seen = nxt.get(to)
+                if seen is not None and seen[1] != now:
+                    first, second = (seen[2], shown(seen[0], True)), (route, shown(child, True))
+                    report.divergences.append(_disagreement(scn, what, first, second))
+                    return None
+                where = lambda: f"{label} seed={scn.seed} " + (
+                    f"order={route} delivery={len(route)}" if op else f"fold={'-'.join(route)}"
+                )
+                found = _observe(sim, child, now, grown, witness, cache, report, where)
+                if seen is None:
+                    sets += 1
+                    if sets > WALK_CAP:
+                        raise WalkBlowup(f"the walk of delivered sets exceeded its cap of {WALK_CAP}")
+                    nxt[to] = (child, now, route, grown, found if op else None)
+        if not nxt:
+            return next(iter(level.values()))[0]
+        level = nxt
+
+
+def _disagreement(scn: Scenario, what: str, first: Tuple, second: Tuple) -> str:
+    """Two paths into one delivered set, each with the tree it gave."""
+    (a, text_a), (b, text_b) = first, second
     return (
-        f"seed={scn.seed}: {what} {finals[a]} and {finals[b]} disagree:"
-        f"\n--- {finals[a]}\n{a}\n--- {finals[b]}\n{b}"
+        f"seed={scn.seed}: {what} {a} and {b} disagree:"
+        f"\n--- {a}\n{text_a}\n--- {b}\n{text_b}"
     )
 
 
 def _shrink(
     combo: ComboSpec,
     scn: Scenario,
-    n_schedules: Optional[int],
     factory: Optional[Callable[[ComboSpec], Any]],
     detail: str,
 ) -> str:
@@ -974,7 +938,7 @@ def _shrink(
 
     def divergence(candidate: Scenario) -> Optional[str]:
         probe = ConvergenceReport(combo=combo)
-        _check_one(combo, candidate, n_schedules, probe, factory)
+        _check_one(combo, candidate, probe, factory)
         return probe.divergences[0] if probe.divergences else None
 
     changed = True

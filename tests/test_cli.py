@@ -2,7 +2,7 @@
 
 import pytest
 
-from treecrdt import cli
+from treecrdt import cli, harness
 from treecrdt.demos import DEMOS
 from treecrdt.harness import ComboSpec, ConvergenceReport
 
@@ -134,7 +134,6 @@ def test_check_no_matching_combo_exits_2(capsys):
     [
         ("--replicas", "0", "at least 1 replica"),
         ("--ops", "-1", "cannot be negative"),
-        ("--schedules", "0", "at least 1 schedule"),
     ],
 )
 def test_check_bad_sizes_exit_2(capsys, flag, value, message):
@@ -144,6 +143,24 @@ def test_check_bad_sizes_exit_2(capsys, flag, value, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_check_refuses_the_retired_schedules_flag(capsys):
+    code, out, err = run_cli(capsys, "check", "--repr", "word", "--schedules", "8")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --schedules 8" in err
+
+
+def test_check_prints_the_walk_cap_and_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(harness, "WALK_CAP", 5)
+    code, out, err = run_cli(
+        capsys, "check", "--repr", "graph", "--set", "or", "--flavor", "op",
+        "--connect", "skip", "--map", "shortest", "--pi", "plain",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "treecrdt check: the walk of delivered sets exceeded its cap of 5\n"
 
 
 def test_check_reports_failures_with_exit_1(capsys, monkeypatch):

@@ -1,7 +1,6 @@
 """Graph-backed tree CRDTs: preconditions, removal payloads, policy behavior."""
 
 import itertools
-import random
 
 import pytest
 from helpers import REPLICAS, TreeGroup
@@ -13,9 +12,9 @@ from treecrdt.harness import (
     causal_deps,
     legal_combos,
     linear_extensions,
+    make_tree,
     parse_combo,
     random_scenario,
-    sampled_extensions,
     shown,
 )
 from treecrdt.render import sorted_elements
@@ -58,6 +57,30 @@ def test_root_cannot_be_added_or_removed():
         t.gen_add("root", "root", c)
     with pytest.raises(PreconditionViolation):
         t.gen_rmv("root", c)
+
+
+# one combo of each graph and edge representation and positioning mode
+ROOTED = {(c.repr_name, c.pi_mode): c for c in legal_combos() if c.repr_name != "word"}
+
+
+@pytest.mark.parametrize("combo", ROOTED.values(), ids=lambda c: c.label())
+def test_no_child_is_named_root(combo):
+    """Under node positions too, where the tree stores a positioned node."""
+    tree, c = make_tree(combo), clock()
+    tree.gen_add("a", "root", c)
+    spent = (tree.state(), c.counter, c.tag_seq, dict(c.delivered), c.rng.getstate())
+    # an edge tree has no node set, so it words the rule by edges
+    rule = "the root is always present"
+    if combo.repr_name == "edge":
+        rule = "the root never gains an incoming edge"
+    for parent in (tree.root, tree.resolve("a")):
+        with pytest.raises(PreconditionViolation, match=rule):
+            tree.gen_add("root", parent, c)
+        if combo.pi_mode is not None:
+            with pytest.raises(PreconditionViolation, match=rule):
+                tree.gen_insert("root", parent, 0, c)
+    assert (tree.state(), c.counter, c.tag_seq, dict(c.delivered), c.rng.getstate()) == spent
+    assert tree.names() == ["a"]
 
 
 def test_rmv_absent_node_rejected():
@@ -419,23 +442,16 @@ def test_edge_set_ever_is_every_edge_added(combo):
                 tree = sim.replicas[rid].tree
                 assert decoded_ever(tree) == decoded_adds(tree, replica_ops(sim, rid))
     if combo.flavor == "state":
-        # the checker's schedules: merge the replicas in every order
+        # the checker's joins: merge the replicas into a fresh tree in every order
         for perm in itertools.permutations(sim.rids):
-            acc = sim.replicas[perm[0]].tree.copy()
-            known = decoded_adds(acc, replica_ops(sim, perm[0]))
-            for rid in perm[1:]:
+            acc, known = sim.factory(combo), set()
+            for rid in perm:
                 acc.merge(sim.replicas[rid].tree)
                 known |= decoded_adds(acc, replica_ops(sim, rid))
                 assert decoded_ever(acc) == known
         return
-    # the checker's schedules: every delivery order, or the same sample
-    deps = causal_deps(sim.envelopes)
-    if len(sim.envelopes) <= 7:
-        orders = linear_extensions(deps)
-    else:
-        rng = random.Random(f"schedules/{combo.label()}/{scn.seed}")
-        orders = sampled_extensions(deps, 32, rng)
-    for order in orders:
+    # the checker's delivered sets: the prefixes of every delivery order
+    for order in linear_extensions(causal_deps(sim.envelopes)):
         observer = sim.factory(combo)
         for pos, i in enumerate(order, start=1):
             observer.apply_remote(sim.envelopes[i].payload)

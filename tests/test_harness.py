@@ -4,13 +4,20 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
 
 from treecrdt import cli, harness
 from treecrdt.clocks import ReplicaClock, VectorClock
-from treecrdt.errors import IllegalCombo, PreconditionViolation, ScenarioError, SeveralBlowup
+from treecrdt.errors import (
+    IllegalCombo,
+    PreconditionViolation,
+    ScenarioError,
+    SeveralBlowup,
+    WalkBlowup,
+)
 from treecrdt.graph import GraphTree
 from treecrdt.lookup import LookupTree
 from treecrdt.ordered import PositionedNode
@@ -27,8 +34,7 @@ from treecrdt.harness import (
     _check_one,
     _generate,
     _shrink,
-    _check_op_schedules,
-    _check_state_schedules,
+    _walk,
     causal_deps,
     check_convergence,
     legal_combos,
@@ -41,8 +47,6 @@ from treecrdt.harness import (
     run_scenario,
     PI_MODES,
     REPRS,
-    sampled_extensions,
-    schedule_orders,
     serialize_scenario,
     witness_map,
     witness_moves,
@@ -628,33 +632,6 @@ def test_linear_extensions_respect_deps():
     assert sorted(orders) == [(0, 1, 2), (0, 2, 1)]
 
 
-def test_sampled_extensions_are_valid_and_deterministic():
-    deps = causal_deps(make_envelopes())
-    a = sampled_extensions(deps, 8, random.Random(1))
-    b = sampled_extensions(deps, 8, random.Random(1))
-    assert a == b
-    for order in a:
-        seen = set()
-        for i in order:
-            assert deps[i] <= seen
-            seen.add(i)
-
-
-@pytest.mark.parametrize("r", range(1, 6))
-def test_unconstrained_schedule_orders_are_the_permutations(monkeypatch, r):
-    # every order is listed, so no generator is seeded
-    monkeypatch.setattr(harness.random, "Random", None)
-    orders = schedule_orders([set()] * r, None, "unused")
-    assert orders == list(itertools.permutations(range(r)))
-
-
-def test_schedule_orders_sample_32_beyond_7_items_or_the_given_count():
-    deps = [set()] * 8
-    assert schedule_orders(deps, None, "s") == sampled_extensions(deps, 32, random.Random("s"))
-    few = [set()] * 3
-    assert schedule_orders(few, 4, "s") == sampled_extensions(few, 4, random.Random("s"))
-
-
 # --- convergence checking ---
 
 
@@ -681,7 +658,6 @@ def test_check_convergence_passes(combo):
     [
         ({"n_replicas": 0}, "at least 1 replica"),
         ({"n_ops": -1}, "cannot be negative"),
-        ({"n_schedules": 0}, "at least 1 schedule"),
         ({"scenarios": 0}, "at least 1 scenario"),
         ({"scenarios": -1}, "at least 1 scenario"),
     ],
@@ -696,27 +672,21 @@ def test_check_convergence_refuses_bad_sizes(sizes, message):
             random_scenario(combo, 42, replicas=sizes["n_replicas"])
 
 
-def test_check_convergence_samples_beyond_the_exhaustive_bound():
-    combo = ComboSpec("graph", "or", "op", "skip", "zero", None)
-    report = check_convergence(combo, n_ops=9, n_schedules=6, scenarios=1)
-    assert report.passed, report.summary()
-    assert 0 < report.schedules <= 6
-
-
-@pytest.mark.parametrize(
-    "replicas, schedules, most",
-    [(3, None, 6), (4, 5, 5), (8, None, 32)],
-)
-def test_state_folds_follow_the_schedule_count(replicas, schedules, most):
-    # every replica order up to 7 replicas unless a sample size is given
+@pytest.mark.parametrize("replicas", [1, 3, 8])
+def test_a_state_walk_joins_every_subset_of_the_replicas(replicas):
     combo = ComboSpec("graph", "or", "state", "skip", "shortest", None)
-    report = check_convergence(combo, n_replicas=replicas, n_schedules=schedules)
+    report = check_convergence(combo, n_replicas=replicas)
     assert report.passed, report.summary()
     assert report.scenarios == 2
-    if schedules is None and replicas <= 7:
-        assert report.schedules == most * report.scenarios
-    else:
-        assert 0 < report.schedules <= most * report.scenarios
+    assert report.schedules == 2**replicas * report.scenarios
+
+
+def test_the_walk_is_capped_with_a_typed_error(monkeypatch):
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    assert check_convergence(combo, scenarios=1).schedules > 5
+    monkeypatch.setattr(harness, "WALK_CAP", 5)
+    with pytest.raises(WalkBlowup, match="cap of 5"):
+        check_convergence(combo, scenarios=1)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -752,7 +722,7 @@ def test_a_sync_is_one_pass(monkeypatch, flavor, n):
         assert rep.clock.delivered == made
     assert len({rep.tree.state() for rep in sim.replicas.values()}) == 1
     if flavor == "state":
-        # a fold starts from a copy of its first replica and merges each other once
+        # the walk merges each replica into each subset of the others once
         merges = []
         merge = GraphTree.merge
 
@@ -763,9 +733,9 @@ def test_a_sync_is_one_pass(monkeypatch, flavor, n):
         monkeypatch.setattr(GraphTree, "merge", counted)
         report = ConvergenceReport(combo=combo)
         scn = Scenario(combo=combo, replicas=n, seed=0, script=[])
-        _check_state_schedules(scn, sim, None, report, {})
-        assert report.passed and report.schedules == len(list(itertools.permutations(sim.rids)))
-        assert len(merges) == report.schedules * (n - 1)
+        _walk(scn, sim, report, {})
+        assert report.passed and report.schedules == 2**n
+        assert len(merges) == n * 2 ** (n - 1)
 
 
 def test_monotone_combo_never_moves_a_survivor():
@@ -812,12 +782,40 @@ class ArrivalOrderTree(GraphTree):
     def state(self):
         return super().state() + (tuple(self.arrivals),)
 
+    def copy(self):
+        dup = super().copy()
+        dup.arrivals = list(self.arrivals)
+        return dup
+
     def _build(self, *reads):
         lt, _ = super()._build(*reads)
         for inst in lt.instances.values():
             if inst.node in self.arrivals:
                 inst.label += f"#{self.arrivals.index(inst.node)}"
         return lt, None
+
+
+class SharedNodesTree(GraphTree):
+    """Planted bug: a copy shares its node set with the tree it copies."""
+
+    def copy(self):
+        dup = super().copy()
+        dup.nodes = self.nodes
+        return dup
+
+
+@pytest.mark.parametrize("flavor", ["op", "state"])
+def test_a_copy_that_shares_state_is_caught(flavor):
+    combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
+    factory = lambda c: SharedNodesTree(c.kind, c.flavor, c.connect_policy, c.map_policy)
+    report = ConvergenceReport(combo=combo)
+    _check_one(combo, random_scenario(combo, 42, final_sync=True), report, factory)
+    assert len(report.divergences) == 1
+    assert "changed as a copy of it took a step" in report.divergences[0]
+    # the same scenario passes when each copy is independent
+    report = ConvergenceReport(combo=combo)
+    _check_one(combo, random_scenario(combo, 42, final_sync=True), report, None)
+    assert report.passed
 
 
 def _replayed(sim, order):
@@ -836,7 +834,7 @@ def _replayed(sim, order):
     ],
     ids=lambda c: c.label(),
 )
-def test_schedule_observers_build_each_distinct_state_once(monkeypatch, combo):
+def test_the_walk_builds_each_distinct_state_once(monkeypatch, combo):
     scn = random_scenario(combo, seed=42)
     sim = Simulation(combo, scn.replicas, scn.seed)
     sim.run(scn.script)
@@ -869,8 +867,9 @@ def test_schedule_observers_build_each_distinct_state_once(monkeypatch, combo):
         monkeypatch.setattr(engine, "_build", counted_build)
         monkeypatch.setattr(engine, "_patch", counted_patch)
     report = ConvergenceReport(combo=combo)
-    _check_op_schedules(scn, sim, None, report, {})
-    assert report.schedules == len(orders)
+    _walk(scn, sim, report, {})
+    # the walk visits each delivered set, the empty one included, once
+    assert report.schedules == len({frozenset(prefix) for prefix in prefixes}) + 1
     # the orders share prefixes, and prefixes share states, so observing
     # every delivery, or every prefix, would make more trees
     assert len(prefixes) < len(orders) * len(sim.envelopes)
@@ -892,16 +891,14 @@ def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):
     scn = random_scenario(combo, seed=42)
     assert scn.script and dumps == []
     report = ConvergenceReport(combo=combo)
-    _check_one(combo, scn, None, report, None)
-    assert report.passed
-    # only the final trees are compared, once per distinct final state over
-    # the delivery orders and the replicas
+    _check_one(combo, scn, report, None)
+    assert report.passed and report.schedules > 1
+    # only the final trees are compared, once per distinct final state of
+    # the set of every envelope and the replicas
     sim = Simulation(combo, scn.replicas, scn.seed)
     for action in scn.script:
         sim.apply(action)
-    orders = linear_extensions(causal_deps(sim.envelopes))
-    finals = {_replayed(sim, order).state() for order in orders}
-    assert len(finals) < report.schedules
+    finals = {_replayed(sim, range(len(sim.envelopes))).state()}
     finals |= {rep.tree.state() for rep in sim.replicas.values()}
     assert len(dumps) == len(finals)
 
@@ -932,11 +929,11 @@ def test_the_cache_separates_equal_payloads_with_other_arrival_orders():
     assert GraphTree.state(trees[0]) == GraphTree.state(trees[1])
     assert trees[0].state() != trees[1].state()
     assert trees[0].lookup().dump() != trees[1].lookup().dump()
-    # so schedule observers that end with equal sets are still told apart
+    # so two paths into one delivered set that hold equal sets are still told apart
     combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
     for seed in (42, 43, 44, 45):
         report = ConvergenceReport(combo=combo)
-        _check_one(combo, random_scenario(combo, seed), None, report, lambda c: ArrivalOrderTree())
+        _check_one(combo, random_scenario(combo, seed), report, lambda c: ArrivalOrderTree())
         assert report.divergences
         assert report.divergences[0].startswith(f"seed={seed}: schedules ("), seed
 
@@ -946,9 +943,9 @@ def test_shrink_checks_the_minimized_script_once(monkeypatch):
     checked = []
     check_one = harness._check_one
 
-    def spied(combo, scn, n_schedules, report, factory):
+    def spied(combo, scn, report, factory):
         before = len(report.divergences)
-        check_one(combo, scn, n_schedules, report, factory)
+        check_one(combo, scn, report, factory)
         checked.append((scn, len(report.divergences) > before))
 
     monkeypatch.setattr(harness, "_check_one", spied)
@@ -975,19 +972,83 @@ def test_the_delivered_ops_are_listed_once_per_new_cache_key(monkeypatch, flavor
         listed.append(known.copy())
         return known_ops(sim, known)
 
-    def spied(sim, tree, known, prev_witness, cache, report, where):
+    def spied(sim, tree, state, known, prev_witness, cache, report, where):
         caches.append(cache)
-        return observe(sim, tree, known, prev_witness, cache, report, where)
+        return observe(sim, tree, state, known, prev_witness, cache, report, where)
 
     monkeypatch.setattr(Simulation, "known_ops", counted)
     monkeypatch.setattr(harness, "_observe", spied)
     report = ConvergenceReport(combo=combo)
     scn = random_scenario(combo, seed=42, final_sync=flavor == "op")
-    _check_one(combo, scn, None, report, None)
+    _check_one(combo, scn, report, None)
     assert report.passed
     (cache,) = {id(c): c for c in caches}.values()
     # a miss fills one new key and lists the ops once; a hit lists none
     assert len(listed) == len(cache) < len(caches)
+
+
+def _walked_states(monkeypatch, scn):
+    """Replay scn, walk its delivered sets, and map each non-empty set, as
+    the envelope indices or the replicas of a path into it, to the
+    ``state()`` of every path the walk took into it."""
+    sim = Simulation(scn.combo, scn.replicas, scn.seed)
+    for action in scn.script:
+        assert sim.apply(action) is None
+    walked = {}
+    observe = harness._observe
+
+    def spied(sim, tree, state, known, prev_witness, cache, report, where):
+        at = re.search(r"order=\((.*)\) delivery|fold=(\S+)", where())
+        members = at[1].replace(",", " ").split() if at[1] is not None else at[2].split("-")
+        walked.setdefault(frozenset(members), set()).add(state)
+        return observe(sim, tree, state, known, prev_witness, cache, report, where)
+
+    monkeypatch.setattr(harness, "_observe", spied)
+    report = ConvergenceReport(combo=scn.combo)
+    _walk(scn, sim, report, {})
+    monkeypatch.undo()
+    assert report.passed, report.findings
+    return sim, walked
+
+
+def _reference_states(sim, orders, step):
+    """Each set reached by a prefix of the orders, from a fresh tree, with
+    the ``state()`` of every prefix that reached it."""
+    reached = {}
+    for order in orders:
+        tree = sim.factory(sim.combo)
+        for k, item in enumerate(order, start=1):
+            step(tree, item)
+            reached.setdefault(frozenset(str(i) for i in order[:k]), set()).add(tree.state())
+    return reached
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_the_op_walk_visits_every_delivery_prefix(monkeypatch, seed):
+    """The brute-force reference: every linear extension of the causal
+    order, replayed on a fresh tree, reaches the sets the walk visits, in
+    the one state the walk saw in each."""
+    for combo in (c for c in legal_combos() if c.flavor == "op"):
+        scn = random_scenario(combo, seed, final_sync=True)
+        sim, walked = _walked_states(monkeypatch, scn)
+        orders = linear_extensions(causal_deps(sim.envelopes))
+        apply = lambda tree, i: tree.apply_remote(sim.envelopes[i].payload)
+        reached = _reference_states(sim, orders, apply)
+        assert walked == reached, combo.label()
+        assert all(len(states) == 1 for states in walked.values()), combo.label()
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_the_state_walk_visits_every_permutation_fold(monkeypatch, seed):
+    """The same for the state flavor: every order of the replicas, merged
+    one by one into a fresh tree."""
+    for combo in (c for c in legal_combos() if c.flavor == "state"):
+        scn = random_scenario(combo, seed)
+        sim, walked = _walked_states(monkeypatch, scn)
+        merge = lambda tree, rid: tree.merge(sim.replicas[rid].tree)
+        reached = _reference_states(sim, itertools.permutations(sim.rids), merge)
+        assert walked == reached, combo.label()
+        assert all(len(states) == 1 for states in walked.values()), combo.label()
 
 
 def test_known_ops_of_a_delivery_prefix_are_its_ops():
@@ -1107,12 +1168,12 @@ def _replayed_report(combo, seed, factory=None, scenarios=2):
     for k in range(scenarios):
         scn = random_scenario(combo, seed + k, final_sync=combo.flavor == "op")
         before = len(report.divergences)
-        _check_one(combo, scn, None, report, factory)
+        _check_one(combo, scn, report, factory)
         report.scenarios += 1
         if first_failure is None and len(report.divergences) > before:
             first_failure = scn
     if first_failure is not None:
-        report.divergences = [_shrink(combo, first_failure, None, factory, report.divergences[0])]
+        report.divergences = [_shrink(combo, first_failure, factory, report.divergences[0])]
     return report
 
 
@@ -1146,7 +1207,7 @@ def test_observing_the_generating_run_keeps_its_script(seed):
     differ = []
     for combo in legal_combos():
         report = ConvergenceReport(combo=combo)
-        checked = _check_generated(combo, seed, 5, 3, 1, report, None)
+        checked = _check_generated(combo, seed, 5, 3, report, None)
         if checked != random_scenario(combo, seed, final_sync=combo.flavor == "op"):
             differ.append(combo.label())
     assert differ == []
