@@ -68,7 +68,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     try:
         scenario = parse_scenario(path.read_text())
-        transcript = run_scenario(scenario.combo, scenario)
+        transcript = run_scenario(scenario)
     except (ScenarioError, IllegalCombo) as exc:
         print(f"treecrdt run: {path}: {exc}", file=sys.stderr)
         return 2

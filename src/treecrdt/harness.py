@@ -361,11 +361,11 @@ class Simulation:
         return {rid: shown(rep.tree) for rid, rep in self.replicas.items()}
 
 
-def run_scenario(combo: ComboSpec, s: Scenario) -> str:
+def run_scenario(s: Scenario) -> str:
     """Execute a scenario and return its line-oriented transcript."""
-    make_tree(combo)
-    sim = Simulation(combo, s.replicas, s.seed)
-    lines = [f"combo {combo.label()}", f"replicas {s.replicas} seed {s.seed}"]
+    make_tree(s.combo)
+    sim = Simulation(s.combo, s.replicas, s.seed)
+    lines = [f"combo {s.combo.label()}", f"replicas {s.replicas} seed {s.seed}"]
     for record in sim.run(s.script):
         head = f"step {record.index} "
         if record.action[0] == "sync":
@@ -593,6 +593,9 @@ def linear_extensions(deps: List[Set[int]]) -> List[Tuple[int, ...]]:
 
 @dataclass
 class ConvergenceReport:
+    """What the checks of one combo found.  ``schedules`` counts the
+    delivered sets the walk visited, the empty one included."""
+
     combo: ComboSpec
     scenarios: int = 0
     schedules: int = 0
@@ -699,15 +702,6 @@ def _observe(
     return witness
 
 
-def _final_text(tree: Any, texts: Dict[Any, str]) -> str:
-    """``shown(tree, payload=True)``, computed once per payload state in texts."""
-    key = tree.state()
-    text = texts.get(key)
-    if text is None:
-        text = texts[key] = shown(tree, payload=True)
-    return text
-
-
 def check_sizes(n_ops: int, n_replicas: int, scenarios: int = 1) -> None:
     """Refuse a check with no replica or scenario, or a negative op count."""
     if n_replicas < 1:
@@ -744,7 +738,7 @@ def check_convergence(
         if first_failure is None and len(report.divergences) > before:
             first_failure = scn
     if first_failure is not None:
-        report.divergences = [_shrink(combo, first_failure, factory, report.divergences[0])]
+        report.divergences = [_shrink(first_failure, factory, report.divergences[0])]
     return report
 
 
@@ -781,13 +775,10 @@ def _check_generated(
 
 
 def _check_one(
-    combo: ComboSpec,
-    scn: Scenario,
-    report: ConvergenceReport,
-    factory: Optional[Callable[[ComboSpec], Any]],
+    scn: Scenario, report: ConvergenceReport, factory: Optional[Callable[[ComboSpec], Any]]
 ) -> None:
     """Replay scn's script on a fresh simulation and check the run."""
-    sim = Simulation(combo, scn.replicas, scn.seed, factory)
+    sim = Simulation(scn.combo, scn.replicas, scn.seed, factory)
     applied = (
         (step, action)
         for step, action in enumerate(scn.script, start=1)
@@ -804,8 +795,8 @@ def _check_run(
 ) -> None:
     """Observe each replica an action touched, for each (step, action) that
     applied yields once sim has taken the action in, then walk the run's
-    delivered sets and, in the op flavor, compare each replica with the set
-    of every envelope."""
+    delivered sets, which compares each op replica, but no state replica,
+    with the set it holds (see ``_walk``)."""
     cache: ObservationCache = {}
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
     label = sim.combo.label()
@@ -822,19 +813,7 @@ def _check_run(
                 report,
                 lambda: f"{label} seed={scn.seed} step={step} replica={rid}",
             )
-    top = _walk(scn, sim, report, cache)
-    if top is None or sim.combo.flavor == "state":
-        return
-    texts: Dict[Any, str] = {}
-    shape = _final_text(top, texts)
-    for rid, rep in sim.replicas.items():
-        here = _final_text(rep.tree, texts)
-        if here != shape:
-            report.divergences.append(
-                f"seed={scn.seed}: replica {rid} disagrees with schedules:"
-                f"\n--- replica\n{here}\n--- schedules\n{shape}"
-            )
-            return
+    _walk(scn, sim, report, cache)
 
 
 # the most delivered sets the walk of one scenario may visit; none of CI's
@@ -844,9 +823,9 @@ WALK_CAP = 100_000
 
 def _walk(
     scn: Scenario, sim: Simulation, report: ConvergenceReport, cache: ObservationCache
-) -> Optional[Any]:
-    """Walk the lattice of delivered sets level by level, and return the
-    tree of the set that holds everything, or None after a divergence.
+) -> None:
+    """Walk the lattice of delivered sets level by level, and stop at the
+    first divergence.
 
     An op-flavor set is the per-origin delivered counts, and a step applies
     an origin's next envelope once it is ``deliverable``.  A state-flavor
@@ -855,7 +834,10 @@ def _walk(
     delivery order passes only through these sets, so when every way into
     each set gives one ``state()``, every order does.  Each edge is
     stepped and observed once (``_observe``, with moves along op edges
-    only), and a set reached again must give the state it recorded.
+    only), and a set reached again must give the state it recorded.  An op
+    replica is one more way into the set it has delivered, which is causally
+    closed, and must give that set's state when its level starts.  A state
+    replica is not compared: its payload is a join of partial merges, not a fold.
 
     A set keeps the tree of the first path that reached it and is named by
     that path.  Every step out of it but the last takes a ``copy()``, and
@@ -868,12 +850,23 @@ def _walk(
     index = {id(env): j for j, env in enumerate(sim.envelopes)}
     boxes = [sim.outbox[rid] for rid in sim.rids]
     start = sim.factory(sim.combo)
+    # the op replicas that hold each delivered set, by the set's counts
+    held: Dict[Tuple[int, ...], List[SimReplica]] = {}
+    for rep in sim.replicas.values() if op else ():
+        held.setdefault(tuple(rep.clock.delivered[r] for r in sim.rids), []).append(rep)
     # each set of a level: its tree, state(), first path, version vector and
     # (op flavor only) witness
     level = {(0,) * len(sim.rids): (start, start.state(), (), VectorClock(), None)}
     sets = 1
     while True:
         report.schedules += len(level)
+        for key, (tree, state, path, _, _) in level.items():
+            for rep in held.get(key, ()):
+                if rep.tree.state() != state:
+                    ours = (path, shown(tree, True))
+                    theirs = (f"replica {rep.rid}", shown(rep.tree, True))
+                    report.divergences.append(_disagreement(scn, what, ours, theirs))
+                    return
         nxt: Dict[Tuple[int, ...], Tuple] = {}
         for key, (tree, state, path, known, witness) in level.items():
             if op:
@@ -891,7 +884,7 @@ def _walk(
                         f"seed={scn.seed}: {what} {path} changed as a copy of it took a step:"
                         f"\n{shown(tree, payload=True)}"
                     )
-                    return None
+                    return
                 if op:
                     child.apply_remote(step.payload)
                     grown, route = known + VectorClock({step.origin: 1}), path + (index[id(step)],)
@@ -903,7 +896,7 @@ def _walk(
                 if seen is not None and seen[1] != now:
                     first, second = (seen[2], shown(seen[0], True)), (route, shown(child, True))
                     report.divergences.append(_disagreement(scn, what, first, second))
-                    return None
+                    return
                 where = lambda: f"{label} seed={scn.seed} " + (
                     f"order={route} delivery={len(route)}" if op else f"fold={'-'.join(route)}"
                 )
@@ -914,12 +907,12 @@ def _walk(
                         raise WalkBlowup(f"the walk of delivered sets exceeded its cap of {WALK_CAP}")
                     nxt[to] = (child, now, route, grown, found if op else None)
         if not nxt:
-            return next(iter(level.values()))[0]
+            return
         level = nxt
 
 
 def _disagreement(scn: Scenario, what: str, first: Tuple, second: Tuple) -> str:
-    """Two paths into one delivered set, each with the tree it gave."""
+    """Two ways into one delivered set, each with the tree it gave."""
     (a, text_a), (b, text_b) = first, second
     return (
         f"seed={scn.seed}: {what} {a} and {b} disagree:"
@@ -928,17 +921,14 @@ def _disagreement(scn: Scenario, what: str, first: Tuple, second: Tuple) -> str:
 
 
 def _shrink(
-    combo: ComboSpec,
-    scn: Scenario,
-    factory: Optional[Callable[[ComboSpec], Any]],
-    detail: str,
+    scn: Scenario, factory: Optional[Callable[[ComboSpec], Any]], detail: str
 ) -> str:
     """Greedy script minimization keeping the first divergence reproducible,
     starting from detail, the one scn's own check reported first."""
 
     def divergence(candidate: Scenario) -> Optional[str]:
-        probe = ConvergenceReport(combo=combo)
-        _check_one(combo, candidate, probe, factory)
+        probe = ConvergenceReport(combo=candidate.combo)
+        _check_one(candidate, probe, factory)
         return probe.divergences[0] if probe.divergences else None
 
     changed = True

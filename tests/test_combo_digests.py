@@ -45,7 +45,7 @@ def combo_digests():
         sim.run(scn.script)
         key = (combo.repr_name, combo.pi_mode or "plain")
         digest = groups.setdefault(key, hashlib.sha256())
-        digest.update(run_scenario(combo, scn).encode())
+        digest.update(run_scenario(scn).encode())
         for rid in sim.rids:
             digest.update(sim.replicas[rid].tree.canonical().encode())
     return {key: digest.hexdigest() for key, digest in groups.items()}
@@ -86,7 +86,7 @@ def test_long_script_transcript_digests():
     for label in LONG_SCRIPT_DIGESTS:
         combo = parse_combo(label.split())
         scn = random_scenario(combo, seed=7, n_ops=300)
-        found[label] = hashlib.sha256(run_scenario(combo, scn).encode()).hexdigest()
+        found[label] = hashlib.sha256(run_scenario(scn).encode()).hexdigest()
     assert found == LONG_SCRIPT_DIGESTS
 
 

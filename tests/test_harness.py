@@ -407,23 +407,23 @@ def test_run_scenario_transcript_golden():
             ("sync",),
         ],
     )
-    assert run_scenario(combo, s) == GOLDEN_TRANSCRIPT
+    assert run_scenario(s) == GOLDEN_TRANSCRIPT
 
 
 def test_run_scenario_records_violations():
     combo = ComboSpec("graph", "g", "state", "skip", "zero", None)
     s = Scenario(combo=combo, replicas=2, seed=1, script=[("r1", "add", "a", "ghost")])
-    out = run_scenario(combo, s)
+    out = run_scenario(s)
     assert "violation: parent ghost is not in the tree" in out
 
 
 def test_run_scenario_flavor_guards():
     combo = ComboSpec("graph", "g", "state", "skip", "zero", None)
     s = Scenario(combo=combo, replicas=2, seed=1, script=[("r2", "deliver", "r1")])
-    assert "violation: deliver needs the op flavor" in run_scenario(combo, s)
+    assert "violation: deliver needs the op flavor" in run_scenario(s)
     combo = ComboSpec("graph", "g", "op", "skip", "zero", None)
     s = Scenario(combo=combo, replicas=2, seed=1, script=[("r2", "merge", "r1")])
-    assert "violation: merge needs the state flavor" in run_scenario(combo, s)
+    assert "violation: merge needs the state flavor" in run_scenario(s)
 
 
 @pytest.mark.parametrize(
@@ -435,7 +435,7 @@ def test_run_scenario_flavor_guards():
 )
 def test_run_scenario_insert_needs_a_positioned_tree(combo, parent):
     s = Scenario(combo=combo, replicas=2, seed=1, script=[("r1", "insert", "x", parent, "0")])
-    assert "violation: insert needs a positioned tree" in run_scenario(combo, s)
+    assert "violation: insert needs a positioned tree" in run_scenario(s)
 
 
 def test_random_scenario_is_deterministic():
@@ -443,7 +443,7 @@ def test_random_scenario_is_deterministic():
     a = random_scenario(combo, seed=5)
     b = random_scenario(combo, seed=5)
     assert a == b
-    assert run_scenario(combo, a) == run_scenario(combo, b)
+    assert run_scenario(a) == run_scenario(b)
     assert random_scenario(combo, seed=6) != a
 
 
@@ -809,12 +809,12 @@ def test_a_copy_that_shares_state_is_caught(flavor):
     combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
     factory = lambda c: SharedNodesTree(c.kind, c.flavor, c.connect_policy, c.map_policy)
     report = ConvergenceReport(combo=combo)
-    _check_one(combo, random_scenario(combo, 42, final_sync=True), report, factory)
+    _check_one(random_scenario(combo, 42, final_sync=True), report, factory)
     assert len(report.divergences) == 1
     assert "changed as a copy of it took a step" in report.divergences[0]
     # the same scenario passes when each copy is independent
     report = ConvergenceReport(combo=combo)
-    _check_one(combo, random_scenario(combo, 42, final_sync=True), report, None)
+    _check_one(random_scenario(combo, 42, final_sync=True), report, None)
     assert report.passed
 
 
@@ -891,16 +891,9 @@ def test_generating_and_replaying_a_scenario_dump_no_tree(monkeypatch):
     scn = random_scenario(combo, seed=42)
     assert scn.script and dumps == []
     report = ConvergenceReport(combo=combo)
-    _check_one(combo, scn, report, None)
+    _check_one(scn, report, None)
     assert report.passed and report.schedules > 1
-    # only the final trees are compared, once per distinct final state of
-    # the set of every envelope and the replicas
-    sim = Simulation(combo, scn.replicas, scn.seed)
-    for action in scn.script:
-        sim.apply(action)
-    finals = {_replayed(sim, range(len(sim.envelopes))).state()}
-    finals |= {rep.tree.state() for rep in sim.replicas.values()}
-    assert len(dumps) == len(finals)
+    assert dumps == []
 
 
 def test_planted_order_dependence_is_caught_and_minimized():
@@ -914,7 +907,8 @@ def test_planted_order_dependence_is_caught_and_minimized():
     assert counterexample.startswith("minimized scenario:")
     assert "combo graph or op skip shortest plain" in counterexample
     assert "disagree" in counterexample
-    # the planted bug needs two concurrent adds, nothing more
+    # the planted tree counts remote adds only, so the replica that made
+    # an add and a path that delivered it already disagree
     assert counterexample.count(" add ") <= 3
 
 
@@ -933,9 +927,41 @@ def test_the_cache_separates_equal_payloads_with_other_arrival_orders():
     combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
     for seed in (42, 43, 44, 45):
         report = ConvergenceReport(combo=combo)
-        _check_one(combo, random_scenario(combo, seed), report, lambda c: ArrivalOrderTree())
+        _check_one(random_scenario(combo, seed), report, lambda c: ArrivalOrderTree())
         assert report.divergences
         assert report.divergences[0].startswith(f"seed={seed}: schedules ("), seed
+
+
+@pytest.mark.parametrize("seed", [42, 43])
+def test_a_replica_short_of_some_ops_is_checked_against_its_own_set(seed):
+    """Without a final sync a replica holds a proper subset of the ops, and
+    is compared with the walk's tree of that subset."""
+    failed = []
+    for combo in (c for c in legal_combos() if c.flavor == "op"):
+        report = ConvergenceReport(combo=combo)
+        _check_one(random_scenario(combo, seed, final_sync=False), report, None)
+        if not report.passed:
+            failed.append(combo.label())
+    assert failed == []
+
+
+def test_a_one_add_script_passes():
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    report = ConvergenceReport(combo=combo)
+    _check_one(Scenario(combo=combo, script=[("r1", "add", "a", "root")]), report, None)
+    assert report.passed, report.findings
+    assert report.schedules == 2
+
+
+def test_a_replica_is_one_more_way_into_its_set():
+    """r1 applied its add locally, and the walk's path (0,) remotely, so
+    the planted tree tells them apart at the set that holds the add."""
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    report = ConvergenceReport(combo=combo)
+    scn = Scenario(combo=combo, script=[("r1", "add", "d", "root")])
+    _check_one(scn, report, lambda c: ArrivalOrderTree())
+    assert len(report.divergences) == 1
+    assert report.divergences[0].startswith("seed=42: schedules (0,) and replica r1 disagree:")
 
 
 def test_shrink_checks_the_minimized_script_once(monkeypatch):
@@ -943,9 +969,9 @@ def test_shrink_checks_the_minimized_script_once(monkeypatch):
     checked = []
     check_one = harness._check_one
 
-    def spied(combo, scn, report, factory):
+    def spied(scn, report, factory):
         before = len(report.divergences)
-        check_one(combo, scn, report, factory)
+        check_one(scn, report, factory)
         checked.append((scn, len(report.divergences) > before))
 
     monkeypatch.setattr(harness, "_check_one", spied)
@@ -980,7 +1006,7 @@ def test_the_delivered_ops_are_listed_once_per_new_cache_key(monkeypatch, flavor
     monkeypatch.setattr(harness, "_observe", spied)
     report = ConvergenceReport(combo=combo)
     scn = random_scenario(combo, seed=42, final_sync=flavor == "op")
-    _check_one(combo, scn, report, None)
+    _check_one(scn, report, None)
     assert report.passed
     (cache,) = {id(c): c for c in caches}.values()
     # a miss fills one new key and lists the ops once; a hit lists none
@@ -1168,12 +1194,12 @@ def _replayed_report(combo, seed, factory=None, scenarios=2):
     for k in range(scenarios):
         scn = random_scenario(combo, seed + k, final_sync=combo.flavor == "op")
         before = len(report.divergences)
-        _check_one(combo, scn, report, factory)
+        _check_one(scn, report, factory)
         report.scenarios += 1
         if first_failure is None and len(report.divergences) > before:
             first_failure = scn
     if first_failure is not None:
-        report.divergences = [_shrink(combo, first_failure, factory, report.divergences[0])]
+        report.divergences = [_shrink(first_failure, factory, report.divergences[0])]
     return report
 
 
