@@ -5,6 +5,8 @@ a ``PositionedNode``, so the tree is add-once), on edges (a dense unique
 ``Upi`` per edge, or per word-path step, which is a ``PositionedNode`` too),
 or are recursive sequence elements (``WootrTriple``) whose structural
 identity folds concurrent insertions at the same place into a single child.
+Each ``Upi``, ``PositionedNode`` and ``WootrTriple`` hashes once, at
+construction, to the hash of its field tuple, and pickling rebuilds it.
 
 This module holds one codec per positioning mode that both engines share
 (``Unordered``, ``UpiPositions``, ``WootrPositions``); each stores a child
@@ -42,10 +44,26 @@ UNDRAWN = object()
 @dataclass(frozen=True)
 class PositionedNode:
     """A node, or a word-path step, paired with the position that orders
-    it among its siblings."""
+    it among its siblings.
+
+    Like ``WootrTriple``, it hashes once, at construction, to the hash of
+    its field tuple, so set and dict reads rehash neither the element nor
+    the position; unpickling rebuilds it, so the hash is the loading
+    process's.
+    """
 
     element: Any
     upi: Upi
+
+    def __post_init__(self):
+        # not a field, so no part of equality or repr
+        object.__setattr__(self, "_hash", hash((self.element, self.upi)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return PositionedNode, (self.element, self.upi)
 
     @cached_on_self
     def render(self) -> str:

@@ -23,9 +23,24 @@ Triple = Tuple[int, str, int]
 
 @dataclass(frozen=True, order=True)
 class Upi:
-    """A sibling position as a tuple of (digit, origin, seq) triples."""
+    """A sibling position as a tuple of (digit, origin, seq) triples.
+
+    Like ``WootrTriple``, a position hashes once, at construction, to the
+    hash of its field tuple, so set and dict reads never rehash its
+    triples; unpickling rebuilds it, so the hash is the loading process's.
+    """
 
     triples: Tuple[Triple, ...] = ()
+
+    def __post_init__(self):
+        # not a field, so no part of equality, ordering or repr
+        object.__setattr__(self, "_hash", hash((self.triples,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Upi, (self.triples,)
 
     @cached_on_self
     def render(self) -> str:

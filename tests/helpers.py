@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path as FsPath
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from treecrdt.clocks import ReplicaClock
@@ -17,6 +22,40 @@ from treecrdt.sets import ADD, RMV, SetOp, make_set
 from treecrdt.wootr import BEGIN, END, WootrSequence, WootrTriple
 
 REPLICAS = ("r1", "r2", "r3")
+
+SRC = str(FsPath(__file__).resolve().parent.parent / "src")
+
+
+class CountingAtom:
+    """An atom that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __hash__(self):
+        CountingAtom.hashes += 1
+        return hash(self.name)
+
+    def render(self):
+        return self.name
+
+    def canon_key(self):
+        return self.name
+
+
+def assert_unpickled_hash(value: Any, fields: str) -> None:
+    """Load the pickled value in a fresh process under hash seeds 1 and 999,
+    and check there that it hashes as ``fields`` does, an expression in v."""
+    data = pickle.dumps(value)
+    check = (
+        "import pickle, sys; v = pickle.loads(sys.stdin.buffer.read());"
+        f" assert hash(v) == hash({fields})"
+    )
+    for seed in ("1", "999"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
+        subprocess.run([sys.executable, "-c", check], input=data, env=env, check=True)
 
 
 def parse_path(text: str) -> Path:

@@ -1,10 +1,11 @@
 """Ordered trees: positions on nodes, on edges, and as sequence elements."""
 
+import copy
 import random
 
 import pytest
 
-from helpers import TreeGroup
+from helpers import CountingAtom, TreeGroup, assert_unpickled_hash
 from treecrdt import ordered, wootr
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation
@@ -12,7 +13,7 @@ from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, parse_combo
 from treecrdt.ordered import PositionedNode
 from treecrdt.paths import EPSILON, WordTree
-from treecrdt.positions import UPI_MAX, UPI_MIN, upi_between
+from treecrdt.positions import UPI_MAX, UPI_MIN, Upi, upi_between
 from treecrdt.render import sort_key
 from treecrdt.wootr import BEGIN, END, WootrTriple, wootr_order
 
@@ -464,6 +465,51 @@ def test_frozen_dump_wootr_word():
     assert t.lookup().dump() == (
         "/\n  a @<a.^.$>\n  b @<b.<a.^.$>.<c.^.$>>\n  c @<c.^.$>"
     )
+
+
+# --- positioned nodes hash once, at construction, to the field-tuple hash ---
+
+
+def some_positioned_nodes():
+    c = ReplicaClock("r1", seed=4)
+    a, b = fresh_upi(c), fresh_upi(c)
+    return [PositionedNode("x", a), PositionedNode("x", b), PositionedNode(("t", 1), a)]
+
+
+def test_positioned_node_hash_is_the_field_tuple_hash():
+    # the generated hash this one replaces, so no set or dict order moves
+    for v in some_positioned_nodes():
+        assert hash(v) == hash((v.element, v.upi))
+
+
+def test_equal_positioned_nodes_built_apart_hash_equal():
+    for v in some_positioned_nodes():
+        twin = PositionedNode(v.element, Upi(tuple((d, o, s) for d, o, s in v.upi.triples)))
+        assert twin is not v and twin.upi is not v.upi
+        assert twin == v and hash(twin) == hash(v)
+        assert len({v, twin}) == 1
+
+
+def test_positioned_node_copies_keep_equality_and_hash():
+    for v in some_positioned_nodes():
+        for dup in (copy.copy(v), copy.deepcopy(v)):
+            assert dup == v and hash(dup) == hash(v)
+
+
+def test_unpickled_positioned_node_hashes_under_the_loading_hash_seed():
+    assert_unpickled_hash(some_positioned_nodes()[0], "(v.element, v.upi)")
+
+
+def test_positioned_node_reads_never_rehash_element_or_position():
+    CountingAtom.hashes = 0
+    upi = Upi(((7, CountingAtom("o"), 1),))
+    v = PositionedNode(CountingAtom("x"), upi)
+    # the position's triples once, the element once
+    assert CountingAtom.hashes == 2
+    seen, table = {v}, {v: 0}
+    for _ in range(1000):
+        assert v in seen and table[v] == 0
+    assert CountingAtom.hashes == 2
 
 
 def test_positions_must_match_the_positioning_mode():

@@ -1,11 +1,13 @@
 """Dense unique position identifiers: ordering, freshness, and length bounds."""
 
+import copy
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import CountingAtom, assert_unpickled_hash
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import InvalidInterval
 from treecrdt.positions import (
@@ -126,6 +128,51 @@ def test_base_two_interleaved_replicas():
     ordered = sorted(items)
     for lo, hi in zip(ordered, ordered[1:]):
         assert lo < upi_between(lo, hi, ca, base=2) < hi
+
+
+# --- hashing: once, at construction, to the field-tuple hash ---
+
+
+def some_upis():
+    c = clock()
+    a = upi_between(UPI_MIN, UPI_MAX, c)
+    return [UPI_MIN, UPI_MAX, a, upi_between(UPI_MIN, a, c), upi_between(a, UPI_MAX, c)]
+
+
+def test_hash_is_the_field_tuple_hash():
+    # the generated hash this one replaces, so no set or dict order moves
+    for u in some_upis():
+        assert hash(u) == hash((u.triples,))
+
+
+def test_equal_positions_built_apart_hash_equal():
+    for u in some_upis():
+        twin = Upi(tuple((d, o, s) for d, o, s in u.triples))
+        assert twin is not u
+        assert twin == u and hash(twin) == hash(u)
+        assert len({u, twin}) == 1
+
+
+def test_copies_keep_equality_order_and_hash():
+    upis = some_upis()
+    for u in upis:
+        for dup in (copy.copy(u), copy.deepcopy(u)):
+            assert dup == u and hash(dup) == hash(u)
+    assert sorted(copy.deepcopy(upis)) == sorted(upis)
+
+
+def test_unpickled_position_hashes_under_the_loading_hash_seed():
+    assert_unpickled_hash(some_upis()[3], "(v.triples,)")
+
+
+def test_reads_never_rehash_the_triples():
+    CountingAtom.hashes = 0
+    u = Upi(((7, CountingAtom("o"), 1), (9, CountingAtom("p"), 2)))
+    assert CountingAtom.hashes == 2
+    seen, table = {u}, {u: 0}
+    for _ in range(1000):
+        assert u in seen and table[u] == 0
+    assert CountingAtom.hashes == 2
 
 
 # --- index helper ---

@@ -1,19 +1,21 @@
 """Recursive sequence elements: structural identity, ordering, and removal."""
 
-import os
 import pickle
 import random
 import signal
-import subprocess
-import sys
 from contextlib import contextmanager
-from pathlib import Path as FsPath
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TombstoneSequence, gen_insert_at, gen_remove
+from helpers import (
+    CountingAtom,
+    TombstoneSequence,
+    assert_unpickled_hash,
+    gen_insert_at,
+    gen_remove,
+)
 from treecrdt.clocks import ReplicaClock, Tag
 from treecrdt.errors import IllegalCombo, InvalidInterval, PreconditionViolation
 from treecrdt.graph import TreeOp
@@ -29,9 +31,6 @@ from treecrdt.wootr import (
     wootr_closure,
     wootr_order,
 )
-
-
-SRC = str(FsPath(__file__).resolve().parent.parent / "src")
 
 
 def clock(rid="r1", seed=0):
@@ -142,25 +141,6 @@ def deadline(seconds=10):
         signal.signal(signal.SIGALRM, previous)
 
 
-class CountingAtom:
-    """An atom that counts how often it is hashed."""
-
-    hashes = 0
-
-    def __init__(self, name):
-        self.name = name
-
-    def __hash__(self):
-        CountingAtom.hashes += 1
-        return hash(self.name)
-
-    def render(self):
-        return self.name
-
-    def canon_key(self):
-        return self.name
-
-
 def nested_history(depth):
     """A valid history in which each element goes between the two before
     it, so every element reaches the first along exponentially many paths."""
@@ -192,14 +172,7 @@ def test_hash_is_the_field_tuple_hash():
 
 def test_unpickled_triple_hashes_under_the_loading_hash_seed():
     a = WootrTriple("a", BEGIN, END)
-    data = pickle.dumps(WootrTriple("b", a, END))
-    check = (
-        "import pickle, sys; t = pickle.loads(sys.stdin.buffer.read());"
-        " assert hash(t) == hash((t.atom, t.prev, t.next))"
-    )
-    for seed in ("1", "999"):
-        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": SRC}
-        subprocess.run([sys.executable, "-c", check], input=data, env=env, check=True)
+    assert_unpickled_hash(WootrTriple("b", a, END), "(v.atom, v.prev, v.next)")
 
 
 def test_nested_history_is_a_valid_sequence():
