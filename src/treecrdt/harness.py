@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import ge
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock, deliverable
+from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock
 from .errors import (
     IllegalCombo,
     PreconditionViolation,
@@ -231,9 +232,12 @@ class Simulation:
             for rid in self.rids
         }
         self.envelopes: List[Envelope] = []
-        # each origin's envelopes, in the order it sent them
+        # each origin's envelopes, and its local ops, in the order it made them
         self.outbox: Dict[str, List[Envelope]] = {rid: [] for rid in self.rids}
+        self.made: Dict[str, List[TreeOp]] = {rid: [] for rid in self.rids}
         self.local_ops: List[Tuple[str, TreeOp]] = []
+        # the oracle's fold of each delivered vector folded so far (see fold)
+        self.folds: Dict[Tuple[int, ...], OracleFold] = {(0,) * replicas: OracleFold.EMPTY}
         self.handed: Dict[Tuple[str, str], int] = {}
         self.steps = 0
 
@@ -243,6 +247,7 @@ class Simulation:
         rep = self.replicas[rid]
         op = self._gen(rep, verb, args)
         self.local_ops.append((rid, op))
+        self.made[rid].append(op)
         if self.combo.flavor == "op":
             env = rep.clock.wrap(op)
             self.envelopes.append(env)
@@ -304,17 +309,42 @@ class Simulation:
                 out.append(op)
         return out
 
+    def fold(self, vector: Tuple[int, ...], base: Tuple[int, ...]) -> "OracleFold":
+        """The oracle's fold of the local ops that a state with delivered
+        counts vector (in ``rids`` order) reflects, as ``known_ops`` lists
+        them.
+
+        A vector folded before is looked up in ``folds``.  A new one is
+        extended from base's fold by the ops base lacks, and kept; base is
+        a vector folded before, and vector dominates it.
+        """
+        fold = self.folds.get(vector)
+        if fold is None:
+            lacking = [
+                op
+                for rid, have, want in zip(self.rids, base, vector)
+                for op in self.made[rid][have:want]
+            ]
+            fold = self.folds[vector] = self.folds[base].extend(self.combo.kind, lacking)
+        return fold
+
     def sync_all(self) -> None:
-        # one pass is enough.  State: the first replica merges every peer
-        # before any other merges it, and each other replica merges the
-        # first replica first, so it takes in the join.  Op: each replica
-        # is handed every origin's whole outbox, and the drain after the
-        # last hand-off delivers whatever waited on another origin's ops
-        exchange = self.deliver_from if self.combo.flavor == "op" else self.merge_with
-        for rid in self.rids:
-            for src in self.rids:
-                if src != rid:
-                    exchange(rid, src)
+        # one pass is enough.  State: the first replica merges every peer,
+        # then each other replica merges the first, which holds the join:
+        # 2(n-1) merges.  Op: each replica is handed every origin's whole
+        # outbox, and the drain after the last hand-off delivers whatever
+        # waited on another origin's ops
+        if self.combo.flavor == "op":
+            for rid in self.rids:
+                for src in self.rids:
+                    if src != rid:
+                        self.deliver_from(rid, src)
+        else:
+            first, others = self.rids[0], self.rids[1:]
+            for src in others:
+                self.merge_with(first, src)
+            for rid in others:
+                self.merge_with(rid, first)
         if any(rep.buffer.pending for rep in self.replicas.values()):
             raise AssertionError("undeliverable envelopes after sync")
 
@@ -500,6 +530,72 @@ def oracle_membership(kind: str, history: List[SetOp], e: Any) -> bool:
     raise ValueError(kind)
 
 
+def _or_step(summary: Optional[Tuple[FrozenSet, FrozenSet]], op: SetOp) -> Tuple:
+    added, removed = summary or (frozenset(), frozenset())
+    if op.verb == ADD:
+        return added | {op.tag}, removed
+    return added, removed | op.tags
+
+
+# each kind's rule of oracle_membership as a fold over an element's ops, in
+# any order: step(summary, op) is the summary after one more op (None
+# before the first) and live(summary) says whether the element is in
+FOLD_RULES: Dict[str, Tuple[Callable[[Any, SetOp], Any], Callable[[Any], bool]]] = {
+    "g": (lambda s, op: bool(s) or op.verb == ADD, bool),
+    "2p": (lambda s, op: (s or 0) | (1 if op.verb == ADD else 2), lambda s: s == 1),
+    "lww": (lambda s, op: op if s is None or s.stamp < op.stamp else s, lambda s: s.verb == ADD),
+    "c": (lambda s, op: (s or 0) + op.delta, lambda s: s > 0),
+    "or": (_or_step, lambda s: bool(s[0] - s[1])),
+}
+
+
+class OracleFold:
+    """What the membership oracle expects of the payload sets of one
+    delivered set of ops, folded one op at a time.
+
+    ``parts`` holds, for the node sub-ops and then the edge sub-ops (the
+    payload sets ``_set_histories`` gives them to), each element's summary
+    under ``FOLD_RULES`` and the elements expected live.  A fold is never
+    changed: ``extend`` returns a new one.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Tuple[Tuple[Dict[Any, Any], Set[Any]], ...]):
+        self.parts = parts
+
+    def extend(self, kind: str, ops: List[TreeOp]) -> "OracleFold":
+        """This fold with ops' sub-ops folded in as well."""
+        step, live_rule = FOLD_RULES[kind]
+        parts = []
+        for k, (summaries, live) in enumerate(self.parts):
+            subs = [sub for op in ops for sub in (op.edge_ops if k else op.node_ops)]
+            if subs:
+                summaries, live = dict(summaries), set(live)
+                for sub in subs:
+                    e = sub.element
+                    summaries[e] = summary = step(summaries.get(e), sub)
+                    if live_rule(summary):
+                        live.add(e)
+                    else:
+                        live.discard(e)
+            parts.append((summaries, live))
+        return OracleFold(tuple(parts))
+
+    def agrees(self, tree: Any) -> bool:
+        """True when each payload set's ``lookup()``, on the elements some
+        sub-op named, holds exactly the elements expected live."""
+        for name, (summaries, live) in zip(tree.SETS, self.parts):
+            if summaries:
+                shown = getattr(tree, name).lookup()
+                if not live <= shown or not summaries.keys().isdisjoint(shown - live):
+                    return False
+        return True
+
+
+OracleFold.EMPTY = OracleFold((({}, set()), ({}, set())))
+
+
 def _set_histories(tree: Any, ops: List[TreeOp]) -> Dict[str, List[SetOp]]:
     """SetOps delivered so far, grouped by the payload set they touch: node
     or path sub-ops go to the tree's first set, edge sub-ops to its second."""
@@ -640,9 +736,15 @@ ObservationCache = Dict[Tuple[Any, Tuple[int, ...]], Tuple[List[Tuple[str, str]]
 
 
 def _check_state(
-    combo: ComboSpec, tree: Any, delivered: List[TreeOp]
+    sim: Simulation, tree: Any, vector: Tuple[int, ...], base: Tuple[int, ...]
 ) -> Tuple[List[Tuple[str, str]], Optional[Dict]]:
-    """Validity and oracle findings of the tree's state, and its witness."""
+    """Validity and oracle findings of the tree's state, and its witness.
+
+    The oracle is ``sim.fold(vector, base)``; only where the tree disagrees
+    with it are the delivered ops listed, for ``oracle_mismatches`` to
+    name each element it disagrees on.
+    """
+    fold = sim.fold(vector, base)
     try:
         lt = tree.lookup()
     except SeveralBlowup as exc:
@@ -651,16 +753,19 @@ def _check_state(
     problem = tree_validity(lt)
     if problem is not None:
         findings.append(("validity_violations", problem))
-    for msg in oracle_mismatches(combo, tree, delivered):
-        findings.append(("oracle_mismatches", msg))
-    return findings, witness_map(combo, lt)
+    if not fold.agrees(tree):
+        known = VectorClock(dict(zip(sim.rids, vector)))
+        for msg in oracle_mismatches(sim.combo, tree, sim.known_ops(known)):
+            findings.append(("oracle_mismatches", msg))
+    return findings, witness_map(sim.combo, lt)
 
 
 def _observe(
     sim: Simulation,
     tree: Any,
     state: Any,
-    known: VectorClock,
+    vector: Tuple[int, ...],
+    base: Tuple[int, ...],
     prev_witness: Optional[Dict],
     cache: ObservationCache,
     report: ConvergenceReport,
@@ -671,21 +776,24 @@ def _observe(
     compare the next state with.  where is called only when there is
     something to add.
 
-    state is ``tree.state()``, and known the version vector of the ops the
-    tree holds.  The validity text (or the ``SeveralBlowup``), the oracle
-    findings and the witness depend only on the payload state and on which
-    ops were delivered, so they are kept in the scenario's cache under the
-    key (state, known's counts in ``sim.rids`` order);
-    ``sim.known_ops(known)`` lists the delivered ops only on a miss.  The key is the exact payload, never
-    the delivered set alone, so two replicas that know the same ops but
-    hold different payloads are both checked.  Moves depend on prev_witness
-    and are computed on every call; a state whose lookup blew up has no
-    witness, so prev_witness stays the one to compare with.
+    state is ``tree.state()``, and vector the delivered counts of the ops
+    the tree holds, in ``sim.rids`` order.  The validity text (or the
+    ``SeveralBlowup``), the oracle findings and the witness depend only on
+    the payload state and on which ops were delivered, so they are kept in
+    the scenario's cache under the key (state, vector).  A miss folds the
+    oracle for vector from base, a vector of fewer ops folded before (the
+    set one step back in the walk, or the replica's vector at its last
+    observation), by the ops base lacks (``Simulation.fold``).  The key is
+    the exact payload, never the delivered set alone, so two replicas that
+    know the same ops but hold different payloads are both checked.  Moves
+    depend on prev_witness and are computed on every call; a state whose
+    lookup blew up has no witness, so prev_witness stays the one to compare
+    with.
     """
-    key = (state, tuple(known[rid] for rid in sim.rids))
+    key = (state, vector)
     seen = cache.get(key)
     if seen is None:
-        seen = cache[key] = _check_state(sim.combo, tree, sim.known_ops(known))
+        seen = cache[key] = _check_state(sim, tree, vector, base)
     findings, witness = seen
     if findings:
         at = where()
@@ -799,20 +907,25 @@ def _check_run(
     with the set it holds (see ``_walk``)."""
     cache: ObservationCache = {}
     witnesses: Dict[str, Optional[Dict]] = {rid: None for rid in sim.rids}
+    # each replica's delivered vector when it was last observed
+    vectors = {rid: (0,) * len(sim.rids) for rid in sim.rids}
     label = sim.combo.label()
     for step, action in applied:
         for rid in sim.rids if action[0] == "sync" else [action[0]]:
-            tree = sim.replicas[rid].tree
+            rep = sim.replicas[rid]
+            vector = tuple(rep.clock.delivered[r] for r in sim.rids)
             witnesses[rid] = _observe(
                 sim,
-                tree,
-                tree.state(),
-                sim.replicas[rid].clock.delivered,
+                rep.tree,
+                rep.tree.state(),
+                vector,
+                vectors[rid],
                 witnesses[rid],
                 cache,
                 report,
                 lambda: f"{label} seed={scn.seed} step={step} replica={rid}",
             )
+            vectors[rid] = vector
     _walk(scn, sim, report, cache)
 
 
@@ -828,35 +941,48 @@ def _walk(
     first divergence.
 
     An op-flavor set is the per-origin delivered counts, and a step applies
-    an origin's next envelope once it is ``deliverable``.  A state-flavor
-    set is a subset of the replicas, and a step merges one more of them
-    into the join of the others, starting from an empty tree.  A causal
-    delivery order passes only through these sets, so when every way into
-    each set gives one ``state()``, every order does.  Each edge is
-    stepped and observed once (``_observe``, with moves along op edges
-    only), and a set reached again must give the state it recorded.  An op
-    replica is one more way into the set it has delivered, which is causally
-    closed, and must give that set's state when its level starts.  A state
-    replica is not compared: its payload is a join of partial merges, not a fold.
+    an origin's next envelope once the set dominates the envelope's deps
+    (both as count tuples in ``sim.rids`` order), which is when it is
+    ``deliverable``.  A state-flavor set is a subset of the replicas, and a
+    step merges one more of them into the join of the others, starting
+    from an empty tree.  A causal delivery order passes only through these
+    sets, so when every way into each set gives one ``state()``, every
+    order does.  Each edge is stepped and observed once (``_observe``, with
+    moves along op edges only), and a set reached again must give the state
+    it recorded.  An op replica is one more way into the set it has
+    delivered, which is causally closed, and must give that set's state
+    when its level starts.  A state replica is not compared: its payload is
+    a join of partial merges, not a fold.
 
-    A set keeps the tree of the first path that reached it and is named by
-    that path.  Every step out of it but the last takes a ``copy()``, and
-    the tree itself must still give its recorded state before it takes the
-    last step, so a copy that shares mutable state is caught.  Only two
-    levels are alive at a time.
+    A set's delivered vector is its counts in the op flavor, and the
+    entrywise max of its replicas' vectors in the state flavor; a step's
+    oracle is folded from the vector of the set it steps from.  A set keeps
+    the tree of the first path that reached it and is named by that path.
+    Every step out of it but the last takes a ``copy()``, and the tree
+    itself must still give its recorded state before it takes the last
+    step, so a copy that shares mutable state is caught.  Only two levels
+    are alive at a time.
     """
     op = sim.combo.flavor == "op"
     what, label = ("schedules" if op else "folds"), sim.combo.label()
+    vectors = {
+        rid: tuple(rep.clock.delivered[r] for r in sim.rids) for rid, rep in sim.replicas.items()
+    }
     index = {id(env): j for j, env in enumerate(sim.envelopes)}
-    boxes = [sim.outbox[rid] for rid in sim.rids]
+    # each origin's envelopes, each with its index and its deps as a count tuple
+    boxes = [
+        [(env, index[id(env)], tuple(env.deps[r] for r in sim.rids)) for env in sim.outbox[rid]]
+        for rid in sim.rids
+    ]
     start = sim.factory(sim.combo)
     # the op replicas that hold each delivered set, by the set's counts
     held: Dict[Tuple[int, ...], List[SimReplica]] = {}
     for rep in sim.replicas.values() if op else ():
-        held.setdefault(tuple(rep.clock.delivered[r] for r in sim.rids), []).append(rep)
-    # each set of a level: its tree, state(), first path, version vector and
-    # (op flavor only) witness
-    level = {(0,) * len(sim.rids): (start, start.state(), (), VectorClock(), None)}
+        held.setdefault(vectors[rep.rid], []).append(rep)
+    # each set of a level: its tree, state(), first path, delivered vector
+    # and (op flavor only) witness
+    zero = (0,) * len(sim.rids)
+    level = {zero: (start, start.state(), (), zero, None)}
     sets = 1
     while True:
         report.schedules += len(level)
@@ -868,10 +994,10 @@ def _walk(
                     report.divergences.append(_disagreement(scn, what, ours, theirs))
                     return
         nxt: Dict[Tuple[int, ...], Tuple] = {}
-        for key, (tree, state, path, known, witness) in level.items():
+        for key, (tree, state, path, vector, witness) in level.items():
             if op:
                 ready = [(i, box[key[i]]) for i, box in enumerate(boxes) if key[i] < len(box)]
-                steps = [(i, env) for i, env in ready if deliverable(env, known)]
+                steps = [(i, step) for i, step in ready if all(map(ge, key, step[2]))]
             else:
                 steps = [(i, sim.replicas[rid]) for i, rid in enumerate(sim.rids) if not key[i]]
             for n, (i, step) in enumerate(steps, start=1):
@@ -885,13 +1011,15 @@ def _walk(
                         f"\n{shown(tree, payload=True)}"
                     )
                     return
+                to = key[:i] + (key[i] + 1,) + key[i + 1 :]
                 if op:
-                    child.apply_remote(step.payload)
-                    grown, route = known + VectorClock({step.origin: 1}), path + (index[id(step)],)
+                    env, j, _ = step
+                    child.apply_remote(env.payload)
+                    grown, route = to, path + (j,)
                 else:
                     child.merge(step.tree)
-                    grown, route = known | step.clock.delivered, path + (step.rid,)
-                to, now = key[:i] + (key[i] + 1,) + key[i + 1 :], child.state()
+                    grown, route = tuple(map(max, vector, vectors[step.rid])), path + (step.rid,)
+                now = child.state()
                 seen = nxt.get(to)
                 if seen is not None and seen[1] != now:
                     first, second = (seen[2], shown(seen[0], True)), (route, shown(child, True))
@@ -900,7 +1028,7 @@ def _walk(
                 where = lambda: f"{label} seed={scn.seed} " + (
                     f"order={route} delivery={len(route)}" if op else f"fold={'-'.join(route)}"
                 )
-                found = _observe(sim, child, now, grown, witness, cache, report, where)
+                found = _observe(sim, child, now, grown, vector, witness, cache, report, where)
                 if seen is None:
                     sets += 1
                     if sets > WALK_CAP:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import AbstractSet, Any, Dict, FrozenSet, Iterable, Optional, Set
+from typing import Any, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from .clocks import LamportStamp, ReplicaClock, Tag
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
@@ -78,10 +78,14 @@ class SetCrdt:
     re-tests the elements it touched: the op's element, or each element
     whose payload entry a merge changed, which `_merge` returns.  Those
     are not only elements of the peer's `ever()`: a 2P remove or an OR
-    tombstone can name an element that was never added.  Like the op
-    flavor's `live_tags`, `live` is read-only for callers, and readers
-    that a test double may stand behind, such as the engines' reads and
-    the harness oracle, go through `lookup()`.
+    tombstone can name an element that was never added.  `live` is
+    read-only for callers, and readers that a test double may stand
+    behind, such as the engines' reads and the harness oracle, go through
+    `lookup()`.
+
+    A tag bucket (the C set's `pos` and `neg`, the OR set's `tags` and
+    `removed`) is a `frozenset` that a write replaces and never changes, so
+    sets and their copies may share one.
     """
 
     kind: str = ""
@@ -158,18 +162,17 @@ class SetCrdt:
         self._refresh(self._merge(other))
 
     def copy(self) -> "SetCrdt":
-        """An equal set under a fresh version that shares no container with this one.
+        """An equal set under a fresh version that shares no mutable container
+        with this one.
 
         Each payload container, and `live`, is a set, or a dict whose values
-        are tag sets or immutables, so copying one level deep is enough.
+        are immutable (tag buckets included), so a plain copy of each is
+        enough; the copy shares the values, the buckets among them.
         """
         dup = type(self)(self.flavor)
         for name, value in vars(self).items():
-            if isinstance(value, set):
-                setattr(dup, name, set(value))
-            elif isinstance(value, dict):
-                inner = {k: set(v) if isinstance(v, set) else v for k, v in value.items()}
-                setattr(dup, name, inner)
+            if isinstance(value, (set, dict)):
+                setattr(dup, name, value.copy())
         return dup
 
     def state(self) -> Any:
@@ -352,8 +355,8 @@ class CounterSet(SetCrdt):
     def __init__(self, flavor: str):
         super().__init__(flavor)
         if flavor == "state":
-            self.pos: Dict[Any, Set[Tag]] = {}
-            self.neg: Dict[Any, Set[Tag]] = {}
+            self.pos: Dict[Any, FrozenSet[Tag]] = {}
+            self.neg: Dict[Any, FrozenSet[Tag]] = {}
         else:
             self.counts: Dict[Any, int] = {}
 
@@ -377,7 +380,7 @@ class CounterSet(SetCrdt):
             self.counts[e] = self.counts.get(e, 0) + delta
         elif delta:
             pool = self.pos if delta > 0 else self.neg
-            pool.setdefault(e, set()).update(clock.fresh_tag() for _ in range(abs(delta)))
+            pool[e] = pool.get(e, _NO_TAGS).union(clock.fresh_tag() for _ in range(abs(delta)))
         return delta
 
     def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
@@ -396,7 +399,7 @@ class CounterSet(SetCrdt):
 
     def state(self) -> Any:
         if self.flavor == "state":
-            return (_frozen_buckets(self.pos), _frozen_buckets(self.neg))
+            return (frozenset(self.pos.items()), frozenset(self.neg.items()))
         return frozenset(self.counts.items())
 
     def _canonical_lines(self) -> list:
@@ -417,23 +420,30 @@ class ObservedRemoveSet(SetCrdt):
     """Tagged set: each add mints a tag, a remove kills only tags it has seen.
 
     Every tag is paired with a clock reading taken when it was minted, so
-    elements can also be ranked by how recently they were last added.  The
-    op flavor drops removed tags but keeps an element's emptied bucket, so
-    ``ever()`` still names it; the canonical text skips empty buckets.
+    elements can also be ranked by how recently they were last added.
+    ``stamps`` maps each tag to its reading, and ``stamped`` holds the same
+    pairs, a tag being minted once with one reading, each flattened to
+    (tag origin, tag seq, stamp counter, stamp origin).  A flat tuple hashes
+    in C and holds nothing the garbage collector tracks, and ``state()``
+    copies the set with its stored hashes.  The op flavor drops removed
+    tags but keeps an element's emptied bucket, the shared empty
+    ``_NO_TAGS``, so ``ever()`` still names it; the canonical text skips
+    empty buckets.
     """
 
     kind = "or"
 
     def __init__(self, flavor: str):
         super().__init__(flavor)
-        self.tags: Dict[Any, Set[Tag]] = {}
+        self.tags: Dict[Any, FrozenSet[Tag]] = {}
         self.stamps: Dict[Tag, LamportStamp] = {}
+        self.stamped: Set[Tuple[str, int, int, str]] = set()
         if flavor == "state":
-            self.removed: Dict[Any, Set[Tag]] = {}
+            self.removed: Dict[Any, FrozenSet[Tag]] = {}
 
-    def live_tags(self, e: Any) -> AbstractSet[Tag]:
+    def live_tags(self, e: Any) -> FrozenSet[Tag]:
         """The tags of e no remove has seen.  The op flavor returns the
-        stored set itself, which callers must not mutate."""
+        stored bucket itself, which is immutable."""
         tags = self.tags.get(e, _NO_TAGS)
         if self.flavor == "state":
             return tags - self.removed.get(e, _NO_TAGS)
@@ -454,14 +464,15 @@ class ObservedRemoveSet(SetCrdt):
     def _add(self, e: Any, clock: ReplicaClock) -> SetOp:
         tag = clock.fresh_tag()
         stamp = clock.next_stamp()
-        self.tags.setdefault(e, set()).add(tag)
+        self.tags[e] = self.tags.get(e, _NO_TAGS) | {tag}
         self.stamps[tag] = stamp
+        self.stamped.add((tag.origin, tag.seq, stamp.counter, stamp.origin))
         return SetOp(ADD, e, stamp=stamp, tag=tag)
 
     def _rmv(self, e: Any, clock: ReplicaClock) -> SetOp:
-        observed = frozenset(self.live_tags(e))
+        observed = self.live_tags(e)
         if self.flavor == "state":
-            self.removed.setdefault(e, set()).update(observed)
+            self.removed[e] = self.removed.get(e, _NO_TAGS) | observed
         else:
             self._drop_tags(e, observed)
         return SetOp(RMV, e, tags=observed)
@@ -469,24 +480,28 @@ class ObservedRemoveSet(SetCrdt):
     def _drop_tags(self, e: Any, tags: FrozenSet[Tag]) -> None:
         """Op flavor: forget tags of e, keeping its bucket when one exists."""
         if e in self.tags:
-            self.tags[e] -= tags
+            self.tags[e] = self.tags[e] - tags or _NO_TAGS
 
     def _apply(self, op: SetOp) -> None:
         if op.verb == ADD:
             added = {op.tag}  # an unhashable tag raises here, before any change
-            self.tags.setdefault(op.element, set()).update(added)
             if op.stamp is not None:
-                self.stamps[op.tag] = op.stamp
+                # a tag or a stamp without its fields raises here
+                tag, stamp = op.tag, op.stamp
+                self.stamped.add((tag.origin, tag.seq, stamp.counter, stamp.origin))
+                self.stamps[tag] = stamp
+            self.tags[op.element] = self.tags.get(op.element, _NO_TAGS) | added
         else:
             self._drop_tags(op.element, op.tags)
 
     def _merge(self, other: SetCrdt) -> Iterable[Any]:
         self.stamps.update(other.stamps)
+        self.stamped |= other.stamped
         return _join_buckets(self.tags, other.tags) + _join_buckets(self.removed, other.removed)
 
     def state(self) -> Any:
-        removed = _frozen_buckets(self.removed) if self.flavor == "state" else None
-        return (_frozen_buckets(self.tags), frozenset(self.stamps.items()), removed)
+        removed = frozenset(self.removed.items()) if self.flavor == "state" else None
+        return (frozenset(self.tags.items()), frozenset(self.stamped), removed)
 
     def max_stamp(self) -> Optional[LamportStamp]:
         return max(self.stamps.values()) if self.stamps else None
@@ -507,20 +522,23 @@ class ObservedRemoveSet(SetCrdt):
         return lines
 
 
-def _join_buckets(mine: Dict[Any, Set[Tag]], theirs: Dict[Any, Set[Tag]]) -> list:
-    """Union each of their tag buckets into mine; returns the keys whose bucket grew."""
+def _join_buckets(
+    mine: Dict[Any, FrozenSet[Tag]], theirs: Dict[Any, FrozenSet[Tag]]
+) -> list:
+    """Union each of their tag buckets into mine, replacing a bucket that
+    grows and taking theirs where mine has none; returns the keys whose
+    bucket grew."""
     grown = []
     for e, tags in theirs.items():
-        bucket = mine.setdefault(e, set())
-        if not tags <= bucket:
-            bucket |= tags
+        bucket = mine.get(e)
+        if bucket is None:
+            mine[e] = frozenset(tags)
+            if tags:
+                grown.append(e)
+        elif not tags <= bucket:
+            mine[e] = bucket | tags
             grown.append(e)
     return grown
-
-
-def _frozen_buckets(buckets: Dict[Any, Set[Tag]]) -> FrozenSet:
-    """A hashable copy of an element-to-tags map, empty buckets included."""
-    return frozenset((e, frozenset(tags)) for e, tags in buckets.items())
 
 
 _CLASSES = {

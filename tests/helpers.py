@@ -13,17 +13,30 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from treecrdt.clocks import ReplicaClock
 from treecrdt.errors import PreconditionViolation
-from treecrdt.harness import oracle_membership
+from treecrdt.harness import make_tree, oracle_membership
 from treecrdt.lookup import LookupTree
 from treecrdt.paths import EPSILON, check_atom
 from treecrdt.policies import EdgeInfo, get_connected
 from treecrdt.render import Path, sort_key
-from treecrdt.sets import ADD, RMV, SetOp, make_set
+from treecrdt.sets import ADD, RMV, ObservedRemoveSet, SetOp, make_set
 from treecrdt.wootr import BEGIN, END, WootrSequence, WootrTriple
 
 REPLICAS = ("r1", "r2", "r3")
 
 SRC = str(FsPath(__file__).resolve().parent.parent / "src")
+
+
+class HiddenNodeSet(ObservedRemoveSet):
+    """Planted bug: the node set's lookup never shows node a."""
+
+    def lookup(self):
+        return super().lookup() - {"a"}
+
+
+def hiding_tree(combo):
+    tree = make_tree(combo)
+    tree.nodes = HiddenNodeSet(combo.flavor)
+    return tree
 
 
 class CountingAtom:

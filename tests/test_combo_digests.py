@@ -11,17 +11,16 @@ gives on a known defect are pinned the same way.
 import dataclasses
 import hashlib
 
+from helpers import hiding_tree
 from treecrdt.harness import (
     Simulation,
     check_convergence,
     legal_combos,
-    make_tree,
     parse_combo,
     random_scenario,
     run_scenario,
 )
 from treecrdt.demos import DEMOS
-from treecrdt.sets import ObservedRemoveSet
 
 EXPECTED = {
     ("edge", "edge"): "2501f6dad3db1edfef2899bb1576470587453e74460b7a8930fde4c6f49753ea",
@@ -118,19 +117,6 @@ def test_known_zero_policy_reports_digest():
             assert not report.passed
             digest.update(repr(dataclasses.astuple(report)).encode())
     assert digest.hexdigest() == KNOWN_ZERO_DIGEST
-
-
-class HiddenNodeSet(ObservedRemoveSet):
-    """Planted bug: the node set's lookup never shows node a."""
-
-    def lookup(self):
-        return super().lookup() - {"a"}
-
-
-def hiding_tree(combo):
-    tree = make_tree(combo)
-    tree.nodes = HiddenNodeSet(combo.flavor)
-    return tree
 
 
 PLANTED_HIDDEN_DIGEST = "c516cfa99f230863be486ec7c852ae1bf9c35e549cb1175ffded79907bf82972"

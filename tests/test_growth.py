@@ -2,9 +2,13 @@
 
 ``GROWTH`` is one table with one row per stage.  A row's generator builds
 an input of size n and returns the action to measure.  Its counter names
-the function whose calls are counted while that action runs, and its bound
-is the largest exponent allowed for the power law count ~ n ** exponent
-fitted over ``SIZES``.  Counts, not timings, so the gate is deterministic.
+the function whose calls are counted while that action runs, each call
+adding its ``weight`` (1 unless the row says otherwise), and the count is
+divided by the ``units`` of work the action's result reports (1 unless
+the row says otherwise).  Its bound is the largest exponent allowed for
+the power law count ~ n ** exponent fitted over the row's sizes
+(``SIZES`` unless the row says otherwise).  Counts, not timings, so the
+gate is deterministic.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from typing import Any, Callable, Tuple
 
 import pytest
 from treecrdt.clocks import ReplicaClock
-from treecrdt.harness import make_tree, parse_combo
-from treecrdt.sets import CounterSet, LwwSet, ObservedRemoveSet, make_set
+from treecrdt.harness import OracleFold, check_convergence, make_tree, parse_combo
+from treecrdt.sets import FLAVORS, CounterSet, LwwSet, ObservedRemoveSet, make_set
 
 SIZES = (500, 1000, 2000)
 
@@ -70,12 +74,34 @@ def sync_then_read(kind: str, flavor: str) -> Callable[[int], Callable[[], Any]]
     return generate
 
 
+def check_a_history(label: str, replicas: int) -> Callable[[int], Callable[[], Any]]:
+    """Check one n-op scenario of the combo on that many replicas."""
+
+    def generate(n: int) -> Callable[[], Any]:
+        combo = parse_combo(label.split())
+        return lambda: check_convergence(combo, n_ops=n, n_replicas=replicas, scenarios=1)
+
+    return generate
+
+
+def sub_ops(fold: OracleFold, kind: str, ops) -> int:
+    """The sub-ops one ``OracleFold.extend`` call folds in."""
+    return sum(len(op.node_ops) + len(op.edge_ops) for op in ops)
+
+
+def one(*args: Any) -> int:
+    return 1
+
+
 @dataclass(frozen=True)
 class Growth:
     stage: str
     generator: Callable[[int], Callable[[], Any]]
     counter: Tuple[Any, str]
     bound: float
+    sizes: Tuple[int, ...] = SIZES
+    weight: Callable[..., int] = one
+    units: Callable[[Any], int] = one
 
 
 # the package re-exports the function render, so ask for the module by name
@@ -89,6 +115,17 @@ GROWTH = [
     Growth("apply lww", sync_then_read("lww", "op"), (LwwSet, "_is_live"), 0.1),
     Growth("apply c", sync_then_read("c", "op"), (CounterSet, "_is_live"), 0.1),
     Growth("merge or", sync_then_read("or", "state"), (ObservedRemoveSet, "_is_live"), 0.1),
+    # the oracle folds each walked set from the set it steps from: sub-ops
+    # folded per walked set, over histories of 25, 50 and 100 ops
+    Growth(
+        "oracle fold",
+        check_a_history("graph or op compact highest plain", replicas=4),
+        (OracleFold, "extend"),
+        0.1,
+        sizes=(25, 50, 100),
+        weight=sub_ops,
+        units=lambda report: report.schedules,
+    ),
 ]
 
 
@@ -115,17 +152,35 @@ def test_stage_grows_within_its_bound(monkeypatch, row):
 
     def counted(*args, **kwargs):
         nonlocal calls
-        calls += 1
+        calls += row.weight(*args, **kwargs)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
     counts = []
-    for n in SIZES:
+    for n in row.sizes:
         action = row.generator(n)
         calls = 0
-        action()
-        counts.append(calls)
+        result = action()
+        counts.append(calls / row.units(result))
     # a counter that reads zero would pass any bound and show nothing
     assert min(counts) > 0, (row.stage, counts)
-    exponent = fitted_exponent(SIZES, counts)
+    exponent = fitted_exponent(row.sizes, counts)
     assert exponent <= row.bound, (row.stage, counts, round(exponent, 2))
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_an_or_copy_shares_its_buckets(flavor):
+    """A copy costs no bucket copies, and a write to it replaces buckets
+    instead of changing the ones the source holds."""
+    s, clock = filled_set("or", flavor, 100), ReplicaClock("r2")
+    s.local_rmv("e0", clock)
+    before, dup = s.state(), s.copy()
+    buckets = ("tags", "removed") if flavor == "state" else ("tags",)
+    for name in buckets:
+        assert all(getattr(dup, name)[e] is bucket for e, bucket in getattr(s, name).items())
+    dup.local_add("e1", clock)
+    dup.local_rmv("e2", clock)
+    dup.local_add("e0", clock)
+    dup.local_add("new", clock)
+    assert s.state() == before and dup.state() != before
+    assert s.lookup() == {f"e{i}" for i in range(1, 100)}

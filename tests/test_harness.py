@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from helpers import hiding_tree
 from treecrdt import cli, harness
 from treecrdt.clocks import ReplicaClock, VectorClock
 from treecrdt.errors import (
@@ -608,6 +609,63 @@ def test_oracle_or_needs_an_uncovered_tag():
     assert oracle_membership("or", ops, "a")
 
 
+def walk_with_spied_oracle(monkeypatch, scn, factory=None):
+    """Replay scn and walk its delivered sets, checking at each miss that
+    the oracle findings are the ones ``oracle_mismatches`` gives over the
+    listed delivered ops.  Returns the simulation, every vector observed,
+    and the oracle findings."""
+    sim = Simulation(scn.combo, scn.replicas, scn.seed, factory)
+    for action in scn.script:
+        sim.apply(action)  # a planted defect may refuse some
+    observed, texts = set(), []
+    check_state = harness._check_state
+
+    def spied(sim, tree, vector, base):
+        observed.add(vector)
+        findings, witness = check_state(sim, tree, vector, base)
+        known = VectorClock(dict(zip(sim.rids, vector)))
+        listed = harness.oracle_mismatches(sim.combo, tree, sim.known_ops(known))
+        oracle = [msg for name, msg in findings if name == "oracle_mismatches"]
+        if witness is not None:
+            assert oracle == listed
+        texts.extend(oracle)
+        return findings, witness
+
+    monkeypatch.setattr(harness, "_check_state", spied)
+    _walk(scn, sim, ConvergenceReport(combo=scn.combo), {})
+    monkeypatch.undo()
+    return sim, observed, texts
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_oracle_fold_is_oracle_membership(monkeypatch, kind, flavor):
+    """At every delivered vector the walk reaches, each payload set's fold
+    names exactly the elements the ops name, and expects live exactly the
+    ones ``oracle_membership`` holds for."""
+    combo = ComboSpec("graph", kind, flavor, "skip", "shortest", None)
+    for seed in (42, 43):
+        scn = random_scenario(combo, seed, n_ops=20, final_sync=flavor == "op")
+        sim, observed, texts = walk_with_spied_oracle(monkeypatch, scn)
+        assert texts == [] and len(observed) > 1
+        assert observed <= set(sim.folds)
+        for vector, fold in sim.folds.items():
+            ops = sim.known_ops(VectorClock(dict(zip(sim.rids, vector))))
+            for k, (summaries, live) in enumerate(fold.parts):
+                history = {}
+                for sub in (sub for op in ops for sub in (op.edge_ops if k else op.node_ops)):
+                    history.setdefault(sub.element, []).append(sub)
+                assert set(summaries) == set(history)
+                assert live == {e for e, mine in history.items() if oracle_membership(kind, mine, e)}
+
+
+def test_a_planted_mismatch_reads_as_oracle_mismatches_gives_it(monkeypatch):
+    combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
+    scn = random_scenario(combo, 42, n_ops=20, final_sync=True)
+    _, _, texts = walk_with_spied_oracle(monkeypatch, scn, hiding_tree)
+    assert texts and all(text == "nodes set disagrees on a: oracle=True lookup=False" for text in texts)
+
+
 # --- delivery schedules ---
 
 
@@ -715,7 +773,12 @@ def test_a_sync_is_one_pass(monkeypatch, flavor, n):
 
         monkeypatch.setattr(Simulation, name, spied)
     assert sim.apply(("sync",)) is None
-    assert exchanges == [(rid, src) for rid in sim.rids for src in sim.rids if src != rid]
+    if flavor == "op":
+        assert exchanges == [(rid, src) for rid in sim.rids for src in sim.rids if src != rid]
+    else:
+        # every peer into the first replica, then the first into each peer
+        first, peers = sim.rids[0], sim.rids[1:]
+        assert exchanges == [(first, src) for src in peers] + [(rid, first) for rid in peers]
     made = Counter(origin for origin, _ in sim.local_ops)
     for rep in sim.replicas.values():
         assert not rep.buffer.pending
@@ -989,28 +1052,53 @@ def test_shrink_checks_the_minimized_script_once(monkeypatch):
 
 
 @pytest.mark.parametrize("flavor", ["op", "state"])
-def test_the_delivered_ops_are_listed_once_per_new_cache_key(monkeypatch, flavor):
+def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavor):
     combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
-    listed, caches = [], []
-    known_ops, observe = Simulation.known_ops, harness._observe
+    listed, calls, folds, extended, caches = [], [], [], [], []
+    known_ops, fold = Simulation.known_ops, Simulation.fold
+    extend, observe = harness.OracleFold.extend, harness._observe
 
     def counted(sim, known):
         listed.append(known.copy())
         return known_ops(sim, known)
 
-    def spied(sim, tree, state, known, prev_witness, cache, report, where):
+    def spied_fold(sim, vector, base):
+        calls.append(vector)
+        if vector not in sim.folds:
+            folds.append((sim, vector, base))
+        return fold(sim, vector, base)
+
+    def spied_extend(oracle, kind, ops):
+        extended.append(ops)
+        return extend(oracle, kind, ops)
+
+    def spied(sim, tree, state, vector, base, prev_witness, cache, report, where):
         caches.append(cache)
-        return observe(sim, tree, state, known, prev_witness, cache, report, where)
+        return observe(sim, tree, state, vector, base, prev_witness, cache, report, where)
 
     monkeypatch.setattr(Simulation, "known_ops", counted)
+    monkeypatch.setattr(Simulation, "fold", spied_fold)
+    monkeypatch.setattr(harness.OracleFold, "extend", spied_extend)
     monkeypatch.setattr(harness, "_observe", spied)
     report = ConvergenceReport(combo=combo)
     scn = random_scenario(combo, seed=42, final_sync=flavor == "op")
     _check_one(scn, report, None)
-    assert report.passed
+    monkeypatch.undo()
+    # a passing check lists no delivered ops
+    assert report.passed and listed == []
     (cache,) = {id(c): c for c in caches}.values()
-    # a miss fills one new key and lists the ops once; a hit lists none
-    assert len(listed) == len(cache) < len(caches)
+    # a miss folds the oracle of its vector once, a hit not at all
+    assert len(calls) == len(cache) < len(caches)
+    # each vector a cache key holds is folded once, from a vector it
+    # dominates, by exactly the sub-ops of the ops that vector lacks
+    vectors = [vector for _, vector, _ in folds]
+    zero = (0,) * scn.replicas
+    assert len(set(vectors)) == len(vectors) == len(extended)
+    assert set(vectors) | {zero} == {vector for _, vector in cache} | {zero}
+    for (sim, vector, base), ops in zip(folds, extended):
+        have = Counter(sim.known_ops(VectorClock(dict(zip(sim.rids, base)))))
+        want = Counter(sim.known_ops(VectorClock(dict(zip(sim.rids, vector)))))
+        assert have <= want and want - have == Counter(ops)
 
 
 def _walked_states(monkeypatch, scn):
@@ -1023,11 +1111,11 @@ def _walked_states(monkeypatch, scn):
     walked = {}
     observe = harness._observe
 
-    def spied(sim, tree, state, known, prev_witness, cache, report, where):
+    def spied(sim, tree, state, vector, base, prev_witness, cache, report, where):
         at = re.search(r"order=\((.*)\) delivery|fold=(\S+)", where())
         members = at[1].replace(",", " ").split() if at[1] is not None else at[2].split("-")
         walked.setdefault(frozenset(members), set()).add(state)
-        return observe(sim, tree, state, known, prev_witness, cache, report, where)
+        return observe(sim, tree, state, vector, base, prev_witness, cache, report, where)
 
     monkeypatch.setattr(harness, "_observe", spied)
     report = ConvergenceReport(combo=scn.combo)
