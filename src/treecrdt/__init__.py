@@ -1,163 +1,24 @@
-"""Replicated tree data types and a deterministic convergence harness."""
+"""Replicated tree data types and a deterministic convergence harness.
 
-from .clocks import (
-    DeliveryBuffer,
-    Envelope,
-    LamportStamp,
-    ReplicaClock,
-    ReplicaId,
-    Tag,
-    VectorClock,
-    deliverable,
-)
-from .demos import DEMOS
-from .errors import (
-    IllegalCombo,
-    InvalidInterval,
-    KindMismatch,
-    PreconditionViolation,
-    ScenarioError,
-    SeveralBlowup,
-    TreeCrdtError,
-    WalkBlowup,
-)
-from .graph import GraphTree, ReplicatedTree, TreeOp
+The package root names only what the benchmark in ``perfbench/`` imports;
+everything else is read from its module (``treecrdt.harness``,
+``treecrdt.graph``, ``treecrdt.sets`` and the rest).
+"""
+
 from .harness import (
-    ComboSpec,
-    ConvergenceReport,
-    Scenario,
     Simulation,
-    StepRecord,
     check_convergence,
     legal_combos,
-    make_tree,
     oracle_membership,
     parse_combo,
-    parse_scenario,
-    random_scenario,
-    run_scenario,
-    serialize_scenario,
     tree_validity,
-)
-from .lookup import Instance, LookupTree
-from .ordered import PositionedNode
-from .paths import (
-    EPSILON,
-    WordTree,
-    path_images,
-)
-from .policies import (
-    CONNECT_POLICIES,
-    MAP_POLICIES,
-    EdgeInfo,
-    RootedGraph,
-    connect,
-    get_connected,
-    map_to_tree,
-)
-from .positions import DIGIT_BASE, UPI_MAX, UPI_MIN, Upi, upi_at, upi_between
-from .render import Path, render, sort_key
-from .sets import (
-    ADD,
-    FLAVORS,
-    KINDS,
-    RMV,
-    CounterSet,
-    GSet,
-    LwwSet,
-    ObservedRemoveSet,
-    SetCrdt,
-    SetOp,
-    TwoPhaseSet,
-    make_set,
-)
-from .wootr import (
-    BEGIN,
-    END,
-    WOOTR_KINDS,
-    WootrBound,
-    WootrSequence,
-    WootrTriple,
-    wootr_closure,
-    wootr_order,
 )
 
 __all__ = [
-    "ADD",
-    "RMV",
-    "KINDS",
-    "FLAVORS",
-    "CONNECT_POLICIES",
-    "MAP_POLICIES",
-    "BEGIN",
-    "END",
-    "WOOTR_KINDS",
-    "DIGIT_BASE",
-    "UPI_MAX",
-    "UPI_MIN",
-    "ComboSpec",
-    "ConvergenceReport",
-    "CounterSet",
-    "DEMOS",
-    "DeliveryBuffer",
-    "EPSILON",
-    "EdgeInfo",
-    "Envelope",
-    "GSet",
-    "GraphTree",
-    "IllegalCombo",
-    "Instance",
-    "LookupTree",
-    "ReplicatedTree",
-    "RootedGraph",
-    "TreeOp",
-    "WordTree",
-    "connect",
-    "get_connected",
-    "map_to_tree",
-    "path_images",
-    "InvalidInterval",
-    "KindMismatch",
-    "LamportStamp",
-    "LwwSet",
-    "ObservedRemoveSet",
-    "Path",
-    "PositionedNode",
-    "PreconditionViolation",
-    "ReplicaClock",
-    "ReplicaId",
-    "Scenario",
-    "ScenarioError",
-    "SetCrdt",
-    "SetOp",
-    "SeveralBlowup",
     "Simulation",
-    "StepRecord",
-    "Tag",
-    "TreeCrdtError",
-    "TwoPhaseSet",
-    "Upi",
-    "VectorClock",
-    "WalkBlowup",
-    "WootrBound",
-    "WootrSequence",
-    "WootrTriple",
     "check_convergence",
-    "deliverable",
     "legal_combos",
-    "make_set",
-    "make_tree",
     "oracle_membership",
     "parse_combo",
-    "parse_scenario",
-    "random_scenario",
-    "render",
-    "run_scenario",
-    "serialize_scenario",
-    "sort_key",
     "tree_validity",
-    "upi_at",
-    "upi_between",
-    "wootr_closure",
-    "wootr_order",
 ]

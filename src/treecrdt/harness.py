@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import ge
 from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from .clocks import DeliveryBuffer, Envelope, ReplicaClock, VectorClock
+from .clocks import DeliveryBuffer, Envelope, ReplicaClock
 from .errors import (
     IllegalCombo,
     PreconditionViolation,
@@ -293,26 +292,12 @@ class Simulation:
         rep.tree.merge(peer.tree, rep.clock)
         rep.clock.delivered |= peer.clock.delivered
 
-    def known_ops(self, known: VectorClock) -> List[TreeOp]:
-        """The local ops a state with version vector known reflects: the first
-        ``known[origin]`` made by each origin, in the order they were made.
-
-        In both flavors a replica's knowledge is its version vector
-        ``clock.delivered``: delivery and local ops advance it, and a state
-        merge joins the peer's into it.
-        """
-        made: VectorClock = Counter()
-        out = []
-        for origin, op in self.local_ops:
-            made[origin] += 1
-            if made[origin] <= known[origin]:
-                out.append(op)
-        return out
-
     def fold(self, vector: Tuple[int, ...], base: Tuple[int, ...]) -> "OracleFold":
         """The oracle's fold of the local ops that a state with delivered
-        counts vector (in ``rids`` order) reflects, as ``known_ops`` lists
-        them.
+        counts vector (in ``rids`` order) reflects: the first ``vector[i]``
+        ops that origin ``rids[i]`` made.  In both flavors a replica's
+        delivered counts are its version vector ``clock.delivered``, which
+        delivery and local ops advance and a state merge joins.
 
         A vector folded before is looked up in ``folds``.  A new one is
         extended from base's fold by the ops base lacks, and kept; base is
@@ -553,10 +538,12 @@ class OracleFold:
     """What the membership oracle expects of the payload sets of one
     delivered set of ops, folded one op at a time.
 
-    ``parts`` holds, for the node sub-ops and then the edge sub-ops (the
-    payload sets ``_set_histories`` gives them to), each element's summary
-    under ``FOLD_RULES`` and the elements expected live.  A fold is never
-    changed: ``extend`` returns a new one.
+    ``parts`` holds, for the node sub-ops and then the edge sub-ops, each
+    element's summary under ``FOLD_RULES`` and the elements expected live.
+    The node or path sub-ops go to the tree's first payload set and the
+    edge sub-ops to its second, in ``tree.SETS`` order (an edge tree sends
+    no node ops, a word tree no edge ops).  A fold is never changed:
+    ``extend`` returns a new one.
     """
 
     __slots__ = ("parts",)
@@ -582,48 +569,30 @@ class OracleFold:
             parts.append((summaries, live))
         return OracleFold(tuple(parts))
 
-    def agrees(self, tree: Any) -> bool:
-        """True when each payload set's ``lookup()``, on the elements some
-        sub-op named, holds exactly the elements expected live."""
-        for name, (summaries, live) in zip(tree.SETS, self.parts):
-            if summaries:
-                shown = getattr(tree, name).lookup()
-                if not live <= shown or not summaries.keys().isdisjoint(shown - live):
-                    return False
-        return True
-
 
 OracleFold.EMPTY = OracleFold((({}, set()), ({}, set())))
 
 
-def _set_histories(tree: Any, ops: List[TreeOp]) -> Dict[str, List[SetOp]]:
-    """SetOps delivered so far, grouped by the payload set they touch: node
-    or path sub-ops go to the tree's first set, edge sub-ops to its second."""
-    node_subs = [sub for op in ops for sub in op.node_ops]
-    edge_subs = [sub for op in ops for sub in op.edge_ops]
-    # an edge tree sends no node ops, a word tree no edge ops
-    return {name: subs for name, subs in zip(tree.SETS, (node_subs, edge_subs)) if subs}
+def oracle_mismatches(fold: OracleFold, tree: Any) -> List[str]:
+    """Compare each payload set's ``lookup()`` with what fold expects of it,
+    on the elements some sub-op named.
 
-
-def oracle_mismatches(combo: ComboSpec, tree: Any, ops: List[TreeOp]) -> List[str]:
-    """Compare each payload set's lookup with the independent membership rule.
-
-    Elements are reported in element order, so the result depends on which
-    ops were delivered, not on the order they were delivered in.
+    A set that agrees costs one subset test.  In a set that disagrees, each
+    element is named in element order, so the result depends on which ops
+    were delivered, not on the order they were delivered in.
     """
     problems = []
-    for name, history in _set_histories(tree, ops).items():
-        payload = getattr(tree, name)
-        shown = payload.lookup()
-        by_element: Dict[Any, List[SetOp]] = {}
-        for op in history:
-            by_element.setdefault(op.element, []).append(op)
-        for e in sorted_elements(by_element):
-            expect = oracle_membership(combo.kind, by_element[e], e)
-            if (e in shown) != expect:
+    for name, (summaries, live) in zip(tree.SETS, fold.parts):
+        if not summaries:
+            continue
+        shown = getattr(tree, name).lookup()
+        if live <= shown and summaries.keys().isdisjoint(shown - live):
+            continue
+        for e in sorted_elements(summaries):
+            if (e in shown) != (e in live):
                 problems.append(
                     f"{name} set disagrees on {render(e)}:"
-                    f" oracle={expect} lookup={e in shown}"
+                    f" oracle={e in live} lookup={e in shown}"
                 )
     return problems
 
@@ -740,9 +709,9 @@ def _check_state(
 ) -> Tuple[List[Tuple[str, str]], Optional[Dict]]:
     """Validity and oracle findings of the tree's state, and its witness.
 
-    The oracle is ``sim.fold(vector, base)``; only where the tree disagrees
-    with it are the delivered ops listed, for ``oracle_mismatches`` to
-    name each element it disagrees on.
+    The oracle is ``sim.fold(vector, base)``, which is folded even when
+    the lookup blows up, so a later vector can extend it; each element
+    the payload sets disagree with it on is named by ``oracle_mismatches``.
     """
     fold = sim.fold(vector, base)
     try:
@@ -753,10 +722,7 @@ def _check_state(
     problem = tree_validity(lt)
     if problem is not None:
         findings.append(("validity_violations", problem))
-    if not fold.agrees(tree):
-        known = VectorClock(dict(zip(sim.rids, vector)))
-        for msg in oracle_mismatches(sim.combo, tree, sim.known_ops(known)):
-            findings.append(("oracle_mismatches", msg))
+    findings += [("oracle_mismatches", msg) for msg in oracle_mismatches(fold, tree)]
     return findings, witness_map(sim.combo, lt)
 
 
@@ -783,7 +749,8 @@ def _observe(
     the scenario's cache under the key (state, vector).  A miss folds the
     oracle for vector from base, a vector of fewer ops folded before (the
     set one step back in the walk, or the replica's vector at its last
-    observation), by the ops base lacks (``Simulation.fold``).  The key is
+    observation), by the ops base lacks (``Simulation.fold``), and compares
+    the payload sets with that fold (``oracle_mismatches``).  The key is
     the exact payload, never the delivered set alone, so two replicas that
     know the same ops but hold different payloads are both checked.  Moves
     depend on prev_witness and are computed on every call; a state whose

@@ -51,18 +51,6 @@ class SetOp:
     tag: Optional[Tag] = None
     tags: Optional[FrozenSet[Tag]] = None
 
-    def canonical(self) -> str:
-        parts = [f"op {self.verb} {render(self.element)}"]
-        if self.stamp is not None:
-            parts.append(f"stamp={self.stamp.render()}")
-        if self.delta is not None:
-            parts.append(f"delta={self.delta}")
-        if self.tag is not None:
-            parts.append(f"tag={self.tag.render()}")
-        if self.tags is not None:
-            parts.append("tags=" + render(set(self.tags)))
-        return " ".join(parts)
-
 
 class SetCrdt:
     """Common surface: lookup, checked generation, unchecked generation, sync.

@@ -7,7 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path as FsPath
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -17,7 +17,7 @@ from treecrdt.harness import make_tree, oracle_membership
 from treecrdt.lookup import LookupTree
 from treecrdt.paths import EPSILON, check_atom
 from treecrdt.policies import EdgeInfo, get_connected
-from treecrdt.render import Path, sort_key
+from treecrdt.render import Path, render, sort_key, sorted_elements
 from treecrdt.sets import ADD, RMV, ObservedRemoveSet, SetOp, make_set
 from treecrdt.wootr import BEGIN, END, WootrSequence, WootrTriple
 
@@ -204,6 +204,48 @@ def reference_lookup(s) -> set:
 def oracle_membership_ops(kind: str, ops: List[SetOp], e: Any) -> bool:
     """Decide membership of e from the op history alone, one rule per kind."""
     return oracle_membership(kind, ops, e)
+
+
+def known_ops(sim, known) -> List[Any]:
+    """The local ops a state with version vector known reflects: the first
+    ``known[origin]`` made by each origin, in the order they were made.
+
+    In both flavors a replica's knowledge is its version vector
+    ``clock.delivered``: delivery and local ops advance it, and a state
+    merge joins the peer's into it.
+    """
+    made: Counter = Counter()
+    out = []
+    for origin, op in sim.local_ops:
+        made[origin] += 1
+        if made[origin] <= known[origin]:
+            out.append(op)
+    return out
+
+
+def listed_oracle_mismatches(combo, tree, ops) -> List[str]:
+    """The reference of ``harness.oracle_mismatches``: group the delivered
+    ops' sub-ops by the payload set they touch (node or path sub-ops to the
+    tree's first set, edge sub-ops to its second), ask ``oracle_membership``
+    about each element they name, in element order, and word each
+    disagreement with the set's ``lookup()`` as the checker does."""
+    subs = ([sub for op in ops for sub in op.node_ops], [sub for op in ops for sub in op.edge_ops])
+    problems = []
+    for name, history in zip(tree.SETS, subs):
+        if not history:
+            continue
+        shown = getattr(tree, name).lookup()
+        by_element: Dict[Any, List[SetOp]] = {}
+        for op in history:
+            by_element.setdefault(op.element, []).append(op)
+        for e in sorted_elements(by_element):
+            expect = oracle_membership(combo.kind, by_element[e], e)
+            if (e in shown) != expect:
+                problems.append(
+                    f"{name} set disagrees on {render(e)}:"
+                    f" oracle={expect} lookup={e in shown}"
+                )
+    return problems
 
 
 class TreeGroup:

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from helpers import REPLICAS, TreeGroup
+from helpers import REPLICAS, TreeGroup, known_ops
 from treecrdt.clocks import LamportStamp, ReplicaClock
 from treecrdt.errors import IllegalCombo, PreconditionViolation, SeveralBlowup
 from treecrdt.graph import GraphTree, edge_weights
@@ -427,7 +427,7 @@ def decoded_adds(tree, ops):
 
 
 def replica_ops(sim, rid):
-    return sim.known_ops(sim.replicas[rid].clock.delivered)
+    return known_ops(sim, sim.replicas[rid].clock.delivered)
 
 
 @pytest.mark.parametrize(

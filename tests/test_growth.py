@@ -13,15 +13,23 @@ gate is deterministic.
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Tuple
 
 import pytest
+import treecrdt.render
 from treecrdt.clocks import ReplicaClock
 from treecrdt.harness import OracleFold, check_convergence, make_tree, parse_combo
-from treecrdt.sets import FLAVORS, CounterSet, LwwSet, ObservedRemoveSet, make_set
+from treecrdt.sets import (
+    FLAVORS,
+    CounterSet,
+    GSet,
+    LwwSet,
+    ObservedRemoveSet,
+    TwoPhaseSet,
+    make_set,
+)
 
 SIZES = (500, 1000, 2000)
 
@@ -104,16 +112,21 @@ class Growth:
     units: Callable[[Any], int] = one
 
 
-# the package re-exports the function render, so ask for the module by name
-SORT_KEY = (importlib.import_module("treecrdt.render"), "sort_key")
+SORT_KEY = (treecrdt.render, "sort_key")
 
 GROWTH = [
     Growth("gen_rmv graph", remove_a_leaf("graph or op skip shortest plain"), SORT_KEY, 0.1),
     Growth("gen_rmv edge", remove_a_leaf("edge or op skip shortest plain"), SORT_KEY, 0.1),
     Growth("gen_rmv word", remove_a_leaf("word or op skip - plain"), SORT_KEY, 0.1),
+    Growth("apply g", sync_then_read("g", "op"), (GSet, "_is_live"), 0.1),
+    Growth("apply 2p", sync_then_read("2p", "op"), (TwoPhaseSet, "_is_live"), 0.1),
     Growth("apply or", sync_then_read("or", "op"), (ObservedRemoveSet, "_is_live"), 0.1),
     Growth("apply lww", sync_then_read("lww", "op"), (LwwSet, "_is_live"), 0.1),
     Growth("apply c", sync_then_read("c", "op"), (CounterSet, "_is_live"), 0.1),
+    Growth("merge g", sync_then_read("g", "state"), (GSet, "_is_live"), 0.1),
+    Growth("merge 2p", sync_then_read("2p", "state"), (TwoPhaseSet, "_is_live"), 0.1),
+    Growth("merge lww", sync_then_read("lww", "state"), (LwwSet, "_is_live"), 0.1),
+    Growth("merge c", sync_then_read("c", "state"), (CounterSet, "_is_live"), 0.1),
     Growth("merge or", sync_then_read("or", "state"), (ObservedRemoveSet, "_is_live"), 0.1),
     # the oracle folds each walked set from the set it steps from: sub-ops
     # folded per walked set, over histories of 25, 50 and 100 ops

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import hiding_tree
+from helpers import hiding_tree, known_ops, listed_oracle_mismatches
 from treecrdt import cli, harness
 from treecrdt.clocks import ReplicaClock, VectorClock
 from treecrdt.errors import (
@@ -611,9 +611,9 @@ def test_oracle_or_needs_an_uncovered_tag():
 
 def walk_with_spied_oracle(monkeypatch, scn, factory=None):
     """Replay scn and walk its delivered sets, checking at each miss that
-    the oracle findings are the ones ``oracle_mismatches`` gives over the
-    listed delivered ops.  Returns the simulation, every vector observed,
-    and the oracle findings."""
+    the oracle findings are the ones ``listed_oracle_mismatches``, the
+    per-element reference, gives over the listed delivered ops.  Returns
+    the simulation, every vector observed, and the oracle findings."""
     sim = Simulation(scn.combo, scn.replicas, scn.seed, factory)
     for action in scn.script:
         sim.apply(action)  # a planted defect may refuse some
@@ -624,7 +624,7 @@ def walk_with_spied_oracle(monkeypatch, scn, factory=None):
         observed.add(vector)
         findings, witness = check_state(sim, tree, vector, base)
         known = VectorClock(dict(zip(sim.rids, vector)))
-        listed = harness.oracle_mismatches(sim.combo, tree, sim.known_ops(known))
+        listed = listed_oracle_mismatches(sim.combo, tree, known_ops(sim, known))
         oracle = [msg for name, msg in findings if name == "oracle_mismatches"]
         if witness is not None:
             assert oracle == listed
@@ -650,7 +650,7 @@ def test_the_oracle_fold_is_oracle_membership(monkeypatch, kind, flavor):
         assert texts == [] and len(observed) > 1
         assert observed <= set(sim.folds)
         for vector, fold in sim.folds.items():
-            ops = sim.known_ops(VectorClock(dict(zip(sim.rids, vector))))
+            ops = known_ops(sim, VectorClock(dict(zip(sim.rids, vector))))
             for k, (summaries, live) in enumerate(fold.parts):
                 history = {}
                 for sub in (sub for op in ops for sub in (op.edge_ops if k else op.node_ops)):
@@ -662,8 +662,15 @@ def test_the_oracle_fold_is_oracle_membership(monkeypatch, kind, flavor):
 def test_a_planted_mismatch_reads_as_oracle_mismatches_gives_it(monkeypatch):
     combo = ComboSpec("graph", "or", "op", "skip", "shortest", None)
     scn = random_scenario(combo, 42, n_ops=20, final_sync=True)
+    asked = []
+    membership = harness.oracle_membership
+    monkeypatch.setattr(
+        harness, "oracle_membership", lambda *args: asked.append(args) or membership(*args)
+    )
     _, _, texts = walk_with_spied_oracle(monkeypatch, scn, hiding_tree)
     assert texts and all(text == "nodes set disagrees on a: oracle=True lookup=False" for text in texts)
+    # the checker words each mismatch from the fold, never from the per-element rule
+    assert asked == []
 
 
 # --- delivery schedules ---
@@ -1055,12 +1062,12 @@ def test_shrink_checks_the_minimized_script_once(monkeypatch):
 def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavor):
     combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
     listed, calls, folds, extended, caches = [], [], [], [], []
-    known_ops, fold = Simulation.known_ops, Simulation.fold
+    fold, membership = Simulation.fold, harness.oracle_membership
     extend, observe = harness.OracleFold.extend, harness._observe
 
-    def counted(sim, known):
-        listed.append(known.copy())
-        return known_ops(sim, known)
+    def counted(kind, history, e):
+        listed.append(e)
+        return membership(kind, history, e)
 
     def spied_fold(sim, vector, base):
         calls.append(vector)
@@ -1076,7 +1083,7 @@ def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavo
         caches.append(cache)
         return observe(sim, tree, state, vector, base, prev_witness, cache, report, where)
 
-    monkeypatch.setattr(Simulation, "known_ops", counted)
+    monkeypatch.setattr(harness, "oracle_membership", counted)
     monkeypatch.setattr(Simulation, "fold", spied_fold)
     monkeypatch.setattr(harness.OracleFold, "extend", spied_extend)
     monkeypatch.setattr(harness, "_observe", spied)
@@ -1084,7 +1091,7 @@ def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavo
     scn = random_scenario(combo, seed=42, final_sync=flavor == "op")
     _check_one(scn, report, None)
     monkeypatch.undo()
-    # a passing check lists no delivered ops
+    # a passing check asks the per-element rule about no element
     assert report.passed and listed == []
     (cache,) = {id(c): c for c in caches}.values()
     # a miss folds the oracle of its vector once, a hit not at all
@@ -1096,8 +1103,8 @@ def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavo
     assert len(set(vectors)) == len(vectors) == len(extended)
     assert set(vectors) | {zero} == {vector for _, vector in cache} | {zero}
     for (sim, vector, base), ops in zip(folds, extended):
-        have = Counter(sim.known_ops(VectorClock(dict(zip(sim.rids, base)))))
-        want = Counter(sim.known_ops(VectorClock(dict(zip(sim.rids, vector)))))
+        have = Counter(known_ops(sim, VectorClock(dict(zip(sim.rids, base)))))
+        want = Counter(known_ops(sim, VectorClock(dict(zip(sim.rids, vector)))))
         assert have <= want and want - have == Counter(ops)
 
 
@@ -1175,7 +1182,7 @@ def test_known_ops_of_a_delivery_prefix_are_its_ops():
         for pos, i in enumerate(order, start=1):
             known[sim.envelopes[i].origin] += 1
             prefix = Counter(sim.envelopes[j].payload for j in order[:pos])
-            assert Counter(sim.known_ops(known)) == prefix
+            assert Counter(known_ops(sim, known)) == prefix
 
 
 def test_known_ops_of_a_state_replica_are_the_ops_it_has_merged():
@@ -1203,7 +1210,7 @@ def test_known_ops_of_a_state_replica_are_the_ops_it_has_merged():
         else:
             held[action[0]][sim.local_ops[-1][1]] += 1
         for rid, rep in sim.replicas.items():
-            assert Counter(sim.known_ops(rep.clock.delivered)) == held[rid]
+            assert Counter(known_ops(sim, rep.clock.delivered)) == held[rid]
 
 
 def test_full_matrix_sample_across_pi_modes():

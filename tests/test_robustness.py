@@ -144,11 +144,47 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.endswith("checked 1 combos: all pass\n")
 
 
+# what perfbench/workloads.py imports from the package root, and nothing more
+ROOT_NAMES = [
+    "Simulation",
+    "check_convergence",
+    "legal_combos",
+    "oracle_membership",
+    "parse_combo",
+    "tree_validity",
+]
+
+
 def test_every_exported_name_resolves():
     import treecrdt
 
+    assert sorted(treecrdt.__all__) == ROOT_NAMES
     assert [n for n in treecrdt.__all__ if not hasattr(treecrdt, n)] == []
     assert len(set(treecrdt.__all__)) == len(treecrdt.__all__)
     namespace: dict = {}
     exec("from treecrdt import *", namespace)
     assert set(treecrdt.__all__) <= set(namespace)
+
+
+def test_the_benchmark_imports_and_instruments_the_package(monkeypatch):
+    """The benchmark's modules import, and its tracer finds every name it
+    wraps, ``harness.linear_extensions`` and ``harness.oracle_mismatches``
+    among them, and puts each original back."""
+    from treecrdt import harness
+
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    try:
+        import spans
+        import workloads
+
+        assert workloads.WORKLOADS
+        wrapped = (harness.linear_extensions, harness.oracle_mismatches)
+        with spans.instrumented(spans.Tracer()) as tracer:
+            assert tracer.patched
+            assert harness.linear_extensions is not wrapped[0]
+            assert harness.oracle_mismatches is not wrapped[1]
+        assert tracer.patched == []
+        assert (harness.linear_extensions, harness.oracle_mismatches) == wrapped
+    finally:
+        for name in ("spans", "workloads", "speed"):
+            sys.modules.pop(name, None)

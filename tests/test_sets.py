@@ -346,12 +346,6 @@ def test_canonical_identical_for_equal_states():
     assert left.canonical() == right.canonical()
 
 
-def test_op_canonical_mentions_metadata():
-    s = make_set("c", "op")
-    op = s.gen_add("a", clock())
-    assert op.canonical() == "op add a delta=1"
-
-
 # --- merge laws ---
 
 
