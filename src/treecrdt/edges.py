@@ -43,13 +43,15 @@ class NodePositions(UpiPositions):
             key = insts[0].key
         return [inst.node.upi for inst in lt.children(key)]
 
+    def shown(self, node: Any, label: str, pos: Any) -> Tuple[str, Any]:
+        if isinstance(node, PositionedNode):
+            # keep any mapping-policy suffix after the node's own text
+            return render(node.element) + label[len(render(node)):], node.upi
+        return label, pos
+
     def finish(self, lt: LookupTree) -> None:
         for inst in lt.instances.values():
-            node = inst.node
-            if isinstance(node, PositionedNode):
-                # keep any mapping-policy suffix after the node's own text
-                inst.label = render(node.element) + inst.label[len(render(node)):]
-                inst.pos = node.upi
+            inst.label, inst.pos = self.shown(inst.node, inst.label, inst.pos)
         lt.sort_siblings()
 
 

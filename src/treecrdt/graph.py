@@ -126,10 +126,11 @@ class ReplicatedTree:
     ``_patch`` by its payload diff, ``edited`` by the one patch rule.
     ``lookup()`` is the one path through them: read, then patch when a
     basis is kept, else build.  ``_build_lookup()`` is the from-scratch
-    oracle that every patched tree must equal.  The graph engine patches
-    unpositioned graph and edge trees, the word engine unpositioned word
-    trees under skip and reappear; every other tree gets a full build on
-    every change.
+    oracle that every patched tree must equal.  Whether a tree may patch
+    at all is its codec's ``patches``: true unless siblings follow a WOOTR
+    sequence.  The graph engine then patches while its rooted graph is a
+    tree, the word engine under skip and reappear; every other tree gets a
+    full build on every change.
 
     The visible tree is a function of ``state()``: equal payloads show
     equal trees, which the memo, its patches and the checker's observation
@@ -334,10 +335,10 @@ class GraphTree(ReplicatedTree):
         lt = map_to_tree(g, self.map_policy, self.several_cap)
         self.codec.finish(lt)
         # each node but the root has an in-edge, so with one edge per node
-        # the rooted graph was already a tree; only such a tree of
-        # unpositioned siblings patches, and its first patch makes the
-        # indexes that patches read
-        if self.pi_mode is not None or len(g.edges) != len(g.nodes) - 1:
+        # the rooted graph was already a tree; only such a tree patches, and
+        # only when its codec orders siblings by a key of each instance (no
+        # WOOTR tree); its first patch makes the indexes that patches read
+        if not self.codec.patches or len(g.edges) != len(g.nodes) - 1:
             return lt, None
         return lt, SimpleNamespace(live=live, nodes=nodes, ever=ever, index=None)
 
@@ -354,9 +355,12 @@ class GraphTree(ReplicatedTree):
         changes, whatever the policies and the edge weights: a removed
         subtree held every node a live edge, a rewired orphan or a revived
         ancestor hung from it.  So the new rooted graph is the old one less
-        those subtrees plus the added nodes, and still a tree.
+        those subtrees plus the added nodes, and still a tree.  An added
+        instance is keyed by its edge's position under ``several``, and
+        shows the label and position its codec gives a built one.
         """
-        decode, root, old = self.codec.decode, self.root, self._memo_tree
+        codec, root, old = self.codec, self.root, self._memo_tree
+        decode = codec.decode
         new_history = ever - basis.ever
         if not new_history <= live:
             return None
@@ -367,10 +371,10 @@ class GraphTree(ReplicatedTree):
             basis.index = keys, indeg, sources
         keys, indeg, sources = basis.index
         in_edge = {}
-        for src, dst, _ in map(decode, live - basis.live):
+        for src, dst, pos in map(decode, live - basis.live):
             if dst in in_edge or dst in indeg or dst == root:
                 return None
-            in_edge[dst] = src
+            in_edge[dst] = src, pos
         lost = Counter(dst for _, dst, _ in map(decode, basis.live - live))
         if nodes is None:
             added = in_edge.keys()
@@ -395,7 +399,7 @@ class GraphTree(ReplicatedTree):
         # and no policy shows them: an edge from a live node is no orphan
         todo, waiting = [], {}
         for n in sorted(in_edge, key=sort_key):
-            src = in_edge[n]
+            src = in_edge[n][0]
             if src in in_edge:
                 waiting.setdefault(src, []).append(n)
             else:
@@ -403,11 +407,13 @@ class GraphTree(ReplicatedTree):
         several = self.map_policy == "several"
         new = []
         for n in todo:
-            src = in_edge[n]
+            src, pos = in_edge[n]
             # an unshown source gets a key no instance has; edited refuses it
             parent = () if src == root else keys.get(src, (src,))
-            key = keys[n] = parent + ((n, None),) if several else (n,)
-            new.append(Instance(key, n, parent, render(n)))
+            # the edge's position keys the instance, as in a build
+            key = keys[n] = parent + ((n, pos),) if several else (n,)
+            label, shown_pos = codec.shown(n, render(n), pos)
+            new.append(Instance(key, n, parent, label, pos=shown_pos))
             todo.extend(waiting.pop(n, ()))
         sources.update(src for src, _, _ in map(decode, new_history))
         basis.live, basis.nodes, basis.ever = live, nodes, ever

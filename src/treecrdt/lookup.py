@@ -6,8 +6,10 @@ versions of its set CRDTs, and hands it to every caller until a set
 changes.  It has one path: read the payload, patch the tree it showed
 last when a basis for that is kept, else build from scratch.  A patch
 goes through ``edited``, which holds the one patch rule: a change may
-only add leaves or drop whole subtrees.  Unpositioned graph and edge
-trees patch, and so do unpositioned word trees under skip and reappear.
+only add leaves or drop whole subtrees.  Every tree whose siblings
+order by a key of each instance patches: unpositioned and UPI-positioned
+graph and edge trees, and such word trees under skip and reappear.  A
+WOOTR tree builds on every change.
 """
 
 from __future__ import annotations

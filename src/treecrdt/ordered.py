@@ -81,13 +81,18 @@ class Unordered:
     ask that depends on positions: which set kinds work, where an add or
     an insert at a sibling index goes, how a child is stored as a graph
     edge (``node``, ``encode``, ``decode``) or a word step (``step``,
-    ``split``), and how the instances of a freshly built lookup tree are
-    relabelled and put in sibling order.  The engine lists the positions
-    it holds (``live_positions``); a position is never passed in.
+    ``split``), how the instances of a freshly built lookup tree are
+    relabelled and put in sibling order (``finish``, ``shown``), and
+    whether the tree shown last may be patched (``patches``).  The engine
+    lists the positions it holds (``live_positions``); a position is never
+    passed in.
     """
 
     # a position drawn from the clock goes among siblings, after the last one given no index
     draws = False
+    # siblings order by a key of each instance alone (``Instance.order_key``),
+    # so a patch places an added child as a build would
+    patches = True
 
     def check_kind(self, kind: str) -> None:
         """Refuse a set kind this positioning mode cannot work with."""
@@ -106,6 +111,12 @@ class Unordered:
     def finish(self, lt: LookupTree) -> None:
         """Rewrite the instances of a freshly built lookup tree in place,
         and put each sibling group in order if the engine could not."""
+
+    def shown(self, node: Any, label: str, pos: Any) -> Tuple[str, Any]:
+        """The label and position an instance of node shows, from those the
+        engine gave it: what ``finish`` makes of a built instance, and what
+        a patch gives an added one."""
+        return label, pos
 
     def node(self, n: Any, pos: Any) -> Any:
         """The tree node a new child n at position pos is stored as."""
@@ -161,7 +172,11 @@ class WootrPositions(Unordered):
     """Sequence elements; a position is the (prev, next) pair to insert between.
 
     The stored ``WootrTriple`` is the position: a step, or an edge's child.
+    Siblings order by their whole sequence, which ``finish`` integrates,
+    so no tree of them is patched.
     """
+
+    patches = False
 
     def check_kind(self, kind: str) -> None:
         check_wootr_kind(kind)

@@ -7,7 +7,7 @@ of its positioning mode, from the one ``CODECS`` table in ``edges``,
 decides what one path step is.  The visible tree is the live path set
 repaired into a prefix-closed set by a connection policy; under skip and
 reappear a change that only adds leaves or drops whole shown subtrees
-patches the tree shown last.
+patches the tree shown last, unless its steps are WOOTR triples.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class WordTree(ReplicatedTree):
     ``pi_mode`` picks the codec (``CODECS``) that makes a path step a
     bare atom, a ``PositionedNode``, or a ``WootrTriple``.  Its part of
     the one lookup path is reading the live paths (``_read``), building
-    the tree from them (``_build``) and, for bare atoms under skip or
-    reappear, patching the last tree (``_patch``).
+    the tree from them (``_build``) and, under skip or reappear with bare
+    atoms or UPI steps, patching the last tree (``_patch``).
     """
 
     SETS = ("paths",)
@@ -128,8 +128,9 @@ class WordTree(ReplicatedTree):
         build needs no ``path_images``: it walks up from each live path to
         the first path already shown, and each path it passes is a ghost, a
         dead prefix shown only to hold its descendants.  Only a skip or
-        reappear tree of bare-atom steps patches, from a basis of the live
-        paths and the proper prefixes of those it drops.
+        reappear tree whose codec ``patches`` (bare-atom or UPI steps)
+        patches, from a basis of the live paths and the proper prefixes of
+        those it drops.
         """
         split = self.codec.split
         lt = LookupTree(root_label="/")
@@ -160,7 +161,7 @@ class WordTree(ReplicatedTree):
             if self.pi_mode is None and self.connect_policy != "skip":
                 lt.sort_siblings()
         self.codec.finish(lt)
-        if self.pi_mode is not None or self.connect_policy not in MONOTONE_CONNECT:
+        if not self.codec.patches or self.connect_policy not in MONOTONE_CONNECT:
             return lt, None
         blocked = {q[:k] for q in live if q not in lt.instances for k in range(1, len(q))}
         return lt, SimpleNamespace(live=live, blocked=blocked)
@@ -169,18 +170,24 @@ class WordTree(ReplicatedTree):
         """The last tree less the removed paths, plus the added ones, when
         no added path is a proper prefix of a live path the last tree
         dropped (the add would bring it back); ``edited`` checks the rest.
+        An added path shows the label and position its codec gives a built
+        one.
 
         Under skip and reappear each shown live path is shown as itself, so
         every other path keeps its instance, ghost mark included.  A patch
         keeps the set of dropped live paths as it was, so the index of
         their prefixes holds for the next patch too.
         """
-        old = self._memo_tree
+        codec, old = self.codec, self._memo_tree
         added, removed = live - basis.live, basis.live - live
         if not basis.blocked.isdisjoint(added):
             return None
+        new = []
         # parents first, so an added parent is placed before its children
-        new = [Instance(p, p, p.parent(), render(p[-1])) for p in sorted(added, key=Path.order_key)]
+        for p in sorted(added, key=Path.order_key):
+            atom, pos = codec.split(p[-1])
+            label, pos = codec.shown(p, render(atom), pos)
+            new.append(Instance(p, p, p.parent(), label, pos=pos))
         basis.live = live
         return old.edited(removed, new, live.__contains__)
 

@@ -34,29 +34,50 @@ from treecrdt.sets import (
 SIZES = (500, 1000, 2000)
 
 
-def wide_tree(label: str, n: int) -> Tuple[Any, ReplicaClock]:
+def wide_tree(label: str, n: int) -> Tuple[Any, ReplicaClock, Any]:
     """The tree of a combo with n nodes: n / 4 under the root, each with
     three leaves, written straight to the sets (no lookup per add) and
-    then shown once."""
+    then shown once; and its last top node.  A codec that draws positions
+    draws each after the siblings drawn before it, as ``gen_add`` does."""
     tree, clock = make_tree(parse_combo(label.split())), ReplicaClock("r1")
-    word = tree.repr_name == "word"
+    codec, drawn = tree.codec, {}
+
+    def add(name: str, parent: Any) -> Any:
+        pos = None
+        if codec.draws:
+            siblings = drawn.setdefault(parent, [])
+            pos = codec.position_at(siblings, len(siblings), clock)
+            siblings.append(pos)
+        return tree._commit(name, parent, clock, pos).node
+
+    root = () if tree.repr_name == "word" else "root"
     for i in range(n // 4):
-        top = f"t{i}"
-        tree._commit(top, () if word else "root", clock, None)
+        top = add(f"t{i}", root)
         for j in range(3):
-            tree._commit(f"{top}x{j}", (top,) if word else top, clock, None)
+            add(f"t{i}x{j}", top)
     tree.lookup()
-    return tree, clock
+    return tree, clock, top
 
 
 def remove_a_leaf(label: str) -> Callable[[int], Callable[[], Any]]:
     """Remove the last leaf of ``wide_tree(label, n)``."""
 
     def generate(n: int) -> Callable[[], Any]:
-        tree, clock = wide_tree(label, n)
+        tree, clock, _ = wide_tree(label, n)
         top = f"t{n // 4 - 1}"
         leaf = (top, top + "x2") if tree.repr_name == "word" else top + "x2"
         return lambda: tree.gen_rmv(leaf, clock)
+
+    return generate
+
+
+def insert_first(label: str) -> Callable[[int], Callable[[], Any]]:
+    """Insert a child at index 0 under the last top node of
+    ``wide_tree(label, n)``, then show the tree."""
+
+    def generate(n: int) -> Callable[[], Any]:
+        tree, clock, top = wide_tree(label, n)
+        return lambda: (tree.gen_insert("new", top, 0, clock), tree.lookup())
 
     return generate
 
@@ -118,6 +139,9 @@ GROWTH = [
     Growth("gen_rmv graph", remove_a_leaf("graph or op skip shortest plain"), SORT_KEY, 0.1),
     Growth("gen_rmv edge", remove_a_leaf("edge or op skip shortest plain"), SORT_KEY, 0.1),
     Growth("gen_rmv word", remove_a_leaf("word or op skip - plain"), SORT_KEY, 0.1),
+    Growth("insert upi node", insert_first("graph 2p op skip shortest node"), SORT_KEY, 0.1),
+    Growth("insert upi edge", insert_first("graph or op skip shortest edge"), SORT_KEY, 0.1),
+    Growth("insert upi word", insert_first("word 2p op skip - edge"), SORT_KEY, 0.1),
     Growth("apply g", sync_then_read("g", "op"), (GSet, "_is_live"), 0.1),
     Growth("apply 2p", sync_then_read("2p", "op"), (TwoPhaseSet, "_is_live"), 0.1),
     Growth("apply or", sync_then_read("or", "op"), (ObservedRemoveSet, "_is_live"), 0.1),

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecrdt.clocks import ReplicaClock
-from treecrdt.errors import SeveralBlowup
+from treecrdt.errors import PreconditionViolation, SeveralBlowup
 from treecrdt.graph import GraphTree
 from treecrdt.harness import (
     ComboSpec,
@@ -782,23 +782,156 @@ def test_word_patch_edge_cases_equal_a_fresh_build(kind, flavor, connect, script
         assert_lookups_are_builds(sim, action)
 
 
-def test_only_unpositioned_skip_and_reappear_word_trees_patch(monkeypatch):
+def test_only_wootr_trees_and_word_root_and_compact_trees_never_patch(monkeypatch):
+    """A tree tries a patch unless its siblings follow a WOOTR sequence, or
+    it is a word tree under root or compact; every other family of both
+    engines, positioned or not, patches some lookup of a short script."""
     made = count_lookups(monkeypatch)
-    tried = Counter()
+    patched = Counter()
     for combo in legal_combos():
-        if combo.repr_name != "word":
-            continue
         made.clear()
         scn = random_scenario(combo, seed=42, n_ops=12)
         sim = Simulation(combo, scn.replicas, scn.seed)
         for action in scn.script:
             sim.execute(action)
-        patchable = combo.pi_mode is None and combo.connect_policy in ("skip", "reappear")
+        family = combo.repr_name, combo.pi_mode
         assert made["build"] > 0
-        if not patchable:
+        if combo.pi_mode == "wootr" or (
+            combo.repr_name == "word" and combo.connect_policy not in ("skip", "reappear")
+        ):
             assert made["patch"] == made["fail"] == 0, combo.label()
-        tried[patchable] += made["patch"] + made["fail"]
-    assert tried[True] > 0
+        else:
+            patched[family] += made["patch"]
+    assert len(patched) == 7 and all(patched.values()), patched
+
+
+# one action on a UPI tree: the replica, what it does, the numbers that
+# pick its parent and its sibling index, its name, and its peer
+UPI_STEPS = st.tuples(
+    st.integers(0, 2),
+    st.sampled_from(["insert", "insert", "insert", "concurrent", "rmv", "exchange", "sync"]),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.sampled_from("abcdef"),
+    st.integers(1, 2),
+)
+
+
+def upi_actions(sim: Simulation, step) -> list:
+    """The Simulation actions a drawn step stands for.  An insert lands at
+    an index among the children its replica shows under a parent it shows.
+    A concurrent step has two replicas insert the same name under a parent
+    both show, at one index, before either hears of the other.  Names
+    repeat, so an insert may re-add a removed name, add a second node of a
+    shown name, or give a shown node a second parent."""
+    r, verb, pick, index, name, hop = step
+    rid, peer = sim.rids[r], sim.rids[(r + hop) % len(sim.rids)]
+    if verb == "sync":
+        return [("sync",)]
+    if verb == "exchange":
+        return [(rid, "deliver" if sim.combo.flavor == "op" else "merge", peer)]
+    names = sim.replicas[rid].tree.names()
+    if verb == "rmv":
+        return [(rid, "rmv", names[pick % len(names)])] if names else []
+    inserting = [rid, peer] if verb == "concurrent" else [rid]
+    trees = [sim.replicas[r].tree for r in inserting]
+    shared = set(names).intersection(*(tree.names() for tree in trees))
+    parents = ["/" if sim.combo.repr_name == "word" else "root"] + sorted(shared)
+    parent = parents[pick % len(parents)]
+    actions = []
+    for r, tree in zip(inserting, trees):
+        try:
+            width = len(tree.codec.sibling_positions(tree, tree.resolve(parent)))
+        except PreconditionViolation:
+            # a word name resolves through the first child of each label,
+            # which need not lead to the path it was given for
+            width = 0
+        actions.append((r, "insert", name, parent, str(index % (width + 1))))
+    return actions
+
+
+def upi_families() -> dict:
+    """The legal UPI combos by representation, positioning mode and flavor."""
+    families = {}
+    for combo in legal_combos():
+        if combo.pi_mode in ("node", "edge"):
+            family = f"{combo.repr_name} {combo.pi_mode} {combo.flavor}"
+            families.setdefault(family, []).append(combo)
+    return families
+
+
+UPI_COMBOS = upi_families()
+
+
+@pytest.mark.parametrize("family", sorted(UPI_COMBOS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), steps=st.lists(UPI_STEPS, min_size=10, max_size=40))
+def test_patched_upi_trees_equal_a_fresh_build(family, data, steps):
+    """Every lookup of a UPI tree, patched or built, is the tree a fresh
+    build makes, every field of every instance (label and position too)
+    and every sibling order; and each instance shows its position apart
+    from its label."""
+    sim = Simulation(data.draw(st.sampled_from(UPI_COMBOS[family])), 3, 0)
+    for step in steps:
+        for action in upi_actions(sim, step):
+            sim.apply(action)
+            assert_lookups_are_builds(sim, action)
+            for rep in sim.replicas.values():
+                for inst in rep.tree.lookup().instances.values():
+                    assert inst.pos is not None and "@" not in inst.label, (action, inst)
+
+
+def sibling_script(sim: Simulation, seed: int, blocks: int):
+    """The actions of a ``siblings``-style script on a state-flavor graph
+    tree, drawn as it runs: r1 adds three parents and all sync, then each
+    block of 10 actions holds, in shuffled order, 2 merges, 1 removal of a
+    shown child of a parent and 7 inserts under the parents in turn, each
+    at a random index among the children its replica shows; a sync ends it."""
+    rng = random.Random(seed)
+    parents = ["p0", "p1", "p2"]
+    yield from [("r1", "add", p, "root") for p in parents] + [("sync",)]
+    fresh = iter(range(10 ** 9))
+    turn = []
+    for _ in range(blocks):
+        verbs = ["merge"] * 2 + ["rmv"] + ["insert"] * 7
+        rng.shuffle(verbs)
+        for verb in verbs:
+            rid = rng.choice(sim.rids)
+            tree = sim.replicas[rid].tree
+            if verb == "merge":
+                yield (rid, "merge", rng.choice([r for r in sim.rids if r != rid]))
+                continue
+            kids = [n for n in tree.names() if n not in parents]
+            if verb == "rmv" and kids:
+                yield (rid, "rmv", rng.choice(kids))
+                continue
+            turn = turn or rng.sample(parents, len(parents))
+            parent = turn.pop()
+            width = len(tree.codec.sibling_positions(tree, tree.resolve(parent)))
+            yield (rid, "insert", f"c{next(fresh)}", parent, str(rng.randint(0, width)))
+    yield ("sync",)
+
+
+# (full builds, patches tried in vain, patched lookups) over the script
+# above, counted after every action
+SIBLING_SCRIPT_LOOKUPS = {777: (8, 5, 84), 4242: (6, 3, 86)}
+
+
+@pytest.mark.parametrize("seed", SIBLING_SCRIPT_LOOKUPS)
+def test_node_positioned_sibling_scripts_patch_most_lookups(monkeypatch, seed):
+    """A node-positioned tree patches its lookup after each insert, removal
+    and merge of a ``siblings``-style script.  It builds only on each
+    replica's first lookup and when a merge brings in a node that was added
+    and removed since the replica last heard of it: that edge is new to the
+    history but not live, which no patch takes."""
+    sim = Simulation(parse_combo("graph 2p state skip shortest node".split()), 3, 0)
+    made = count_lookups(monkeypatch)
+    for action in sibling_script(sim, seed, blocks=8):
+        sim.execute(action)
+        for rep in sim.replicas.values():
+            rep.tree.lookup()
+    assert (made["build"], made["fail"], made["patch"]) == SIBLING_SCRIPT_LOOKUPS[seed]
+    assert_lookups_are_builds(sim, "end")
 
 
 def test_dump_and_children_call_no_order_key(monkeypatch):
