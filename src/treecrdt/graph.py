@@ -29,7 +29,7 @@ from .clocks import LamportStamp, ReplicaClock
 from .edges import CODECS
 from .errors import IllegalCombo, KindMismatch, PreconditionViolation
 from .lookup import Instance, LookupTree
-from .ordered import UNDRAWN, PositionedNode
+from .ordered import PositionedNode
 from .policies import (
     CONNECT_POLICIES,
     DEFAULT_SEVERAL_CAP,
@@ -217,7 +217,7 @@ class ReplicatedTree:
             index = len(siblings) if index is None else index
             pos = codec.choose(siblings, index)
         self._admit(n, m, pos)
-        if pos is UNDRAWN:
+        if codec.draws:
             pos = codec.position_at(siblings, index, clock)
         return self._commit(n, m, clock, pos)
 
@@ -379,12 +379,10 @@ class GraphTree(ReplicatedTree):
         if nodes is None:
             added = in_edge.keys()
             removed = {n for n, k in lost.items() if indeg[n] == k}
-            if len(removed) != len(lost):
-                return None
         else:
             added, removed = nodes - basis.nodes, basis.nodes - nodes
-            if added != in_edge.keys() or not removed >= lost.keys():
-                return None
+        if added != in_edge.keys() or not removed >= lost.keys():
+            return None
         if not sources.isdisjoint(added):
             return None
         # the index now describes the new payload; a failed patch drops it

@@ -236,7 +236,7 @@ class Simulation:
         self.made: Dict[str, List[TreeOp]] = {rid: [] for rid in self.rids}
         self.local_ops: List[Tuple[str, TreeOp]] = []
         # the oracle's fold of each delivered vector folded so far (see fold)
-        self.folds: Dict[Tuple[int, ...], OracleFold] = {(0,) * replicas: OracleFold.EMPTY}
+        self.folds: Dict[Tuple[int, ...], Fold] = {(0,) * replicas: EMPTY_FOLD}
         self.handed: Dict[Tuple[str, str], int] = {}
         self.steps = 0
 
@@ -292,7 +292,7 @@ class Simulation:
         rep.tree.merge(peer.tree, rep.clock)
         rep.clock.delivered |= peer.clock.delivered
 
-    def fold(self, vector: Tuple[int, ...], base: Tuple[int, ...]) -> "OracleFold":
+    def fold(self, vector: Tuple[int, ...], base: Tuple[int, ...]) -> Fold:
         """The oracle's fold of the local ops that a state with delivered
         counts vector (in ``rids`` order) reflects: the first ``vector[i]``
         ops that origin ``rids[i]`` made.  In both flavors a replica's
@@ -310,7 +310,7 @@ class Simulation:
                 for rid, have, want in zip(self.rids, base, vector)
                 for op in self.made[rid][have:want]
             ]
-            fold = self.folds[vector] = self.folds[base].extend(self.combo.kind, lacking)
+            fold = self.folds[vector] = extend_fold(self.folds[base], self.combo.kind, lacking)
         return fold
 
     def sync_all(self) -> None:
@@ -534,46 +534,36 @@ FOLD_RULES: Dict[str, Tuple[Callable[[Any, SetOp], Any], Callable[[Any], bool]]]
 }
 
 
-class OracleFold:
-    """What the membership oracle expects of the payload sets of one
-    delivered set of ops, folded one op at a time.
-
-    ``parts`` holds, for the node sub-ops and then the edge sub-ops, each
-    element's summary under ``FOLD_RULES`` and the elements expected live.
-    The node or path sub-ops go to the tree's first payload set and the
-    edge sub-ops to its second, in ``tree.SETS`` order (an edge tree sends
-    no node ops, a word tree no edge ops).  A fold is never changed:
-    ``extend`` returns a new one.
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Tuple[Tuple[Dict[Any, Any], Set[Any]], ...]):
-        self.parts = parts
-
-    def extend(self, kind: str, ops: List[TreeOp]) -> "OracleFold":
-        """This fold with ops' sub-ops folded in as well."""
-        step, live_rule = FOLD_RULES[kind]
-        parts = []
-        for k, (summaries, live) in enumerate(self.parts):
-            subs = [sub for op in ops for sub in (op.edge_ops if k else op.node_ops)]
-            if subs:
-                summaries, live = dict(summaries), set(live)
-                for sub in subs:
-                    e = sub.element
-                    summaries[e] = summary = step(summaries.get(e), sub)
-                    if live_rule(summary):
-                        live.add(e)
-                    else:
-                        live.discard(e)
-            parts.append((summaries, live))
-        return OracleFold(tuple(parts))
+# the oracle's expectation of the payload sets of one delivered set of ops:
+# for the node sub-ops and then the edge sub-ops, each element's summary
+# under FOLD_RULES and the elements expected live.  Node or path sub-ops go
+# to the tree's first payload set and edge sub-ops to its second, in
+# tree.SETS order (an edge tree sends no node ops, a word tree no edge ops).
+# A fold is never changed: extend_fold returns a new one.
+Fold = Tuple[Tuple[Dict[Any, Any], Set[Any]], ...]
+EMPTY_FOLD: Fold = (({}, set()), ({}, set()))
 
 
-OracleFold.EMPTY = OracleFold((({}, set()), ({}, set())))
+def extend_fold(fold: Fold, kind: str, ops: List[TreeOp]) -> Fold:
+    """fold with ops' sub-ops folded in as well."""
+    step, live_rule = FOLD_RULES[kind]
+    parts = []
+    for k, (summaries, live) in enumerate(fold):
+        subs = [sub for op in ops for sub in (op.edge_ops if k else op.node_ops)]
+        if subs:
+            summaries, live = dict(summaries), set(live)
+            for sub in subs:
+                e = sub.element
+                summaries[e] = summary = step(summaries.get(e), sub)
+                if live_rule(summary):
+                    live.add(e)
+                else:
+                    live.discard(e)
+        parts.append((summaries, live))
+    return tuple(parts)
 
 
-def oracle_mismatches(fold: OracleFold, tree: Any) -> List[str]:
+def oracle_mismatches(fold: Fold, tree: Any) -> List[str]:
     """Compare each payload set's ``lookup()`` with what fold expects of it,
     on the elements some sub-op named.
 
@@ -582,7 +572,7 @@ def oracle_mismatches(fold: OracleFold, tree: Any) -> List[str]:
     were delivered, not on the order they were delivered in.
     """
     problems = []
-    for name, (summaries, live) in zip(tree.SETS, fold.parts):
+    for name, (summaries, live) in zip(tree.SETS, fold):
         if not summaries:
             continue
         shown = getattr(tree, name).lookup()
@@ -798,9 +788,9 @@ def check_convergence(
     """Drive seeded scenarios and check every delivery order of each.
 
     Each scenario is checked on the run that generates it, or, given a
-    factory, on a run of the factory's trees that applies each generated
-    action in step; both report what ``_check_one`` reports on a replay of
-    the ``random_scenario`` script.
+    factory, on a replay of its script on the factory's trees; both report
+    what ``_check_one`` reports on a replay of the ``random_scenario``
+    script.
     """
     make_tree(combo)
     check_sizes(n_ops, n_replicas, scenarios)
@@ -825,25 +815,27 @@ def _check_generated(
     report: ConvergenceReport,
     factory: Optional[Callable[[ComboSpec], Any]],
 ) -> Scenario:
-    """Generate the scenario ``random_scenario`` makes, check it as it is
-    generated, and return it.
+    """Generate the scenario ``random_scenario`` makes, check it, and
+    return it.
 
-    The generating simulation is observed after each action it keeps and
-    then checked, unless a factory is given: then a simulation of the
-    factory's trees applies each kept action in step, and is the one
-    checked, as on a replay.  Generation always runs on ``make_tree``
-    trees, so a factory's trees never change the script.
+    Without a factory the generating simulation is checked as it runs: it
+    is observed after each action it keeps, then walked.  Given a factory,
+    the finished script is checked by ``_check_one`` on the factory's
+    trees, the replay ``_shrink`` runs.  Generation always runs on
+    ``make_tree`` trees, so a factory's trees never change the script.
     """
-    gen = Simulation(combo, n_replicas, seed)
-    sim = gen if factory is None else Simulation(combo, n_replicas, seed, factory)
+    sim = Simulation(combo, n_replicas, seed)
     scn = Scenario(combo=combo, replicas=n_replicas, seed=seed)
-    actions = _generate(gen, seed, n_ops, final_sync=combo.flavor == "op")
+    actions = _generate(sim, seed, n_ops, final_sync=combo.flavor == "op")
+    if factory is not None:
+        scn.script.extend(actions)
+        _check_one(scn, report, factory)
+        return scn
 
     def applied() -> Iterator[Tuple[int, Tuple[str, ...]]]:
         for step, action in enumerate(actions, start=1):
             scn.script.append(action)
-            if sim is gen or sim.apply(action) is None:
-                yield step, action
+            yield step, action
 
     _check_run(scn, sim, applied(), report)
     return scn

@@ -36,10 +36,6 @@ from .wootr import (
 # the neighbours of a sequence element added with no index
 WHOLE_LINE = (BEGIN, END)
 
-# stands in for a position not yet drawn from a clock: a drawn position
-# holds a fresh tag, so no element holds it, and none holds this either
-UNDRAWN = object()
-
 
 @dataclass(frozen=True)
 class PositionedNode:
@@ -99,9 +95,9 @@ class Unordered:
 
     def choose(self, siblings: list, index: int) -> Any:
         """The position that lands a new child at index among siblings,
-        before any draw: the position itself when choosing it takes
-        nothing from the clock, else ``UNDRAWN`` for the codec's
-        ``position_at`` to draw.  An index it cannot place is refused here."""
+        when choosing it takes nothing from the clock; None when the codec
+        ``draws``, since ``position_at`` draws it only once the add is
+        admitted.  An index it cannot place is refused here."""
         raise PreconditionViolation("insert needs a positioned tree")
 
     def sibling_positions(self, tree: Any, parent: Any) -> list:
@@ -150,7 +146,7 @@ class UpiPositions(Unordered):
 
     def choose(self, siblings: list, index: int) -> Any:
         upi_bounds(siblings, index)
-        return UNDRAWN
+        return None
 
     def encode(self, m: Any, n: Any, pos: Upi) -> Tuple:
         return (m, n, pos)

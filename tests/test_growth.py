@@ -19,8 +19,9 @@ from typing import Any, Callable, Tuple
 
 import pytest
 import treecrdt.render
+from treecrdt import harness
 from treecrdt.clocks import ReplicaClock
-from treecrdt.harness import OracleFold, check_convergence, make_tree, parse_combo
+from treecrdt.harness import Fold, check_convergence, make_tree, parse_combo
 from treecrdt.sets import (
     FLAVORS,
     CounterSet,
@@ -113,8 +114,8 @@ def check_a_history(label: str, replicas: int) -> Callable[[int], Callable[[], A
     return generate
 
 
-def sub_ops(fold: OracleFold, kind: str, ops) -> int:
-    """The sub-ops one ``OracleFold.extend`` call folds in."""
+def sub_ops(fold: Fold, kind: str, ops) -> int:
+    """The sub-ops one ``extend_fold`` call folds in."""
     return sum(len(op.node_ops) + len(op.edge_ops) for op in ops)
 
 
@@ -157,7 +158,7 @@ GROWTH = [
     Growth(
         "oracle fold",
         check_a_history("graph or op compact highest plain", replicas=4),
-        (OracleFold, "extend"),
+        (harness, "extend_fold"),
         0.1,
         sizes=(25, 50, 100),
         weight=sub_ops,

@@ -651,7 +651,7 @@ def test_the_oracle_fold_is_oracle_membership(monkeypatch, kind, flavor):
         assert observed <= set(sim.folds)
         for vector, fold in sim.folds.items():
             ops = known_ops(sim, VectorClock(dict(zip(sim.rids, vector))))
-            for k, (summaries, live) in enumerate(fold.parts):
+            for k, (summaries, live) in enumerate(fold):
                 history = {}
                 for sub in (sub for op in ops for sub in (op.edge_ops if k else op.node_ops)):
                     history.setdefault(sub.element, []).append(sub)
@@ -1053,9 +1053,11 @@ def test_shrink_checks_the_minimized_script_once(monkeypatch):
         "minimized scenario:\n" + serialize_scenario(minimized)
     )
     assert [scn for scn, _ in checked].count(minimized) == 1
-    # the shrink starts from the divergence the generating run reported
+    # each generated script is checked once, in order, on the factory's
+    # trees; the shrink starts from the divergence that check reported
     generated = [random_scenario(combo, 42 + k, final_sync=True) for k in range(4)]
-    assert not any(scn in generated for scn, _ in checked)
+    assert [scn for scn, _ in checked[:4]] == generated
+    assert not any(scn in generated for scn, _ in checked[4:])
 
 
 @pytest.mark.parametrize("flavor", ["op", "state"])
@@ -1063,7 +1065,7 @@ def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavo
     combo = ComboSpec("graph", "or", flavor, "skip", "shortest", None)
     listed, calls, folds, extended, caches = [], [], [], [], []
     fold, membership = Simulation.fold, harness.oracle_membership
-    extend, observe = harness.OracleFold.extend, harness._observe
+    extend, observe = harness.extend_fold, harness._observe
 
     def counted(kind, history, e):
         listed.append(e)
@@ -1085,7 +1087,7 @@ def test_each_new_cache_key_folds_only_the_ops_its_base_lacks(monkeypatch, flavo
 
     monkeypatch.setattr(harness, "oracle_membership", counted)
     monkeypatch.setattr(Simulation, "fold", spied_fold)
-    monkeypatch.setattr(harness.OracleFold, "extend", spied_extend)
+    monkeypatch.setattr(harness, "extend_fold", spied_extend)
     monkeypatch.setattr(harness, "_observe", spied)
     report = ConvergenceReport(combo=combo)
     scn = random_scenario(combo, seed=42, final_sync=flavor == "op")

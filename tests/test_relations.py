@@ -1,16 +1,20 @@
 """Relations the paper's definitions imply between combos, checked without
 a reference: without concurrency, a graph tree and an edge tree of the
-same kind, flavor and policies show the same tree after every action; and
-one payload viewed under each connection policy shows every node skip
-shows, and on a graph tree root and compact show exactly its live nodes."""
+same kind, flavor and policies show the same tree after every action; one
+payload viewed under each connection policy shows every node skip shows,
+and on a graph tree root and compact show exactly its live nodes; and a
+state merge of replica states is a join."""
 
 import dataclasses
 
 import pytest
 
+from treecrdt import sets
+from treecrdt.clocks import Tag
 from treecrdt.graph import GraphTree
 from treecrdt.harness import Simulation, legal_combos, make_tree, random_scenario
 from treecrdt.render import sorted_elements
+from treecrdt.sets import CounterSet
 
 SEEDS = (0, 1, 2)
 
@@ -154,3 +158,92 @@ def test_the_relation_catches_a_compact_that_drops_an_orphan():
     breaks = [b for c in graphs for s in SEEDS if (b := first_policy_break(c, s, dropping))]
     # the dropped orphan is live, so only compact's view of a graph tree shows it missing
     assert breaks and all(" under compact: " in b for b in breaks)
+
+
+# --- state merge is a join ---
+
+
+def join_families():
+    """The first state combo of each (representation, kind, positioning
+    mode) in ``legal_combos`` order."""
+    first = {}
+    for c in legal_combos():
+        if c.flavor == "state":
+            first.setdefault((c.repr_name, c.kind, c.pi_mode), c)
+    return list(first.values())
+
+
+JOIN_FAMILIES = join_families()
+
+
+def replica_states(combo, count=8):
+    """Copies of the first count distinct replica states, by ``state()``, of
+    the combo's 10-op scenario at seed 42, each taken after the action that
+    touched the replica."""
+    scn = random_scenario(combo, 42, n_ops=10)
+    sim = Simulation(combo, scn.replicas, scn.seed)
+    states = {}
+    for action in scn.script:
+        assert sim.apply(action) is None
+        for rid in sim.rids if action[0] == "sync" else [action[0]]:
+            tree = sim.replicas[rid].tree
+            states.setdefault(tree.state(), tree.copy())
+    return list(states.values())[:count]
+
+
+def merged(a, b):
+    """A copy of tree a with tree b merged in."""
+    out = a.copy()
+    out.merge(b)
+    return out
+
+
+def join_breaks(combo):
+    """Each law of a join that merging the combo's replica states breaks,
+    as (law, state indices), comparing ``state()``: idempotent and
+    commutative on pairs, absorbing (merging either side again changes
+    nothing), and associative on triples."""
+    trees = replica_states(combo)
+    joins = {(i, j): merged(a, b) for i, a in enumerate(trees) for j, b in enumerate(trees)}
+    state = {ij: tree.state() for ij, tree in joins.items()}
+    breaks = [("idempotent", (i,)) for i, a in enumerate(trees) if state[i, i] != a.state()]
+    for (i, j), ab in joins.items():
+        if state[i, j] != state[j, i]:
+            breaks.append(("commutative", (i, j)))
+        if any(merged(ab, trees[x]).state() != state[i, j] for x in (i, j)):
+            breaks.append(("absorbing", (i, j)))
+        for k, c in enumerate(trees):
+            if merged(ab, c).state() != merged(trees[i], joins[j, k]).state():
+                breaks.append(("associative", (i, j, k)))
+    return breaks
+
+
+def test_each_join_family_has_eight_states():
+    assert len(JOIN_FAMILIES) == 32
+    assert all(len(replica_states(c)) == 8 for c in JOIN_FAMILIES)
+
+
+@pytest.mark.parametrize("combo", JOIN_FAMILIES, ids=lambda c: c.label())
+def test_state_merge_is_a_join(combo):
+    assert join_breaks(combo) == []
+
+
+class DoubleCountingSet(CounterSet):
+    """A planted defect: a state merge also adds the peer's tags under new
+    names, so the peer's balance counts again."""
+
+    def _merge(self, other):
+        touched = list(super()._merge(other))
+        for mine, theirs in ((self.pos, other.pos), (self.neg, other.neg)):
+            for e, tags in theirs.items():
+                mine[e] = mine.get(e, frozenset()) | {Tag(f"{t.origin}'", t.seq) for t in tags}
+                touched.append(e)
+        return touched
+
+
+def test_the_relation_catches_a_counting_merge_that_counts_twice(monkeypatch):
+    monkeypatch.setitem(sets._CLASSES, "c", DoubleCountingSet)
+    counting = [c for c in JOIN_FAMILIES if c.kind == "c"]
+    broken = {c.label(): {law for law, _ in join_breaks(c)} for c in counting}
+    laws = {"idempotent", "commutative", "absorbing", "associative"}
+    assert counting and all(broken.values()) and set().union(*broken.values()) == laws

@@ -1,8 +1,15 @@
-"""Inputs the convergence checker does not produce: replays and mismatched merges."""
+"""Inputs the convergence checker does not produce: replays and mismatched
+merges; and the package surface: what the root exports, and that each
+definition is named somewhere else."""
 
+import ast
+import io
 import os
+import shutil
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -188,3 +195,54 @@ def test_the_benchmark_imports_and_instruments_the_package(monkeypatch):
     finally:
         for name in ("spans", "workloads", "speed"):
             sys.modules.pop(name, None)
+
+
+# definitions nothing in the package or the benchmark names, each kept on purpose
+UNNAMED_ALLOWED = {
+    # the full lookup build that the patch tests compare a patch with
+    "_build_lookup",
+    # the tests' script generator
+    "random_scenario",
+    # the delivery walk's brute-force reference, which tests call; the
+    # benchmark's tracer wraps linear_extensions by name
+    "causal_deps",
+    "linear_extensions",
+}
+
+
+def unnamed_definitions(package: Path, others: Path) -> set:
+    """The non-dunder functions, methods and classes defined in package
+    whose names appear as a NAME token, in the Python files of package and
+    others, only in their own definitions.
+
+    Definitions and tokens are counted per name, so a definition that
+    shares its name with another one is missed whenever any of them is
+    named: a method that nothing calls is not caught while another class
+    defines and uses a method of that name, as ``SetOp.canonical`` was not.
+    """
+    defined, named = Counter(), Counter()
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update(node.name for node in ast.walk(tree) if isinstance(node, kinds))
+    for path in sorted(package.glob("*.py")) + sorted(others.glob("*.py")):
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        named.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
+    return {
+        name
+        for name, count in defined.items()
+        if named[name] <= count and not (name.startswith("__") and name.endswith("__"))
+    }
+
+
+def test_every_definition_is_named_somewhere_else():
+    assert unnamed_definitions(SRC / "treecrdt", SRC.parent / "perfbench") == UNNAMED_ALLOWED
+
+
+def test_the_name_scan_reports_a_planted_unused_function(tmp_path):
+    package = tmp_path / "treecrdt"
+    shutil.copytree(SRC / "treecrdt", package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "render.py", "a") as f:
+        f.write("\n\ndef planted_unused():\n    return None\n")
+    found = unnamed_definitions(package, SRC.parent / "perfbench")
+    assert found == UNNAMED_ALLOWED | {"planted_unused"}
